@@ -11,7 +11,9 @@ threshold bounds is the *margin* of the worst check: measured value divided
 by its allowance for upper bounds, allowance divided by the value for
 floors.  A margin of at most one therefore means every check sits inside
 its documented tolerance, which is why the default threshold for every key
-is ``1.0``; configurations may scale individual keys.
+is ``1.0``; configurations may scale individual keys.  The checks are
+written once, as check-group functions returning these records; the suite
+drivers report them and the acceptance tests assert on the same records.
 
 Configuration comes from a JSON file plus command-line flags; flags win.
 Identical configuration and seed produce byte-identical artifacts (no
@@ -45,6 +47,7 @@ from .doi import (
 from .experiments import (
     ProductCase,
     bound_experiment,
+    bound_subreport,
     build_y_fibers,
     config_digest,
     family_names,
@@ -308,19 +311,23 @@ def _aggregate(suite: str, checks: Sequence[dict]) -> dict[str, float]:
 
 
 # ---------------------------------------------------------------------------
-# suite drivers
+# check groups
+#
+# Each function returns the check records of one headline property.  The
+# suite drivers below report them and ``tests/test_acceptance.py`` asserts
+# on the same records, so every check and its allowance is written once.
+# Random instances come from the generator or seed the caller passes.
+
+HERMITE_PAIRS = tuple((n, K) for n in (1, 2) for K in (4, 6, 8))
 
 
 def _interior_mask(basis) -> np.ndarray:
     return np.array([sum(a) <= basis.K - 1 for a in basis.indices])
 
 
-def _run_hermite(config: RunConfig) -> SuiteOutcome:
-    pairs = [(n, K) for n in (1, 2) for K in (4, 6, 8)]
-    if (config.hermite_n, config.hermite_K) not in pairs:
-        pairs.append((config.hermite_n, config.hermite_K))
+def hermite_checks(pairs: Sequence[tuple[int, int]]) -> list[dict]:
+    """Ladder, diagonal, oscillator-sum and interior CCR identities per (n, K)."""
     checks: list[dict] = []
-    worst = 0.0
     for n, K in pairs:
         basis = enumerate_basis(n, K)
         h = oscillator_matrix(basis)
@@ -363,14 +370,7 @@ def _run_hermite(config: RunConfig) -> SuiteOutcome:
         checks.append(_check("identity_margin", f"diagonal_{tag}", diag_res, 1e-12))
         checks.append(_check("identity_margin", f"oscillator_sum_{tag}", osc_res, 1e-12))
         checks.append(_check("identity_margin", f"ccr_{tag}", ccr_res, 1e-12))
-        worst = max(worst, ladder_res, diag_res, osc_res, ccr_res)
-    return SuiteOutcome(
-        "hermite",
-        tuple(checks),
-        _aggregate("hermite", checks),
-        "identity_residual",
-        worst,
-    )
+    return checks
 
 
 def _random_hermitian(rng: np.random.Generator, dim: int, lo: float, hi: float) -> np.ndarray:
@@ -380,10 +380,8 @@ def _random_hermitian(rng: np.random.Generator, dim: int, lo: float, hi: float) 
     return (q * lam) @ q.conj().T
 
 
-def _run_doi(config: RunConfig) -> SuiteOutcome:
-    rng = np.random.default_rng(config.seed)
-    checks: list[dict] = []
-
+def doi_identity_checks(rng: np.random.Generator) -> list[dict]:
+    """Fraction-symbol commutator identity, symbol multiplicativity, linearity."""
     # the fraction symbol turns the conjugated double commutator back into
     # the plain one; exactness here is the whole point of the transform
     identity_res = 0.0
@@ -397,7 +395,6 @@ def _run_doi(config: RunConfig) -> SuiteOutcome:
         dec = SpectralDecomposition.from_matrix(b)
         rhs = doi_apply(dec, dec, "frac_lambda", inner)
         identity_res = max(identity_res, float(np.max(np.abs(lhs - rhs))))
-    checks.append(_check("identity_margin", "commutator_identity", identity_res, 1e-11))
 
     psi_fn = make_symbol("psi").evaluator
     frac_fn = make_symbol("frac_lambda").evaluator
@@ -413,8 +410,6 @@ def _run_doi(config: RunConfig) -> SuiteOutcome:
             )
         )
     )
-    checks.append(_check("identity_margin", "symbol_multiplicativity", mult_res, 1e-11))
-
     combo = make_symbol(
         lambda lam, mu: 2.0 * frac_fn(lam, mu)
         + 3.0 * np.minimum(lam, mu) / (lam + mu)
@@ -438,74 +433,137 @@ def _run_doi(config: RunConfig) -> SuiteOutcome:
             )
         )
     )
-    checks.append(
-        _check("identity_margin", "symbol_linearity", max(lin_res, additivity), 1e-11)
-    )
+    return [
+        _check("identity_margin", "commutator_identity", identity_res, 1e-11),
+        _check("identity_margin", "symbol_multiplicativity", mult_res, 1e-11),
+        _check("identity_margin", "symbol_linearity", max(lin_res, additivity), 1e-11),
+    ]
 
+
+def closed_form_checks(rng: np.random.Generator) -> list[dict]:
+    """Resolvent quadrature against its closed form and its infinite-cutoff limit.
+
+    Each check runs on the all-ones matrix and on one random complex matrix.
+    """
     spectrum = np.array([1.0, 2.0, 7.5, 20.0, 50.0])
     dec = SpectralDecomposition.from_diagonal(spectrum)
-    ones = np.ones((spectrum.size, spectrum.size))
-    for m in (1.0, 10.0, 100.0):
-        out = resolvent_quadrature_A(ones, dec, m, nodes=32)
-        closed = phi_n_symbol(spectrum[:, None], spectrum[None, :], m)
-        gap = float(np.max(np.abs(out - closed)))
-        checks.append(
-            _check("closed_form_margin", f"quadrature_gap_m{int(m)}", gap, 1e-6)
-        )
-    # the cutoff error is O(1/m); one Richardson step removes it
-    coarse = resolvent_quadrature_A(ones, dec, 1000.0, nodes=24)
-    fine = resolvent_quadrature_A(ones, dec, 2000.0, nodes=24)
     psi_table = make_symbol("psi").table(spectrum, spectrum)
-    limit_gap = float(np.max(np.abs(2.0 * fine - coarse - 0.5 * math.pi * psi_table)))
-    checks.append(_check("closed_form_margin", "infinite_cutoff_limit", limit_gap, 1e-4))
-
-    return SuiteOutcome(
-        "doi",
-        tuple(checks),
-        _aggregate("doi", checks),
-        "identity_residual",
-        identity_res,
-    )
-
-
-def _run_plancherel(config: RunConfig) -> SuiteOutcome:
+    shape = (spectrum.size, spectrum.size)
+    inputs = {
+        "": np.ones(shape),
+        "_random": rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
+    }
     checks: list[dict] = []
+    for tag, v in inputs.items():
+        for m in (1.0, 10.0, 100.0):
+            out = resolvent_quadrature_A(v, dec, m, nodes=32)
+            closed = phi_n_symbol(spectrum[:, None], spectrum[None, :], m) * v
+            gap = float(np.max(np.abs(out - closed)))
+            checks.append(
+                _check("closed_form_margin", f"quadrature_gap{tag}_m{int(m)}", gap, 1e-6)
+            )
+        # the cutoff error is O(1/m); one Richardson step removes it
+        coarse = resolvent_quadrature_A(v, dec, 1000.0, nodes=24)
+        fine = resolvent_quadrature_A(v, dec, 2000.0, nodes=24)
+        limit_gap = float(
+            np.max(np.abs(2.0 * fine - coarse - 0.5 * math.pi * psi_table * v))
+        )
+        checks.append(
+            _check("closed_form_margin", f"infinite_cutoff_limit{tag}", limit_gap, 1e-4)
+        )
+    return checks
 
+
+def radial_checks() -> list[dict]:
+    """Radial trace integrals and the incursion distribution with its decay law."""
     gap_exp = abs(tau_radial(lambda s: math.exp(-s), 1) - 1.0)
-    checks.append(_check("integral_margin", "radial_exponential", gap_exp, 1e-8))
     gap_scaled = abs(tau_radial(lambda s: math.exp(-2.0 * s), 1) - 0.25)
-    checks.append(_check("integral_margin", "radial_scaled_exponential", gap_scaled, 1e-8))
     level = 1.0 - 2.0 ** -0.25
     gap_half = abs(float(incursion_distribution(1, level)) - 0.5)
-    checks.append(_check("integral_margin", "incursion_halfway_level", gap_half, 1e-10))
     profile = incursion_profile(1, np.linspace(0.05, 0.95, 7))
     gap_fit = abs(profile.fitted_exponent - profile.target_exponent)
-    checks.append(_check("integral_margin", "incursion_decay_exponent", gap_fit, 0.05))
+    return [
+        _check("integral_margin", "radial_exponential", gap_exp, 1e-8),
+        _check("integral_margin", "radial_scaled_exponential", gap_scaled, 1e-8),
+        _check("integral_margin", "incursion_halfway_level", gap_half, 1e-10),
+        _check("integral_margin", "incursion_decay_exponent", gap_fit, 0.05),
+    ]
 
-    rng = np.random.default_rng(config.seed)
+
+def weak_norm_checks(rng: np.random.Generator) -> list[dict]:
+    """Analytic weak-norm distribution against quadrature, and a rank-one value."""
     brute_rel = 0.0
     for _ in range(20):
         basis = enumerate_basis(1, int(rng.integers(1, 10)))
-        minus = rng.standard_normal((basis.dim, basis.dim)) + 1j * rng.standard_normal(
-            (basis.dim, basis.dim)
-        )
-        plus = rng.standard_normal((basis.dim, basis.dim)) + 1j * rng.standard_normal(
-            (basis.dim, basis.dim)
-        )
+        shape = (basis.dim, basis.dim)
+        minus = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        plus = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         x = FiberOperator(basis, minus, plus)
         _, dist = weak_norm_lift(x, 1)
         for t in (0.8, 3.0):
             brute = weak_distribution_brute(x, 1, t)
             brute_rel = max(brute_rel, abs(dist(t) - brute) / brute)
-    checks.append(_check("weak_norm_margin", "distribution_vs_quadrature", brute_rel, 1e-10))
 
     basis2 = enumerate_basis(1, 2)
     unit = matrix_unit(basis2, (0,), (0,))
-    rank_one = FiberOperator(basis2, unit, np.zeros_like(unit))
-    quasinorm, _ = weak_norm_lift(rank_one, 1)
-    gap_rank = abs(quasinorm - 0.5 ** 0.25)
-    checks.append(_check("weak_norm_margin", "rank_one_value", gap_rank, 1e-12))
+    quasinorm, _ = weak_norm_lift(FiberOperator(basis2, unit, np.zeros_like(unit)), 1)
+    return [
+        _check("weak_norm_margin", "distribution_vs_quadrature", brute_rel, 1e-10),
+        _check("weak_norm_margin", "rank_one_value", abs(quasinorm - 0.5 ** 0.25), 1e-12),
+    ]
 
+
+def dixmier_checks() -> list[dict]:
+    """Dixmier calibration on the harmonic sequence: in band, strictly improving."""
+    harmonic = SingularSpectrum(1.0 / np.arange(1.0, 10001.0))
+    errors = [abs(dixmier_approximant(harmonic, n) - 1.0) for n in (10, 100, 1000, 10000)]
+    smallest_gain = min(early - late for early, late in zip(errors, errors[1:]))
+    return [
+        _check("trace_margin", "harmonic_value_in_band", errors[-1], 0.15),
+        # a floor of zero passes exactly a strict decrease
+        _check("trace_margin", "harmonic_error_decrease", smallest_gain, 0.0, mode="floor"),
+    ]
+
+
+# ---------------------------------------------------------------------------
+# suite drivers
+
+
+def _grid_spec(config: RunConfig) -> GridSpec:
+    _require(
+        config.hermite_n == 1,
+        "the grid model realizes the first group only; set hermite_n to 1",
+    )
+    return GridSpec.cube(config.grid_size)
+
+
+def _run_hermite(config: RunConfig) -> SuiteOutcome:
+    pairs = list(HERMITE_PAIRS)
+    if (config.hermite_n, config.hermite_K) not in pairs:
+        pairs.append((config.hermite_n, config.hermite_K))
+    checks = hermite_checks(pairs)
+    return SuiteOutcome(
+        "hermite",
+        tuple(checks),
+        _aggregate("hermite", checks),
+        "identity_residual",
+        max(check["value"] for check in checks),
+    )
+
+
+def _run_doi(config: RunConfig) -> SuiteOutcome:
+    rng = np.random.default_rng(config.seed)
+    checks = doi_identity_checks(rng) + closed_form_checks(rng)
+    return SuiteOutcome(
+        "doi",
+        tuple(checks),
+        _aggregate("doi", checks),
+        "identity_residual",
+        checks[0]["value"],  # the commutator identity residual
+    )
+
+
+def _run_plancherel(config: RunConfig) -> SuiteOutcome:
     quadrature = PlancherelQuadrature.geometric(
         1,
         s_min=config.quad_s_min,
@@ -513,8 +571,11 @@ def _run_plancherel(config: RunConfig) -> SuiteOutcome:
         nodes_per_decade=config.quad_nodes_per_decade,
     )
     node_err = abs(quadrature.integrate_profile(lambda s: math.exp(-abs(s))) - 2.0)
-    checks.append(_check("node_margin", "node_exponential_mass", node_err, 1e-6))
-
+    checks = [
+        *radial_checks(),
+        *weak_norm_checks(np.random.default_rng(config.seed)),
+        _check("node_margin", "node_exponential_mass", node_err, 1e-6),
+    ]
     return SuiteOutcome(
         "plancherel",
         tuple(checks),
@@ -525,11 +586,7 @@ def _run_plancherel(config: RunConfig) -> SuiteOutcome:
 
 
 def _run_grid(config: RunConfig) -> SuiteOutcome:
-    _require(
-        config.hermite_n == 1,
-        "the grid model realizes the first group only; set hermite_n to 1",
-    )
-    spec = GridSpec.cube(config.grid_size)
+    spec = _grid_spec(config)
     checks: list[dict] = []
     diagnostics: dict[str, dict] = {}
     worst_split = 0.0
@@ -565,23 +622,19 @@ def _run_grid(config: RunConfig) -> SuiteOutcome:
 
 
 def _run_bound(config: RunConfig) -> SuiteOutcome:
-    _require(
-        config.hermite_n == 1,
-        "the grid model realizes the first group only; set hermite_n to 1",
+    spec = _grid_spec(config)
+    ratio_name = config.family or "bumps"
+    ratio_family = named_family(ratio_name, spec)
+    decay_family = named_family("decay", spec)
+    # a label names the same function in every family, so rows shared by
+    # the two families are computed once
+    union = bound_experiment(
+        spec, {**ratio_family, **decay_family}, config.ell, parallel=config.parallel
     )
-    spec = GridSpec.cube(config.grid_size)
-    ratio_family = config.family or "bumps"
-    report = bound_experiment(
-        spec, named_family(ratio_family, spec), config.ell, parallel=config.parallel
-    )
+    report = bound_subreport(union, spec, config.ell, ratio_family)
+    decay_report = bound_subreport(union, spec, config.ell, decay_family)
     spread = report.summary.max_ratio / report.summary.min_ratio
-    checks = [_check("ratio_spread_margin", f"spread_{ratio_family}", spread, 8.0)]
-    if ratio_family == "decay":
-        decay_report = report
-    else:
-        decay_report = bound_experiment(
-            spec, named_family("decay", spec), config.ell, parallel=config.parallel
-        )
+    checks = [_check("ratio_spread_margin", f"spread_{ratio_name}", spread, 8.0)]
     # the target power law sits at -0.25; the band is +-0.10 around it
     for row in decay_report.rows:
         checks.append(
@@ -601,11 +654,7 @@ def _run_bound(config: RunConfig) -> SuiteOutcome:
 
 
 def _run_trace(config: RunConfig) -> SuiteOutcome:
-    _require(
-        config.hermite_n == 1,
-        "the grid model realizes the first group only; set hermite_n to 1",
-    )
-    spec = GridSpec.cube(config.grid_size)
+    spec = _grid_spec(config)
     basis = enumerate_basis(1, config.hermite_K)
     family = named_family(config.family or "trace", spec)
     report = trace_formula_experiment(
@@ -626,6 +675,16 @@ def _run_trace(config: RunConfig) -> SuiteOutcome:
                     f"gram_min_ell{ell}_K{K}",
                     gram.min_eigenvalue,
                     1e-6,
+                    mode="floor",
+                )
+            )
+            # a floor of zero passes exactly the positive values
+            checks.append(
+                _check(
+                    "gram_margin",
+                    f"coercivity_ell{ell}_K{K}",
+                    gram.coercivity,
+                    0.0,
                     mode="floor",
                 )
             )
@@ -653,22 +712,8 @@ def _run_trace(config: RunConfig) -> SuiteOutcome:
 
 
 def _run_product(config: RunConfig) -> SuiteOutcome:
-    _require(
-        config.hermite_n == 1,
-        "the grid model realizes the first group only; set hermite_n to 1",
-    )
-    checks: list[dict] = []
-    harmonic = SingularSpectrum(1.0 / np.arange(1.0, 10001.0))
-    errors = [abs(dixmier_approximant(harmonic, n) - 1.0) for n in (10, 100, 1000, 10000)]
-    checks.append(_check("trace_margin", "harmonic_value_in_band", errors[-1], 0.15))
-    worst_increase = max(
-        [late - early for early, late in zip(errors, errors[1:])] + [0.0]
-    )
-    checks.append(
-        _check("trace_margin", "harmonic_error_monotone_defect", worst_increase, 1e-12)
-    )
-
-    spec = GridSpec.cube(config.grid_size)
+    spec = _grid_spec(config)
+    checks = dixmier_checks()
     basis = enumerate_basis(1, config.hermite_K)
     functions = named_family(config.family or "product", spec)
     ordered = list(functions.values())

@@ -33,12 +33,9 @@ __all__ = [
     "Symbol",
     "make_symbol",
     "doi_apply",
-    "triangular_truncation",
     "build_a_fiber",
     "resolvent_quadrature_A",
-    "resolvent_tail_bound",
     "phi_n_symbol",
-    "schur_norm_ratio",
 ]
 
 # Tolerances for validating decompositions; relative to the matrix scale.
@@ -240,15 +237,6 @@ def doi_apply(
     return d0.eigenvectors @ (table * coeff) @ d1.eigenvectors.conj().T
 
 
-def triangular_truncation(d: SpectralDecomposition, a: np.ndarray) -> np.ndarray:
-    """Keep coefficients with increasing spectral parameter, signed; zero the diagonal.
-
-    The sign convention ``sgn(0) = 0`` kills every entry joining equal
-    eigenvalues, so operators with a flat spectrum truncate to zero.
-    """
-    return doi_apply(d, d, "sgn_diff", a)
-
-
 def build_a_fiber(basis: MultiIndexBasis, k: int, h_scale: float = 1.0) -> FiberOperator:
     """Averaged momentum (or position) component on the truncated oscillator basis.
 
@@ -324,30 +312,3 @@ def resolvent_quadrature_A(
     kernel = 2.0 * (d * w[None, :]) @ d.T
     coeff = A.eigenvectors.conj().T @ V @ A.eigenvectors
     return A.eigenvectors @ (kernel * coeff) @ A.eigenvectors.conj().T
-
-
-def resolvent_tail_bound(lam_max: float, a_max: float) -> float:
-    """Upper bound on the per-entry gap to the infinite-cutoff limit."""
-    if lam_max <= 0.0 or a_max <= 0.0:
-        raise ValueError("arguments must be positive")
-    return 0.5 * math.pi - math.atan(lam_max / math.sqrt(a_max))
-
-
-def schur_norm_ratio(
-    d: SpectralDecomposition,
-    symbol,
-    samples: int = 20,
-    seed: int = 0,
-) -> float:
-    """Empirical operator-norm ratio ``max ||T(A)|| / ||A||`` over random inputs.
-
-    The multiplier constants are not derived analytically anywhere in this
-    package; this is a measurement, not a bound.
-    """
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(samples):
-        a = rng.standard_normal((d.dim, d.dim)) + 1j * rng.standard_normal((d.dim, d.dim))
-        ratio = np.linalg.norm(doi_apply(d, d, symbol, a), 2) / np.linalg.norm(a, 2)
-        worst = max(worst, float(ratio))
-    return worst

@@ -8,14 +8,12 @@ Hermite cutoff.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import math
 from collections.abc import Callable, Mapping, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -55,6 +53,7 @@ __all__ = [
     "bochner_rhs",
     "bochner_rhs_combined",
     "bound_experiment",
+    "bound_subreport",
     "build_y_fibers",
     "config_digest",
     "dixmier_lhs",
@@ -67,7 +66,6 @@ __all__ = [
     "theorem_combination",
     "trace_formula_experiment",
     "vertical_mixing_residual",
-    "write_report",
 ]
 
 #: singular Gram matrices below this eigenvalue flag an independence failure
@@ -168,26 +166,6 @@ def report_as_dict(report: ExperimentReport) -> dict:
         "excluded": list(report.excluded),
         "sweep": [list(pair) for pair in report.sweep],
     }
-
-
-def write_report(report: ExperimentReport, directory, name: str) -> tuple[Path, Path]:
-    """Write the JSON and CSV artifacts; returns both paths."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    json_path = directory / f"{name}.json"
-    json_path.write_text(
-        json.dumps(report_as_dict(report), sort_keys=True, indent=2) + "\n"
-    )
-    csv_path = directory / f"{name}.csv"
-    with csv_path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["label", "lhs", "rhs", "ratio", "slope"])
-        for row in report.rows:
-            writer.writerow(
-                [row.label, repr(row.lhs), repr(row.rhs), repr(row.ratio),
-                 "" if row.slope is None else repr(row.slope)]
-            )
-    return json_path, csv_path
 
 
 # ---------------------------------------------------------------------------
@@ -436,11 +414,30 @@ def bound_experiment(
     results = _map_rows(one, items, parallel)
     rows = [row for row in results if row is not None]
     excluded = [item[0] for item, row in zip(items, results) if row is None]
-    digest = config_digest(
+    return _build_report(_bound_digest(spec, ell, family), rows, excluded)
+
+
+def _bound_digest(spec: GridSpec, ell: int, labels) -> str:
+    return config_digest(
         {"experiment": "bound", "grid": spec.shape, "ell": ell,
-         "family": sorted(family)}
+         "family": sorted(labels)}
     )
-    return _build_report(digest, rows, excluded)
+
+
+def bound_subreport(
+    report: ExperimentReport, spec: GridSpec, ell: int, labels: Sequence[str]
+) -> ExperimentReport:
+    """The ``bound_experiment`` report of a sub-family, read off a larger run.
+
+    ``report`` is a ``bound_experiment`` report on ``spec`` and ``ell`` whose
+    family holds every label in ``labels``; the result equals the report of
+    running ``bound_experiment`` on those labels alone, without recomputing
+    a row.
+    """
+    by_label = {row.label: row for row in report.rows}
+    rows = [by_label[k] for k in labels if k not in report.excluded]
+    excluded = [k for k in labels if k in report.excluded]
+    return _build_report(_bound_digest(spec, ell, labels), rows, excluded)
 
 
 def trace_formula_experiment(

@@ -1,13 +1,12 @@
 """Finite-difference model of the first Heisenberg group on a box.
 
-Points carry the group product ``[z,t][z',t'] = [z+z', t+t'+Im(z z'bar)]``,
-the anisotropic dilations, and the gauge ``(|z|^4+|t|^2)^{1/4}``; those work
-in any dimension.  The operator layer is realized for the three-axis grid
-(x, y, t): centered differences with zero exterior values give exactly
-skew-symmetric horizontal fields, so the sub-Laplacian is symmetric positive
-semidefinite by construction and its dense eigendecomposition (cached per
-grid) drives the fractional calculus, Riesz transforms, and the commutator
-identities the experiments check.
+The model is realized for the three-axis grid (x, y, t) of the group with
+product ``[z,t][z',t'] = [z+z', t+t'+Im(z z'bar)]`` and gauge
+``(|z|^4+|t|^2)^{1/4}``: centered differences with zero exterior values give
+exactly skew-symmetric horizontal fields, so the sub-Laplacian is symmetric
+positive semidefinite by construction and its dense eigendecomposition
+(cached per grid) drives the fractional calculus, Riesz transforms, and the
+commutator identities the experiments check.
 
 Zero-exterior (Dirichlet) boundaries are deliberate: the coordinate
 coefficients in the fields are globally defined, and a periodic wrap would
@@ -22,7 +21,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy import sparse
@@ -32,18 +31,10 @@ __all__ = [
     "GridSpec",
     "GridFunction",
     "GridOperator",
-    "group_multiply",
-    "group_inverse",
-    "koranyi_norm",
-    "dilation_map",
     "koranyi_gauge",
-    "build_vector_fields",
     "build_sublaplacian",
     "sublaplacian_spectrum",
-    "spectral_function",
     "build_riesz",
-    "multiplication_operator",
-    "commutator",
     "sobolev_seminorm",
     "poincare_ratio",
     "approximation_sequence",
@@ -51,7 +42,6 @@ __all__ = [
     "RotationReport",
     "riesz_decomposition_residual",
     "RieszSplitReport",
-    "inverse_commutator_identity_residual",
     "save_operator",
     "load_operator",
 ]
@@ -66,52 +56,6 @@ _ASYMMETRY_LIMIT = 1e-8
 
 
 # ---------------------------------------------------------------------------
-# group points
-
-
-def _as_point(g):
-    z, t = g
-    z_arr = np.atleast_1d(np.asarray(z, dtype=complex))
-    if z_arr.ndim != 1:
-        raise ValueError("the complex part of a point must be a scalar or vector")
-    return z_arr, float(t), np.ndim(z) == 0
-
-
-def _pack(z_arr, t, scalar):
-    return (complex(z_arr[0]) if scalar else z_arr, t)
-
-
-def group_multiply(g, h):
-    """Group product ``[z,t][z',t'] = [z+z', t+t'+Im sum z_j conj(z'_j)]``."""
-    z1, t1, s1 = _as_point(g)
-    z2, t2, s2 = _as_point(h)
-    if z1.size != z2.size:
-        raise ValueError("points live in different dimensions")
-    twist = float(np.sum(z1 * np.conj(z2)).imag)
-    return _pack(z1 + z2, t1 + t2 + twist, s1 and s2)
-
-
-def group_inverse(g):
-    z, t, s = _as_point(g)
-    return _pack(-z, -t, s)
-
-
-def koranyi_norm(g) -> float:
-    """Homogeneous gauge ``(|z|^4 + |t|^2)^{1/4}``."""
-    z, t, _ = _as_point(g)
-    zz = float(np.sum(np.abs(z) ** 2))
-    return (zz * zz + t * t) ** 0.25
-
-
-def dilation_map(r: float, g):
-    """Anisotropic dilation ``[z, t] -> [r z, r^2 t]``."""
-    if r <= 0.0:
-        raise ValueError("dilation parameter must be positive")
-    z, t, s = _as_point(g)
-    return _pack(r * z, r * r * t, s)
-
-
-# ---------------------------------------------------------------------------
 # grid containers
 
 
@@ -119,8 +63,7 @@ def dilation_map(r: float, g):
 class GridSpec:
     """Symmetric box ``[-L, L]`` per axis; equal x and y counts.
 
-    Only the three-axis realization (first group) is operational; the point
-    operations above accept any dimension.
+    Only the three-axis realization (first group) is operational.
     """
 
     nx: int
@@ -276,30 +219,6 @@ class GridOperator:
                 )
         self.matrix = mat
 
-    def apply(self, f: GridFunction) -> GridFunction:
-        if f.spec != self.spec:
-            raise ValueError("function lives on a different grid")
-        return GridFunction(self.spec, (self.matrix @ f.flat).reshape(self.spec.shape))
-
-    def norm_estimate(self, iterations: int = 60, seed: int = 0) -> float:
-        return _power_norm(self.matrix, iterations, seed)
-
-
-def _power_norm(mat, iterations: int = 60, seed: int = 0) -> float:
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(mat.shape[1])
-    v /= np.linalg.norm(v)
-    est = 0.0
-    for _ in range(iterations):
-        w = mat @ v
-        w = mat.conj().T @ w if np.iscomplexobj(mat) else mat.T @ w
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0
-        est = norm
-        v = w / norm
-    return math.sqrt(est)
-
 
 # ---------------------------------------------------------------------------
 # cached stencil model
@@ -378,21 +297,6 @@ def _model(spec: GridSpec) -> _GridModel:
 # operator builders
 
 
-def build_vector_fields(spec: GridSpec) -> tuple[GridOperator, GridOperator, GridOperator]:
-    """Horizontal fields and the vertical derivative as dense operators.
-
-    ``X = D_x - y D_t`` and ``Y = D_y + x D_t`` with centered differences;
-    both are exactly skew-symmetric because the coordinate multipliers
-    commute with the vertical difference.
-    """
-    model = _model(spec)
-    return (
-        GridOperator(spec, model.x_field.toarray(), kind="x_field"),
-        GridOperator(spec, model.y_field.toarray(), kind="y_field"),
-        GridOperator(spec, model.d_t.toarray(), kind="t_field"),
-    )
-
-
 def build_sublaplacian(spec: GridSpec) -> GridOperator:
     """Symmetrized ``X^T X + Y^T Y``; records the (tiny) asymmetry residual."""
     model = _model(spec)
@@ -401,7 +305,7 @@ def build_sublaplacian(spec: GridSpec) -> GridOperator:
         model.minus_delta,
         kind="sublaplacian",
         self_adjoint=True,
-        meta={"symmetry_residual": model.asymmetry_residual, "from_model": True},
+        meta={"symmetry_residual": model.asymmetry_residual},
     )
 
 
@@ -409,15 +313,11 @@ def sublaplacian_spectrum(spec: GridSpec) -> np.ndarray:
     return _model(spec).eig()[0]
 
 
-def _spectral_values(
-    w: np.ndarray, phi: Callable[[np.ndarray], np.ndarray], kernel_policy: str
-) -> np.ndarray:
-    if kernel_policy not in ("pseudo_inverse", "strict"):
-        raise ValueError(f"unknown kernel policy {kernel_policy!r}")
+def _spectral_values(w: np.ndarray, phi: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """``phi`` on the eigenvalues, zero on the kernel (pseudo-inverse policy)."""
     scale = float(np.max(np.abs(w))) if w.size else 0.0
-    small = np.abs(w) <= KERNEL_THRESHOLD * scale
+    live = np.abs(w) > KERNEL_THRESHOLD * scale
     out = np.zeros_like(w, dtype=float)
-    live = ~small if kernel_policy == "pseudo_inverse" else np.ones_like(small)
     with np.errstate(divide="ignore", invalid="ignore"):
         vals = np.asarray(phi(w[live]), dtype=float)
     if not np.all(np.isfinite(vals)):
@@ -427,54 +327,12 @@ def _spectral_values(
     return out
 
 
-def spectral_function(
-    op: GridOperator,
-    phi: Callable[[np.ndarray], np.ndarray],
-    kernel_policy: str = "pseudo_inverse",
-) -> GridOperator:
-    """Functional calculus ``U phi(Lambda) U*`` through a dense eigendecomposition.
-
-    Eigenvalues within ``KERNEL_THRESHOLD`` (relative) of zero are mapped to
-    zero under the pseudo-inverse policy; elsewhere ``phi`` must be finite.
-    """
-    if not op.self_adjoint:
-        raise ValueError("spectral calculus requires a verified self-adjoint operator")
-    if op.meta.get("from_model"):
-        model = _model(op.spec)
-        w, _ = model.eig()
-        mat = model.spectral_apply(_spectral_values(w, phi, kernel_policy))
-    else:
-        w, v = np.linalg.eigh(op.matrix)
-        mat = (v * _spectral_values(w, phi, kernel_policy)) @ v.conj().T
-    return GridOperator(
-        op.spec, mat, kind=f"{op.kind}:spectral", self_adjoint=True, meta={"source": op.kind}
-    )
-
-
 def build_riesz(spec: GridSpec, ell: int) -> GridOperator:
     """Horizontal field times the inverse square root of the sub-Laplacian."""
     model = _model(spec)
     w, _ = model.eig()
-    inv_sqrt = model.spectral_apply(_spectral_values(w, lambda u: u**-0.5, "pseudo_inverse"))
-    mat = model.horizontal(ell) @ inv_sqrt
-    op = GridOperator(spec, mat, kind=f"riesz_{ell}")
-    op.meta["empirical_norm"] = _power_norm(mat)
-    return op
-
-
-def multiplication_operator(f: GridFunction) -> GridOperator:
-    op = GridOperator(f.spec, np.diag(f.flat), kind="multiplication")
-    op.meta["diagonal"] = True
-    op.meta["max_abs"] = f.max_abs()
-    return op
-
-
-def commutator(a: GridOperator, b: GridOperator) -> GridOperator:
-    if a.spec != b.spec:
-        raise ValueError("operators live on different grids")
-    return GridOperator(
-        a.spec, a.matrix @ b.matrix - b.matrix @ a.matrix, kind="commutator"
-    )
+    inv_sqrt = model.spectral_apply(_spectral_values(w, lambda u: u**-0.5))
+    return GridOperator(spec, model.horizontal(ell) @ inv_sqrt, kind=f"riesz_{ell}")
 
 
 def sobolev_seminorm(f: GridFunction, p: float = 4.0) -> float:
@@ -632,8 +490,8 @@ def riesz_decomposition_residual(
         raise ValueError("function lives on a different grid")
     model = _model(spec)
     w, _ = model.eig()
-    inv_sqrt = model.spectral_apply(_spectral_values(w, lambda u: u**-0.5, "pseudo_inverse"))
-    sqrt_mat = model.spectral_apply(_spectral_values(w, lambda u: u**0.5, "pseudo_inverse"))
+    inv_sqrt = model.spectral_apply(_spectral_values(w, lambda u: u**-0.5))
+    sqrt_mat = model.spectral_apply(_spectral_values(w, lambda u: u**0.5))
     x_mat = model.horizontal(ell)
     riesz = x_mat @ inv_sqrt
     fv = f.flat
@@ -647,7 +505,7 @@ def riesz_decomposition_residual(
     kernel = model.kernel_mask()
     kernel_dim = int(kernel.sum())
     if kernel_dim:
-        live = _spectral_values(w, lambda u: np.ones_like(u), "pseudo_inverse")
+        live = _spectral_values(w, lambda u: np.ones_like(u))
         proj = model.spectral_apply(live)
         gap = proj @ gap @ proj
         lhs = proj @ lhs @ proj
@@ -667,16 +525,6 @@ def riesz_decomposition_residual(
         leibniz_defect=defect_norm,
         kernel_dimension=kernel_dim,
     )
-
-
-def inverse_commutator_identity_residual(a: np.ndarray, b: np.ndarray) -> float:
-    """Relative residual of ``[A^{-1}, B] = -A^{-1} [A, B] A^{-1}`` for invertible ``A``."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    a_inv = np.linalg.inv(a)
-    lhs = a_inv @ b - b @ a_inv
-    rhs = -a_inv @ (a @ b - b @ a) @ a_inv
-    return float(np.linalg.norm(lhs - rhs) / max(np.linalg.norm(lhs), 1e-30))
 
 
 # ---------------------------------------------------------------------------

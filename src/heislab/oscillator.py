@@ -19,7 +19,6 @@ an element of the two-component algebra whose trace is
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -251,32 +250,3 @@ def fiber_schatten_norm(x: FiberOperator, p: float) -> float:
         ]
     )
     return float(np.sum(vals**p) ** (1.0 / p))
-
-
-def fiber_to_json(x: FiberOperator) -> str:
-    """Serialise as ``{n, K, order, minus, plus}`` with entries as [re, im]."""
-
-    def encode(block: np.ndarray):
-        return [[[float(v.real), float(v.imag)] for v in row] for row in block]
-
-    payload = {
-        "n": x.basis.n,
-        "K": x.basis.K,
-        "order": [list(alpha) for alpha in x.basis.indices],
-        "minus": encode(x.minus),
-        "plus": encode(x.plus),
-    }
-    return json.dumps(payload, sort_keys=True)
-
-
-def fiber_from_json(text: str) -> FiberOperator:
-    payload = json.loads(text)
-    basis = enumerate_basis(int(payload["n"]), int(payload["K"]))
-    stored = [tuple(alpha) for alpha in payload["order"]]
-    if stored != list(basis.indices):
-        raise ValueError("stored basis order does not match the graded-lex enumeration")
-
-    def decode(rows):
-        return np.array([[complex(re, im) for re, im in row] for row in rows])
-
-    return FiberOperator(basis, decode(payload["minus"]), decode(payload["plus"]))

@@ -1,9 +1,9 @@
 """Singular value analytics.
 
 Everything in this module works on the plain nonincreasing sequence
-``mu(0) >= mu(1) >= ...`` of singular values of a finite matrix: Schatten
-norms, weak quasinorms, decay-profile diagnostics for the separable part of a
-weak ideal, and a logarithmic-mean approximant of a normalised trace.
+``mu(0) >= mu(1) >= ...`` of singular values of a finite matrix: weak
+quasinorms, log-log decay fits, and a logarithmic-mean approximant of a
+normalised trace.
 
 A finite matrix only ever carries finitely many singular values, so the
 supremum in the weak quasinorm is a maximum over the available indices and is
@@ -14,7 +14,6 @@ number.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -98,27 +97,6 @@ def weak_quasinorm(spectrum: SingularSpectrum, p: float) -> float:
     return float(np.max(k ** (1.0 / p) * mu))
 
 
-def schatten_norm(spectrum: SingularSpectrum, p: float) -> float:
-    """The ell_p norm of the singular value sequence, p >= 1."""
-    if p < 1.0:
-        raise ValueError("Schatten exponent must be >= 1 (quasinorm range not supported)")
-    mu = spectrum.values
-    return float(np.sum(mu**p) ** (1.0 / p))
-
-
-def separable_profile(spectrum: SingularSpectrum, p: float) -> np.ndarray:
-    """The sequence k * mu(k)**p.
-
-    A tail of this profile that decreases to zero is the numerical signature
-    of membership in the separable part of the weak-p ideal; a profile that
-    levels off (the harmonic sequence at p = 1, for instance) signals a
-    genuinely weak-type spectrum.
-    """
-    mu = spectrum.values
-    k = np.arange(float(mu.size))
-    return k * mu**p
-
-
 def dixmier_approximant(spectrum: SingularSpectrum, n_terms: int) -> float:
     """Partial-sum-over-log approximant for a normalised trace.
 
@@ -134,23 +112,6 @@ def dixmier_approximant(spectrum: SingularSpectrum, n_terms: int) -> float:
         raise ValueError("approximant window exceeds the spectrum length")
     partial = float(np.sum(spectrum.values[:n_terms]))
     return partial / math.log(n_terms + 2.0)
-
-
-def default_fit_range(spectrum: SingularSpectrum) -> tuple[int, int]:
-    """The middle decade of the strictly positive part of the spectrum.
-
-    Geometric middle on the log index axis: roughly
-    ``[sqrt(m/10), sqrt(10 m)]`` for ``m`` positive values.  Guarantees at
-    least five points whenever the spectrum has ten or more positive entries.
-    """
-    m = int(np.count_nonzero(spectrum.values))
-    if m < 10:
-        return (1, max(2, m))
-    lo = max(1, int(round(math.sqrt(m / 10.0))))
-    hi = min(m, int(round(math.sqrt(m * 10.0))))
-    if hi - lo < 5:
-        lo, hi = 1, m
-    return (lo, hi)
 
 
 def shadow_fit_range(spectrum: SingularSpectrum, p: float) -> tuple[int, int]:
@@ -177,16 +138,16 @@ def shadow_fit_range(spectrum: SingularSpectrum, p: float) -> tuple[int, int]:
 
 
 def fit_weak_decay(
-    spectrum: SingularSpectrum, p: float, fit_range: tuple[int, int] | None = None
+    spectrum: SingularSpectrum, p: float, fit_range: tuple[int, int]
 ) -> WeakFit:
-    """Least squares decay fit of ``log mu`` against ``log (k+1)``.
+    """Least squares decay fit of ``log mu`` against ``log (k+1)`` on ``fit_range``.
 
     Zero values inside the window (possible after clamping) are excluded from
     the regression but not from the quasinorm maximum.
     """
     if p <= 0.0:
         raise ValueError("weak quasinorm exponent must be positive")
-    lo, hi = fit_range if fit_range is not None else default_fit_range(spectrum)
+    lo, hi = fit_range
     if not 0 <= lo < hi <= len(spectrum):
         raise ValueError(f"fit range {(lo, hi)} outside spectrum of length {len(spectrum)}")
     mu = spectrum.values[lo:hi]
@@ -197,13 +158,3 @@ def fit_weak_decay(
         raise ValueError("fit window contains fewer than two positive values")
     slope = float(np.polyfit(np.log(k[positive]), np.log(mu[positive]), 1)[0])
     return WeakFit(quasinorm=quasinorm, slope=slope, fit_range=(lo, hi))
-
-
-def write_csv(spectrum: SingularSpectrum, p: float, path) -> None:
-    """Export columns (k, mu, k_mu_p) as RFC 4180 CSV."""
-    profile = separable_profile(spectrum, p)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "mu", "k_mu_p"])
-        for k, (mu, kmu) in enumerate(zip(spectrum.values, profile)):
-            writer.writerow([k, repr(float(mu)), repr(float(kmu))])

@@ -33,6 +33,64 @@ def write_config(tmp_path, **entries):
     return path
 
 
+# every check each suite reports, by (allowance, mode), written out so that a
+# change which moves an allowance or drops a check fails here
+PINNED_CHECKS = {
+    "hermite": {
+        (1e-12, "upper"): (
+            "ladder_n1_K4", "diagonal_n1_K4", "oscillator_sum_n1_K4", "ccr_n1_K4",
+            "ladder_n1_K6", "diagonal_n1_K6", "oscillator_sum_n1_K6", "ccr_n1_K6",
+            "ladder_n1_K8", "diagonal_n1_K8", "oscillator_sum_n1_K8", "ccr_n1_K8",
+            "ladder_n2_K4", "diagonal_n2_K4", "oscillator_sum_n2_K4", "ccr_n2_K4",
+            "ladder_n2_K6", "diagonal_n2_K6", "oscillator_sum_n2_K6", "ccr_n2_K6",
+            "ladder_n2_K8", "diagonal_n2_K8", "oscillator_sum_n2_K8", "ccr_n2_K8",
+        ),
+    },
+    "doi": {
+        (1e-11, "upper"): (
+            "commutator_identity", "symbol_multiplicativity", "symbol_linearity",
+        ),
+        (1e-6, "upper"): (
+            "quadrature_gap_m1", "quadrature_gap_m10", "quadrature_gap_m100",
+            "quadrature_gap_random_m1", "quadrature_gap_random_m10",
+            "quadrature_gap_random_m100",
+        ),
+        (1e-4, "upper"): ("infinite_cutoff_limit", "infinite_cutoff_limit_random"),
+    },
+    "plancherel": {
+        (1e-8, "upper"): ("radial_exponential", "radial_scaled_exponential"),
+        (1e-10, "upper"): ("incursion_halfway_level", "distribution_vs_quadrature"),
+        (0.05, "upper"): ("incursion_decay_exponent",),
+        (1e-12, "upper"): ("rank_one_value",),
+        (1e-6, "upper"): ("node_exponential_mass",),
+    },
+    "grid": {
+        (1e-9, "upper"): ("split_gauss_wide", "split_gauss_mid", "split_gauss_narrow"),
+        (1e-12, "upper"): ("rotation_second_field", "rotation_minus_first_field"),
+    },
+    "bound": {
+        (8.0, "upper"): ("spread_bumps",),
+        (0.1, "upper"): ("slope_gauss_wide", "slope_odd_x", "slope_odd_x_wide"),
+    },
+    "trace": {
+        (0.5, "upper"): ("ratio_variation",),
+        (1e-6, "floor"): (
+            "gram_min_ell1_K4", "gram_min_ell1_K6", "gram_min_ell1_K8",
+            "gram_min_ell2_K4", "gram_min_ell2_K6", "gram_min_ell2_K8",
+        ),
+        (0.0, "floor"): (
+            "coercivity_ell1_K4", "coercivity_ell1_K6", "coercivity_ell1_K8",
+            "coercivity_ell2_K4", "coercivity_ell2_K6", "coercivity_ell2_K8",
+        ),
+        (0.1, "upper"): ("coercivity_drift_ell1", "coercivity_drift_ell2"),
+    },
+    "product": {
+        (0.15, "upper"): ("harmonic_value_in_band",),
+        (0.0, "floor"): ("harmonic_error_decrease",),
+    },
+}
+
+
 class TestConfigHandling:
     def test_defaults(self):
         config = RunConfig()
@@ -194,6 +252,23 @@ class TestRunCommand:
             for p in (tmp_path / "out").glob("*.json")
         }
         assert written == set(SUITES)
+
+    def test_every_allowance_is_pinned(self, tmp_path):
+        code = main(["run", "--suite", "all", "--grid", "9", "--out", str(tmp_path)])
+        # the 9-point grid trips the bound slope checks; the other six pass
+        assert code == 3
+        payloads = [json.loads(p.read_text()) for p in tmp_path.glob("*.json")]
+        assert {p["suite"]: p["passed"] for p in payloads} == {
+            suite: suite != "bound" for suite in SUITES
+        }
+        for payload in payloads:
+            pinned = {
+                (name, allowed, mode)
+                for (allowed, mode), names in PINNED_CHECKS[payload["suite"]].items()
+                for name in names
+            }
+            checks = {(c["name"], c["allowed"], c["mode"]) for c in payload["checks"]}
+            assert checks == pinned, payload["suite"]
 
     def test_parallel_matches_serial(self, tmp_path):
         path = write_config(tmp_path)

@@ -13,9 +13,6 @@ from heislab.doi import (
     make_symbol,
     phi_n_symbol,
     resolvent_quadrature_A,
-    resolvent_tail_bound,
-    schur_norm_ratio,
-    triangular_truncation,
 )
 from heislab.oscillator import enumerate_basis
 
@@ -232,23 +229,24 @@ class TestSymbols:
 
 
 class TestTriangularTruncation:
+    # triangular truncation is the DOI of the sign symbol sgn(lambda - mu)
     def test_two_by_two_pattern(self):
         dec = SpectralDecomposition.from_diagonal([1.0, 2.0])
         a = np.array([[1.0, 2.0], [3.0, 4.0]])
         np.testing.assert_allclose(
-            triangular_truncation(dec, a), [[0.0, -2.0], [3.0, 0.0]]
+            doi_apply(dec, dec, "sgn_diff", a), [[0.0, -2.0], [3.0, 0.0]]
         )
 
     def test_flat_spectrum_truncates_to_zero(self):
         dec = SpectralDecomposition.from_diagonal([2.0, 2.0, 2.0])
         a = np.arange(9.0).reshape(3, 3)
-        np.testing.assert_allclose(triangular_truncation(dec, a), 0.0, atol=1e-15)
+        np.testing.assert_allclose(doi_apply(dec, dec, "sgn_diff", a), 0.0, atol=1e-15)
 
     def test_twice_gives_off_diagonal_part(self):
         rng = np.random.default_rng(13)
         dec = SpectralDecomposition.from_diagonal([1.0, 2.0, 5.0, 9.0])
         a = rng.standard_normal((4, 4))
-        twice = triangular_truncation(dec, triangular_truncation(dec, a))
+        twice = doi_apply(dec, dec, "sgn_diff", doi_apply(dec, dec, "sgn_diff", a))
         np.testing.assert_allclose(twice, a - np.diag(np.diag(a)), atol=1e-14)
 
 
@@ -368,16 +366,3 @@ class TestResolventQuadrature:
             resolvent_quadrature_A(np.eye(2), good, -1.0)
         with pytest.raises(ValueError, match="incompatible"):
             resolvent_quadrature_A(np.eye(3), good, 10.0)
-
-
-def test_tail_bound_shrinks():
-    assert resolvent_tail_bound(10.0, 1.0) < resolvent_tail_bound(5.0, 1.0)
-    assert resolvent_tail_bound(1e4, 50.0) < 1e-3
-    with pytest.raises(ValueError):
-        resolvent_tail_bound(-1.0, 1.0)
-
-
-def test_schur_ratio_is_order_one_for_fraction():
-    dec = SpectralDecomposition.from_diagonal(np.linspace(1.0, 2.0, 8))
-    ratio = schur_norm_ratio(dec, "frac_lambda", samples=10, seed=1)
-    assert 0.4 <= ratio <= 10.0

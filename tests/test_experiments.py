@@ -1,5 +1,3 @@
-import csv
-import json
 import math
 
 import numpy as np
@@ -27,7 +25,6 @@ from heislab.experiments import (
     theorem_combination,
     trace_formula_experiment,
     vertical_mixing_residual,
-    write_report,
 )
 from heislab.grid import GridFunction, GridSpec, build_riesz
 from heislab.oscillator import (
@@ -369,22 +366,6 @@ class TestReportPlumbing:
             {"b": [2, 3], "a": 1}
         )
         assert len(config_digest({})) == 12
-
-    def test_write_report(self, tmp_path):
-        rows = self._rows()
-        report = ExperimentReport(
-            "abc", rows, ExperimentSummary.from_rows(rows), ("skipped",)
-        )
-        json_path, csv_path = write_report(report, tmp_path, "demo")
-        payload = json.loads(json_path.read_text())
-        assert payload["config"] == "abc"
-        assert payload["excluded"] == ["skipped"]
-        assert [r["label"] for r in payload["rows"]] == ["a", "b"]
-        with csv_path.open() as handle:
-            rows_csv = list(csv.reader(handle))
-        assert rows_csv[0] == ["label", "lhs", "rhs", "ratio", "slope"]
-        assert len(rows_csv) == 3
-        assert float(rows_csv[1][3]) == 0.5
 
     def test_round_trip_dict(self):
         rows = (ExperimentRow("a", 1.0, 2.0, 0.5, -0.25),)

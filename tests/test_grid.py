@@ -4,29 +4,24 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from heislab.experiments import _riesz_commutator
 from heislab.grid import (
+    KERNEL_THRESHOLD,
     GridFunction,
     GridOperator,
     GridSpec,
+    _model,
+    _spectral_values,
     approximation_sequence,
     build_riesz,
     build_sublaplacian,
-    build_vector_fields,
-    commutator,
-    dilation_map,
-    group_inverse,
-    group_multiply,
-    inverse_commutator_identity_residual,
     koranyi_gauge,
-    koranyi_norm,
     load_operator,
-    multiplication_operator,
     poincare_ratio,
     quarter_rotation,
     riesz_decomposition_residual,
     save_operator,
     sobolev_seminorm,
-    spectral_function,
     sublaplacian_spectrum,
 )
 
@@ -39,65 +34,25 @@ def interior_mask(spec, margin=1):
     return mask
 
 
+def sparse_fields(spec):
+    """The sparse fields ``X``, ``Y`` and the vertical difference ``D_t``."""
+    model = _model(spec)
+    return model.x_field, model.y_field, model.d_t
+
+
+def dense_inverse_sqrt(matrix):
+    """Oracle for ``(-Delta)^{-1/2}``: a dense ``eigh`` of the given matrix,
+    inverted off the kernel as the spectral calculus of the grid model is."""
+    w, v = np.linalg.eigh(matrix)
+    live = np.abs(w) > KERNEL_THRESHOLD * np.max(np.abs(w))
+    return (v * np.where(live, np.abs(w), 1.0) ** -0.5 * live) @ v.T
+
+
 def bump(spec):
     # smooth, decays to ~1e-8 by the boundary at half-width 3
     return GridFunction.from_callable(
         spec, lambda x, y, t: np.exp(-2.0 * (x * x + y * y + t * t))
     )
-
-
-class TestGroupPoints:
-    def test_product_example(self):
-        z, t = group_multiply((1.0, 0.0), (1.0j, 0.0))
-        assert z == 1.0 + 1.0j
-        assert t == -1.0
-
-    def test_identity_neutral(self):
-        g = (0.7 - 0.2j, 1.3)
-        assert group_multiply(g, (0.0, 0.0)) == g
-        assert group_multiply((0.0, 0.0), g) == g
-
-    def test_inverse(self):
-        g = (1.5 + 2.0j, -0.4)
-        z, t = group_multiply(g, group_inverse(g))
-        assert z == 0.0
-        assert t == 0.0
-
-    def test_associativity_vector_case(self):
-        rng = np.random.default_rng(1)
-        pts = [
-            (rng.standard_normal(2) + 1j * rng.standard_normal(2), float(rng.standard_normal()))
-            for _ in range(3)
-        ]
-        a = group_multiply(group_multiply(pts[0], pts[1]), pts[2])
-        b = group_multiply(pts[0], group_multiply(pts[1], pts[2]))
-        np.testing.assert_allclose(a[0], b[0], atol=1e-14)
-        assert a[1] == pytest.approx(b[1], abs=1e-14)
-
-    def test_gauge_examples(self):
-        assert koranyi_norm((0.0, 4.0)) == pytest.approx(2.0)
-        assert koranyi_norm((1.0, 0.0)) == pytest.approx(1.0)
-
-    def test_gauge_homogeneity(self):
-        g = (1.1 - 0.3j, 0.7)
-        for r in (0.5, 2.0, 7.0):
-            assert koranyi_norm(dilation_map(r, g)) == pytest.approx(
-                r * koranyi_norm(g), rel=1e-12
-            )
-
-    def test_dilation_examples(self):
-        assert dilation_map(2.0, (1.0, 3.0)) == (2.0, 12.0)
-        assert dilation_map(1.0, (1.0 + 1j, -2.0)) == (1.0 + 1j, -2.0)
-        z, t = dilation_map(3.0, dilation_map(2.0, (1.0, 1.0)))
-        assert (z, t) == dilation_map(6.0, (1.0, 1.0))
-
-    def test_dilation_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            dilation_map(0.0, (1.0, 1.0))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            group_multiply((np.ones(2, dtype=complex), 0.0), (1.0, 0.0))
 
 
 class TestGridSpec:
@@ -127,44 +82,41 @@ class TestGridSpec:
 
 class TestVectorFields:
     def test_skew_symmetry(self):
-        x_op, y_op, t_op = build_vector_fields(SPEC)
-        for op in (x_op, y_op, t_op):
-            assert np.abs(op.matrix + op.matrix.T).max() == 0.0
+        for op in sparse_fields(SPEC):
+            assert abs(op + op.T).max() == 0.0
 
     def test_constant_annihilated_inside(self):
-        x_op, y_op, t_op = build_vector_fields(SPEC)
         ones = GridFunction.from_callable(SPEC, lambda x, y, t: np.ones_like(x))
-        mask = interior_mask(SPEC)
-        for op in (x_op, y_op, t_op):
-            assert np.abs(op.apply(ones).values[mask]).max() == 0.0
+        mask = interior_mask(SPEC).reshape(-1)
+        for op in sparse_fields(SPEC):
+            assert np.abs((op @ ones.flat)[mask]).max() == 0.0
 
     def test_coordinate_function(self):
-        x_op, y_op, t_op = build_vector_fields(SPEC)
+        x_op, y_op, t_op = sparse_fields(SPEC)
         f = GridFunction.from_callable(SPEC, lambda x, y, t: x)
-        mask = interior_mask(SPEC)
-        np.testing.assert_allclose(x_op.apply(f).values[mask], 1.0, atol=1e-13)
+        mask = interior_mask(SPEC).reshape(-1)
+        np.testing.assert_allclose((x_op @ f.flat)[mask], 1.0, atol=1e-13)
         # mixed rows cancel in rounded summation order, not bitwise
-        assert np.abs(y_op.apply(f).values[mask]).max() <= 1e-14
-        assert np.abs(t_op.apply(f).values[mask]).max() <= 1e-14
+        assert np.abs((y_op @ f.flat)[mask]).max() <= 1e-14
+        assert np.abs((t_op @ f.flat)[mask]).max() <= 1e-14
 
     def test_bracket_is_twice_vertical(self):
         # exact for functions linear in each coordinate
-        x_op, y_op, t_op = build_vector_fields(SPEC)
-        f = GridFunction.from_callable(SPEC, lambda x, y, t: x * y * t)
-        bracket = commutator(x_op, y_op).apply(f).values
-        vertical = t_op.apply(f).values
-        mask = interior_mask(SPEC, margin=2)
-        np.testing.assert_allclose(bracket[mask], 2.0 * vertical[mask], atol=1e-12)
+        x_op, y_op, t_op = sparse_fields(SPEC)
+        f = GridFunction.from_callable(SPEC, lambda x, y, t: x * y * t).flat
+        bracket = x_op @ (y_op @ f) - y_op @ (x_op @ f)
+        mask = interior_mask(SPEC, margin=2).reshape(-1)
+        np.testing.assert_allclose(bracket[mask], 2.0 * (t_op @ f)[mask], atol=1e-12)
 
     def test_vertical_shift_symmetry(self):
         # shifting along t commutes with the fields on interior support
-        x_op, y_op, _ = build_vector_fields(SPEC)
+        x_op, y_op, _ = sparse_fields(SPEC)
         shift1d = sparse.diags([np.ones(SPEC.nt - 1)], [-1])
-        shift = sparse.kron(sparse.identity(SPEC.nx * SPEC.ny), shift1d).toarray()
-        proj = np.diag(interior_mask(SPEC, margin=2).reshape(-1).astype(float))
+        shift = sparse.kron(sparse.identity(SPEC.nx * SPEC.ny), shift1d)
+        proj = sparse.diags(interior_mask(SPEC, margin=2).reshape(-1).astype(float))
         for op in (x_op, y_op):
-            gap = (op.matrix @ shift - shift @ op.matrix) @ proj
-            assert np.abs(gap).max() == 0.0
+            gap = (op @ shift - shift @ op) @ proj
+            assert abs(gap).max() == 0.0
 
 
 class TestSublaplacian:
@@ -181,7 +133,7 @@ class TestSublaplacian:
     def test_annihilates_constants_inside(self):
         op = build_sublaplacian(SPEC)
         ones = GridFunction.from_callable(SPEC, lambda x, y, t: np.ones_like(x))
-        out = op.apply(ones).values
+        out = (op.matrix @ ones.flat).reshape(SPEC.shape)
         mask = interior_mask(SPEC, margin=2)
         assert np.abs(out[mask]).max() <= 1e-13
 
@@ -196,49 +148,28 @@ class TestSublaplacian:
 
 class TestSpectralFunction:
     def test_identity_profile(self):
-        op = build_sublaplacian(SPEC)
-        out = spectral_function(op, lambda u: u)
-        np.testing.assert_allclose(out.matrix, op.matrix, atol=1e-10)
+        model = _model(SPEC)
+        w, _ = model.eig()
+        out = model.spectral_apply(_spectral_values(w, lambda u: u))
+        np.testing.assert_allclose(out, build_sublaplacian(SPEC).matrix, atol=1e-10)
 
     def test_inverse_root_on_diagonal(self):
-        spec3 = GridSpec.cube(3)
-        diag = np.arange(1.0, spec3.size + 1.0)
+        diag = np.arange(1.0, 28.0)
         diag[0], diag[1] = 1.0, 4.0
-        op = GridOperator(spec3, np.diag(diag), kind="diag", self_adjoint=True)
-        out = spectral_function(op, lambda u: u**-0.5)
-        np.testing.assert_allclose(np.diag(out.matrix)[:2], [1.0, 0.5], atol=1e-12)
+        out = _spectral_values(diag, lambda u: u**-0.5)
+        np.testing.assert_allclose(out[:2], [1.0, 0.5], atol=1e-12)
 
     def test_pseudo_inverse_kernel_policy(self):
-        spec3 = GridSpec.cube(3)
-        diag = np.arange(0.0, spec3.size)
-        op = GridOperator(spec3, np.diag(diag), kind="diag", self_adjoint=True)
-        out = spectral_function(op, lambda u: u**-0.5)
-        assert out.matrix[0, 0] == 0.0
-        assert out.matrix[1, 1] == pytest.approx(1.0)
-
-    def test_strict_policy_rejects_singularity(self):
-        spec3 = GridSpec.cube(3)
-        diag = np.arange(0.0, spec3.size)
-        op = GridOperator(spec3, np.diag(diag), kind="diag", self_adjoint=True)
-        with pytest.raises(ValueError, match="undefined"):
-            spectral_function(op, lambda u: u**-0.5, kernel_policy="strict")
-
-    def test_requires_self_adjoint_claim(self):
-        op = GridOperator(SPEC, np.eye(SPEC.size), kind="plain")
-        with pytest.raises(ValueError, match="self-adjoint"):
-            spectral_function(op, lambda u: u)
-
-    def test_unknown_policy(self):
-        op = build_sublaplacian(SPEC)
-        with pytest.raises(ValueError, match="kernel policy"):
-            spectral_function(op, lambda u: u, kernel_policy="bogus")
+        out = _spectral_values(np.arange(0.0, 27.0), lambda u: u**-0.5)
+        assert out[0] == 0.0
+        assert out[1] == pytest.approx(1.0)
 
 
 class TestRiesz:
     def test_empirical_norm_near_one(self):
         for ell in (1, 2):
             op = build_riesz(SPEC, ell)
-            assert 0.5 <= op.meta["empirical_norm"] <= 1.5
+            assert 0.5 <= np.linalg.norm(op.matrix, 2) <= 1.5
 
     def test_kills_kernel_modes(self):
         alt = np.zeros(SPEC.nx)
@@ -263,52 +194,24 @@ class TestRiesz:
 
 
 class TestMultiplicationAndCommutator:
-    def test_identity_and_norm(self):
-        ones = GridFunction.from_callable(SPEC, lambda x, y, t: np.ones_like(x))
-        op = multiplication_operator(ones)
-        np.testing.assert_array_equal(op.matrix, np.eye(SPEC.size))
-        f = bump(SPEC)
-        assert multiplication_operator(f).meta["max_abs"] == pytest.approx(f.max_abs())
-
-    def test_pointwise_product(self):
-        f = bump(SPEC)
-        g = GridFunction.from_callable(SPEC, lambda x, y, t: x + t)
-        lhs = multiplication_operator(f).matrix @ multiplication_operator(g).matrix
-        rhs = multiplication_operator(f * g).matrix
-        np.testing.assert_allclose(lhs, rhs, atol=1e-14)
-
     def test_commutator_with_constant_vanishes(self):
         c = GridFunction.from_callable(SPEC, lambda x, y, t: 2.5 * np.ones_like(x))
-        r = build_riesz(SPEC, 1)
-        out = commutator(r, multiplication_operator(c))
-        assert np.abs(out.matrix).max() < 1e-12
-
-    def test_self_commutator_zero(self):
-        r = build_riesz(SPEC, 1)
-        assert np.abs(commutator(r, r).matrix).max() == 0.0
+        assert np.abs(_riesz_commutator(SPEC, c, 1)).max() < 1e-12
 
     def test_field_commutator_acts_as_identity_on_low_degree(self):
         # the averaging stencil of [X, M_x] equals the identity on functions
         # at most linear in x
-        x_op, _, _ = build_vector_fields(SPEC)
-        coord = GridFunction.from_callable(SPEC, lambda x, y, t: x)
-        comm = commutator(x_op, multiplication_operator(coord))
-        mask = interior_mask(SPEC)
+        x_op, _, _ = sparse_fields(SPEC)
+        coord = GridFunction.from_callable(SPEC, lambda x, y, t: x).flat
+        mask = interior_mask(SPEC).reshape(-1)
         for fn in (
             lambda x, y, t: np.ones_like(x),
             lambda x, y, t: x,
             lambda x, y, t: y * t,
         ):
-            u = GridFunction.from_callable(SPEC, fn)
-            out = comm.apply(u).values
-            np.testing.assert_allclose(out[mask], u.values[mask], atol=1e-13)
-
-    def test_shape_mismatch(self):
-        other = GridSpec.cube(7)
-        a = build_riesz(SPEC, 1)
-        b = build_riesz(other, 1)
-        with pytest.raises(ValueError):
-            commutator(a, b)
+            u = GridFunction.from_callable(SPEC, fn).flat
+            out = x_op @ (coord * u) - coord * (x_op @ u)
+            np.testing.assert_allclose(out[mask], u[mask], atol=1e-13)
 
 
 class TestSobolev:
@@ -440,11 +343,11 @@ class TestQuarterRotation:
     def test_rotates_coordinates(self):
         u, _ = quarter_rotation(SPEC, 1)
         f = GridFunction.from_callable(SPEC, lambda x, y, t: x + 10.0 * y + 100.0 * t)
-        rotated = u.apply(f)
+        rotated = u.matrix @ f.flat
         expected = GridFunction.from_callable(
             SPEC, lambda x, y, t: -y + 10.0 * x + 100.0 * t
         )
-        np.testing.assert_allclose(rotated.values, expected.values, atol=1e-12)
+        np.testing.assert_allclose(rotated, expected.flat, atol=1e-12)
 
     def test_bad_index(self):
         with pytest.raises(ValueError):
@@ -467,22 +370,12 @@ class TestRieszDecomposition:
         report = riesz_decomposition_residual(SPEC, bump(SPEC), 1)
         assert report.leibniz_defect > 0.1
 
-    def test_inverse_commutator_identity(self):
-        rng = np.random.default_rng(7)
-        for _ in range(5):
-            dim = int(rng.integers(3, 10))
-            g = rng.standard_normal((dim, dim))
-            a = g @ g.T + dim * np.eye(dim)
-            b = rng.standard_normal((dim, dim))
-            assert inverse_commutator_identity_residual(a, b) <= 1e-12
-
 
 class TestCwikelSurrogate:
     def test_family_ratio_bounded(self):
         from heislab.schatten import singular_values, weak_quasinorm
 
-        model_op = build_sublaplacian(SPEC)
-        inv_sqrt = spectral_function(model_op, lambda u: u**-0.5).matrix
+        inv_sqrt = dense_inverse_sqrt(build_sublaplacian(SPEC).matrix)
         family = [
             lambda x, y, t: np.exp(-(x * x + y * y + t * t)),
             lambda x, y, t: np.exp(-2.0 * (x * x + y * y + t * t)),

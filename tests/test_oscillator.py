@@ -7,11 +7,9 @@ from heislab.oscillator import (
     FiberOperator,
     enumerate_basis,
     fiber_adjoint,
-    fiber_from_json,
     fiber_identity,
     fiber_mul,
     fiber_schatten_norm,
-    fiber_to_json,
     matrix_unit,
     momentum_matrix,
     oscillator_matrix,
@@ -329,24 +327,3 @@ class TestFiberSchattenNorm:
         basis = enumerate_basis(1, 1)
         with pytest.raises(ValueError):
             fiber_schatten_norm(fiber_identity(basis), 0.5)
-
-
-def test_json_round_trip():
-    basis = enumerate_basis(2, 2)
-    rng = np.random.default_rng(11)
-    shape = (basis.dim, basis.dim)
-    x = FiberOperator(
-        basis,
-        rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
-        rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
-    )
-    y = fiber_from_json(fiber_to_json(x))
-    assert y.basis == x.basis
-    np.testing.assert_allclose(y.minus, x.minus)
-    np.testing.assert_allclose(y.plus, x.plus)
-
-
-def test_json_is_deterministic():
-    basis = enumerate_basis(1, 2)
-    x = riesz_symbol(basis, 2)
-    assert fiber_to_json(x) == fiber_to_json(riesz_symbol(basis, 2))

@@ -8,13 +8,9 @@ from hypothesis import strategies as st
 from heislab.schatten import (
     SingularSpectrum,
     dixmier_approximant,
-    default_fit_range,
     fit_weak_decay,
-    schatten_norm,
-    separable_profile,
     singular_values,
     weak_quasinorm,
-    write_csv,
 )
 
 
@@ -144,41 +140,6 @@ class TestWeakQuasinorm:
         assert scaled == pytest.approx(c * base, rel=1e-12)
 
 
-class TestSchattenNorm:
-    def test_flat(self):
-        assert schatten_norm(SingularSpectrum(np.ones(3)), 2.0) == pytest.approx(math.sqrt(3.0))
-
-    def test_trace_norm(self):
-        assert schatten_norm(SingularSpectrum(np.array([4.0, 3.0])), 1.0) == pytest.approx(7.0)
-
-    def test_hilbert_schmidt(self):
-        s = SingularSpectrum(np.array([1.0, 0.5, 0.25]))
-        assert schatten_norm(s, 2.0) == pytest.approx(math.sqrt(21.0 / 16.0))
-
-    def test_rejects_quasinorm_range(self):
-        with pytest.raises(ValueError, match=">= 1"):
-            schatten_norm(harmonic(3), 0.5)
-
-
-class TestSeparableProfile:
-    def test_harmonic_levels_off(self):
-        prof = separable_profile(harmonic(2000), 1.0)
-        k = np.arange(2000.0)
-        np.testing.assert_allclose(prof, k / (k + 1.0))
-        # no decay: the tail stays near 1
-        assert prof[-1] > 0.99
-
-    def test_square_summable_decays(self):
-        mu = 1.0 / np.arange(1.0, 2001.0) ** 2
-        prof = separable_profile(SingularSpectrum(mu), 1.0)
-        assert prof[-1] < prof[100] < prof[10]
-        assert prof[-1] < 1e-3
-
-    def test_zero(self):
-        prof = separable_profile(SingularSpectrum(np.zeros(5)), 2.0)
-        np.testing.assert_array_equal(prof, np.zeros(5))
-
-
 class TestDixmierApproximant:
     def test_harmonic_calibration(self):
         s = harmonic(10**4)
@@ -210,30 +171,12 @@ class TestWeakFit:
     def test_power_law_slope_recovered(self):
         k = np.arange(1.0, 2001.0)
         s = SingularSpectrum(k**-0.25)
-        fit = fit_weak_decay(s, 4.0)
+        fit = fit_weak_decay(s, 4.0, fit_range=(10, 100))
         assert fit.slope == pytest.approx(-0.25, abs=1e-6)
-        lo, hi = fit.fit_range
-        assert 0 < lo < hi <= 2000
+        assert fit.fit_range == (10, 100)
 
     def test_quasinorm_matches_window_max(self):
         s = harmonic(100)
         fit = fit_weak_decay(s, 1.0, fit_range=(3, 50))
         kk = np.arange(4.0, 51.0)
         assert fit.quasinorm == pytest.approx(np.max(kk * s.values[3:50]))
-
-    def test_middle_decade_default(self):
-        s = harmonic(1000)
-        lo, hi = default_fit_range(s)
-        assert lo == 10 and hi == 100
-
-
-def test_csv_export(tmp_path):
-    path = tmp_path / "spectrum.csv"
-    write_csv(harmonic(4), 1.0, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "k,mu,k_mu_p"
-    assert len(lines) == 5
-    k, mu, kmu = lines[2].split(",")
-    assert int(k) == 1
-    assert float(mu) == pytest.approx(0.5)
-    assert float(kmu) == pytest.approx(0.5)

@@ -345,15 +345,15 @@ class DixmierEstimate:
             raise ValueError("band must contain the reported value")
 
 
-def _riesz_commutator(spec: GridSpec, f: GridFunction, ell: int) -> np.ndarray:
-    riesz = build_riesz(spec, ell).matrix
+def _commutator(riesz: np.ndarray, f: GridFunction) -> np.ndarray:
+    """The dense matrix of ``[R, M_f]``."""
     vals = f.flat
     return riesz * vals[None, :] - vals[:, None] * riesz
 
 
 def dixmier_lhs(f: GridFunction, ell: int, spec: GridSpec) -> DixmierEstimate:
     """Trace estimate for the 2n+2 power of the Riesz-multiplier commutator."""
-    spectrum = singular_values(_riesz_commutator(spec, f, ell))
+    spectrum = singular_values(_commutator(build_riesz(spec, ell).matrix, f))
     powered = spectrum.values ** (2.0 * spec.n + 2.0)
     usable = int(np.count_nonzero(powered > CLAMP_RATIO * max(powered[0], 1e-300)))
     if f.max_abs() == 0.0 or powered[0] == 0.0:
@@ -396,9 +396,7 @@ def bound_experiment(
 
     def one(item: tuple[str, GridFunction]) -> ExperimentRow | None:
         label, f = item
-        vals = f.flat
-        comm = riesz * vals[None, :] - vals[:, None] * riesz
-        spectrum = singular_values(comm)
+        spectrum = singular_values(_commutator(riesz, f))
         lhs = weak_quasinorm(spectrum, power)
         rhs = sobolev_seminorm(f, power)
         # constants hit this: the commutator vanishes as a matrix identity,
@@ -451,6 +449,8 @@ def trace_formula_experiment(
     if len(family) < 3:
         raise ValueError("trace-formula families need at least 3 functions")
     fibers = build_y_fibers(basis, ell)
+    # the rows only read the grid model once its Riesz matrix exists
+    build_riesz(spec, ell)
 
     def one(item: tuple[str, GridFunction]) -> ExperimentRow | None:
         label, f = item
@@ -498,33 +498,17 @@ def eigenvalue_trace_approximant(eigenvalues: np.ndarray, window: int | None = N
     return float(np.sum(eigs[:n_terms]).real / math.log(n_terms + 2.0))
 
 
-def _vertical_quarter_root(spec: GridSpec) -> np.ndarray:
-    """The fourth root of T*T, exact through the vertical block structure."""
-    model = _model(spec)
-    block = model.d_t[: spec.nt, : spec.nt].toarray()
-    w, v = np.linalg.eigh(block.T @ block)
-    root = (v * np.clip(w, 0.0, None) ** 0.25) @ v.T
-    return np.kron(np.eye(spec.nx * spec.ny), root)
-
-
-def _pseudo_power(spec: GridSpec, exponent: float) -> np.ndarray:
-    model = _model(spec)
-    w, _ = model.eig()
-    keep = ~model.kernel_mask()
-    safe = np.where(keep, np.clip(w, 0.0, None), 1.0)
-    return model.spectral_apply(np.where(keep, safe**exponent, 0.0))
-
-
 def _grid_symbol_realization(spec: GridSpec, k: int) -> np.ndarray:
     """Grid counterpart of the k-th commutator symbol via the entrywise kernel."""
     model = _model(spec)
-    w, u = model.eig()
-    keep = ~model.kernel_mask()
-    safe = np.where(keep, np.clip(w, 0.0, None), 1.0)
-    quarter = np.where(keep, safe**-0.25, 0.0)
+    w, u, live = model.eig()
+    # kernel modes get a placeholder 1 so the table stays finite; their
+    # rows and columns are zeroed below
+    safe = np.where(live, w, 1.0)
+    quarter = np.where(live, safe**-0.25, 0.0)
     root = np.sqrt(safe)
     table = 2.0 * np.outer(safe**0.25, safe**0.25) / (root[:, None] + root[None, :])
-    table *= np.outer(keep, keep)
+    table *= np.outer(live, live)
     core = quarter[:, None] * (u.T @ (model.horizontal(k) @ u)) * quarter[None, :]
     return u @ (table * core) @ u.T
 
@@ -535,8 +519,9 @@ def vertical_mixing_residual(spec: GridSpec) -> float:
     The continuum factors commute; the grid operators only nearly do, and the
     flat factor is defined as their ordered product.
     """
-    inv = _pseudo_power(spec, -0.5)
-    vert = _vertical_quarter_root(spec)
+    model = _model(spec)
+    inv = model.power(-0.5)
+    vert = model.vertical_quarter_root()
     left = inv @ vert
     return float(
         np.linalg.norm(left - vert @ inv) / max(np.linalg.norm(left), 1e-300)
@@ -550,7 +535,8 @@ def product_factor(
     if name == "identity":
         return np.eye(spec.size), fiber_identity(basis)
     if name == "flat_factor":
-        grid = _pseudo_power(spec, -0.5) @ _vertical_quarter_root(spec)
+        model = _model(spec)
+        grid = model.power(-0.5) @ model.vertical_quarter_root()
         energies = np.diag(oscillator_matrix(basis)).real
         return grid, tensor_scalar(basis, np.diag(energies**-0.5), "one")
     kind, _, index = name.partition(":")
@@ -589,15 +575,19 @@ def product_trace_check(
     corresponding fiber product.
     """
     expected = 2 * spec.n + 2
-    rows: list[ExperimentRow] = []
-    excluded: list[str] = []
     for case in cases:
         if len(case.functions) != expected:
             raise ValueError(
                 f"case {case.label!r} needs {expected} functions, "
                 f"got {len(case.functions)}"
             )
-        realized = [product_factor(spec, basis, name) for name in case.factors]
+    # each distinct factor is realized once and shared by every slot using it
+    names = dict.fromkeys(name for case in cases for name in case.factors)
+    factors = {name: product_factor(spec, basis, name) for name in names}
+    rows: list[ExperimentRow] = []
+    excluded: list[str] = []
+    for case in cases:
+        realized = [factors[name] for name in case.factors]
         grid_product: np.ndarray | None = None
         fiber_product: FiberOperator | None = None
         integrand = np.ones(spec.size, dtype=complex)

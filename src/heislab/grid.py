@@ -232,7 +232,12 @@ def _centered_difference(count: int, h: float) -> sparse.csr_matrix:
 
 
 class _GridModel:
-    """Sparse stencils plus the (lazy) dense eigendecomposition of the sub-Laplacian."""
+    """Sparse stencils plus the one spectral calculus of the grid.
+
+    Powers of the sub-Laplacian vanish on its numerical kernel (the
+    pseudo-inverse policy).  The lazy eigendecomposition and Riesz matrices
+    hold no lock: callers fanning out over threads build them first.
+    """
 
     def __init__(self, spec: GridSpec):
         self.spec = spec
@@ -262,7 +267,8 @@ class _GridModel:
         self.minus_delta = 0.5 * (quad + quad.T)
         self.minus_delta.flags.writeable = False
         self.asymmetry_residual = asym
-        self._eig: tuple[np.ndarray, np.ndarray] | None = None
+        self._eig: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._riesz: dict[int, np.ndarray] = {}
 
     def horizontal(self, ell: int) -> sparse.csr_matrix:
         if ell == 1:
@@ -271,21 +277,39 @@ class _GridModel:
             return self.y_field
         raise ValueError(f"horizontal index {ell} outside 1..2")
 
-    def eig(self) -> tuple[np.ndarray, np.ndarray]:
+    def eig(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Eigenvalues, eigenvectors and the read-only mask of the modes
+        above ``KERNEL_THRESHOLD`` times the largest."""
         if self._eig is None:
             w, v = np.linalg.eigh(self.minus_delta)
-            w.flags.writeable = False
-            v.flags.writeable = False
-            self._eig = (w, v)
+            live = np.abs(w) > KERNEL_THRESHOLD * float(np.max(np.abs(w)))
+            for arr in (w, v, live):
+                arr.flags.writeable = False
+            self._eig = (w, v, live)
         return self._eig
 
-    def kernel_mask(self) -> np.ndarray:
-        w, _ = self.eig()
-        return np.abs(w) <= KERNEL_THRESHOLD * float(np.max(np.abs(w)))
-
-    def spectral_apply(self, values: np.ndarray) -> np.ndarray:
-        _, v = self.eig()
+    def power(self, exponent: float) -> np.ndarray:
+        """Dense ``(-Delta)^exponent`` on the live modes, zero on the kernel."""
+        w, v, live = self.eig()
+        values = np.zeros_like(w)
+        values[live] = w[live] ** exponent
         return (v * values) @ v.T
+
+    def riesz(self, ell: int) -> np.ndarray:
+        """``X_ell (-Delta)^{-1/2}``, built on first use and kept read-only."""
+        if ell not in self._riesz:
+            mat = self.horizontal(ell) @ self.power(-0.5)
+            mat.flags.writeable = False
+            self._riesz[ell] = mat
+        return self._riesz[ell]
+
+    def vertical_quarter_root(self) -> np.ndarray:
+        """The fourth root of ``T*T``, exact through the vertical block structure."""
+        nt = self.spec.nt
+        block = self.d_t[:nt, :nt].toarray()
+        w, v = np.linalg.eigh(block.T @ block)
+        root = (v * np.clip(w, 0.0, None) ** 0.25) @ v.T
+        return np.kron(np.eye(self.spec.nx * self.spec.ny), root)
 
 
 @functools.lru_cache(maxsize=3)
@@ -313,26 +337,9 @@ def sublaplacian_spectrum(spec: GridSpec) -> np.ndarray:
     return _model(spec).eig()[0]
 
 
-def _spectral_values(w: np.ndarray, phi: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """``phi`` on the eigenvalues, zero on the kernel (pseudo-inverse policy)."""
-    scale = float(np.max(np.abs(w))) if w.size else 0.0
-    live = np.abs(w) > KERNEL_THRESHOLD * scale
-    out = np.zeros_like(w, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vals = np.asarray(phi(w[live]), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        bad = w[live][~np.isfinite(vals)][0]
-        raise ValueError(f"profile undefined at above-threshold eigenvalue {bad!r}")
-    out[live] = vals
-    return out
-
-
 def build_riesz(spec: GridSpec, ell: int) -> GridOperator:
-    """Horizontal field times the inverse square root of the sub-Laplacian."""
-    model = _model(spec)
-    w, _ = model.eig()
-    inv_sqrt = model.spectral_apply(_spectral_values(w, lambda u: u**-0.5))
-    return GridOperator(spec, model.horizontal(ell) @ inv_sqrt, kind=f"riesz_{ell}")
+    """Horizontal field times the inverse square root; one shared read-only matrix per grid."""
+    return GridOperator(spec, _model(spec).riesz(ell), kind=f"riesz_{ell}")
 
 
 def sobolev_seminorm(f: GridFunction, p: float = 4.0) -> float:
@@ -426,8 +433,10 @@ def _interior_projection(spec: GridSpec, margin: int) -> np.ndarray:
     return keep.reshape(-1)
 
 
-def quarter_rotation(spec: GridSpec, k: int = 1) -> tuple[GridOperator, RotationReport]:
-    """Quarter-turn permutation ``(x, y) -> (-y, x)`` and its conjugation report.
+def quarter_rotation(
+    spec: GridSpec, k: int = 1
+) -> tuple[sparse.csr_matrix, RotationReport]:
+    """Sparse quarter-turn permutation ``(x, y) -> (-y, x)`` and its conjugation report.
 
     Conjugation sends the first horizontal field to the second and the
     second to minus the first; the report records the residual on the full
@@ -456,13 +465,12 @@ def quarter_rotation(spec: GridSpec, k: int = 1) -> tuple[GridOperator, Rotation
         conjugated = u.T @ model.y_field @ u
         target = -model.x_field
         name = "minus_first_field"
-    gap = (conjugated - target).toarray()
-    full = float(np.linalg.norm(gap))
+    gap = conjugated - target
+    full = float(np.linalg.norm(gap.data))
     margin = 2
-    proj = _interior_projection(spec, margin)
-    interior = float(np.linalg.norm(gap * proj[None, :]))
-    op = GridOperator(spec, u.toarray(), kind="quarter_rotation")
-    return op, RotationReport(name, full, interior, margin)
+    proj = sparse.diags(_interior_projection(spec, margin))
+    interior = float(np.linalg.norm((gap @ proj).data))
+    return u, RotationReport(name, full, interior, margin)
 
 
 @dataclass(frozen=True)
@@ -489,9 +497,8 @@ def riesz_decomposition_residual(
     if f.spec != spec:
         raise ValueError("function lives on a different grid")
     model = _model(spec)
-    w, _ = model.eig()
-    inv_sqrt = model.spectral_apply(_spectral_values(w, lambda u: u**-0.5))
-    sqrt_mat = model.spectral_apply(_spectral_values(w, lambda u: u**0.5))
+    inv_sqrt = model.power(-0.5)
+    sqrt_mat = model.power(0.5)
     x_mat = model.horizontal(ell)
     riesz = x_mat @ inv_sqrt
     fv = f.flat
@@ -502,11 +509,9 @@ def riesz_decomposition_residual(
     term2 = riesz @ (comm_sqrt @ inv_sqrt)
     gap = lhs - (term1 - term2)
 
-    kernel = model.kernel_mask()
-    kernel_dim = int(kernel.sum())
+    kernel_dim = int(np.count_nonzero(~model.eig()[2]))
     if kernel_dim:
-        live = _spectral_values(w, lambda u: np.ones_like(u))
-        proj = model.spectral_apply(live)
+        proj = model.power(0.0)
         gap = proj @ gap @ proj
         lhs = proj @ lhs @ proj
 

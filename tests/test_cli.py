@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from heislab.cli import (
@@ -23,6 +24,7 @@ from heislab.cli import (
     run_suite,
     sweep,
 )
+from heislab.grid import _model
 
 
 def write_config(tmp_path, **entries):
@@ -270,12 +272,21 @@ class TestRunCommand:
             checks = {(c["name"], c["allowed"], c["mode"]) for c in payload["checks"]}
             assert checks == pinned, payload["suite"]
 
-    def test_parallel_matches_serial(self, tmp_path):
+    def test_parallel_matches_serial(self, tmp_path, monkeypatch):
+        # parallel rows start on a cold model cache and share one eigh
+        eigh = np.linalg.eigh
+        sizes = []
+
+        def counting_eigh(a, *args, **kwargs):
+            sizes.append(np.shape(a)[0])
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        _model.cache_clear()
         path = write_config(tmp_path)
-        serial = load_config(path, {"suite": "trace"})
-        parallel = load_config(path, {"suite": "trace", "parallel": True})
-        run_suite(serial)
-        run_suite(parallel)
+        run_suite(load_config(path, {"suite": "trace", "parallel": True}))
+        assert sizes.count(9**3) == 1
+        run_suite(load_config(path, {"suite": "trace"}))
         names = sorted(p.name for p in (tmp_path / "out").glob("trace_*.json"))
         assert len(names) == 2
         first, second = [(tmp_path / "out" / n).read_bytes() for n in names]

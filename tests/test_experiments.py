@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from heislab import experiments
 from heislab.experiments import (
     ExperimentReport,
     ExperimentRow,
@@ -266,7 +267,14 @@ class TestProductTrace:
         assert report.excluded == ("zeroed",)
         assert len(report.rows) == 1
 
-    def test_catalog_spread(self):
+    def test_catalog_spread(self, monkeypatch):
+        resolved = []
+
+        def counting_factor(spec, basis, name):
+            resolved.append(name)
+            return product_factor(spec, basis, name)
+
+        monkeypatch.setattr(experiments, "product_factor", counting_factor)
         fam = named_family("product", SPEC)
         g1, g2, g3, ring = (fam[k] for k in ("gauss_wide", "gauss_mid",
                                              "gauss_narrow", "ring"))
@@ -286,6 +294,8 @@ class TestProductTrace:
         report = product_trace_check(cases, SPEC, BASIS)
         assert len(report.rows) == 3
         assert report.summary.variation <= 0.5
+        # each distinct factor name is realized once per call
+        assert sorted(resolved) == ["a:1", "flat_factor", "riesz:1"]
 
     def test_wrong_arity(self):
         f = wide_bump()

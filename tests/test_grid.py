@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from heislab.experiments import _riesz_commutator
+from heislab.experiments import _commutator
 from heislab.grid import (
     KERNEL_THRESHOLD,
     GridFunction,
     GridOperator,
     GridSpec,
     _model,
-    _spectral_values,
     approximation_sequence,
     build_riesz,
     build_sublaplacian,
@@ -46,6 +45,18 @@ def dense_inverse_sqrt(matrix):
     w, v = np.linalg.eigh(matrix)
     live = np.abs(w) > KERNEL_THRESHOLD * np.max(np.abs(w))
     return (v * np.where(live, np.abs(w), 1.0) ** -0.5 * live) @ v.T
+
+
+def checkerboard(spec):
+    """The alternating product vector, an exact kernel mode on odd grids."""
+    alt = np.zeros(spec.nx)
+    alt[::2] = 1.0
+    return np.einsum("i,j,k->ijk", alt, alt, alt).reshape(-1)
+
+
+def unit_checkerboard(spec):
+    vec = checkerboard(spec)
+    return vec / np.linalg.norm(vec)
 
 
 def bump(spec):
@@ -138,31 +149,43 @@ class TestSublaplacian:
         assert np.abs(out[mask]).max() <= 1e-13
 
     def test_checkerboard_kernel_mode(self):
-        # alternating product vector is an exact kernel mode on odd grids
-        alt = np.zeros(SPEC.nx)
-        alt[::2] = 1.0
-        vec = np.einsum("i,j,k->ijk", alt, alt, alt).reshape(-1)
         op = build_sublaplacian(SPEC)
-        assert np.abs(op.matrix @ vec).max() <= 1e-13
+        assert np.abs(op.matrix @ checkerboard(SPEC)).max() <= 1e-13
 
 
 class TestSpectralFunction:
     def test_identity_profile(self):
-        model = _model(SPEC)
-        w, _ = model.eig()
-        out = model.spectral_apply(_spectral_values(w, lambda u: u))
+        out = _model(SPEC).power(1.0)
         np.testing.assert_allclose(out, build_sublaplacian(SPEC).matrix, atol=1e-10)
 
     def test_inverse_root_on_diagonal(self):
-        diag = np.arange(1.0, 28.0)
-        diag[0], diag[1] = 1.0, 4.0
-        out = _spectral_values(diag, lambda u: u**-0.5)
-        np.testing.assert_allclose(out[:2], [1.0, 0.5], atol=1e-12)
+        # in the eigenbasis the power is diagonal; check the smallest and
+        # the largest live eigenvalue
+        model = _model(SPEC)
+        w, v, live = model.eig()
+        inv_sqrt = model.power(-0.5)
+        for j in (np.flatnonzero(live)[0], w.size - 1):
+            np.testing.assert_allclose(
+                inv_sqrt @ v[:, j], w[j] ** -0.5 * v[:, j], atol=1e-12 * w[j] ** -0.5
+            )
 
     def test_pseudo_inverse_kernel_policy(self):
-        out = _spectral_values(np.arange(0.0, 27.0), lambda u: u**-0.5)
-        assert out[0] == 0.0
-        assert out[1] == pytest.approx(1.0)
+        model = _model(SPEC)
+        w, _, live = model.eig()
+        assert np.array_equal(live, np.abs(w) > KERNEL_THRESHOLD * np.abs(w).max())
+        assert not live.all()
+        assert np.abs(model.power(-0.5) @ unit_checkerboard(SPEC)).max() < 1e-12
+
+    def test_inverse_root_matches_dense_oracle(self):
+        oracle = dense_inverse_sqrt(build_sublaplacian(SPEC).matrix)
+        gap = np.linalg.norm(_model(SPEC).power(-0.5) - oracle) / np.linalg.norm(oracle)
+        assert gap <= 1e-13
+
+    def test_kernel_complement_projection(self):
+        proj = _model(SPEC).power(0.0)
+        np.testing.assert_allclose(proj, proj.T, atol=1e-14)
+        np.testing.assert_allclose(proj @ proj, proj, atol=1e-13)
+        assert np.abs(proj @ unit_checkerboard(SPEC)).max() < 1e-13
 
 
 class TestRiesz:
@@ -172,12 +195,13 @@ class TestRiesz:
             assert 0.5 <= np.linalg.norm(op.matrix, 2) <= 1.5
 
     def test_kills_kernel_modes(self):
-        alt = np.zeros(SPEC.nx)
-        alt[::2] = 1.0
-        vec = np.einsum("i,j,k->ijk", alt, alt, alt).reshape(-1)
-        vec /= np.linalg.norm(vec)
         op = build_riesz(SPEC, 1)
-        assert np.abs(op.matrix @ vec).max() < 1e-12
+        assert np.abs(op.matrix @ unit_checkerboard(SPEC)).max() < 1e-12
+
+    def test_built_once_per_grid(self):
+        first = build_riesz(SPEC, 1).matrix
+        assert build_riesz(SPEC, 1).matrix is first
+        assert not first.flags.writeable
 
     def test_squares_sum_to_kernel_complement_projection(self):
         total = sum(
@@ -196,7 +220,7 @@ class TestRiesz:
 class TestMultiplicationAndCommutator:
     def test_commutator_with_constant_vanishes(self):
         c = GridFunction.from_callable(SPEC, lambda x, y, t: 2.5 * np.ones_like(x))
-        assert np.abs(_riesz_commutator(SPEC, c, 1)).max() < 1e-12
+        assert np.abs(_commutator(build_riesz(SPEC, 1).matrix, c)).max() < 1e-12
 
     def test_field_commutator_acts_as_identity_on_low_degree(self):
         # the averaging stencil of [X, M_x] equals the identity on functions
@@ -325,9 +349,10 @@ class TestApproximationSequence:
 class TestQuarterRotation:
     def test_permutation_and_order_four(self):
         u, _ = quarter_rotation(SPEC, 1)
-        m = u.matrix
-        np.testing.assert_array_equal(m.T @ m, np.eye(SPEC.size))
-        np.testing.assert_array_equal(np.linalg.matrix_power(m, 4), np.eye(SPEC.size))
+        assert sparse.issparse(u)
+        identity = sparse.identity(SPEC.size)
+        assert abs(u.T @ u - identity).max() == 0.0
+        assert abs(u @ u @ u @ u - identity).max() == 0.0
 
     def test_conjugation_exact(self):
         _, report = quarter_rotation(SPEC, 1)
@@ -343,7 +368,7 @@ class TestQuarterRotation:
     def test_rotates_coordinates(self):
         u, _ = quarter_rotation(SPEC, 1)
         f = GridFunction.from_callable(SPEC, lambda x, y, t: x + 10.0 * y + 100.0 * t)
-        rotated = u.matrix @ f.flat
+        rotated = u @ f.flat
         expected = GridFunction.from_callable(
             SPEC, lambda x, y, t: -y + 10.0 * x + 100.0 * t
         )

@@ -621,6 +621,11 @@ def _run_grid(config: RunConfig) -> SuiteOutcome:
     )
 
 
+def _spectrum_health(experiment) -> dict[str, Mapping]:
+    """Per-row commutator spectrum diagnostics, keyed by label."""
+    return {row.label: row.spectrum for row in experiment.rows}
+
+
 def _run_bound(config: RunConfig) -> SuiteOutcome:
     spec = _grid_spec(config)
     ratio_name = config.family or "bumps"
@@ -649,6 +654,7 @@ def _run_bound(config: RunConfig) -> SuiteOutcome:
         {
             "ratio_experiment": report_as_dict(report),
             "decay_experiment": report_as_dict(decay_report),
+            "spectrum": _spectrum_health(union),
         },
     )
 
@@ -707,6 +713,7 @@ def _run_trace(config: RunConfig) -> SuiteOutcome:
         {
             "experiment": report_as_dict(report),
             "coercivity": {str(k): v for k, v in coercivities.items()},
+            "spectrum": _spectrum_health(report),
         },
     )
 

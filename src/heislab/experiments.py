@@ -18,7 +18,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .doi import build_a_fiber
-from .grid import GridFunction, GridSpec, _model, build_riesz, sobolev_seminorm
+from .grid import (
+    _FIELD_CHARACTER,
+    SECTORS,
+    GridFunction,
+    GridSpec,
+    _model,
+    build_riesz,
+    sobolev_seminorm,
+)
 from .oscillator import (
     FiberOperator,
     MultiIndexBasis,
@@ -87,11 +95,15 @@ def config_digest(payload: Mapping) -> str:
 
 @dataclass(frozen=True)
 class ExperimentRow:
+    """One function's (lhs, rhs, ratio); ``spectrum`` holds the numerical
+    health of the commutator spectrum behind ``lhs`` where there is one."""
+
     label: str
     lhs: float
     rhs: float
     ratio: float
     slope: float | None = None
+    spectrum: Mapping | None = None
 
 
 @dataclass(frozen=True)
@@ -338,6 +350,7 @@ class DixmierEstimate:
     value: float
     band: tuple[float, float]
     window: int
+    spectrum: Mapping | None = None
 
     def __post_init__(self) -> None:
         lo, hi = self.band
@@ -346,14 +359,67 @@ class DixmierEstimate:
 
 
 def _commutator(riesz: np.ndarray, f: GridFunction) -> np.ndarray:
-    """The dense matrix of ``[R, M_f]``."""
+    """The dense matrix of ``[R, M_f]``, entrywise ``R_ij (f_j - f_i)``.
+
+    Built in place, so it costs one N x N array, and exactly zero when f is
+    constant.
+    """
     vals = f.flat
-    return riesz * vals[None, :] - vals[:, None] * riesz
+    out = vals[None, :] - vals[:, None]
+    out *= riesz
+    return out
+
+
+def _reflection_parity(vals: np.ndarray, index_map: np.ndarray) -> int | None:
+    """+1 or -1 when ``vals`` is exactly even or odd under the reflection."""
+    mirrored = vals[index_map]
+    if np.array_equal(mirrored, vals):
+        return 1
+    if np.array_equal(mirrored, -vals):
+        return -1
+    return None
+
+
+def _commutator_spectrum(
+    spec: GridSpec, ell: int, f: GridFunction
+) -> tuple[SingularSpectrum, dict]:
+    """Singular values of ``[R_ell, M_f]`` and their numerical health.
+
+    When f is exactly even or odd under both grid reflections, with parity
+    eps, the commutator has the character chi = s_ell * eps of ``R_ell``
+    times that of ``M_f``: it maps sector sigma into sector sigma * chi, so
+    its singular values are those of the four blocks ``Q_{sigma chi}^T C
+    Q_sigma``, gathered through the sparse sector bases.  Otherwise the
+    full matrix is decomposed.  The health record names the character the
+    spectrum was split by (``"+-"``) or ``"full"``, the clamp count and the
+    smallest kept value over the largest.
+    """
+    model = _model(spec)
+    commutator = _commutator(model.riesz(ell), f)
+    reflections, bases = model.sectors()
+    parity = [_reflection_parity(f.flat, p) for p in reflections]
+    if None in parity:
+        spectrum, sector = singular_values(commutator), "full"
+    else:
+        chi = tuple(s * e for s, e in zip(_FIELD_CHARACTER[ell], parity))
+        blocks = []
+        for sigma in SECTORS:
+            target = bases[(sigma[0] * chi[0], sigma[1] * chi[1])]
+            blocks.append((target.T @ commutator) @ bases[sigma])
+        spectrum = singular_values(*blocks)
+        sector = "".join("+" if c > 0 else "-" for c in chi)
+    kept = int(np.count_nonzero(spectrum.values))
+    smallest = spectrum.values[kept - 1] / spectrum.values[0] if kept else 0.0
+    return spectrum, {
+        "sector": sector,
+        "clamped": spectrum.clamped,
+        "min_kept_ratio": float(smallest),
+    }
 
 
 def dixmier_lhs(f: GridFunction, ell: int, spec: GridSpec) -> DixmierEstimate:
     """Trace estimate for the 2n+2 power of the Riesz-multiplier commutator."""
-    spectrum = singular_values(_commutator(build_riesz(spec, ell).matrix, f))
+    spectrum, health = _commutator_spectrum(spec, ell, f)
     powered = spectrum.values ** (2.0 * spec.n + 2.0)
     usable = int(np.count_nonzero(powered > CLAMP_RATIO * max(powered[0], 1e-300)))
     if f.max_abs() == 0.0 or powered[0] == 0.0:
@@ -367,7 +433,7 @@ def dixmier_lhs(f: GridFunction, ell: int, spec: GridSpec) -> DixmierEstimate:
     windows = [usable, usable // 2, usable // 4]
     estimates = [dixmier_approximant(powered_spectrum, w) for w in windows]
     return DixmierEstimate(
-        estimates[0], (min(estimates), max(estimates)), usable
+        estimates[0], (min(estimates), max(estimates)), usable, health
     )
 
 
@@ -391,12 +457,15 @@ def bound_experiment(
     parallel: bool = False,
 ) -> ExperimentReport:
     """Weak-norm of the commutator against the horizontal Sobolev seminorm."""
-    riesz = build_riesz(spec, ell).matrix
+    # the rows only read the grid model once its Riesz matrix and sector
+    # bases exist
+    build_riesz(spec, ell)
+    _model(spec).sectors()
     power = 2.0 * spec.n + 2.0
 
     def one(item: tuple[str, GridFunction]) -> ExperimentRow | None:
         label, f = item
-        spectrum = singular_values(_commutator(riesz, f))
+        spectrum, health = _commutator_spectrum(spec, ell, f)
         lhs = weak_quasinorm(spectrum, power)
         rhs = sobolev_seminorm(f, power)
         # constants hit this: the commutator vanishes as a matrix identity,
@@ -406,7 +475,7 @@ def bound_experiment(
         slope = fit_weak_decay(
             spectrum, power, shadow_fit_range(spectrum, power)
         ).slope
-        return ExperimentRow(label, lhs, rhs, lhs / rhs, slope)
+        return ExperimentRow(label, lhs, rhs, lhs / rhs, slope, health)
 
     items = list(family.items())
     results = _map_rows(one, items, parallel)
@@ -449,12 +518,15 @@ def trace_formula_experiment(
     if len(family) < 3:
         raise ValueError("trace-formula families need at least 3 functions")
     fibers = build_y_fibers(basis, ell)
-    # the rows only read the grid model once its Riesz matrix exists
+    # the rows only read the grid model once its Riesz matrix and sector
+    # bases exist
     build_riesz(spec, ell)
+    _model(spec).sectors()
 
     def one(item: tuple[str, GridFunction]) -> ExperimentRow | None:
         label, f = item
-        lhs = dixmier_lhs(f, ell, spec).value
+        estimate = dixmier_lhs(f, ell, spec)
+        lhs = estimate.value
         rhs = bochner_rhs(f, fibers, spec)
         if rhs == 0.0 and lhs != 0.0:
             raise ValueError(
@@ -463,7 +535,7 @@ def trace_formula_experiment(
             )
         if lhs == 0.0 or rhs == 0.0:
             return None
-        return ExperimentRow(label, lhs, rhs, lhs / rhs)
+        return ExperimentRow(label, lhs, rhs, lhs / rhs, spectrum=estimate.spectrum)
 
     items = list(family.items())
     results = _map_rows(one, items, parallel)

@@ -54,9 +54,26 @@ KERNEL_THRESHOLD = 1e-10
 _SELF_ADJOINT_RTOL = 1e-10
 _ASYMMETRY_LIMIT = 1e-8
 
+# Characters (s1, s2) of the two grid reflections P1: (x, y, t) -> (x, -y, -t)
+# and P2: (x, y, t) -> (-x, y, -t): u lies in sector (s1, s2) when
+# P1 u = s1 u and P2 u = s2 u.
+SECTORS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+
+# P_k X_ell P_k = s_k X_ell; -Delta commutes with both reflections, so the
+# Riesz transform R_ell carries the character of its field.
+_FIELD_CHARACTER = {1: (1, -1), 2: (-1, 1)}
+
 
 # ---------------------------------------------------------------------------
 # grid containers
+
+
+def _symmetric_axis(half_width: float, count: int) -> np.ndarray:
+    # exactly antisymmetric (axis[::-1] == -axis) at every count, so the grid
+    # reflections map the coordinates onto their exact negatives; at the
+    # default half-width 3 it equals np.linspace(-3, 3, count) bit for bit at
+    # counts 3, 4, 5, 7, 9, 13, 17, 25 and 33
+    return half_width * np.arange(1 - count, count, 2) / (count - 1)
 
 
 @dataclass(frozen=True)
@@ -103,15 +120,15 @@ class GridSpec:
 
     @property
     def axis_x(self) -> np.ndarray:
-        return np.linspace(-self.lx, self.lx, self.nx)
+        return _symmetric_axis(self.lx, self.nx)
 
     @property
     def axis_y(self) -> np.ndarray:
-        return np.linspace(-self.ly, self.ly, self.ny)
+        return _symmetric_axis(self.ly, self.ny)
 
     @property
     def axis_t(self) -> np.ndarray:
-        return np.linspace(-self.lt, self.lt, self.nt)
+        return _symmetric_axis(self.lt, self.nt)
 
     @property
     def spacing(self) -> tuple[float, float, float]:
@@ -269,6 +286,7 @@ class _GridModel:
         self.asymmetry_residual = asym
         self._eig: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._riesz: dict[int, np.ndarray] = {}
+        self._sectors: tuple[tuple[np.ndarray, np.ndarray], dict] | None = None
 
     def horizontal(self, ell: int) -> sparse.csr_matrix:
         if ell == 1:
@@ -302,6 +320,39 @@ class _GridModel:
             mat.flags.writeable = False
             self._riesz[ell] = mat
         return self._riesz[ell]
+
+    def sectors(self) -> tuple[tuple[np.ndarray, np.ndarray], dict]:
+        """The reflections as index maps and the orthonormal sector bases.
+
+        ``(P_k u)[i] = u[p_k[i]]`` for the maps ``(p_1, p_2)``; the bases are
+        sparse N x d matrices keyed by character (see ``SECTORS``).  Each
+        column is supported on one orbit of the reflections, so it has at
+        most four nonzeros, and the four dimensions sum to N.
+        """
+        if self._sectors is None:
+            size = self.spec.size
+            index = np.arange(size).reshape(self.spec.shape)
+            p1 = index[:, ::-1, ::-1].reshape(-1)
+            p2 = index[::-1, :, ::-1].reshape(-1)
+            orbits = np.stack([np.arange(size), p1, p2, p1[p2]])
+            # one column per orbit, named by its smallest point
+            reps = np.flatnonzero(orbits.min(axis=0) == np.arange(size))
+            columns = np.tile(np.arange(reps.size), 4)
+            bases = {}
+            for s1, s2 in SECTORS:
+                signs = np.repeat([1.0, s1, s2, s1 * s2], reps.size)
+                q = sparse.csc_matrix(
+                    (signs, (orbits[:, reps].reshape(-1), columns)),
+                    shape=(size, reps.size),
+                )
+                q.eliminate_zeros()  # orbits on which the character vanishes
+                norms = np.sqrt(np.asarray(q.multiply(q).sum(axis=0)).reshape(-1))
+                live = norms > 0.0
+                bases[(s1, s2)] = (q[:, live] @ sparse.diags(1.0 / norms[live])).tocsc()
+            for arr in (p1, p2):
+                arr.flags.writeable = False
+            self._sectors = ((p1, p2), bases)
+        return self._sectors
 
     def vertical_quarter_root(self) -> np.ndarray:
         """The fourth root of ``T*T``, exact through the vertical block structure."""

@@ -29,10 +29,12 @@ class SingularSpectrum:
     """Nonincreasing sequence of nonnegative singular values.
 
     The length always equals ``min(rows, cols)`` of the originating matrix;
-    zeros are kept, not trimmed, so the dimension stays visible.
+    zeros are kept, not trimmed, so the dimension stays visible.  ``clamped``
+    counts the values that ``singular_values`` set to zero.
     """
 
     values: np.ndarray
+    clamped: int = 0
 
     def __post_init__(self) -> None:
         vals = np.asarray(self.values, dtype=float)
@@ -67,21 +69,32 @@ class WeakFit:
     fit_range: tuple[int, int]
 
 
-def singular_values(a) -> SingularSpectrum:
-    """Singular values of a finite rectangular complex matrix.
+def singular_values(a, *blocks) -> SingularSpectrum:
+    """Singular values of a finite rectangular complex matrix, or of the
+    block-diagonal direct sum of ``a`` and ``blocks``.
 
-    Returns all ``min(rows, cols)`` values sorted nonincreasing.  Values below
-    ``CLAMP_RATIO`` times the largest one are clamped to zero.
+    Returns all ``min(rows, cols)`` values of the (summed) matrix sorted
+    nonincreasing; a sum is padded with exact zeros up to that length.
+    Values below ``CLAMP_RATIO`` times the largest one are clamped to zero.
     """
-    mat = np.asarray(a)
-    if mat.ndim != 2 or mat.size == 0:
+    mats = [np.asarray(m) for m in (a, *blocks)]
+    if any(m.ndim != 2 for m in mats):
+        raise ValueError("expected 2-d matrices")
+    length = min(sum(m.shape[0] for m in mats), sum(m.shape[1] for m in mats))
+    if length == 0:
         raise ValueError("expected a nonempty 2-d matrix")
-    if not np.all(np.isfinite(mat)):
+    if not all(np.all(np.isfinite(m)) for m in mats):
         raise ValueError("matrix entries must be finite")
-    vals = np.linalg.svd(mat, compute_uv=False)
+    parts = [np.linalg.svd(m, compute_uv=False) for m in mats if m.size]
+    vals = np.zeros(length)
+    found = np.sort(np.concatenate([np.zeros(0), *parts]))[::-1]
+    vals[: found.size] = found
+    clamped = 0
     if vals[0] > 0.0:
-        vals = np.where(vals < CLAMP_RATIO * vals[0], 0.0, vals)
-    return SingularSpectrum(vals)
+        noise = vals < CLAMP_RATIO * vals[0]
+        clamped = int(np.count_nonzero(noise & (vals > 0.0)))
+        vals = np.where(noise, 0.0, vals)
+    return SingularSpectrum(vals, clamped)
 
 
 def weak_quasinorm(spectrum: SingularSpectrum, p: float) -> float:

@@ -292,6 +292,36 @@ class TestRunCommand:
         first, second = [(tmp_path / "out" / n).read_bytes() for n in names]
         assert first == second
 
+    def test_commutator_svds_are_sector_blocks(self, tmp_path, monkeypatch):
+        # every shipped bound and trace function has exact reflection parity,
+        # so no SVD sees the full 729 x 729 commutator
+        svd = np.linalg.svd
+        shapes = []
+
+        def recording_svd(a, *args, **kwargs):
+            shapes.append(np.shape(a)[-2:])
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        path = write_config(tmp_path)
+        for suite in ("bound", "trace"):
+            run_suite(load_config(path, {"suite": suite}))
+        assert shapes
+        assert (9**3, 9**3) not in shapes
+        assert max(max(shape) for shape in shapes) <= 189
+        for suite in ("bound", "trace"):
+            (artifact,) = (tmp_path / "out").glob(f"{suite}_*.json")
+            extra = json.loads(artifact.read_text())["extra"]
+            tables = [k for k, v in extra.items() if isinstance(v, dict) and "rows" in v]
+            health = extra["spectrum"]
+            assert "rows" not in health
+            labels = [row["label"] for t in tables for row in extra[t]["rows"]]
+            assert set(health) == set(labels)
+            for record in health.values():
+                assert record["sector"] in ("++", "+-", "-+", "--")
+                assert record["clamped"] >= 0
+                assert 0.0 < record["min_kept_ratio"] <= 1.0
+
     def test_module_entry_point(self, tmp_path):
         result = subprocess.run(
             [

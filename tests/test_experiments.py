@@ -28,6 +28,7 @@ from heislab.experiments import (
     vertical_mixing_residual,
 )
 from heislab.grid import GridFunction, GridSpec, build_riesz
+from heislab.schatten import CLAMP_RATIO, singular_values
 from heislab.oscillator import (
     enumerate_basis,
     fiber_identity,
@@ -183,6 +184,58 @@ class TestDixmierLhs:
         values[4, 4, 4] = 1.0
         with pytest.raises(ValueError, match="window too small"):
             dixmier_lhs(GridFunction(SPEC, values), 1, SPEC)
+
+
+def oracle_functions(spec):
+    """Every function of the families whose commutator spectra are reported."""
+    return {
+        label: f
+        for name in ("bumps", "decay", "trace")
+        for label, f in named_family(name, spec).items()
+    }
+
+
+class TestCommutatorSpectrum:
+    """The reflection-sector spectrum against the dense SVD oracle."""
+
+    @pytest.mark.parametrize("count", [9, 13])
+    @pytest.mark.parametrize("ell", [1, 2])
+    def test_sectors_match_dense_svd(self, count, ell):
+        spec = GridSpec.cube(count)
+        riesz = build_riesz(spec, ell).matrix
+        for label, f in oracle_functions(spec).items():
+            spectrum, health = experiments._commutator_spectrum(spec, ell, f)
+            dense = np.linalg.svd(experiments._commutator(riesz, f), compute_uv=False)
+            oracle = np.where(dense < CLAMP_RATIO * dense[0], 0.0, dense)
+            assert health["sector"] != "full", label
+            assert len(spectrum) == spec.size
+            assert np.abs(spectrum.values - oracle).max() <= 1e-13 * dense[0], label
+            assert np.count_nonzero(spectrum.values) == np.count_nonzero(oracle), label
+
+    def test_health_record(self):
+        f = grid_fn(lambda x, y, t: x * np.exp(-(x * x + y * y + t * t)))
+        spectrum, health = experiments._commutator_spectrum(SPEC, 1, f)
+        # R_1 and the odd-in-x function both have character (+,-)
+        assert health["sector"] == "++"
+        assert health["clamped"] == spectrum.clamped
+        kept = spectrum.values[spectrum.values > 0.0]
+        assert health["min_kept_ratio"] == kept[-1] / kept[0]
+
+    def test_no_parity_takes_the_full_matrix(self):
+        f = grid_fn(lambda x, y, t: np.exp(-((x - 0.7) ** 2 + y * y + t * t)))
+        spectrum, health = experiments._commutator_spectrum(SPEC, 1, f)
+        full = singular_values(experiments._commutator(build_riesz(SPEC, 1).matrix, f))
+        assert health["sector"] == "full"
+        assert np.array_equal(spectrum.values, full.values)
+        assert spectrum.clamped == full.clamped
+
+    def test_grid_11_rows_take_the_sector_path(self):
+        # 11 is a size where np.linspace axes are not exactly antisymmetric
+        spec = GridSpec.cube(11)
+        report = bound_experiment(spec, named_family("bumps", spec), 1)
+        assert [row.spectrum["sector"] for row in report.rows] == [
+            "+-", "+-", "+-", "++", "-+"
+        ]
 
 
 class TestBoundExperiment:

@@ -6,7 +6,9 @@ from scipy import sparse
 
 from heislab.experiments import _commutator
 from heislab.grid import (
+    _FIELD_CHARACTER,
     KERNEL_THRESHOLD,
+    SECTORS,
     GridFunction,
     GridOperator,
     GridSpec,
@@ -72,6 +74,19 @@ class TestGridSpec:
         assert spec.axis_x[0] == -3.0 and spec.axis_x[-1] == 3.0
         assert spec.axis_x[4] == 0.0
         np.testing.assert_allclose(spec.axis_t, -spec.axis_t[::-1])
+
+    def test_axes_exactly_antisymmetric(self):
+        # exact parity of the shipped functions needs axis[::-1] == -axis
+        for count in range(3, 42):
+            axis = GridSpec.cube(count, cap=count**3).axis_x
+            assert np.array_equal(axis[::-1], -axis), count
+            assert axis[0] == -3.0 and axis[-1] == 3.0
+
+    def test_axes_equal_linspace_at_shipped_sizes(self):
+        # the artifacts of these grids were written with np.linspace axes
+        for count in (3, 4, 5, 7, 9, 13, 17, 25, 33):
+            spec = GridSpec.cube(count, cap=count**3)
+            assert np.array_equal(spec.axis_t, np.linspace(-3.0, 3.0, count))
 
     def test_cell_volume(self):
         spec = GridSpec.cube(7, 3.0)
@@ -215,6 +230,64 @@ class TestRiesz:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             build_riesz(SPEC, 3)
+
+
+def reflection_matrices(spec):
+    (p1, p2), _ = _model(spec).sectors()
+    eye = sparse.identity(spec.size, format="csr")
+    return eye[p1], eye[p2]
+
+
+class TestReflectionSectors:
+    @pytest.mark.parametrize(
+        "count, dims",
+        [(4, [16, 16, 16, 16]), (9, [189, 180, 180, 180]), (13, [559, 546, 546, 546])],
+    )
+    def test_orthonormal_bases_split_the_grid(self, count, dims):
+        spec = GridSpec.cube(count)
+        _, bases = _model(spec).sectors()
+        assert tuple(bases) == SECTORS
+        assert [q.shape[1] for q in bases.values()] == dims
+        assert sum(dims) == spec.size
+        assert max(np.diff(q.indptr).max() for q in bases.values()) <= 4
+        full = sparse.hstack(list(bases.values())).toarray()
+        np.testing.assert_allclose(full.T @ full, np.eye(spec.size), atol=1e-15)
+
+    def test_bases_carry_their_character(self):
+        p1, p2 = reflection_matrices(SPEC)
+        _, bases = _model(SPEC).sectors()
+        for (s1, s2), q in bases.items():
+            assert abs(p1 @ q - s1 * q).max() == 0.0
+            assert abs(p2 @ q - s2 * q).max() == 0.0
+
+    def test_reflections_act_on_coordinates(self):
+        (p1, p2), _ = _model(SPEC).sectors()
+        xs, ys, ts = (
+            a.reshape(-1)
+            for a in np.meshgrid(SPEC.axis_x, SPEC.axis_y, SPEC.axis_t, indexing="ij")
+        )
+        assert np.array_equal(xs[p1], xs) and np.array_equal(ys[p1], -ys)
+        assert np.array_equal(xs[p2], -xs) and np.array_equal(ys[p2], ys)
+        assert np.array_equal(ts[p1], -ts) and np.array_equal(ts[p2], -ts)
+
+    def test_fields_have_exact_character(self):
+        p1, p2 = reflection_matrices(SPEC)
+        model = _model(SPEC)
+        for ell, (s1, s2) in _FIELD_CHARACTER.items():
+            field_mat = model.horizontal(ell)
+            assert abs(p1 @ field_mat @ p1 - s1 * field_mat).max() == 0.0
+            assert abs(p2 @ field_mat @ p2 - s2 * field_mat).max() == 0.0
+
+    @pytest.mark.parametrize("count", [9, 13])
+    def test_riesz_reflection_residual(self, count):
+        spec = GridSpec.cube(count)
+        (p1, p2), _ = _model(spec).sectors()
+        for ell, (s1, s2) in _FIELD_CHARACTER.items():
+            riesz = build_riesz(spec, ell).matrix
+            scale = np.linalg.norm(riesz)
+            for p, s in ((p1, s1), (p2, s2)):
+                gap = riesz[np.ix_(p, p)] - s * riesz
+                assert np.linalg.norm(gap) <= 1e-13 * scale
 
 
 class TestMultiplicationAndCommutator:

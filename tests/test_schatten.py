@@ -45,6 +45,38 @@ class TestSingularValues:
         with pytest.raises(ValueError, match="finite"):
             singular_values(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
+    def test_direct_sum_matches_block_diagonal(self):
+        from scipy.linalg import block_diag
+
+        rng = np.random.default_rng(11)
+        blocks = [random_complex(rng, shape) for shape in ((3, 5), (4, 2), (2, 2))]
+        summed = singular_values(*blocks)
+        # 3 + 2 + 2 block values, padded with exact zeros to min(9, 9)
+        assert len(summed) == 9
+        assert np.array_equal(summed.values[7:], [0.0, 0.0])
+        np.testing.assert_allclose(
+            summed.values, singular_values(block_diag(*blocks)).values, atol=1e-12
+        )
+
+    def test_direct_sum_clamps_against_the_largest_block_value(self):
+        s = singular_values(np.diag([2.0, 0.5]), np.array([[1e-14]]))
+        np.testing.assert_array_equal(s.values, [2.0, 0.5, 0.0])
+        assert s.clamped == 1
+
+    def test_empty_blocks_are_skipped(self):
+        s = singular_values(np.zeros((0, 2)), np.eye(2))
+        np.testing.assert_array_equal(s.values, [1.0, 1.0])
+        # a 0 x 2 and a 3 x 0 block sum to the 3 x 2 zero matrix
+        s = singular_values(np.zeros((0, 2)), np.zeros((3, 0)))
+        np.testing.assert_array_equal(s.values, [0.0, 0.0])
+        with pytest.raises(ValueError, match="nonempty"):
+            singular_values(np.zeros((0, 2)), np.zeros((0, 3)))
+
+    def test_clamp_count(self):
+        s = singular_values(np.diag([1.0, 1e-14, 0.0]))
+        np.testing.assert_array_equal(s.values, [1.0, 0.0, 0.0])
+        assert s.clamped == 1
+
     def test_unitary_invariance(self):
         rng = np.random.default_rng(42)
         a = random_complex(rng, (8, 8))

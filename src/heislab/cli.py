@@ -112,7 +112,6 @@ _CONFIG_KEYS = (
     "ell",
     "seed",
     "output_dir",
-    "parallel",
     "thresholds",
 )
 
@@ -145,7 +144,6 @@ class RunConfig:
     ell: int = 1
     seed: int = 42
     output_dir: str = "lab_out"
-    parallel: bool = False
     thresholds: Mapping[str, Mapping[str, float]] = field(
         default_factory=lambda: DEFAULT_THRESHOLDS
     )
@@ -197,9 +195,9 @@ class RunConfig:
     def canonical(self, suite: str) -> dict:
         """Digest-stable view of the settings that shape this suite's numbers.
 
-        The output directory and the parallel switch are excluded: neither
-        changes a computed value, so two runs differing only there share a
-        digest and must produce byte-identical artifacts.
+        The output directory is excluded: it changes no computed value, so
+        two runs differing only there share a digest and must produce
+        byte-identical artifacts.
         """
         return {
             "suite": suite,
@@ -590,8 +588,10 @@ def _run_grid(config: RunConfig) -> SuiteOutcome:
     checks: list[dict] = []
     diagnostics: dict[str, dict] = {}
     worst_split = 0.0
-    for label, f in named_family("trace", spec).items():
-        split = riesz_decomposition_residual(spec, f, config.ell)
+    splits = riesz_decomposition_residual(
+        spec, named_family("trace", spec), config.ell
+    )
+    for label, split in splits.items():
         checks.append(
             _check("decomposition_margin", f"split_{label}", split.relative_residual, 1e-9)
         )
@@ -633,9 +633,7 @@ def _run_bound(config: RunConfig) -> SuiteOutcome:
     decay_family = named_family("decay", spec)
     # a label names the same function in every family, so rows shared by
     # the two families are computed once
-    union = bound_experiment(
-        spec, {**ratio_family, **decay_family}, config.ell, parallel=config.parallel
-    )
+    union = bound_experiment(spec, {**ratio_family, **decay_family}, config.ell)
     report = bound_subreport(union, spec, config.ell, ratio_family)
     decay_report = bound_subreport(union, spec, config.ell, decay_family)
     spread = report.summary.max_ratio / report.summary.min_ratio
@@ -663,9 +661,7 @@ def _run_trace(config: RunConfig) -> SuiteOutcome:
     spec = _grid_spec(config)
     basis = enumerate_basis(1, config.hermite_K)
     family = named_family(config.family or "trace", spec)
-    report = trace_formula_experiment(
-        family, config.ell, spec, basis, parallel=config.parallel
-    )
+    report = trace_formula_experiment(family, config.ell, spec, basis)
     checks = [
         _check("variation_margin", "ratio_variation", report.summary.variation, 0.5)
     ]
@@ -981,11 +977,6 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, help="seed for random instances")
     parser.add_argument("--out", help="output directory for artifacts")
     parser.add_argument("--family", help="named test-function family")
-    parser.add_argument(
-        "--parallel",
-        action="store_true",
-        help="compute experiment rows concurrently",
-    )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -1017,7 +1008,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         "seed": args.seed,
         "output_dir": args.out,
         "family": args.family,
-        "parallel": True if args.parallel else None,
     }
     return load_config(args.config, overrides)
 

@@ -11,8 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from collections.abc import Callable, Mapping, Sequence
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -147,7 +146,13 @@ class ExperimentReport:
         return replace(self, sweep=tuple(sweep))
 
 
-def _build_report(digest, rows, excluded) -> ExperimentReport:
+def _build_report(
+    digest: str, results: Mapping[str, ExperimentRow | None]
+) -> ExperimentReport:
+    """The report of ``results`` in their order; a label mapped to None is
+    a degenerate input and goes to ``excluded``."""
+    rows = [row for row in results.values() if row is not None]
+    excluded = [label for label, row in results.items() if row is None]
     if not rows:
         raise ValueError(
             "test family is degenerate: every function produced a zero row"
@@ -437,34 +442,15 @@ def dixmier_lhs(f: GridFunction, ell: int, spec: GridSpec) -> DixmierEstimate:
     )
 
 
-def _map_rows(
-    worker: Callable[[tuple[str, GridFunction]], ExperimentRow | None],
-    items: Sequence[tuple[str, GridFunction]],
-    parallel: bool,
-) -> list[ExperimentRow | None]:
-    """Row results in input order; each row is dominated by one BLAS
-    factorization that releases the interpreter lock, so threads suffice."""
-    if not parallel:
-        return [worker(item) for item in items]
-    with ThreadPoolExecutor() as pool:
-        return list(pool.map(worker, items))
-
-
 def bound_experiment(
     spec: GridSpec,
     family: Mapping[str, GridFunction],
     ell: int,
-    parallel: bool = False,
 ) -> ExperimentReport:
     """Weak-norm of the commutator against the horizontal Sobolev seminorm."""
-    # the rows only read the grid model once its Riesz matrix and sector
-    # bases exist
-    build_riesz(spec, ell)
-    _model(spec).sectors()
     power = 2.0 * spec.n + 2.0
 
-    def one(item: tuple[str, GridFunction]) -> ExperimentRow | None:
-        label, f = item
+    def row(label: str, f: GridFunction) -> ExperimentRow | None:
         spectrum, health = _commutator_spectrum(spec, ell, f)
         lhs = weak_quasinorm(spectrum, power)
         rhs = sobolev_seminorm(f, power)
@@ -477,11 +463,8 @@ def bound_experiment(
         ).slope
         return ExperimentRow(label, lhs, rhs, lhs / rhs, slope, health)
 
-    items = list(family.items())
-    results = _map_rows(one, items, parallel)
-    rows = [row for row in results if row is not None]
-    excluded = [item[0] for item, row in zip(items, results) if row is None]
-    return _build_report(_bound_digest(spec, ell, family), rows, excluded)
+    results = {label: row(label, f) for label, f in family.items()}
+    return _build_report(_bound_digest(spec, ell, family), results)
 
 
 def _bound_digest(spec: GridSpec, ell: int, labels) -> str:
@@ -502,9 +485,8 @@ def bound_subreport(
     a row.
     """
     by_label = {row.label: row for row in report.rows}
-    rows = [by_label[k] for k in labels if k not in report.excluded]
-    excluded = [k for k in labels if k in report.excluded]
-    return _build_report(_bound_digest(spec, ell, labels), rows, excluded)
+    results = {k: None if k in report.excluded else by_label[k] for k in labels}
+    return _build_report(_bound_digest(spec, ell, labels), results)
 
 
 def trace_formula_experiment(
@@ -512,19 +494,13 @@ def trace_formula_experiment(
     ell: int,
     spec: GridSpec,
     basis: MultiIndexBasis,
-    parallel: bool = False,
 ) -> ExperimentReport:
     """Ratio constancy of the grid trace estimate against the fiber mass."""
     if len(family) < 3:
         raise ValueError("trace-formula families need at least 3 functions")
     fibers = build_y_fibers(basis, ell)
-    # the rows only read the grid model once its Riesz matrix and sector
-    # bases exist
-    build_riesz(spec, ell)
-    _model(spec).sectors()
 
-    def one(item: tuple[str, GridFunction]) -> ExperimentRow | None:
-        label, f = item
+    def row(label: str, f: GridFunction) -> ExperimentRow | None:
         estimate = dixmier_lhs(f, ell, spec)
         lhs = estimate.value
         rhs = bochner_rhs(f, fibers, spec)
@@ -537,15 +513,12 @@ def trace_formula_experiment(
             return None
         return ExperimentRow(label, lhs, rhs, lhs / rhs, spectrum=estimate.spectrum)
 
-    items = list(family.items())
-    results = _map_rows(one, items, parallel)
-    rows = [row for row in results if row is not None]
-    excluded = [item[0] for item, row in zip(items, results) if row is None]
+    results = {label: row(label, f) for label, f in family.items()}
     digest = config_digest(
         {"experiment": "trace", "grid": spec.shape, "ell": ell,
          "cutoff": basis.K, "family": sorted(family)}
     )
-    return _build_report(digest, rows, excluded)
+    return _build_report(digest, results)
 
 
 # ---------------------------------------------------------------------------
@@ -646,6 +619,8 @@ def product_trace_check(
     functions (conjugated on odd slots) times the two-component trace of the
     corresponding fiber product.
     """
+    if len({case.label for case in cases}) != len(cases):
+        raise ValueError("product case labels must be distinct")
     expected = 2 * spec.n + 2
     for case in cases:
         if len(case.functions) != expected:
@@ -656,8 +631,7 @@ def product_trace_check(
     # each distinct factor is realized once and shared by every slot using it
     names = dict.fromkeys(name for case in cases for name in case.factors)
     factors = {name: product_factor(spec, basis, name) for name in names}
-    rows: list[ExperimentRow] = []
-    excluded: list[str] = []
+    results: dict[str, ExperimentRow | None] = {}
     for case in cases:
         realized = [factors[name] for name in case.factors]
         grid_product: np.ndarray | None = None
@@ -679,16 +653,16 @@ def product_trace_check(
         lhs = eigenvalue_trace_approximant(np.linalg.eigvals(grid_product))
         trace_factor = tr_sigma(fiber_product).real
         rhs = float(spec.cell_volume * np.sum(integrand).real * trace_factor)
-        if rhs == 0.0 and abs(lhs) < 1e-12:
-            excluded.append(case.label)
-            continue
-        rows.append(ExperimentRow(case.label, lhs, rhs, lhs / rhs))
+        degenerate = rhs == 0.0 and abs(lhs) < 1e-12
+        results[case.label] = (
+            None if degenerate else ExperimentRow(case.label, lhs, rhs, lhs / rhs)
+        )
     digest = config_digest(
         {"experiment": "product", "grid": spec.shape,
          "cutoff": basis.K,
          "cases": [case.label for case in cases]}
     )
-    return _build_report(digest, rows, excluded)
+    return _build_report(digest, results)
 
 
 # ---------------------------------------------------------------------------

@@ -19,12 +19,14 @@ from __future__ import annotations
 import functools
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import linalg as sparse_linalg
 
 __all__ = [
     "KERNEL_THRESHOLD",
@@ -252,8 +254,8 @@ class _GridModel:
     """Sparse stencils plus the one spectral calculus of the grid.
 
     Powers of the sub-Laplacian vanish on its numerical kernel (the
-    pseudo-inverse policy).  The lazy eigendecomposition and Riesz matrices
-    hold no lock: callers fanning out over threads build them first.
+    pseudo-inverse policy).  The eigendecomposition, Riesz matrices and
+    sector bases are built on first use.
     """
 
     def __init__(self, spec: GridSpec):
@@ -534,53 +536,58 @@ class RieszSplitReport:
 
 
 def riesz_decomposition_residual(
-    spec: GridSpec, f: GridFunction, ell: int = 1
-) -> RieszSplitReport:
+    spec: GridSpec, functions: Mapping[str, GridFunction], ell: int = 1
+) -> dict[str, RieszSplitReport]:
     """Residual of the two-term split of ``[R, M_f]`` on the kernel complement.
 
     Compares ``[R, M_f]`` against
     ``[X, M_f] (-Delta)^{-1/2} - R [(-Delta)^{1/2}, M_f] (-Delta)^{-1/2}``,
-    all factors projected off the numerical kernel.  The derivative term is
-    kept in commutator form; the gap between ``[X, M_f]`` and multiplication
-    by the discrete derivative (the Leibniz defect of centered differences)
-    is reported separately, normalized by the derivative's own size.
+    all factors projected off the numerical kernel, for every function of
+    ``functions``; the powers and ``R`` are built once and shared.  The
+    derivative term is kept in commutator form; the gap between ``[X, M_f]``
+    and multiplication by the discrete derivative (the Leibniz defect of
+    centered differences) is reported separately, normalized by the
+    derivative's own size.
     """
-    if f.spec != spec:
+    if any(f.spec != spec for f in functions.values()):
         raise ValueError("function lives on a different grid")
     model = _model(spec)
     inv_sqrt = model.power(-0.5)
     sqrt_mat = model.power(0.5)
     x_mat = model.horizontal(ell)
     riesz = x_mat @ inv_sqrt
-    fv = f.flat
-
-    lhs = riesz * fv[None, :] - fv[:, None] * riesz
-    term1 = x_mat @ (fv[:, None] * inv_sqrt) - fv[:, None] * (x_mat @ inv_sqrt)
-    comm_sqrt = sqrt_mat * fv[None, :] - fv[:, None] * sqrt_mat
-    term2 = riesz @ (comm_sqrt @ inv_sqrt)
-    gap = lhs - (term1 - term2)
-
     kernel_dim = int(np.count_nonzero(~model.eig()[2]))
-    if kernel_dim:
-        proj = model.power(0.0)
-        gap = proj @ gap @ proj
-        lhs = proj @ lhs @ proj
+    proj = model.power(0.0) if kernel_dim else None
 
-    lhs_norm = float(np.linalg.norm(lhs))
-    absolute = float(np.linalg.norm(gap))
-    derivative = x_mat @ fv
-    x_dense = x_mat.toarray()
-    defect = x_dense * fv[None, :] - fv[:, None] * x_dense - np.diag(derivative)
-    defect_norm = float(
-        np.linalg.norm(defect) / max(np.linalg.norm(derivative), 1e-30)
-    )
-    return RieszSplitReport(
-        relative_residual=absolute / max(lhs_norm, 1e-30),
-        absolute_residual=absolute,
-        lhs_norm=lhs_norm,
-        leibniz_defect=defect_norm,
-        kernel_dimension=kernel_dim,
-    )
+    def split(f: GridFunction) -> RieszSplitReport:
+        fv = f.flat
+        lhs = riesz * fv[None, :] - fv[:, None] * riesz
+        term1 = x_mat @ (fv[:, None] * inv_sqrt) - fv[:, None] * riesz
+        comm_sqrt = sqrt_mat * fv[None, :] - fv[:, None] * sqrt_mat
+        term2 = riesz @ (comm_sqrt @ inv_sqrt)
+        gap = lhs - (term1 - term2)
+        if proj is not None:
+            gap = proj @ gap @ proj
+            lhs = proj @ lhs @ proj
+        lhs_norm = float(np.linalg.norm(lhs))
+        absolute = float(np.linalg.norm(gap))
+        derivative = x_mat @ fv
+        defect = (
+            x_mat.multiply(fv[None, :])
+            - x_mat.multiply(fv[:, None])
+            - sparse.diags(derivative)
+        )
+        return RieszSplitReport(
+            relative_residual=absolute / max(lhs_norm, 1e-30),
+            absolute_residual=absolute,
+            lhs_norm=lhs_norm,
+            leibniz_defect=float(
+                sparse_linalg.norm(defect) / max(np.linalg.norm(derivative), 1e-30)
+            ),
+            kernel_dimension=kernel_dim,
+        )
+
+    return {label: split(f) for label, f in functions.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -236,6 +236,16 @@ def tr_sigma(x: FiberOperator) -> complex:
     return complex(np.trace(x.minus) + np.trace(x.plus))
 
 
+def _pooled_singular_values(x: FiberOperator) -> np.ndarray:
+    """Singular values of the minus block followed by those of the plus block."""
+    return np.concatenate(
+        [
+            np.linalg.svd(x.minus, compute_uv=False),
+            np.linalg.svd(x.plus, compute_uv=False),
+        ]
+    )
+
+
 def fiber_schatten_norm(x: FiberOperator, p: float) -> float:
     """Schatten p-norm with respect to the two-component trace.
 
@@ -243,10 +253,5 @@ def fiber_schatten_norm(x: FiberOperator, p: float) -> float:
     """
     if p < 1.0:
         raise ValueError("Schatten exponent must be >= 1")
-    vals = np.concatenate(
-        [
-            np.linalg.svd(x.minus, compute_uv=False),
-            np.linalg.svd(x.plus, compute_uv=False),
-        ]
-    )
+    vals = _pooled_singular_values(x)
     return float(np.sum(vals**p) ** (1.0 / p))

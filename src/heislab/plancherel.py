@@ -18,7 +18,12 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy import integrate, optimize
 
-from .oscillator import FiberOperator, MultiIndexBasis, oscillator_matrix
+from .oscillator import (
+    FiberOperator,
+    MultiIndexBasis,
+    _pooled_singular_values,
+    oscillator_matrix,
+)
 
 __all__ = [
     "NonIntegrableError",
@@ -253,15 +258,6 @@ def tau_radial(
     if not math.isfinite(total) or total_err > max(1e-7, 1e-7 * abs(total)):
         raise NonIntegrableError("profile failed to integrate against s^n")
     return total
-
-
-def _pooled_singular_values(x: FiberOperator) -> np.ndarray:
-    return np.concatenate(
-        [
-            np.linalg.svd(x.minus, compute_uv=False),
-            np.linalg.svd(x.plus, compute_uv=False),
-        ]
-    )
 
 
 def weak_norm_lift(

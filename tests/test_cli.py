@@ -4,6 +4,7 @@ Grid-backed suites run on a 9-point axis here so the whole file stays fast;
 the physics-grade defaults are exercised by the acceptance tests.
 """
 
+import argparse
 import json
 import subprocess
 import sys
@@ -12,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from heislab import cli
 from heislab.cli import (
     DEFAULT_THRESHOLDS,
     RunConfig,
@@ -24,7 +26,7 @@ from heislab.cli import (
     run_suite,
     sweep,
 )
-from heislab.grid import _model
+from heislab.grid import _GridModel, _model
 
 
 def write_config(tmp_path, **entries):
@@ -92,6 +94,36 @@ PINNED_CHECKS = {
     },
 }
 
+# every config key and every command-line option, written out so that a
+# change which adds or drops a knob fails here
+PINNED_CONFIG_KEYS = (
+    "suite", "grid_size", "hermite_n", "hermite_K", "quad_s_min", "quad_s_max",
+    "quad_nodes_per_decade", "family", "ell", "seed", "output_dir", "thresholds",
+)
+_RUN_OPTIONS = (
+    "-h", "--help", "--config", "--suite", "--grid", "--hermite-K", "--seed",
+    "--out", "--family",
+)
+PINNED_OPTIONS = {
+    "run": _RUN_OPTIONS,
+    "sweep": _RUN_OPTIONS + ("--axis", "--values"),
+    "report": ("-h", "--help", "--out"),
+}
+
+
+def test_every_option_is_pinned():
+    assert cli._CONFIG_KEYS == PINNED_CONFIG_KEYS
+    (commands,) = [
+        action
+        for action in cli._build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    options = {
+        name: {opt for action in parser._actions for opt in action.option_strings}
+        for name, parser in commands.choices.items()
+    }
+    assert options == {name: set(opts) for name, opts in PINNED_OPTIONS.items()}
+
 
 class TestConfigHandling:
     def test_defaults(self):
@@ -108,9 +140,10 @@ class TestConfigHandling:
 
     def test_unknown_config_key(self, tmp_path):
         path = tmp_path / "config.json"
-        path.write_text(json.dumps({"grdi_size": 9}))
-        with pytest.raises(UsageError, match="unknown config key"):
-            load_config(path)
+        for entries in ({"grdi_size": 9}, {"parallel": True}):
+            path.write_text(json.dumps(entries))
+            with pytest.raises(UsageError, match="unknown config key"):
+                load_config(path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(UsageError, match="not found"):
@@ -161,7 +194,7 @@ class TestConfigHandling:
             RunConfig(quad_s_min=2.0, quad_s_max=1.0)
 
     def test_canonical_excludes_execution_details(self):
-        loud = RunConfig(suite="hermite", output_dir="/somewhere", parallel=True)
+        loud = RunConfig(suite="hermite", output_dir="/somewhere")
         quiet = RunConfig(suite="hermite")
         assert loud.canonical("hermite") == quiet.canonical("hermite")
 
@@ -272,8 +305,8 @@ class TestRunCommand:
             checks = {(c["name"], c["allowed"], c["mode"]) for c in payload["checks"]}
             assert checks == pinned, payload["suite"]
 
-    def test_parallel_matches_serial(self, tmp_path, monkeypatch):
-        # parallel rows start on a cold model cache and share one eigh
+    def test_cold_trace_run_does_one_eigh(self, tmp_path, monkeypatch):
+        # every row of a run starting on a cold model cache shares one eigh
         eigh = np.linalg.eigh
         sizes = []
 
@@ -284,13 +317,21 @@ class TestRunCommand:
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         _model.cache_clear()
         path = write_config(tmp_path)
-        run_suite(load_config(path, {"suite": "trace", "parallel": True}))
-        assert sizes.count(9**3) == 1
         run_suite(load_config(path, {"suite": "trace"}))
-        names = sorted(p.name for p in (tmp_path / "out").glob("trace_*.json"))
-        assert len(names) == 2
-        first, second = [(tmp_path / "out" / n).read_bytes() for n in names]
-        assert first == second
+        assert sizes.count(9**3) == 1
+
+    def test_grid_suite_takes_each_power_once(self, tmp_path, monkeypatch):
+        # the split residuals of the whole family share one set of powers
+        power = _GridModel.power
+        exponents = []
+
+        def counting_power(self, exponent):
+            exponents.append(exponent)
+            return power(self, exponent)
+
+        monkeypatch.setattr(_GridModel, "power", counting_power)
+        cli._run_grid(load_config(write_config(tmp_path), {"suite": "grid"}))
+        assert exponents == [-0.5, 0.5, 0.0]
 
     def test_commutator_svds_are_sector_blocks(self, tmp_path, monkeypatch):
         # every shipped bound and trace function has exact reflection parity,

@@ -14,6 +14,7 @@ from heislab.experiments import (
     bochner_rhs,
     bochner_rhs_combined,
     bound_experiment,
+    bound_subreport,
     build_y_fibers,
     config_digest,
     dixmier_lhs,
@@ -266,6 +267,17 @@ class TestBoundExperiment:
         with pytest.raises(ValueError, match="degenerate"):
             bound_experiment(SPEC, family, 1)
 
+    def test_subreport_equals_direct_run(self):
+        family = dict(named_family("trace", SPEC))
+        family["flat"] = grid_fn(lambda x, y, t: np.ones_like(x))
+        union = bound_experiment(SPEC, family, 1)
+        labels = ["flat", "gauss_narrow", "gauss_wide"]
+        direct = bound_experiment(SPEC, {k: family[k] for k in labels}, 1)
+        assert bound_subreport(union, SPEC, 1, labels) == direct
+        assert direct.excluded == ("flat",)
+        with pytest.raises(KeyError):
+            bound_subreport(union, SPEC, 1, ["gauss_wide", "absent"])
+
 
 class TestTraceFormula:
     def test_ratio_consistency(self):
@@ -319,6 +331,12 @@ class TestProductTrace:
         report = product_trace_check(cases, SPEC, BASIS)
         assert report.excluded == ("zeroed",)
         assert len(report.rows) == 1
+
+    def test_duplicate_labels_rejected(self):
+        f = wide_bump()
+        case = ProductCase("twice", (f, f, f, f), ("identity",) * 4)
+        with pytest.raises(ValueError, match="distinct"):
+            product_trace_check([case, case], SPEC, BASIS)
 
     def test_catalog_spread(self, monkeypatch):
         resolved = []

@@ -454,19 +454,45 @@ class TestQuarterRotation:
 
 class TestRieszDecomposition:
     def test_split_identity_on_kernel_complement(self):
-        report = riesz_decomposition_residual(SPEC, bump(SPEC), 1)
+        report = riesz_decomposition_residual(SPEC, {"bump": bump(SPEC)}, 1)["bump"]
         assert report.relative_residual <= 1e-9
         assert report.kernel_dimension >= 1
 
     def test_second_direction(self):
-        report = riesz_decomposition_residual(SPEC, bump(SPEC), 2)
+        report = riesz_decomposition_residual(SPEC, {"bump": bump(SPEC)}, 2)["bump"]
         assert report.relative_residual <= 1e-9
 
     def test_leibniz_defect_is_order_one(self):
         # centered differences do not satisfy the product rule as matrices;
         # this is why the derivative term stays in commutator form
-        report = riesz_decomposition_residual(SPEC, bump(SPEC), 1)
+        report = riesz_decomposition_residual(SPEC, {"bump": bump(SPEC)}, 1)["bump"]
         assert report.leibniz_defect > 0.1
+
+    def test_leibniz_defect_matches_dense(self):
+        f = GridFunction.from_callable(
+            SPEC, lambda x, y, t: (1.0 + x) * np.exp(-(x * x + y * y + t * t))
+        )
+        report = riesz_decomposition_residual(SPEC, {"f": f}, 1)["f"]
+        x_dense = _model(SPEC).x_field.toarray()
+        derivative = x_dense @ f.flat
+        defect = x_dense * f.flat[None, :] - f.flat[:, None] * x_dense
+        expected = np.linalg.norm(defect - np.diag(derivative)) / np.linalg.norm(
+            derivative
+        )
+        assert report.leibniz_defect == pytest.approx(expected, rel=1e-13)
+
+    def test_family_call_matches_single_calls(self):
+        family = {"bump": bump(SPEC), "wide": 2.0 * bump(SPEC) * bump(SPEC)}
+        together = riesz_decomposition_residual(SPEC, family, 1)
+        assert list(together) == ["bump", "wide"]
+        for label, f in family.items():
+            alone = riesz_decomposition_residual(SPEC, {label: f}, 1)[label]
+            assert together[label] == alone
+
+    def test_rejects_function_on_other_grid(self):
+        other = GridSpec.cube(7)
+        with pytest.raises(ValueError, match="different grid"):
+            riesz_decomposition_residual(SPEC, {"f": bump(other)}, 1)
 
 
 class TestCwikelSurrogate:

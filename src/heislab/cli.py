@@ -57,7 +57,7 @@ from .experiments import (
     report_as_dict,
     trace_formula_experiment,
 )
-from .grid import GridSpec, quarter_rotation, riesz_decomposition_residual
+from .grid import GridSpec, _model, quarter_rotation, riesz_decomposition_residual
 from .oscillator import (
     FiberOperator,
     enumerate_basis,
@@ -617,7 +617,8 @@ def _run_grid(config: RunConfig) -> SuiteOutcome:
         _aggregate("grid", checks),
         "split_residual",
         worst_split,
-        {"diagnostics": diagnostics},
+        # lowest level of each t-block over |mu|; the continuum fibre gives 2
+        {"diagnostics": diagnostics, "levels": _model(spec).levels()},
     )
 
 

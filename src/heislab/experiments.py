@@ -72,7 +72,6 @@ __all__ = [
     "report_as_dict",
     "theorem_combination",
     "trace_formula_experiment",
-    "vertical_mixing_residual",
 ]
 
 #: singular Gram matrices below this eigenvalue flag an independence failure
@@ -544,33 +543,26 @@ def eigenvalue_trace_approximant(eigenvalues: np.ndarray, window: int | None = N
 
 
 def _grid_symbol_realization(spec: GridSpec, k: int) -> np.ndarray:
-    """Grid counterpart of the k-th commutator symbol via the entrywise kernel."""
+    """Grid counterpart of the k-th commutator symbol via the entrywise kernel.
+
+    ``X_k`` and ``-Delta`` share the t-block structure, so the double
+    operator integral is taken block by block, each block with its own table.
+    """
     model = _model(spec)
-    w, u, live = model.eig()
+    w, v, live = model.eig()
     # kernel modes get a placeholder 1 so the table stays finite; their
     # rows and columns are zeroed below
     safe = np.where(live, w, 1.0)
     quarter = np.where(live, safe**-0.25, 0.0)
+    fourth = safe**0.25
     root = np.sqrt(safe)
-    table = 2.0 * np.outer(safe**0.25, safe**0.25) / (root[:, None] + root[None, :])
-    table *= np.outer(live, live)
-    core = quarter[:, None] * (u.T @ (model.horizontal(k) @ u)) * quarter[None, :]
-    return u @ (table * core) @ u.T
-
-
-def vertical_mixing_residual(spec: GridSpec) -> float:
-    """How far the inverse root and the vertical quarter root are from commuting.
-
-    The continuum factors commute; the grid operators only nearly do, and the
-    flat factor is defined as their ordered product.
-    """
-    model = _model(spec)
-    inv = model.power(-0.5)
-    vert = model.vertical_quarter_root()
-    left = inv @ vert
-    return float(
-        np.linalg.norm(left - vert @ inv) / max(np.linalg.norm(left), 1e-300)
-    )
+    table = 2.0 * fourth[:, :, None] * fourth[:, None, :]
+    table /= root[:, :, None] + root[:, None, :]
+    table *= live[:, :, None] & live[:, None, :]
+    v_adj = v.conj().transpose(0, 2, 1)
+    fields = np.stack([model.planar_field(k, mu) for mu in model.mu])
+    core = quarter[:, :, None] * (v_adj @ fields @ v) * quarter[:, None, :]
+    return model.assemble(v @ (table * core) @ v_adj)
 
 
 def product_factor(

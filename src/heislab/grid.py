@@ -4,8 +4,15 @@ The model is realized for the three-axis grid (x, y, t) of the group with
 product ``[z,t][z',t'] = [z+z', t+t'+Im(z z'bar)]`` and gauge
 ``(|z|^4+|t|^2)^{1/4}``: centered differences with zero exterior values give
 exactly skew-symmetric horizontal fields, so the sub-Laplacian is symmetric
-positive semidefinite by construction and its dense eigendecomposition
-(cached per grid) drives the fractional calculus, Riesz transforms, and the
+positive semidefinite by construction.
+
+The vertical difference ``D_t`` commutes with the coordinates and with
+``D_x`` and ``D_y``, so in the closed-form (DST-I) eigenbasis of the 1-D
+centered difference along t the fields and the sub-Laplacian are block
+diagonal: one block of size nx*ny per vertical eigenvalue ``i mu_j``, the
+grid counterpart of the Schroedinger fibre at ``lambda = mu_j``.  Blocks j
+and nt+1-j are complex conjugates, so ``ceil(nt/2)`` small ``eigh`` calls
+(cached per grid) drive the fractional calculus, Riesz transforms, and the
 commutator identities the experiments check.
 
 Zero-exterior (Dirichlet) boundaries are deliberate: the coordinate
@@ -250,23 +257,51 @@ def _centered_difference(count: int, h: float) -> sparse.csr_matrix:
     return sparse.diags([off, -off], [1, -1]).tocsr()
 
 
+def _vertical_basis(count: int, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form eigenbasis of the centered difference along t.
+
+    ``tridiag(-a, 0, a)`` with ``a = 1/(2h)`` has the unitary eigenvectors
+    ``u_j[k] = i^k S[k, j]`` (k, j = 1..count; the DST-I matrix
+    ``S[k, j] = sqrt(2/(count+1)) sin(pi j k/(count+1))`` is real orthogonal)
+    and the eigenvalues ``i mu_j`` with ``mu_j = cos(pi j/(count+1))/h``.
+    Since ``u_{count+1-j} = -conj(u_j)``, only ``mu_j`` for
+    ``j <= ceil(count/2)`` is returned; the middle one of an odd count is
+    exactly 0.
+    """
+    k = np.arange(1, count + 1)
+    sine = math.sqrt(2.0 / (count + 1)) * np.sin(np.pi * np.outer(k, k) / (count + 1))
+    mu = np.cos(np.pi * k[: (count + 1) // 2] / (count + 1)) / h
+    if count % 2:
+        mu[-1] = 0.0
+    return sine, mu
+
+
 class _GridModel:
     """Sparse stencils plus the one spectral calculus of the grid.
 
+    In the vertical eigenbasis ``u_j`` (see ``_vertical_basis``) every
+    operator of the calculus is block diagonal, with one block of size
+    ``M = nx*ny`` per vertical eigenvalue ``i mu_j``: ``X`` and ``Y`` become
+    ``X_j = D_x - i mu_j y`` and ``Y_j = D_y + i mu_j x`` on the (x, y)
+    plane, and ``-Delta`` becomes ``A_j = X_j^H X_j + Y_j^H Y_j``.  The model
+    keeps the blocks j <= ceil(nt/2) and takes block nt+1-j as the complex
+    conjugate of block j, so its ``eigh`` calls are of size M, never N.
+
     Powers of the sub-Laplacian vanish on its numerical kernel (the
-    pseudo-inverse policy).  The eigendecomposition, Riesz matrices and
-    sector bases are built on first use.
+    pseudo-inverse policy).  The block eigendecomposition, Riesz matrices
+    and sector bases are built on first use.
     """
 
     def __init__(self, spec: GridSpec):
         self.spec = spec
+        nx, ny, nt = spec.shape
         hx, hy, ht = spec.spacing
-        dx1 = _centered_difference(spec.nx, hx)
-        dy1 = _centered_difference(spec.ny, hy)
-        dt1 = _centered_difference(spec.nt, ht)
-        ix = sparse.identity(spec.nx, format="csr")
-        iy = sparse.identity(spec.ny, format="csr")
-        it = sparse.identity(spec.nt, format="csr")
+        dx1 = _centered_difference(nx, hx)
+        dy1 = _centered_difference(ny, hy)
+        dt1 = _centered_difference(nt, ht)
+        ix = sparse.identity(nx, format="csr")
+        iy = sparse.identity(ny, format="csr")
+        it = sparse.identity(nt, format="csr")
         d_x = sparse.kron(sparse.kron(dx1, iy), it, format="csr")
         d_y = sparse.kron(sparse.kron(ix, dy1), it, format="csr")
         self.d_t = sparse.kron(sparse.kron(ix, iy), dt1, format="csr")
@@ -277,15 +312,25 @@ class _GridModel:
         self.x_field = (d_x - y_diag @ self.d_t).tocsr()
         self.y_field = (d_y + x_diag @ self.d_t).tocsr()
 
-        quad = (
-            self.x_field.T @ self.x_field + self.y_field.T @ self.y_field
-        ).toarray()
-        asym = float(np.linalg.norm(quad - quad.T) / max(np.linalg.norm(quad), 1.0))
-        if asym > _ASYMMETRY_LIMIT:
-            raise ValueError(f"sub-Laplacian asymmetry {asym:.2e} exceeds limit")
-        self.minus_delta = 0.5 * (quad + quad.T)
-        self.minus_delta.flags.writeable = False
-        self.asymmetry_residual = asym
+        # X_ell on a t-block is base + i mu diag(coefficient) on the plane
+        self._planar = {
+            1: (np.kron(dx1.toarray(), np.eye(ny)), -np.tile(spec.axis_y, nx)),
+            2: (np.kron(np.eye(nx), dy1.toarray()), np.repeat(spec.axis_x, ny)),
+        }
+        sine, self.mu = _vertical_basis(nt, ht)
+        half = self.mu.size
+        # a kept block stands for itself and its conjugate, except the
+        # self-conjugate middle block of an odd count
+        self.weight = np.where(np.arange(half) < nt // 2, 2, 1)
+        phase = np.array([1, 1j, -1, -1j])
+        self._t_vectors = phase[np.arange(1, nt + 1) % 4][:, None] * sine[:, :half]
+        # Re(B (x) u_j u_j^H) = Re B (x) Re(u_j u_j^H) - Im B (x) Im(u_j u_j^H),
+        # where (u_j u_j^H)[k, l] = i^(k-l) S[k, j] S[l, j]
+        steps = phase[np.subtract.outer(np.arange(nt), np.arange(nt)) % 4]
+        outer = self.weight[:, None, None] * np.einsum(
+            "kj,lj->jkl", sine[:, :half], sine[:, :half]
+        )
+        self._t_outer = np.concatenate([steps.real * outer, -steps.imag * outer])
         self._eig: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._riesz: dict[int, np.ndarray] = {}
         self._sectors: tuple[tuple[np.ndarray, np.ndarray], dict] | None = None
@@ -297,23 +342,85 @@ class _GridModel:
             return self.y_field
         raise ValueError(f"horizontal index {ell} outside 1..2")
 
+    def planar_field(self, ell: int, mu: float) -> np.ndarray:
+        """Dense M x M block of ``X_ell`` where ``D_t`` acts as ``i mu``;
+        real when ``mu`` is 0."""
+        base, coefficient = self._planar[ell]
+        return base + np.diag(1j * mu * coefficient) if mu else base
+
+    def sublaplacian_block(self, mu: float) -> np.ndarray:
+        """``X^H X + Y^H Y`` of the blocks where ``D_t`` acts as ``i mu``."""
+        fields = [self.planar_field(ell, mu) for ell in (1, 2)]
+        return sum(f.conj().T @ f for f in fields)
+
     def eig(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Eigenvalues, eigenvectors and the read-only mask of the modes
-        above ``KERNEL_THRESHOLD`` times the largest."""
+        """Eigenvalues, eigenvectors and live masks of the kept blocks.
+
+        Row j belongs to the block of ``mu[j]``: shapes (h, M), (h, M, M) and
+        (h, M) with ``h = ceil(nt/2)``.  A mode is live when its eigenvalue
+        is above ``KERNEL_THRESHOLD`` times the largest of all blocks.  All
+        three arrays are read-only.
+        """
         if self._eig is None:
-            w, v = np.linalg.eigh(self.minus_delta)
+            pairs = [np.linalg.eigh(self.sublaplacian_block(mu)) for mu in self.mu]
+            w = np.stack([pair[0] for pair in pairs])
+            v = np.stack([pair[1] for pair in pairs])
             live = np.abs(w) > KERNEL_THRESHOLD * float(np.max(np.abs(w)))
             for arr in (w, v, live):
                 arr.flags.writeable = False
             self._eig = (w, v, live)
         return self._eig
 
+    def assemble(self, blocks: np.ndarray) -> np.ndarray:
+        """The real N x N grid matrix with t-block j equal to ``blocks[j]``.
+
+        ``blocks`` holds the kept blocks (h x M x M); block nt+1-j is taken
+        as the conjugate of block j, which is what makes the result real.
+        """
+        nx, ny, nt = self.spec.shape
+        parts = np.concatenate([blocks.real, blocks.imag])
+        out = np.empty((nx * ny, nt, nx * ny, nt))
+        for k in range(nt):
+            out[:, k] = np.tensordot(parts, self._t_outer[:, k], axes=(0, 0))
+        return out.reshape(self.spec.size, self.spec.size)
+
     def power(self, exponent: float) -> np.ndarray:
         """Dense ``(-Delta)^exponent`` on the live modes, zero on the kernel."""
         w, v, live = self.eig()
         values = np.zeros_like(w)
         values[live] = w[live] ** exponent
-        return (v * values) @ v.T
+        return self.assemble((v * values[:, None, :]) @ v.conj().transpose(0, 2, 1))
+
+    def kernel(self) -> np.ndarray:
+        """Real orthonormal N x k basis of the numerical kernel."""
+        _, v, live = self.eig()
+        columns = []
+        for j, mode in zip(*np.nonzero(~live)):
+            z = np.kron(v[j, :, mode], self._t_vectors[:, j])
+            if self.weight[j] == 2:
+                # z and its conjugate, from block nt+1-j, span a real plane
+                columns += [math.sqrt(2.0) * z.real, math.sqrt(2.0) * z.imag]
+            else:
+                top = z[np.argmax(np.abs(z))]
+                columns.append((z * (abs(top) / top)).real)
+        if not columns:
+            return np.zeros((self.spec.size, 0))
+        return np.stack(columns, axis=1)
+
+    def levels(self) -> list[dict]:
+        """Lowest live eigenvalue over ``|mu_j|`` of every kept block with
+        ``mu_j != 0``; the Schroedinger fibre at ``lambda`` starts at
+        ``2|lambda|``."""
+        w, _, live = self.eig()
+        return [
+            {
+                "block": j + 1,
+                "abs_mu": abs(float(mu)),
+                "lowest_over_abs_mu": float(w[j][live[j]].min()) / abs(float(mu)),
+            }
+            for j, mu in enumerate(self.mu)
+            if mu
+        ]
 
     def riesz(self, ell: int) -> np.ndarray:
         """``X_ell (-Delta)^{-1/2}``, built on first use and kept read-only."""
@@ -375,19 +482,26 @@ def _model(spec: GridSpec) -> _GridModel:
 
 
 def build_sublaplacian(spec: GridSpec) -> GridOperator:
-    """Symmetrized ``X^T X + Y^T Y``; records the (tiny) asymmetry residual."""
+    """Dense symmetrized ``X^T X + Y^T Y``, built on each call; records the
+    (tiny) asymmetry residual."""
     model = _model(spec)
+    quad = (model.x_field.T @ model.x_field + model.y_field.T @ model.y_field).toarray()
+    asym = float(np.linalg.norm(quad - quad.T) / max(np.linalg.norm(quad), 1.0))
+    if asym > _ASYMMETRY_LIMIT:
+        raise ValueError(f"sub-Laplacian asymmetry {asym:.2e} exceeds limit")
     return GridOperator(
         spec,
-        model.minus_delta,
+        0.5 * (quad + quad.T),
         kind="sublaplacian",
         self_adjoint=True,
-        meta={"symmetry_residual": model.asymmetry_residual},
+        meta={"symmetry_residual": asym},
     )
 
 
 def sublaplacian_spectrum(spec: GridSpec) -> np.ndarray:
-    return _model(spec).eig()[0]
+    """All N eigenvalues, ascending: the union of the t-block spectra."""
+    model = _model(spec)
+    return np.sort(np.repeat(model.eig()[0], model.weight, axis=0), axis=None)
 
 
 def build_riesz(spec: GridSpec, ell: int) -> GridOperator:
@@ -535,6 +649,14 @@ class RieszSplitReport:
     kernel_dimension: int
 
 
+def _project_off(mat: np.ndarray, kernel: np.ndarray) -> None:
+    """``mat <- (I - K K^T) mat (I - K K^T)`` in place, for orthonormal
+    columns ``K``, by two rank-k updates."""
+    if kernel.shape[1]:
+        mat -= kernel @ (kernel.T @ mat)
+        mat -= (mat @ kernel) @ kernel.T
+
+
 def riesz_decomposition_residual(
     spec: GridSpec, functions: Mapping[str, GridFunction], ell: int = 1
 ) -> dict[str, RieszSplitReport]:
@@ -556,19 +678,24 @@ def riesz_decomposition_residual(
     sqrt_mat = model.power(0.5)
     x_mat = model.horizontal(ell)
     riesz = x_mat @ inv_sqrt
-    kernel_dim = int(np.count_nonzero(~model.eig()[2]))
-    proj = model.power(0.0) if kernel_dim else None
+    kernel = model.kernel()
 
     def split(f: GridFunction) -> RieszSplitReport:
         fv = f.flat
-        lhs = riesz * fv[None, :] - fv[:, None] * riesz
-        term1 = x_mat @ (fv[:, None] * inv_sqrt) - fv[:, None] * riesz
-        comm_sqrt = sqrt_mat * fv[None, :] - fv[:, None] * sqrt_mat
-        term2 = riesz @ (comm_sqrt @ inv_sqrt)
-        gap = lhs - (term1 - term2)
-        if proj is not None:
-            gap = proj @ gap @ proj
-            lhs = proj @ lhs @ proj
+        lhs = riesz * fv[None, :]
+        lhs -= fv[:, None] * riesz
+        # gap = lhs - [X, M_f] A^{-1/2} + R [A^{1/2}, M_f] A^{-1/2} with
+        # A = -Delta, summed into the buffer of the last term so that at
+        # most four N x N arrays of this function are alive at once
+        comm_sqrt = sqrt_mat * fv[None, :]
+        comm_sqrt -= fv[:, None] * sqrt_mat
+        gap = riesz @ (comm_sqrt @ inv_sqrt)
+        del comm_sqrt
+        gap -= x_mat @ (fv[:, None] * inv_sqrt)
+        gap += fv[:, None] * riesz
+        gap += lhs
+        _project_off(gap, kernel)
+        _project_off(lhs, kernel)
         lhs_norm = float(np.linalg.norm(lhs))
         absolute = float(np.linalg.norm(gap))
         derivative = x_mat @ fv
@@ -584,7 +711,7 @@ def riesz_decomposition_residual(
             leibniz_defect=float(
                 sparse_linalg.norm(defect) / max(np.linalg.norm(derivative), 1e-30)
             ),
-            kernel_dimension=kernel_dim,
+            kernel_dimension=kernel.shape[1],
         )
 
     return {label: split(f) for label, f in functions.items()}

@@ -199,6 +199,21 @@ class TestConfigHandling:
         assert loud.canonical("hermite") == quiet.canonical("hermite")
 
 
+@pytest.fixture
+def eigh_sizes(monkeypatch):
+    """Sizes of the ``numpy.linalg.eigh`` calls made after a cold model cache."""
+    eigh = np.linalg.eigh
+    sizes = []
+
+    def counting_eigh(a, *args, **kwargs):
+        sizes.append(np.shape(a)[0])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    _model.cache_clear()
+    return sizes
+
+
 class TestRunCommand:
     def test_hermite_defaults_pass(self, tmp_path, capsys):
         path = write_config(tmp_path)
@@ -305,23 +320,22 @@ class TestRunCommand:
             checks = {(c["name"], c["allowed"], c["mode"]) for c in payload["checks"]}
             assert checks == pinned, payload["suite"]
 
-    def test_cold_trace_run_does_one_eigh(self, tmp_path, monkeypatch):
-        # every row of a run starting on a cold model cache shares one eigh
-        eigh = np.linalg.eigh
-        sizes = []
+    def test_cold_trace_run_does_one_eigh_per_conjugate_block_pair(
+        self, tmp_path, eigh_sizes
+    ):
+        # a run starting on a cold model cache solves the ceil(nt/2) t-blocks
+        # of size nx * ny once, and nothing of size N
+        run_suite(load_config(write_config(tmp_path), {"suite": "trace"}))
+        assert eigh_sizes.count(9**2) == 5
+        assert max(eigh_sizes) <= 9**2
 
-        def counting_eigh(a, *args, **kwargs):
-            sizes.append(np.shape(a)[0])
-            return eigh(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-        _model.cache_clear()
-        path = write_config(tmp_path)
-        run_suite(load_config(path, {"suite": "trace"}))
-        assert sizes.count(9**3) == 1
+    def test_no_suite_calls_a_dense_eigh(self, tmp_path, eigh_sizes):
+        run_suite(load_config(write_config(tmp_path), {"suite": "all"}))
+        assert eigh_sizes and 9**3 not in eigh_sizes
 
     def test_grid_suite_takes_each_power_once(self, tmp_path, monkeypatch):
-        # the split residuals of the whole family share one set of powers
+        # the split residuals of the whole family share one set of powers,
+        # and the kernel projection needs none
         power = _GridModel.power
         exponents = []
 
@@ -331,7 +345,18 @@ class TestRunCommand:
 
         monkeypatch.setattr(_GridModel, "power", counting_power)
         cli._run_grid(load_config(write_config(tmp_path), {"suite": "grid"}))
-        assert exponents == [-0.5, 0.5, 0.0]
+        assert exponents == [-0.5, 0.5]
+
+    def test_grid_artifact_reports_block_levels(self, tmp_path):
+        outcome = cli._run_grid(load_config(write_config(tmp_path), {"suite": "grid"}))
+        levels = outcome.extra["levels"]
+        # one record per kept t-block with mu != 0: four of five at 9
+        assert [level["block"] for level in levels] == [1, 2, 3, 4]
+        assert all(level["lowest_over_abs_mu"] > 0.0 for level in levels)
+        # deterministic: a cold model gives the same values
+        _model.cache_clear()
+        again = cli._run_grid(load_config(write_config(tmp_path), {"suite": "grid"}))
+        assert again.extra["levels"] == levels
 
     def test_commutator_svds_are_sector_blocks(self, tmp_path, monkeypatch):
         # every shipped bound and trace function has exact reflection parity,

@@ -26,7 +26,6 @@ from heislab.experiments import (
     report_as_dict,
     theorem_combination,
     trace_formula_experiment,
-    vertical_mixing_residual,
 )
 from heislab.grid import GridFunction, GridSpec, build_riesz
 from heislab.schatten import CLAMP_RATIO, singular_values
@@ -393,11 +392,6 @@ class TestProductTrace:
 
         grid_mat, _ = product_factor(SPEC, BASIS, "a:1")
         assert np.linalg.norm(grid_mat, 2) <= 1.2
-
-    def test_vertical_mixing_is_negligible(self):
-        # the grid sub-Laplacian commutes with the vertical derivative
-        # exactly, so the flat factor's two spectral pieces nearly commute
-        assert vertical_mixing_residual(SPEC) <= 1e-10
 
 
 class TestEigenvalueApproximant:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from heislab.experiments import _commutator
+from heislab.experiments import _commutator, _grid_symbol_realization, named_family
 from heislab.grid import (
     _FIELD_CHARACTER,
     KERNEL_THRESHOLD,
@@ -12,6 +12,7 @@ from heislab.grid import (
     GridFunction,
     GridOperator,
     GridSpec,
+    _GridModel,
     _model,
     approximation_sequence,
     build_riesz,
@@ -41,12 +42,41 @@ def sparse_fields(spec):
     return model.x_field, model.y_field, model.d_t
 
 
-def dense_inverse_sqrt(matrix):
-    """Oracle for ``(-Delta)^{-1/2}``: a dense ``eigh`` of the given matrix,
-    inverted off the kernel as the spectral calculus of the grid model is."""
+def dense_eig(matrix):
+    """Oracle spectral calculus: one dense ``eigh`` of the given matrix and
+    the live mask of the grid model's kernel policy."""
     w, v = np.linalg.eigh(matrix)
     live = np.abs(w) > KERNEL_THRESHOLD * np.max(np.abs(w))
-    return (v * np.where(live, np.abs(w), 1.0) ** -0.5 * live) @ v.T
+    return w, v, live
+
+
+def dense_power(eig, exponent):
+    """Oracle for ``(-Delta)^exponent``: the power on the live modes, zero on
+    the kernel."""
+    w, v, live = eig
+    return (v * np.where(live, np.abs(w), 1.0) ** exponent * live) @ v.T
+
+
+def dense_inverse_sqrt(matrix):
+    """Oracle for ``(-Delta)^{-1/2}`` from a dense ``eigh``."""
+    return dense_power(dense_eig(matrix), -0.5)
+
+
+def dense_symbol_realization(spec, eig, k):
+    """Oracle for ``_grid_symbol_realization``: the double operator integral
+    taken over the dense eigenbasis, with one N x N table."""
+    w, u, live = eig
+    safe = np.where(live, w, 1.0)
+    quarter = np.where(live, safe**-0.25, 0.0)
+    root = np.sqrt(safe)
+    table = 2.0 * np.outer(safe**0.25, safe**0.25) / (root[:, None] + root[None, :])
+    table *= np.outer(live, live)
+    core = quarter[:, None] * (u.T @ (_model(spec).horizontal(k) @ u)) * quarter[None, :]
+    return u @ (table * core) @ u.T
+
+
+def relative_gap(actual, expected):
+    return np.linalg.norm(actual - expected) / np.linalg.norm(expected)
 
 
 def checkerboard(spec):
@@ -176,9 +206,8 @@ class TestSpectralFunction:
     def test_inverse_root_on_diagonal(self):
         # in the eigenbasis the power is diagonal; check the smallest and
         # the largest live eigenvalue
-        model = _model(SPEC)
-        w, v, live = model.eig()
-        inv_sqrt = model.power(-0.5)
+        w, v, live = dense_eig(build_sublaplacian(SPEC).matrix)
+        inv_sqrt = _model(SPEC).power(-0.5)
         for j in (np.flatnonzero(live)[0], w.size - 1):
             np.testing.assert_allclose(
                 inv_sqrt @ v[:, j], w[j] ** -0.5 * v[:, j], atol=1e-12 * w[j] ** -0.5
@@ -201,6 +230,109 @@ class TestSpectralFunction:
         np.testing.assert_allclose(proj, proj.T, atol=1e-14)
         np.testing.assert_allclose(proj @ proj, proj, atol=1e-13)
         assert np.abs(proj @ unit_checkerboard(SPEC)).max() < 1e-13
+
+
+T_BLOCK_SHAPES = [(9, 9, 9), (13, 13, 13), (10, 10, 10), (9, 9, 10), (10, 10, 9)]
+
+
+@pytest.fixture(
+    scope="class", params=T_BLOCK_SHAPES, ids=["x".join(map(str, s)) for s in T_BLOCK_SHAPES]
+)
+def oracle(request):
+    """A grid and the dense eigendecomposition of its sub-Laplacian."""
+    spec = GridSpec(*request.param)
+    return spec, dense_eig(build_sublaplacian(spec).matrix)
+
+
+class TestTBlockCalculus:
+    """The t-block spectral calculus against the dense ``eigh`` oracle."""
+
+    def test_vertical_basis(self, oracle):
+        spec, _ = oracle
+        model = _model(spec)
+        u = model._t_vectors
+        dt1 = model.d_t[: spec.nt, : spec.nt].toarray()
+        scale = np.abs(model.mu).max()
+        np.testing.assert_allclose(dt1 @ u, u * (1j * model.mu), atol=1e-14 * scale)
+        # u_{nt+1-j} = -conj(u_j) has the eigenvalue -i mu_j
+        mirror = -u[:, : spec.nt // 2].conj()
+        np.testing.assert_allclose(
+            dt1 @ mirror, mirror * (-1j * model.mu[: spec.nt // 2]), atol=1e-14 * scale
+        )
+        full = np.hstack([u, mirror])
+        np.testing.assert_allclose(full.conj().T @ full, np.eye(spec.nt), atol=1e-14)
+        assert (model.mu == 0.0).sum() == spec.nt % 2
+
+    def test_conjugate_blocks(self, oracle):
+        spec, _ = oracle
+        model = _model(spec)
+        for j, mu in enumerate(model.mu):
+            mirrored = math.cos(math.pi * (spec.nt - j) / (spec.nt + 1)) / spec.spacing[2]
+            assert mirrored == pytest.approx(-mu, abs=1e-15 * abs(model.mu).max())
+            block = model.sublaplacian_block(mu)
+            assert np.array_equal(model.sublaplacian_block(-mu), block.conj())
+        # one eigh per conjugate pair, of size nx * ny
+        w, v, live = model.eig()
+        assert w.shape == live.shape == ((spec.nt + 1) // 2, spec.nx * spec.ny)
+        assert v.shape == w.shape + (spec.nx * spec.ny,)
+
+    def test_spectrum(self, oracle):
+        spec, (w, _, _) = oracle
+        assert np.abs(sublaplacian_spectrum(spec) - w).max() <= 1e-13 * np.abs(w).max()
+
+    def test_kernel(self, oracle):
+        # one mode, the checkerboard, when every count is odd; none otherwise
+        spec, (_, v, live) = oracle
+        kernel = _model(spec).kernel()
+        dim = int(all(count % 2 for count in spec.shape))
+        assert np.count_nonzero(~live) == dim
+        assert kernel.shape == (spec.size, dim) and kernel.dtype == float
+        np.testing.assert_allclose(kernel.T @ kernel, np.eye(dim), atol=1e-14)
+        dense = v[:, ~live]
+        np.testing.assert_allclose(kernel @ kernel.T, dense @ dense.T, atol=1e-13)
+
+    def test_kernel_mode_of_a_conjugate_pair(self):
+        # no shipped grid has one; mark a mode of block 1 as kernel on a
+        # fresh model and check the real plane of it and its conjugate
+        model = _GridModel(SPEC)
+        w, v, live = model.eig()
+        live = live.copy()
+        live[0, 0] = False
+        model._eig = (w, v, live)
+        kernel = model.kernel()
+        assert kernel.shape == (SPEC.size, 3) and kernel.dtype == float
+        np.testing.assert_allclose(kernel.T @ kernel, np.eye(3), atol=1e-14)
+        z = np.kron(v[0, :, 0], model._t_vectors[:, 0])
+        pair = 2.0 * np.outer(z, z.conj()).real
+        np.testing.assert_allclose(kernel[:, :2] @ kernel[:, :2].T, pair, atol=1e-14)
+
+    @pytest.mark.parametrize("exponent", [-0.5, 0.5])
+    def test_power(self, oracle, exponent):
+        spec, eig = oracle
+        gap = relative_gap(_model(spec).power(exponent), dense_power(eig, exponent))
+        assert gap <= 1e-13
+
+    @pytest.mark.parametrize("ell", [1, 2])
+    def test_riesz(self, oracle, ell):
+        spec, eig = oracle
+        dense = _model(spec).horizontal(ell) @ dense_power(eig, -0.5)
+        assert relative_gap(build_riesz(spec, ell).matrix, dense) <= 1e-13
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_symbol_realization(self, oracle, k):
+        spec, eig = oracle
+        dense = dense_symbol_realization(spec, eig, k)
+        assert relative_gap(_grid_symbol_realization(spec, k), dense) <= 1e-13
+
+    def test_levels(self, oracle):
+        spec, _ = oracle
+        model = _model(spec)
+        levels = model.levels()
+        assert [level["block"] for level in levels] == [
+            j + 1 for j, mu in enumerate(model.mu) if mu
+        ]
+        for level in levels:
+            assert level["abs_mu"] > 0.0 and level["lowest_over_abs_mu"] > 0.0
 
 
 class TestRiesz:
@@ -488,6 +620,13 @@ class TestRieszDecomposition:
         for label, f in family.items():
             alone = riesz_decomposition_residual(SPEC, {label: f}, 1)[label]
             assert together[label] == alone
+
+    def test_even_count_has_no_kernel(self):
+        spec = GridSpec.cube(10)
+        splits = riesz_decomposition_residual(spec, named_family("trace", spec), 1)
+        for report in splits.values():
+            assert report.kernel_dimension == 0
+            assert report.relative_residual <= 1e-9
 
     def test_rejects_function_on_other_grid(self):
         other = GridSpec.cube(7)

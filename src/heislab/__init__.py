@@ -7,8 +7,8 @@ The package provides five layers that build on each other:
   two-component fiber algebra,
 * :mod:`heislab.doi` - finite dimensional double operator integrals and the
   commutator correction symbols built from them,
-* :mod:`heislab.plancherel` - the quadrature model of the group von Neumann
-  algebra with its trace and weak-norm identities,
+* :mod:`heislab.plancherel` - node quadrature of the Plancherel measure,
+  radial trace integrals and weak-norm closed forms,
 * :mod:`heislab.grid` - a finite difference model of the first Heisenberg
   group with Riesz transforms and Sobolev diagnostics.
 

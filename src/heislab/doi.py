@@ -156,10 +156,6 @@ def _frac_lambda(lam, mu):
     return lam / (lam + mu)
 
 
-def _sgn_diff(lam, mu):
-    return np.sign(lam - mu) + 0.0 * mu
-
-
 def _min_over_sum(lam, mu):
     return np.minimum(lam, mu) / (lam + mu)
 
@@ -184,15 +180,13 @@ def phi_n_symbol(alpha0, alpha1, m: float):
 
 _LIBRARY: dict[str, Callable] = {
     "frac_lambda": _frac_lambda,
-    "sgn_diff": _sgn_diff,
     "min_over_sum": _min_over_sum,
     "psi": _psi,
-    "F_divided": _divided_difference,
 }
 
 
 def make_symbol(spec) -> Symbol:
-    """Resolve a symbol from a library name, ``phi_n:<m>`` string, or callable.
+    """Resolve a symbol from a library name or a callable.
 
     Callables are assumed scalar and are vectorized; pass a Symbol through
     unchanged.
@@ -206,15 +200,7 @@ def make_symbol(spec) -> Symbol:
         raise TypeError(f"cannot build a symbol from {type(spec).__name__}")
     if spec in _LIBRARY:
         return Symbol(spec, _LIBRARY[spec])
-    if spec.startswith("phi_n:"):
-        m = float(spec.split(":", 1)[1])
-        if m < 1.0:
-            raise ValueError("cutoff must be >= 1")
-        return Symbol(spec, lambda lam, mu: phi_n_symbol(lam, mu, m))
-    raise ValueError(
-        f"unknown symbol {spec!r}; expected one of "
-        f"{sorted(_LIBRARY)} or 'phi_n:<m>'"
-    )
+    raise ValueError(f"unknown symbol {spec!r}; expected one of {sorted(_LIBRARY)}")
 
 
 def doi_apply(
@@ -237,27 +223,24 @@ def doi_apply(
     return d0.eigenvectors @ (table * coeff) @ d1.eigenvectors.conj().T
 
 
-def build_a_fiber(basis: MultiIndexBasis, k: int, h_scale: float = 1.0) -> FiberOperator:
+def build_a_fiber(basis: MultiIndexBasis, k: int) -> FiberOperator:
     """Averaged momentum (or position) component on the truncated oscillator basis.
 
     Applies the geometric-mean symbol to ``i H^{-1/4} p_k H^{-1/4}`` (momentum
     for ``k <= n``, position tensored against the sign character for
-    ``k = j + n``).  ``h_scale`` rescales the oscillator model as a whole; the
-    output is scale-free because the symbol is homogeneous of degree zero.
+    ``k = j + n``).
     """
     if not 1 <= k <= 2 * basis.n:
         raise ValueError(f"component {k} outside 1..{2 * basis.n}")
-    if h_scale <= 0.0:
-        raise ValueError("scale must be positive")
     if k <= basis.n:
         ladder = momentum_matrix(basis, k)
         component = "one"
     else:
         ladder = position_matrix(basis, k - basis.n)
         component = "z"
-    energies = h_scale * np.diag(oscillator_matrix(basis))
+    energies = np.diag(oscillator_matrix(basis))
     quarter = energies**-0.25
-    core = 1j * math.sqrt(h_scale) * (quarter[:, None] * ladder * quarter[None, :])
+    core = 1j * (quarter[:, None] * ladder * quarter[None, :])
     dec = SpectralDecomposition(energies, np.eye(basis.dim))
     return tensor_scalar(basis, doi_apply(dec, dec, "psi", core), component)
 

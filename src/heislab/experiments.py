@@ -58,7 +58,6 @@ __all__ = [
     "YSymbolSet",
     "bochner_norm",
     "bochner_rhs",
-    "bochner_rhs_combined",
     "bound_experiment",
     "bound_subreport",
     "build_y_fibers",
@@ -70,7 +69,6 @@ __all__ = [
     "product_factor",
     "product_trace_check",
     "report_as_dict",
-    "theorem_combination",
     "trace_formula_experiment",
 ]
 
@@ -79,6 +77,11 @@ GRAM_SINGULAR_THRESHOLD = 1e-12
 
 #: a trace window smaller than this cannot support the log-averaged estimate
 MIN_TRACE_WINDOW = 50
+
+#: homogeneous dimension 2n + 2 of the first group (n = 1), the only group
+#: the grid realizes: the Schatten power of every grid-side check and the
+#: number of slots of a product case
+GRID_HOMOGENEOUS_DIMENSION = 4
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +123,7 @@ class ExperimentSummary:
 
 @dataclass(frozen=True)
 class ExperimentReport:
-    """Rows of (lhs, rhs, ratio) with a recomputable spread summary.
+    """Rows of (lhs, rhs, ratio) with their spread summary.
 
     ``excluded`` lists the labels of degenerate inputs (both sides zero);
     ``sweep`` holds (axis value, metric) pairs appended by refinement runs.
@@ -137,9 +140,6 @@ class ExperimentReport:
             raise ValueError("a report needs at least one non-degenerate row")
         if any(row.ratio <= 0.0 for row in self.rows):
             raise ValueError("experiment ratios must be positive")
-
-    def recomputed_summary(self) -> ExperimentSummary:
-        return ExperimentSummary.from_rows(self.rows)
 
     def with_sweep(self, sweep) -> "ExperimentReport":
         return replace(self, sweep=tuple(sweep))
@@ -226,13 +226,6 @@ def build_y_fibers(basis: MultiIndexBasis, ell: int) -> YSymbolSet:
     return YSymbolSet(ell, basis.K, tuple(symbols))
 
 
-def theorem_combination(family: YSymbolSet) -> tuple[FiberOperator, ...]:
-    """The k = 1..2n combination that absorbs the flat factor into slot ℓ."""
-    out = list(family.symbols[1:])
-    out[family.ell - 1] = out[family.ell - 1] + family.flat
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # Bochner-norm evaluation
 
@@ -274,9 +267,9 @@ def bochner_norm(
 def _derivative_coefficients(
     f: GridFunction, ell: int, spec: GridSpec
 ) -> np.ndarray:
-    """Columns conj(X_ℓ f), conj(X_1 f), ..., conj(X_2n f) as flat arrays."""
+    """Columns conj(X_ℓ f), conj(X_1 f), conj(X_2 f) as flat arrays."""
     model = _model(spec)
-    grads = [model.horizontal(k) @ f.flat for k in range(1, 2 * spec.n + 1)]
+    grads = [model.horizontal(k) @ f.flat for k in (1, 2)]
     columns = [np.conj(grads[ell - 1])] + [np.conj(g) for g in grads]
     return np.stack(columns, axis=1)
 
@@ -284,20 +277,8 @@ def _derivative_coefficients(
 def bochner_rhs(f: GridFunction, family: YSymbolSet, spec: GridSpec) -> float:
     """Right side of the trace formula: derivative-weighted fiber-symbol mass."""
     coeff = _derivative_coefficients(f, family.ell, spec)
-    return bochner_norm(coeff, family.symbols, spec.cell_volume, 2.0 * spec.n + 2.0)
-
-
-def bochner_rhs_combined(
-    f: GridFunction, family: YSymbolSet, spec: GridSpec
-) -> float:
-    """Same mass via the k >= 1 combination; equal to ``bochner_rhs`` exactly."""
-    model = _model(spec)
-    grads = [
-        np.conj(model.horizontal(k) @ f.flat) for k in range(1, 2 * spec.n + 1)
-    ]
-    coeff = np.stack(grads, axis=1)
     return bochner_norm(
-        coeff, theorem_combination(family), spec.cell_volume, 2.0 * spec.n + 2.0
+        coeff, family.symbols, spec.cell_volume, GRID_HOMOGENEOUS_DIMENSION
     )
 
 
@@ -424,7 +405,7 @@ def _commutator_spectrum(
 def dixmier_lhs(f: GridFunction, ell: int, spec: GridSpec) -> DixmierEstimate:
     """Trace estimate for the 2n+2 power of the Riesz-multiplier commutator."""
     spectrum, health = _commutator_spectrum(spec, ell, f)
-    powered = spectrum.values ** (2.0 * spec.n + 2.0)
+    powered = spectrum.values ** GRID_HOMOGENEOUS_DIMENSION
     usable = int(np.count_nonzero(powered > CLAMP_RATIO * max(powered[0], 1e-300)))
     if f.max_abs() == 0.0 or powered[0] == 0.0:
         return DixmierEstimate(0.0, (0.0, 0.0), 0)
@@ -447,7 +428,7 @@ def bound_experiment(
     ell: int,
 ) -> ExperimentReport:
     """Weak-norm of the commutator against the horizontal Sobolev seminorm."""
-    power = 2.0 * spec.n + 2.0
+    power = GRID_HOMOGENEOUS_DIMENSION
 
     def row(label: str, f: GridFunction) -> ExperimentRow | None:
         spectrum, health = _commutator_spectrum(spec, ell, f)
@@ -572,8 +553,10 @@ def product_factor(
     if name == "identity":
         return np.eye(spec.size), fiber_identity(basis)
     if name == "flat_factor":
+        # the vertical root acts on the t-index, the fastest of (x, y, t)
         model = _model(spec)
-        grid = model.power(-0.5) @ model.vertical_quarter_root()
+        rows = model.power(-0.5).reshape(-1, spec.nt) @ model.vertical_quarter_root()
+        grid = rows.reshape(spec.size, spec.size)
         energies = np.diag(oscillator_matrix(basis)).real
         return grid, tensor_scalar(basis, np.diag(energies**-0.5), "one")
     kind, _, index = name.partition(":")
@@ -582,8 +565,8 @@ def product_factor(
         return build_riesz(spec, k).matrix, riesz_symbol(basis, k)
     if kind == "a" and index.isdigit():
         k = int(index)
-        if not 1 <= k <= 2 * spec.n:
-            raise ValueError(f"symbol index {k} outside 1..{2 * spec.n}")
+        if k not in (1, 2):
+            raise ValueError(f"symbol index {k} outside 1..2")
         return _grid_symbol_realization(spec, k), build_a_fiber(basis, k)
     raise ValueError(f"no fiber counterpart for factor {name!r}")
 
@@ -613,11 +596,10 @@ def product_trace_check(
     """
     if len({case.label for case in cases}) != len(cases):
         raise ValueError("product case labels must be distinct")
-    expected = 2 * spec.n + 2
     for case in cases:
-        if len(case.functions) != expected:
+        if len(case.functions) != GRID_HOMOGENEOUS_DIMENSION:
             raise ValueError(
-                f"case {case.label!r} needs {expected} functions, "
+                f"case {case.label!r} needs {GRID_HOMOGENEOUS_DIMENSION} functions, "
                 f"got {len(case.functions)}"
             )
     # each distinct factor is realized once and shared by every slot using it

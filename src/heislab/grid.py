@@ -1,10 +1,9 @@
 """Finite-difference model of the first Heisenberg group on a box.
 
 The model is realized for the three-axis grid (x, y, t) of the group with
-product ``[z,t][z',t'] = [z+z', t+t'+Im(z z'bar)]`` and gauge
-``(|z|^4+|t|^2)^{1/4}``: centered differences with zero exterior values give
-exactly skew-symmetric horizontal fields, so the sub-Laplacian is symmetric
-positive semidefinite by construction.
+product ``[z,t][z',t'] = [z+z', t+t'+Im(z z'bar)]``: centered differences
+with zero exterior values give exactly skew-symmetric horizontal fields, so
+the sub-Laplacian is symmetric positive semidefinite by construction.
 
 The vertical difference ``D_t`` commutes with the coordinates and with
 ``D_x`` and ``D_y``, so in the closed-form (DST-I) eigenbasis of the 1-D
@@ -40,13 +39,10 @@ __all__ = [
     "GridSpec",
     "GridFunction",
     "GridOperator",
-    "koranyi_gauge",
     "build_sublaplacian",
     "sublaplacian_spectrum",
     "build_riesz",
     "sobolev_seminorm",
-    "poincare_ratio",
-    "approximation_sequence",
     "quarter_rotation",
     "RotationReport",
     "riesz_decomposition_residual",
@@ -98,12 +94,9 @@ class GridSpec:
     lx: float = 3.0
     ly: float = 3.0
     lt: float = 3.0
-    n: int = 1
     cap: int = 8000
 
     def __post_init__(self):
-        if self.n != 1:
-            raise ValueError("only the first group is realized on the grid")
         for count in (self.nx, self.ny, self.nt):
             if count < 3:
                 raise ValueError("need at least 3 points per axis")
@@ -179,18 +172,6 @@ class GridFunction:
     @property
     def flat(self) -> np.ndarray:
         return self.values.reshape(-1)
-
-    def interior_margin(self) -> int:
-        """Cells between the support and the nearest face; full span if zero."""
-        nonzero = np.argwhere(self.values != 0)
-        if nonzero.size == 0:
-            return min(self.spec.shape) // 2
-        margins = []
-        for axis, count in enumerate(self.spec.shape):
-            lo = nonzero[:, axis].min()
-            hi = count - 1 - nonzero[:, axis].max()
-            margins.append(min(lo, hi))
-        return int(min(margins))
 
     def norm_lp(self, p: float) -> float:
         if p < 1.0:
@@ -464,12 +445,13 @@ class _GridModel:
         return self._sectors
 
     def vertical_quarter_root(self) -> np.ndarray:
-        """The fourth root of ``T*T``, exact through the vertical block structure."""
+        """The nt x nt fourth root of ``D_t^T D_t`` on one vertical line;
+        ``D_t`` acts along t alone, so the grid operator is this root in
+        the t-index."""
         nt = self.spec.nt
         block = self.d_t[:nt, :nt].toarray()
         w, v = np.linalg.eigh(block.T @ block)
-        root = (v * np.clip(w, 0.0, None) ** 0.25) @ v.T
-        return np.kron(np.eye(self.spec.nx * self.spec.ny), root)
+        return (v * np.clip(w, 0.0, None) ** 0.25) @ v.T
 
 
 @functools.lru_cache(maxsize=3)
@@ -523,81 +505,10 @@ def sobolev_seminorm(f: GridFunction, p: float = 4.0) -> float:
     return total
 
 
-def koranyi_gauge(spec: GridSpec) -> np.ndarray:
-    """Gauge distance of every grid point from the origin, shaped like the grid."""
-    xs, ys, ts = np.meshgrid(spec.axis_x, spec.axis_y, spec.axis_t, indexing="ij")
-    zz = xs * xs + ys * ys
-    return (zz * zz + ts * ts) ** 0.25
-
-
-def _lp_over_mask(values: np.ndarray, mask: np.ndarray, p: float, volume: float) -> float:
-    return float((np.sum(np.abs(values[mask]) ** p) * volume) ** (1.0 / p))
-
-
-def poincare_ratio(f: GridFunction, radius: float, mode: str, p: float = 4.0) -> float:
-    """Oscillation over gradient, scaled by the radius, on gauge regions.
-
-    ``ball`` compares the oscillation on the ball of radius ``radius/2``
-    against the horizontal gradient on the ball of radius ``2 radius``;
-    ``annulus`` uses the shell between ``radius`` and ``2 radius`` on both
-    sides.  The mean is removed over the gradient region.
-    """
-    if radius <= 0.0:
-        raise ValueError("radius must be positive")
-    if mode not in ("ball", "annulus"):
-        raise ValueError(f"unknown mode {mode!r}")
-    gauge = koranyi_gauge(f.spec)
-    if mode == "ball":
-        inner = gauge <= 0.5 * radius
-        outer = gauge <= 2.0 * radius
-    else:
-        inner = (gauge > radius) & (gauge <= 2.0 * radius)
-        outer = inner
-    if not inner.any() or not outer.any():
-        raise ValueError("region does not meet the grid")
-    model = _model(f.spec)
-    gx = (model.x_field @ f.flat).reshape(f.spec.shape)
-    gy = (model.y_field @ f.flat).reshape(f.spec.shape)
-    grad = np.sqrt(np.abs(gx) ** 2 + np.abs(gy) ** 2)
-    average = complex(np.mean(f.values[outer]))
-    volume = f.spec.cell_volume
-    oscillation = _lp_over_mask(f.values - average, inner, p, volume)
-    gradient = _lp_over_mask(grad, outer, p, volume)
-    if gradient == 0.0:
-        return 0.0 if oscillation <= 1e-14 else math.inf
-    return oscillation / (radius * gradient)
-
-
-def approximation_sequence(f: GridFunction, m: float) -> GridFunction:
-    """Recenter by the shell average and taper to zero outside gauge radius ``m``.
-
-    The cutoff is 1 inside radius ``m/2``, 0 outside ``m``, and a cubic ramp
-    in between whose radial slope is at most ``3/m``.
-    """
-    if m <= 0.0:
-        raise ValueError("scale must be positive")
-    gauge = koranyi_gauge(f.spec)
-    shell = (gauge > m) & (gauge <= 2.0 * m)
-    if not shell.any():
-        raise ValueError("recentering shell does not meet the grid")
-    center = np.mean(f.values[shell])
-    ramp = np.clip((gauge - 0.5 * m) / (0.5 * m), 0.0, 1.0)
-    cutoff = 1.0 - (3.0 * ramp * ramp - 2.0 * ramp * ramp * ramp)
-    return GridFunction(f.spec, (f.values - center) * cutoff)
-
-
 @dataclass(frozen=True)
 class RotationReport:
     target: str
     full_residual: float
-    interior_residual: float
-    margin: int
-
-
-def _interior_projection(spec: GridSpec, margin: int) -> np.ndarray:
-    keep = np.zeros(spec.shape, dtype=float)
-    keep[margin:-margin or None, margin:-margin or None, margin:-margin or None] = 1.0
-    return keep.reshape(-1)
 
 
 def quarter_rotation(
@@ -607,7 +518,7 @@ def quarter_rotation(
 
     Conjugation sends the first horizontal field to the second and the
     second to minus the first; the report records the residual on the full
-    grid and restricted to functions supported two cells inside.
+    grid.
     """
     if k not in (1, 2):
         raise ValueError("field index must be 1 or 2")
@@ -633,11 +544,7 @@ def quarter_rotation(
         target = -model.x_field
         name = "minus_first_field"
     gap = conjugated - target
-    full = float(np.linalg.norm(gap.data))
-    margin = 2
-    proj = sparse.diags(_interior_projection(spec, margin))
-    interior = float(np.linalg.norm((gap @ proj).data))
-    return u, RotationReport(name, full, interior, margin)
+    return u, RotationReport(name, float(np.linalg.norm(gap.data)))
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,8 @@
-"""Quadrature model of the group von Neumann algebra as a direct integral.
+"""Node quadrature and radial trace integrals for the Plancherel measure.
 
-Operators are families of matrix blocks indexed by a signed spectral
-parameter ``s``; the trace pairs blockwise traces with the measure
-``c_n |s|^n ds``.  Radial profiles of the sub-Laplacian reduce to
-one-dimensional integrals, which gives closed forms for distribution
+The measure ``c_n |s|^n ds`` over the signed spectral parameter ``s`` is
+sampled by mirrored node rules.  Radial profiles of the sub-Laplacian reduce
+to one-dimensional integrals, which gives closed forms for distribution
 functions and weak-Schatten quasinorms that the experiment layer checks
 against brute-force quadrature.
 """
@@ -18,20 +17,11 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy import integrate, optimize
 
-from .oscillator import (
-    FiberOperator,
-    MultiIndexBasis,
-    _pooled_singular_values,
-    oscillator_matrix,
-)
+from .oscillator import FiberOperator, _pooled_singular_values
 
 __all__ = [
     "NonIntegrableError",
     "PlancherelQuadrature",
-    "DirectIntegralOperator",
-    "lift",
-    "lift_oscillator_profile",
-    "tau",
     "tau_radial",
     "weak_norm_lift",
     "weak_distribution_brute",
@@ -39,9 +29,6 @@ __all__ = [
     "incursion_profile",
     "IncursionReport",
 ]
-
-# Weighted block-trace sums larger than this are treated as divergent.
-_DIVERGENCE_CAP = 1e15
 
 
 class NonIntegrableError(ValueError):
@@ -120,105 +107,6 @@ class PlancherelQuadrature:
         """Node sum of ``m`` against the measure, both signs included."""
         vals = np.array([m(float(s)) for s in self.nodes], dtype=float)
         return float(np.dot(self.weights, vals))
-
-
-@dataclass(frozen=True)
-class DirectIntegralOperator:
-    """One matrix block per quadrature node."""
-
-    quadrature: PlancherelQuadrature
-    blocks: np.ndarray
-
-    def __post_init__(self):
-        blocks = np.asarray(self.blocks, dtype=complex)
-        if blocks.ndim != 3 or blocks.shape[0] != self.quadrature.size:
-            raise ValueError("blocks must be stacked per node")
-        if blocks.shape[1] != blocks.shape[2]:
-            raise ValueError("blocks must be square")
-        blocks.flags.writeable = False
-        object.__setattr__(self, "blocks", blocks)
-
-    @property
-    def block_dim(self) -> int:
-        return self.blocks.shape[1]
-
-    def _check_compatible(self, other: "DirectIntegralOperator") -> None:
-        if self.quadrature is not other.quadrature and not (
-            np.array_equal(self.quadrature.nodes, other.quadrature.nodes)
-            and np.array_equal(self.quadrature.weights, other.quadrature.weights)
-        ):
-            raise ValueError("operators live over different quadratures")
-        if self.block_dim != other.block_dim:
-            raise ValueError("block dimensions differ")
-
-    def __matmul__(self, other: "DirectIntegralOperator") -> "DirectIntegralOperator":
-        self._check_compatible(other)
-        return DirectIntegralOperator(self.quadrature, self.blocks @ other.blocks)
-
-    def __add__(self, other: "DirectIntegralOperator") -> "DirectIntegralOperator":
-        self._check_compatible(other)
-        return DirectIntegralOperator(self.quadrature, self.blocks + other.blocks)
-
-    def __sub__(self, other: "DirectIntegralOperator") -> "DirectIntegralOperator":
-        self._check_compatible(other)
-        return DirectIntegralOperator(self.quadrature, self.blocks - other.blocks)
-
-    def __mul__(self, scalar) -> "DirectIntegralOperator":
-        return DirectIntegralOperator(self.quadrature, complex(scalar) * self.blocks)
-
-    __rmul__ = __mul__
-
-    def adjoint(self) -> "DirectIntegralOperator":
-        return DirectIntegralOperator(self.quadrature, self.blocks.conj().transpose(0, 2, 1))
-
-    def node_traces(self) -> np.ndarray:
-        return np.trace(self.blocks, axis1=1, axis2=2)
-
-
-def lift(
-    x: FiberOperator,
-    m: Callable[[float], complex],
-    quadrature: PlancherelQuadrature,
-) -> DirectIntegralOperator:
-    """Spread a two-block fiber operator over the nodes, scaled by a radial profile.
-
-    Negative nodes see the minus block, positive nodes the plus block; the
-    profile ``m`` is evaluated at the signed node and must be finite there.
-    """
-    vals = np.array([m(float(s)) for s in quadrature.nodes], dtype=complex)
-    if not np.all(np.isfinite(vals)):
-        bad = quadrature.nodes[~np.isfinite(vals)][0]
-        raise ValueError(f"profile is not finite at node s = {bad!r}")
-    dim = x.minus.shape[0]
-    blocks = np.empty((quadrature.size, dim, dim), dtype=complex)
-    for i, s in enumerate(quadrature.nodes):
-        blocks[i] = (x.minus if s < 0.0 else x.plus) * vals[i]
-    return DirectIntegralOperator(quadrature, blocks)
-
-
-def lift_oscillator_profile(
-    basis: MultiIndexBasis,
-    g: Callable[[float], float],
-    quadrature: PlancherelQuadrature,
-) -> DirectIntegralOperator:
-    """Model of ``g`` applied to the sub-Laplacian: diagonal blocks ``g((2|a|+n)|s|)``."""
-    energies = np.diag(oscillator_matrix(basis))
-    blocks = np.empty((quadrature.size, basis.dim, basis.dim), dtype=complex)
-    for i, s in enumerate(quadrature.nodes):
-        vals = np.array([g(e * abs(float(s))) for e in energies], dtype=complex)
-        if not np.all(np.isfinite(vals)):
-            raise ValueError(f"profile is not finite at node s = {s!r}")
-        blocks[i] = np.diag(vals)
-    return DirectIntegralOperator(quadrature, blocks)
-
-
-def tau(y: DirectIntegralOperator) -> complex:
-    """Weighted sum of blockwise traces; the trace of the model."""
-    traces = y.node_traces()
-    total_mass = float(np.dot(y.quadrature.weights, np.abs(traces)))
-    if not np.isfinite(total_mass) or total_mass > _DIVERGENCE_CAP:
-        raise NonIntegrableError("weighted block-trace sum diverges")
-    return complex(np.dot(y.quadrature.weights, traces))
 
 
 def tau_radial(

@@ -12,7 +12,6 @@ from heislab.experiments import (
     YSymbolSet,
     bochner_norm,
     bochner_rhs,
-    bochner_rhs_combined,
     bound_experiment,
     bound_subreport,
     build_y_fibers,
@@ -24,10 +23,9 @@ from heislab.experiments import (
     product_factor,
     product_trace_check,
     report_as_dict,
-    theorem_combination,
     trace_formula_experiment,
 )
-from heislab.grid import GridFunction, GridSpec, build_riesz
+from heislab.grid import GridFunction, GridSpec, _model, build_riesz
 from heislab.schatten import CLAMP_RATIO, singular_values
 from heislab.oscillator import (
     enumerate_basis,
@@ -47,6 +45,22 @@ def grid_fn(fn, spec=SPEC):
 
 def wide_bump(spec=SPEC):
     return grid_fn(lambda x, y, t: np.exp(-0.5 * (x * x + y * y + t * t)), spec)
+
+
+def theorem_combination(family):
+    """The k = 1, 2 combination that absorbs the flat factor into slot ℓ."""
+    out = list(family.symbols[1:])
+    out[family.ell - 1] = out[family.ell - 1] + family.flat
+    return tuple(out)
+
+
+def bochner_rhs_combined(f, family, spec):
+    """Oracle of ``bochner_rhs``: the same mass through the k >= 1
+    combination, with no separate flat column."""
+    model = _model(spec)
+    grads = [np.conj(model.horizontal(k) @ f.flat) for k in (1, 2)]
+    coeff = np.stack(grads, axis=1)
+    return bochner_norm(coeff, theorem_combination(family), spec.cell_volume, 4.0)
 
 
 class TestSymbolFamily:
@@ -245,7 +259,7 @@ class TestBoundExperiment:
         ratios = [row.ratio for row in report.rows]
         assert max(ratios) / min(ratios) <= 8.0
         assert all(row.slope < 0.0 for row in report.rows)
-        assert report.summary == report.recomputed_summary()
+        assert report.summary == ExperimentSummary.from_rows(report.rows)
 
     def test_scaling_pair_identical(self):
         f = wide_bump()
@@ -381,6 +395,16 @@ class TestProductTrace:
         with pytest.raises(ValueError, match="outside"):
             product_factor(SPEC, BASIS, "a:3")
 
+    @pytest.mark.parametrize("shape", [(9, 9, 9), (9, 9, 10)])
+    def test_flat_factor_matches_kronecker_oracle(self, shape):
+        spec = GridSpec(*shape)
+        model = _model(spec)
+        oracle = model.power(-0.5) @ np.kron(
+            np.eye(spec.nx * spec.ny), model.vertical_quarter_root()
+        )
+        grid_mat, _ = product_factor(spec, BASIS, "flat_factor")
+        assert np.linalg.norm(grid_mat - oracle) <= 1e-13 * np.linalg.norm(oracle)
+
     def test_factor_catalog_matches_components(self):
         grid_mat, fiber = product_factor(SPEC, BASIS, "identity")
         np.testing.assert_array_equal(grid_mat, np.eye(SPEC.size))
@@ -423,7 +447,7 @@ class TestReportPlumbing:
         rows = self._rows()
         summary = ExperimentSummary.from_rows(rows)
         report = ExperimentReport("abc", rows, summary)
-        assert report.recomputed_summary() == summary
+        assert ExperimentSummary.from_rows(report.rows) == summary
         assert summary.min_ratio == 0.5
         assert summary.max_ratio == pytest.approx(2.0 / 3.0)
 

@@ -13,14 +13,10 @@ from heislab.oscillator import (
     tensor_scalar,
 )
 from heislab.plancherel import (
-    DirectIntegralOperator,
     NonIntegrableError,
     PlancherelQuadrature,
     incursion_distribution,
     incursion_profile,
-    lift,
-    lift_oscillator_profile,
-    tau,
     tau_radial,
     weak_distribution_brute,
     weak_norm_lift,
@@ -77,113 +73,9 @@ class TestQuadrature:
         q = PlancherelQuadrature.geometric(1, nodes_per_decade=8)
         perm = rng.permutation(q.size)
         shuffled = PlancherelQuadrature(q.nodes[perm], q.weights[perm], q.c_n)
-        basis = enumerate_basis(1, 2)
-        x = random_fiber(rng, basis)
-        a = tau(lift(x, lambda s: math.exp(-abs(s)), q))
-        b = tau(lift(x, lambda s: math.exp(-abs(s)), shuffled))
+        a = q.integrate_profile(lambda s: math.exp(-abs(s)))
+        b = shuffled.integrate_profile(lambda s: math.exp(-abs(s)))
         assert a == pytest.approx(b, rel=1e-13)
-
-
-class TestLiftAndTau:
-    def test_identity_lift(self):
-        basis = enumerate_basis(1, 2)
-        q = PlancherelQuadrature.geometric(1, nodes_per_decade=4)
-        y = lift(fiber_identity(basis), lambda s: 1.0, q)
-        for block in y.blocks:
-            np.testing.assert_array_equal(block, np.eye(basis.dim))
-
-    def test_ground_projection_unit_window(self):
-        basis = enumerate_basis(1, 2)
-        q = PlancherelQuadrature.geometric(1, s_min=1e-5)
-        x = tensor_scalar(basis, matrix_unit(basis, (0,), (0,)), "one")
-        value = tau(lift(x, lambda s: 1.0 if abs(s) <= 1.0 else 0.0, q))
-        assert value.real == pytest.approx(1.0, abs=1e-8)
-        assert value.imag == pytest.approx(0.0, abs=1e-15)
-
-    def test_zero_operator(self):
-        basis = enumerate_basis(1, 1)
-        q = PlancherelQuadrature.geometric(1, nodes_per_decade=4)
-        zero = FiberOperator(
-            basis, np.zeros((basis.dim, basis.dim)), np.zeros((basis.dim, basis.dim))
-        )
-        assert tau(lift(zero, lambda s: 1.0, q)) == 0.0
-
-    def test_sign_component_splits_blocks(self):
-        basis = enumerate_basis(1, 1)
-        q = PlancherelQuadrature.geometric(1, nodes_per_decade=4)
-        x = tensor_scalar(basis, np.eye(basis.dim), "z")
-        y = lift(x, lambda s: 1.0, q)
-        for s, block in zip(q.nodes, y.blocks):
-            expected = -np.eye(basis.dim) if s < 0 else np.eye(basis.dim)
-            np.testing.assert_array_equal(block, expected)
-
-    def test_sublaplacian_blocks(self):
-        basis = enumerate_basis(1, 2)
-        q = PlancherelQuadrature.geometric(1, nodes_per_decade=4)
-        y = lift_oscillator_profile(basis, lambda u: u, q)
-        i = q.size // 2
-        expected = np.diag(np.diag(oscillator_matrix(basis)) * abs(q.nodes[i]))
-        np.testing.assert_allclose(y.blocks[i], expected)
-
-    def test_vertical_times_inverse_sublaplacian(self):
-        # |s| times the inverse sub-Laplacian collapses to the s-free
-        # inverse oscillator in every block
-        basis = enumerate_basis(1, 3)
-        q = PlancherelQuadrature.geometric(1, nodes_per_decade=4)
-        vertical = lift(fiber_identity(basis), lambda s: abs(s), q)
-        inv = lift_oscillator_profile(basis, lambda u: 1.0 / u, q)
-        product = vertical @ inv
-        h_inv = np.diag(1.0 / np.diag(oscillator_matrix(basis)))
-        direct = lift(tensor_scalar(basis, h_inv, "one"), lambda s: 1.0, q)
-        np.testing.assert_allclose(product.blocks, direct.blocks, atol=1e-14)
-
-    def test_traciality(self):
-        rng = np.random.default_rng(5)
-        basis = enumerate_basis(1, 3)
-        q = PlancherelQuadrature.geometric(1, nodes_per_decade=6)
-        x = lift(random_fiber(rng, basis), lambda s: math.exp(-abs(s)), q)
-        y = lift(random_fiber(rng, basis), lambda s: 1.0 / (1.0 + s * s), q)
-        assert tau(x @ y) == pytest.approx(tau(y @ x), abs=1e-10)
-
-    def test_singular_profile_rejected(self):
-        basis = enumerate_basis(1, 1)
-        q = PlancherelQuadrature.geometric(1, nodes_per_decade=4)
-        target = float(q.nodes[3])
-        with pytest.raises(ValueError, match="not finite"):
-            lift(
-                fiber_identity(basis),
-                lambda s: math.inf if s == target else 1.0,
-                q,
-            )
-
-    def test_divergent_trace_reported(self):
-        basis = enumerate_basis(1, 1)
-        q = PlancherelQuadrature.geometric(1, nodes_per_decade=4)
-        y = lift(fiber_identity(basis), lambda s: 1e300 * abs(s) ** -1, q)
-        with pytest.raises(NonIntegrableError):
-            tau(y)
-
-    def test_quadrature_mismatch(self):
-        basis = enumerate_basis(1, 1)
-        qa = PlancherelQuadrature.geometric(1, nodes_per_decade=4)
-        qb = PlancherelQuadrature.geometric(1, nodes_per_decade=6)
-        ya = lift(fiber_identity(basis), lambda s: 1.0, qa)
-        yb = lift(fiber_identity(basis), lambda s: 1.0, qb)
-        with pytest.raises(ValueError, match="different quadratures"):
-            _ = ya @ yb
-
-    def test_block_algebra(self):
-        rng = np.random.default_rng(9)
-        basis = enumerate_basis(1, 2)
-        q = PlancherelQuadrature.geometric(1, nodes_per_decade=4)
-        x = lift(random_fiber(rng, basis), lambda s: 1.0, q)
-        y = lift(random_fiber(rng, basis), lambda s: abs(s), q)
-        np.testing.assert_allclose((x + y).blocks, x.blocks + y.blocks)
-        np.testing.assert_allclose((x - y).blocks, x.blocks - y.blocks)
-        np.testing.assert_allclose((2.0 * x).blocks, 2.0 * x.blocks)
-        np.testing.assert_allclose(
-            x.adjoint().blocks, x.blocks.conj().transpose(0, 2, 1)
-        )
 
 
 class TestTauRadial:

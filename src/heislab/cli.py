@@ -129,6 +129,12 @@ def _require(condition: bool, message: str) -> None:
         raise UsageError(message)
 
 
+def _is_number(value, kind=(int, float)) -> bool:
+    # JSON true and false are Python bools, which are ints; a config that
+    # says "ell": true must fail here, not run as ell = 1 under another digest
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Everything one invocation needs, after file and flag merging."""
@@ -155,23 +161,25 @@ class RunConfig:
             f"{', '.join(SUITES + ('all',))}",
         )
         _require(
-            isinstance(self.grid_size, int) and self.grid_size >= 3,
+            _is_number(self.grid_size, int) and self.grid_size >= 3,
             "grid_size must be an integer of at least 3",
         )
         _require(
-            isinstance(self.hermite_n, int) and self.hermite_n >= 1,
+            _is_number(self.hermite_n, int) and self.hermite_n >= 1,
             "hermite_n must be a positive integer",
         )
         _require(
-            isinstance(self.hermite_K, int) and self.hermite_K >= 1,
+            _is_number(self.hermite_K, int) and self.hermite_K >= 1,
             "hermite_K must be a positive integer",
         )
         _require(
-            0.0 < self.quad_s_min < self.quad_s_max,
+            _is_number(self.quad_s_min)
+            and _is_number(self.quad_s_max)
+            and 0.0 < self.quad_s_min < self.quad_s_max,
             "need 0 < quad_s_min < quad_s_max",
         )
         _require(
-            isinstance(self.quad_nodes_per_decade, int)
+            _is_number(self.quad_nodes_per_decade, int)
             and self.quad_nodes_per_decade >= 2,
             "quad_nodes_per_decade must be an integer of at least 2",
         )
@@ -180,8 +188,8 @@ class RunConfig:
             f"unknown family {self.family!r}; expected one of "
             f"{', '.join(family_names())}",
         )
-        _require(self.ell in (1, 2), "ell must be 1 or 2")
-        _require(isinstance(self.seed, int), "seed must be an integer")
+        _require(_is_number(self.ell, int) and self.ell in (1, 2), "ell must be 1 or 2")
+        _require(_is_number(self.seed, int), "seed must be an integer")
         for suite in self.requested_suites():
             block = self.thresholds.get(suite)
             _require(
@@ -234,8 +242,7 @@ def _merge_thresholds(overrides: Mapping | None) -> dict[str, dict[str, float]]:
                 f"expected one of {', '.join(sorted(merged[suite]))}",
             )
             _require(
-                isinstance(value, (int, float))
-                and not isinstance(value, bool)
+                _is_number(value)
                 and math.isfinite(value)
                 and value > 0.0,
                 f"threshold {suite}.{key} must be a positive number",
@@ -478,7 +485,7 @@ def radial_checks() -> list[dict]:
     gap_scaled = abs(tau_radial(lambda s: math.exp(-2.0 * s), 1) - 0.25)
     level = 1.0 - 2.0 ** -0.25
     gap_half = abs(float(incursion_distribution(1, level)) - 0.5)
-    profile = incursion_profile(1, np.linspace(0.05, 0.95, 7))
+    profile = incursion_profile(1)
     gap_fit = abs(profile.fitted_exponent - profile.target_exponent)
     return [
         _check("integral_margin", "radial_exponential", gap_exp, 1e-8),

@@ -12,7 +12,7 @@ import hashlib
 import json
 import math
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,9 +72,6 @@ __all__ = [
     "trace_formula_experiment",
 ]
 
-#: singular Gram matrices below this eigenvalue flag an independence failure
-GRAM_SINGULAR_THRESHOLD = 1e-12
-
 #: a trace window smaller than this cannot support the log-averaged estimate
 MIN_TRACE_WINDOW = 50
 
@@ -125,24 +122,19 @@ class ExperimentSummary:
 class ExperimentReport:
     """Rows of (lhs, rhs, ratio) with their spread summary.
 
-    ``excluded`` lists the labels of degenerate inputs (both sides zero);
-    ``sweep`` holds (axis value, metric) pairs appended by refinement runs.
+    ``excluded`` lists the labels of degenerate inputs (both sides zero).
     """
 
     digest: str
     rows: tuple[ExperimentRow, ...]
     summary: ExperimentSummary
     excluded: tuple[str, ...] = ()
-    sweep: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self) -> None:
         if not self.rows:
             raise ValueError("a report needs at least one non-degenerate row")
         if any(row.ratio <= 0.0 for row in self.rows):
             raise ValueError("experiment ratios must be positive")
-
-    def with_sweep(self, sweep) -> "ExperimentReport":
-        return replace(self, sweep=tuple(sweep))
 
 
 def _build_report(
@@ -180,7 +172,6 @@ def report_as_dict(report: ExperimentReport) -> dict:
             "variation": report.summary.variation,
         },
         "excluded": list(report.excluded),
-        "sweep": [list(pair) for pair in report.sweep],
     }
 
 
@@ -198,7 +189,6 @@ class YSymbolSet:
     """
 
     ell: int
-    cutoff: int
     symbols: tuple[FiberOperator, ...]
 
     @property
@@ -223,7 +213,7 @@ def build_y_fibers(basis: MultiIndexBasis, ell: int) -> YSymbolSet:
     for k in range(1, 2 * basis.n + 1):
         chain = fiber_adjoint(fiber_mul(riesz, build_a_fiber(basis, k)))
         symbols.append(fiber_mul(flat, chain))
-    return YSymbolSet(ell, basis.K, tuple(symbols))
+    return YSymbolSet(ell, tuple(symbols))
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +280,6 @@ def bochner_rhs(f: GridFunction, family: YSymbolSet, spec: GridSpec) -> float:
 class GramReport:
     min_eigenvalue: float
     coercivity: float
-    independent: bool
 
 
 def gram_min_eigenvalue(
@@ -321,7 +310,7 @@ def gram_min_eigenvalue(
         for k in range(1, m):
             mixed = mixed + symbols[k] * complex(c[k])
         worst = min(worst, fiber_schatten_norm(mixed, power))
-    return GramReport(smallest, worst, smallest > GRAM_SINGULAR_THRESHOLD)
+    return GramReport(smallest, worst)
 
 
 # ---------------------------------------------------------------------------
@@ -330,17 +319,11 @@ def gram_min_eigenvalue(
 
 @dataclass(frozen=True)
 class DixmierEstimate:
-    """Log-averaged partial-sum estimate with its window-sensitivity band."""
+    """Log-averaged partial-sum estimate over its window of usable values."""
 
     value: float
-    band: tuple[float, float]
     window: int
     spectrum: Mapping | None = None
-
-    def __post_init__(self) -> None:
-        lo, hi = self.band
-        if not lo <= self.value <= hi:
-            raise ValueError("band must contain the reported value")
 
 
 def _commutator(riesz: np.ndarray, f: GridFunction) -> np.ndarray:
@@ -408,18 +391,14 @@ def dixmier_lhs(f: GridFunction, ell: int, spec: GridSpec) -> DixmierEstimate:
     powered = spectrum.values ** GRID_HOMOGENEOUS_DIMENSION
     usable = int(np.count_nonzero(powered > CLAMP_RATIO * max(powered[0], 1e-300)))
     if f.max_abs() == 0.0 or powered[0] == 0.0:
-        return DixmierEstimate(0.0, (0.0, 0.0), 0)
+        return DixmierEstimate(0.0, 0)
     if usable < MIN_TRACE_WINDOW:
         raise ValueError(
             f"window too small: {usable} singular values above the clamp, "
             f"need {MIN_TRACE_WINDOW}"
         )
-    powered_spectrum = SingularSpectrum(powered)
-    windows = [usable, usable // 2, usable // 4]
-    estimates = [dixmier_approximant(powered_spectrum, w) for w in windows]
-    return DixmierEstimate(
-        estimates[0], (min(estimates), max(estimates)), usable, health
-    )
+    value = dixmier_approximant(SingularSpectrum(powered), usable)
+    return DixmierEstimate(value, usable, health)
 
 
 def bound_experiment(
@@ -438,10 +417,9 @@ def bound_experiment(
         # while the discrete seminorm keeps boundary-row artifacts
         if lhs == 0.0 or rhs == 0.0:
             return None
-        slope = fit_weak_decay(
-            spectrum, power, shadow_fit_range(spectrum, power)
-        ).slope
-        return ExperimentRow(label, lhs, rhs, lhs / rhs, slope, health)
+        fit = fit_weak_decay(spectrum, shadow_fit_range(spectrum, power))
+        health = {**health, "fit_range": list(fit.fit_range)}
+        return ExperimentRow(label, lhs, rhs, lhs / rhs, fit.slope, health)
 
     results = {label: row(label, f) for label, f in family.items()}
     return _build_report(_bound_digest(spec, ell, family), results)
@@ -491,7 +469,8 @@ def trace_formula_experiment(
             )
         if lhs == 0.0 or rhs == 0.0:
             return None
-        return ExperimentRow(label, lhs, rhs, lhs / rhs, spectrum=estimate.spectrum)
+        health = {**estimate.spectrum, "window": estimate.window}
+        return ExperimentRow(label, lhs, rhs, lhs / rhs, spectrum=health)
 
     results = {label: row(label, f) for label, f in family.items()}
     digest = config_digest(
@@ -505,7 +484,7 @@ def trace_formula_experiment(
 # product trace check
 
 
-def eigenvalue_trace_approximant(eigenvalues: np.ndarray, window: int | None = None) -> float:
+def eigenvalue_trace_approximant(eigenvalues: np.ndarray) -> float:
     """Log-averaged partial eigenvalue sum, ordered by decreasing modulus.
 
     The product operators are not normal, so the estimate uses eigenvalues
@@ -519,8 +498,7 @@ def eigenvalue_trace_approximant(eigenvalues: np.ndarray, window: int | None = N
     if mods[0] == 0.0:
         return 0.0
     usable = int(np.count_nonzero(mods > CLAMP_RATIO * mods[0]))
-    n_terms = usable if window is None else min(window, usable)
-    return float(np.sum(eigs[:n_terms]).real / math.log(n_terms + 2.0))
+    return float(np.sum(eigs[:usable]).real / math.log(usable + 2.0))
 
 
 def _grid_symbol_realization(spec: GridSpec, k: int) -> np.ndarray:
@@ -562,7 +540,7 @@ def product_factor(
     kind, _, index = name.partition(":")
     if kind == "riesz" and index.isdigit():
         k = int(index)
-        return build_riesz(spec, k).matrix, riesz_symbol(basis, k)
+        return build_riesz(spec, k), riesz_symbol(basis, k)
     if kind == "a" and index.isdigit():
         k = int(index)
         if k not in (1, 2):

@@ -23,11 +23,9 @@ interior-supported functions and via refinement sweeps.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -38,7 +36,6 @@ __all__ = [
     "KERNEL_THRESHOLD",
     "GridSpec",
     "GridFunction",
-    "GridOperator",
     "build_sublaplacian",
     "sublaplacian_spectrum",
     "build_riesz",
@@ -47,8 +44,6 @@ __all__ = [
     "RotationReport",
     "riesz_decomposition_residual",
     "RieszSplitReport",
-    "save_operator",
-    "load_operator",
 ]
 
 # Relative eigenvalue threshold below which the spectral calculus treats a
@@ -56,7 +51,6 @@ __all__ = [
 # artifact.
 KERNEL_THRESHOLD = 1e-10
 
-_SELF_ADJOINT_RTOL = 1e-10
 _ASYMMETRY_LIMIT = 1e-8
 
 # Characters (s1, s2) of the two grid reflections P1: (x, y, t) -> (x, -y, -t)
@@ -182,49 +176,6 @@ class GridFunction:
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.values)))
-
-    def __add__(self, other):
-        return GridFunction(self.spec, self.values + self._coerce(other))
-
-    def __sub__(self, other):
-        return GridFunction(self.spec, self.values - self._coerce(other))
-
-    def __mul__(self, other):
-        return GridFunction(self.spec, self.values * self._coerce(other))
-
-    __rmul__ = __mul__
-
-    def _coerce(self, other):
-        if isinstance(other, GridFunction):
-            if other.spec != self.spec:
-                raise ValueError("grid functions live on different grids")
-            return other.values
-        return other
-
-
-@dataclass
-class GridOperator:
-    """Dense matrix over grid points with a verified self-adjointness claim."""
-
-    spec: GridSpec
-    matrix: np.ndarray
-    kind: str = "generic"
-    self_adjoint: bool = False
-    meta: dict = field(default_factory=dict, compare=False)
-
-    def __post_init__(self):
-        mat = np.asarray(self.matrix)
-        size = self.spec.size
-        if mat.shape != (size, size):
-            raise ValueError(f"operator must be {size} x {size}")
-        if self.self_adjoint:
-            scale = max(float(np.linalg.norm(mat)), 1.0)
-            gap = float(np.linalg.norm(mat - mat.conj().T))
-            if gap > _SELF_ADJOINT_RTOL * scale:
-                raise ValueError(
-                    f"claimed self-adjoint but relative asymmetry {gap / scale:.2e}"
-                )
-        self.matrix = mat
 
 
 # ---------------------------------------------------------------------------
@@ -463,21 +414,15 @@ def _model(spec: GridSpec) -> _GridModel:
 # operator builders
 
 
-def build_sublaplacian(spec: GridSpec) -> GridOperator:
-    """Dense symmetrized ``X^T X + Y^T Y``, built on each call; records the
-    (tiny) asymmetry residual."""
+def build_sublaplacian(spec: GridSpec) -> np.ndarray:
+    """Dense symmetrized ``X^T X + Y^T Y``, built on each call; raises when
+    the asymmetry residual it removes is not tiny."""
     model = _model(spec)
     quad = (model.x_field.T @ model.x_field + model.y_field.T @ model.y_field).toarray()
     asym = float(np.linalg.norm(quad - quad.T) / max(np.linalg.norm(quad), 1.0))
     if asym > _ASYMMETRY_LIMIT:
         raise ValueError(f"sub-Laplacian asymmetry {asym:.2e} exceeds limit")
-    return GridOperator(
-        spec,
-        0.5 * (quad + quad.T),
-        kind="sublaplacian",
-        self_adjoint=True,
-        meta={"symmetry_residual": asym},
-    )
+    return 0.5 * (quad + quad.T)
 
 
 def sublaplacian_spectrum(spec: GridSpec) -> np.ndarray:
@@ -486,9 +431,9 @@ def sublaplacian_spectrum(spec: GridSpec) -> np.ndarray:
     return np.sort(np.repeat(model.eig()[0], model.weight, axis=0), axis=None)
 
 
-def build_riesz(spec: GridSpec, ell: int) -> GridOperator:
+def build_riesz(spec: GridSpec, ell: int) -> np.ndarray:
     """Horizontal field times the inverse square root; one shared read-only matrix per grid."""
-    return GridOperator(spec, _model(spec).riesz(ell), kind=f"riesz_{ell}")
+    return _model(spec).riesz(ell)
 
 
 def sobolev_seminorm(f: GridFunction, p: float = 4.0) -> float:
@@ -550,7 +495,6 @@ def quarter_rotation(
 @dataclass(frozen=True)
 class RieszSplitReport:
     relative_residual: float
-    absolute_residual: float
     lhs_norm: float
     leibniz_defect: float
     kernel_dimension: int
@@ -613,7 +557,6 @@ def riesz_decomposition_residual(
         )
         return RieszSplitReport(
             relative_residual=absolute / max(lhs_norm, 1e-30),
-            absolute_residual=absolute,
             lhs_norm=lhs_norm,
             leibniz_defect=float(
                 sparse_linalg.norm(defect) / max(np.linalg.norm(derivative), 1e-30)
@@ -622,42 +565,3 @@ def riesz_decomposition_residual(
         )
 
     return {label: split(f) for label, f in functions.items()}
-
-
-# ---------------------------------------------------------------------------
-# persistence
-
-
-def save_operator(op: GridOperator, path) -> None:
-    """Raw row-major complex128 payload plus a JSON sidecar with metadata."""
-    path = Path(path)
-    np.ascontiguousarray(op.matrix, dtype=np.complex128).tofile(path)
-    sidecar = {
-        "spec": {
-            "nx": op.spec.nx,
-            "ny": op.spec.ny,
-            "nt": op.spec.nt,
-            "lx": op.spec.lx,
-            "ly": op.spec.ly,
-            "lt": op.spec.lt,
-        },
-        "kind": op.kind,
-        "self_adjoint": op.self_adjoint,
-        "symmetry_residual": op.meta.get("symmetry_residual"),
-    }
-    path.with_suffix(path.suffix + ".json").write_text(
-        json.dumps(sidecar, sort_keys=True, indent=2)
-    )
-
-
-def load_operator(path) -> GridOperator:
-    path = Path(path)
-    sidecar = json.loads(path.with_suffix(path.suffix + ".json").read_text())
-    spec = GridSpec(**sidecar["spec"])
-    mat = np.fromfile(path, dtype=np.complex128).reshape(spec.size, spec.size)
-    meta = {}
-    if sidecar.get("symmetry_residual") is not None:
-        meta["symmetry_residual"] = sidecar["symmetry_residual"]
-    return GridOperator(
-        spec, mat, kind=sidecar["kind"], self_adjoint=sidecar["self_adjoint"], meta=meta
-    )

@@ -69,9 +69,6 @@ class MultiIndexBasis:
         except KeyError:
             raise ValueError(f"multi-index {tuple(alpha)} outside the degree-{self.K} cutoff")
 
-    def contains(self, alpha) -> bool:
-        return tuple(alpha) in self._position
-
     def __eq__(self, other) -> bool:
         return isinstance(other, MultiIndexBasis) and (self.n, self.K) == (other.n, other.K)
 
@@ -159,24 +156,14 @@ class FiberOperator:
         object.__setattr__(self, "minus", minus)
         object.__setattr__(self, "plus", plus)
 
-    def block(self, sign: float) -> np.ndarray:
-        return self.minus if sign < 0 else self.plus
-
     def __add__(self, other: "FiberOperator") -> "FiberOperator":
         _check_same_basis(self, other)
         return FiberOperator(self.basis, self.minus + other.minus, self.plus + other.plus)
-
-    def __sub__(self, other: "FiberOperator") -> "FiberOperator":
-        _check_same_basis(self, other)
-        return FiberOperator(self.basis, self.minus - other.minus, self.plus - other.plus)
 
     def __mul__(self, scalar) -> "FiberOperator":
         return FiberOperator(self.basis, scalar * self.minus, scalar * self.plus)
 
     __rmul__ = __mul__
-
-    def __matmul__(self, other: "FiberOperator") -> "FiberOperator":
-        return fiber_mul(self, other)
 
 
 def _check_same_basis(x: FiberOperator, y: FiberOperator) -> None:

@@ -1,6 +1,6 @@
 """Node quadrature and radial trace integrals for the Plancherel measure.
 
-The measure ``c_n |s|^n ds`` over the signed spectral parameter ``s`` is
+The measure ``|s|^n ds`` over the signed spectral parameter ``s`` is
 sampled by mirrored node rules.  Radial profiles of the sub-Laplacian reduce
 to one-dimensional integrals, which gives closed forms for distribution
 functions and weak-Schatten quasinorms that the experiment layer checks
@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy import integrate, optimize
@@ -37,15 +37,14 @@ class NonIntegrableError(ValueError):
 
 @dataclass(frozen=True)
 class PlancherelQuadrature:
-    """Signed nodes and weights for the measure ``c_n |s|^n ds``.
+    """Signed nodes and weights for the measure ``|s|^n ds``.
 
     Nodes come in mirror pairs and never sit at the origin; the weight at a
-    node already includes the ``c_n |s|^n`` density factor.
+    node already includes the ``|s|^n`` density factor.
     """
 
     nodes: np.ndarray
     weights: np.ndarray
-    c_n: float = 1.0
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -74,7 +73,6 @@ class PlancherelQuadrature:
         s_min: float = 1e-4,
         s_max: float = 1e2,
         nodes_per_decade: int = 24,
-        c_n: float = 1.0,
     ) -> "PlancherelQuadrature":
         """Gauss-Legendre panels aligned to decades of ``|s|``, mirrored in sign.
 
@@ -98,10 +96,10 @@ class PlancherelQuadrature:
             wts.append(half * base_w)
         s = np.concatenate(pts)
         dw = np.concatenate(wts)
-        weights_half = c_n * s**n * dw
+        weights_half = s**n * dw
         nodes = np.concatenate([-s[::-1], s])
         weights = np.concatenate([weights_half[::-1], weights_half])
-        return cls(nodes, weights, c_n)
+        return cls(nodes, weights)
 
     def integrate_profile(self, m: Callable[[float], float]) -> float:
         """Node sum of ``m`` against the measure, both signs included."""
@@ -109,22 +107,10 @@ class PlancherelQuadrature:
         return float(np.dot(self.weights, vals))
 
 
-def tau_radial(
-    g: Callable[[float], float],
-    n: int,
-    breakpoints: Sequence[float] = (),
-) -> float:
-    """Adaptive quadrature of ``integral_0^inf g(s) s^n ds``.
-
-    ``breakpoints`` splits the half-line at known kinks or jumps so the
-    adaptive rule is never asked to straddle one.
-    """
+def tau_radial(g: Callable[[float], float], n: int) -> float:
+    """Adaptive quadrature of ``integral_0^inf g(s) s^n ds``."""
     if n < 0:
         raise ValueError("dimension must be nonnegative")
-    cuts = sorted(float(b) for b in breakpoints)
-    if any(b <= 0.0 for b in cuts):
-        raise ValueError("breakpoints must be positive")
-    edges = [0.0] + cuts + [np.inf]
 
     def integrand(s: float) -> float:
         try:
@@ -132,15 +118,10 @@ def tau_radial(
         except (ZeroDivisionError, OverflowError):
             return math.inf
 
-    total = 0.0
-    total_err = 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("error", integrate.IntegrationWarning)
         try:
-            for a, b in zip(edges[:-1], edges[1:]):
-                val, err = integrate.quad(integrand, a, b, limit=200)
-                total += val
-                total_err += err
+            total, total_err = integrate.quad(integrand, 0.0, np.inf, limit=200)
         except integrate.IntegrationWarning as exc:
             raise NonIntegrableError(f"profile failed to integrate: {exc}") from exc
     if not math.isfinite(total) or total_err > max(1e-7, 1e-7 * abs(total)):
@@ -148,22 +129,20 @@ def tau_radial(
     return total
 
 
-def weak_norm_lift(
-    x: FiberOperator, n: int, c_n: float = 1.0
-) -> tuple[float, Callable[[float], float]]:
+def weak_norm_lift(x: FiberOperator, n: int) -> tuple[float, Callable[[float], float]]:
     """Weak-Schatten quasinorm of ``|x| (x) |s|^{-1/2}`` and its distribution function.
 
     Each singular value sigma of a block contributes
-    ``c_n sigma^{2n+2} t^{-(2n+2)} / (n+1)`` to the distribution (one
+    ``sigma^{2n+2} t^{-(2n+2)} / (n+1)`` to the distribution (one
     half-line per block), so the level sets are exact power laws and the
-    quasinorm is ``(c_n/(n+1))^{1/(2n+2)}`` times the pooled Schatten norm
+    quasinorm is ``(1/(n+1))^{1/(2n+2)}`` times the pooled Schatten norm
     of order ``2n+2``.
     """
     if n < 1:
         raise ValueError("dimension must be >= 1")
     power = 2 * n + 2
     sigma = _pooled_singular_values(x)
-    mass = c_n * float(np.sum(sigma**power)) / (n + 1)
+    mass = float(np.sum(sigma**power)) / (n + 1)
 
     def distribution(t: float) -> float:
         if t <= 0.0:
@@ -173,9 +152,7 @@ def weak_norm_lift(
     return mass ** (1.0 / power), distribution
 
 
-def weak_distribution_brute(
-    x: FiberOperator, n: int, t: float, c_n: float = 1.0
-) -> float:
+def weak_distribution_brute(x: FiberOperator, n: int, t: float) -> float:
     """Distribution function of the lifted operator by direct quadrature.
 
     Integrates the indicator of ``sigma |s|^{-1/2} > t`` against the measure
@@ -193,7 +170,7 @@ def weak_distribution_brute(
             return s**n if s < cut else 0.0
 
         val, _ = integrate.quad(indicator, 0.0, 2.0 * cut, points=[cut], limit=200)
-        total += c_n * val
+        total += val
     return total
 
 
@@ -212,23 +189,17 @@ def incursion_distribution(n: int, s) -> np.ndarray:
 
 @dataclass(frozen=True)
 class IncursionReport:
-    samples: np.ndarray
-    distribution: np.ndarray
-    t_grid: np.ndarray
-    mu: np.ndarray
     fitted_exponent: float
     target_exponent: float
 
 
-def incursion_profile(n: int, samples) -> IncursionReport:
-    """Distribution values at the given levels plus an inverted decay fit.
+def incursion_profile(n: int) -> IncursionReport:
+    """Inverted decay fit of the closed-form incursion distribution.
 
-    Inverts the closed-form distribution on a logarithmic grid of heights to
-    recover generalized singular-value samples, then fits their power-law
-    decay; the target exponent is ``-1/(n+1)``.
+    Inverts the distribution on a logarithmic grid of heights to recover
+    generalized singular-value samples, then fits their power-law decay;
+    the target exponent is ``-1/(n+1)``.
     """
-    samples = np.asarray(samples, dtype=float)
-    dist = incursion_distribution(n, samples)
     t_grid = np.geomspace(1e2, 1e6, 25)
     mu = np.empty_like(t_grid)
     for i, t in enumerate(t_grid):
@@ -236,11 +207,4 @@ def incursion_profile(n: int, samples) -> IncursionReport:
             lambda s, t=t: incursion_distribution(n, s) - t, 1e-12, 1.0 - 1e-12
         )
     slope = float(np.polyfit(np.log(t_grid), np.log(mu), 1)[0])
-    return IncursionReport(
-        samples=samples,
-        distribution=np.atleast_1d(dist),
-        t_grid=t_grid,
-        mu=mu,
-        fitted_exponent=slope,
-        target_exponent=-1.0 / (n + 1),
-    )
+    return IncursionReport(fitted_exponent=slope, target_exponent=-1.0 / (n + 1))

@@ -56,15 +56,13 @@ class SingularSpectrum:
 
 @dataclass(frozen=True)
 class WeakFit:
-    """Weak quasinorm together with the fitted log-log decay exponent.
+    """The fitted log-log decay exponent and the window it was fitted on.
 
-    ``quasinorm`` is the maximum of ``(k+1)**(1/p) * mu(k)`` over the fit
-    window, ``slope`` the least squares slope of ``log mu(k)`` against
-    ``log (k+1)`` on that window, and ``fit_range`` the half-open index
+    ``slope`` is the least squares slope of ``log mu(k)`` against
+    ``log (k+1)`` on the window, and ``fit_range`` the half-open index
     interval that was used.
     """
 
-    quasinorm: float
     slope: float
     fit_range: tuple[int, int]
 
@@ -116,8 +114,7 @@ def dixmier_approximant(spectrum: SingularSpectrum, n_terms: int) -> float:
     Returns ``sum(mu(k), k < n_terms) / log(n_terms + 2)``.  On the harmonic
     sequence ``mu(k) = 1/(k+1)`` this tends to 1 as the window grows, which is
     the normalisation every calibration test anchors to.  Convergence is
-    logarithmically slow; callers surface a window-sensitivity band rather
-    than hiding it.
+    logarithmically slow, so callers report the window with the value.
     """
     if n_terms < 1:
         raise ValueError("approximant window must contain at least one term")
@@ -150,24 +147,19 @@ def shadow_fit_range(spectrum: SingularSpectrum, p: float) -> tuple[int, int]:
     return (lo - 1, hi)
 
 
-def fit_weak_decay(
-    spectrum: SingularSpectrum, p: float, fit_range: tuple[int, int]
-) -> WeakFit:
+def fit_weak_decay(spectrum: SingularSpectrum, fit_range: tuple[int, int]) -> WeakFit:
     """Least squares decay fit of ``log mu`` against ``log (k+1)`` on ``fit_range``.
 
     Zero values inside the window (possible after clamping) are excluded from
-    the regression but not from the quasinorm maximum.
+    the regression.
     """
-    if p <= 0.0:
-        raise ValueError("weak quasinorm exponent must be positive")
     lo, hi = fit_range
     if not 0 <= lo < hi <= len(spectrum):
         raise ValueError(f"fit range {(lo, hi)} outside spectrum of length {len(spectrum)}")
     mu = spectrum.values[lo:hi]
     k = np.arange(lo + 1.0, hi + 1.0)
-    quasinorm = float(np.max(k ** (1.0 / p) * mu))
     positive = mu > 0.0
     if np.count_nonzero(positive) < 2:
         raise ValueError("fit window contains fewer than two positive values")
     slope = float(np.polyfit(np.log(k[positive]), np.log(mu[positive]), 1)[0])
-    return WeakFit(quasinorm=quasinorm, slope=slope, fit_range=(lo, hi))
+    return WeakFit(slope=slope, fit_range=(lo, hi))

@@ -193,6 +193,21 @@ class TestConfigHandling:
         with pytest.raises(UsageError, match="quad_s_min"):
             RunConfig(quad_s_min=2.0, quad_s_max=1.0)
 
+    @pytest.mark.parametrize(
+        "key",
+        [
+            "grid_size", "hermite_n", "hermite_K", "quad_s_min", "quad_s_max",
+            "quad_nodes_per_decade", "ell", "seed",
+        ],
+    )
+    def test_rejects_json_booleans_in_numeric_fields(self, tmp_path, capsys, key):
+        # JSON true is a Python int; accepted, it would run as 1 under a
+        # digest of its own and name checks like ladder_n1_KTrue
+        path = write_config(tmp_path, suite="hermite", **{key: True})
+        assert main(["run", "--config", str(path)]) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_canonical_excludes_execution_details(self):
         loud = RunConfig(suite="hermite", output_dir="/somewhere")
         quiet = RunConfig(suite="hermite")
@@ -387,6 +402,15 @@ class TestRunCommand:
                 assert record["sector"] in ("++", "+-", "-+", "--")
                 assert record["clamped"] >= 0
                 assert 0.0 < record["min_kept_ratio"] <= 1.0
+                # the decay fit window of a bound row, the Dixmier window
+                # of a trace row
+                if suite == "bound":
+                    lo, hi = record["fit_range"]
+                    assert 0 <= lo < hi <= 9**3
+                    assert "window" not in record
+                else:
+                    assert 50 <= record["window"] <= 9**3
+                    assert "fit_range" not in record
 
     def test_module_entry_point(self, tmp_path):
         result = subprocess.run(

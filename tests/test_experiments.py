@@ -74,7 +74,6 @@ class TestSymbolFamily:
         family = build_y_fibers(BASIS, 2)
         assert len(family.symbols) == 3
         assert family.ell == 2
-        assert family.cutoff == 6
         assert family.basis == BASIS
 
     def test_second_half_carries_sign_split(self):
@@ -158,16 +157,12 @@ class TestGram:
         report = gram_min_eigenvalue(build_y_fibers(enumerate_basis(1, cutoff), ell))
         assert report.min_eigenvalue > 1e-6
         assert report.coercivity > 0.0
-        assert report.independent
 
     def test_duplicate_detected(self):
         family = build_y_fibers(BASIS, 1)
-        rigged = YSymbolSet(
-            1, 6, (family.flat, family.flat, family.symbols[2])
-        )
+        rigged = YSymbolSet(1, (family.flat, family.flat, family.symbols[2]))
         report = gram_min_eigenvalue(rigged, samples=20)
         assert abs(report.min_eigenvalue) <= 1e-10
-        assert not report.independent
 
     def test_seeded_determinism(self):
         family = build_y_fibers(BASIS, 1)
@@ -180,7 +175,6 @@ class TestDixmierLhs:
     def test_positive_with_band(self):
         est = dixmier_lhs(wide_bump(), 1, SPEC)
         assert est.value > 0.0
-        assert est.band[0] <= est.value <= est.band[1]
         assert est.window >= 50
 
     def test_constant_gives_zero(self):
@@ -216,7 +210,7 @@ class TestCommutatorSpectrum:
     @pytest.mark.parametrize("ell", [1, 2])
     def test_sectors_match_dense_svd(self, count, ell):
         spec = GridSpec.cube(count)
-        riesz = build_riesz(spec, ell).matrix
+        riesz = build_riesz(spec, ell)
         for label, f in oracle_functions(spec).items():
             spectrum, health = experiments._commutator_spectrum(spec, ell, f)
             dense = np.linalg.svd(experiments._commutator(riesz, f), compute_uv=False)
@@ -238,7 +232,7 @@ class TestCommutatorSpectrum:
     def test_no_parity_takes_the_full_matrix(self):
         f = grid_fn(lambda x, y, t: np.exp(-((x - 0.7) ** 2 + y * y + t * t)))
         spectrum, health = experiments._commutator_spectrum(SPEC, 1, f)
-        full = singular_values(experiments._commutator(build_riesz(SPEC, 1).matrix, f))
+        full = singular_values(experiments._commutator(build_riesz(SPEC, 1), f))
         assert health["sector"] == "full"
         assert np.array_equal(spectrum.values, full.values)
         assert spectrum.clamped == full.clamped
@@ -411,7 +405,7 @@ class TestProductTrace:
         assert tr_sigma(fiber).real == pytest.approx(2 * BASIS.dim)
 
         grid_mat, fiber = product_factor(SPEC, BASIS, "riesz:2")
-        np.testing.assert_array_equal(grid_mat, build_riesz(SPEC, 2).matrix)
+        np.testing.assert_array_equal(grid_mat, build_riesz(SPEC, 2))
         np.testing.assert_array_equal(fiber.minus, riesz_symbol(BASIS, 2).minus)
 
         grid_mat, _ = product_factor(SPEC, BASIS, "a:1")
@@ -425,15 +419,6 @@ class TestEigenvalueApproximant:
 
     def test_zero_input(self):
         assert eigenvalue_trace_approximant(np.zeros(5)) == 0.0
-
-    def test_window_control(self):
-        eigs = 1.0 / np.arange(1.0, 101.0)
-        full = eigenvalue_trace_approximant(eigs)
-        short = eigenvalue_trace_approximant(eigs, window=10)
-        assert short != full
-        assert short == pytest.approx(
-            float(np.sum(eigs[:10])) / math.log(12.0)
-        )
 
 
 class TestReportPlumbing:
@@ -471,13 +456,6 @@ class TestReportPlumbing:
         report = ExperimentReport("abc", rows, ExperimentSummary.from_rows(rows))
         payload = report_as_dict(report)
         assert payload["rows"][0]["slope"] == -0.25
-
-    def test_sweep_attachment(self):
-        rows = self._rows()
-        report = ExperimentReport("abc", rows, ExperimentSummary.from_rows(rows))
-        swept = report.with_sweep([(13.0, 0.4), (17.0, 0.3)])
-        assert swept.sweep == ((13.0, 0.4), (17.0, 0.3))
-        assert report.sweep == ()
 
 
 class TestNamedFamilies:

@@ -72,17 +72,13 @@ class TestQuadrature:
         rng = np.random.default_rng(0)
         q = PlancherelQuadrature.geometric(1, nodes_per_decade=8)
         perm = rng.permutation(q.size)
-        shuffled = PlancherelQuadrature(q.nodes[perm], q.weights[perm], q.c_n)
+        shuffled = PlancherelQuadrature(q.nodes[perm], q.weights[perm])
         a = q.integrate_profile(lambda s: math.exp(-abs(s)))
         b = shuffled.integrate_profile(lambda s: math.exp(-abs(s)))
         assert a == pytest.approx(b, rel=1e-13)
 
 
 class TestTauRadial:
-    def test_unit_window(self):
-        val = tau_radial(lambda s: 1.0 if s <= 1.0 else 0.0, 1, breakpoints=(1.0,))
-        assert val == pytest.approx(0.5, abs=1e-10)
-
     def test_exponential(self):
         assert tau_radial(lambda s: math.exp(-s), 1) == pytest.approx(1.0, abs=1e-8)
 
@@ -108,8 +104,6 @@ class TestTauRadial:
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
             tau_radial(lambda s: 0.0, -1)
-        with pytest.raises(ValueError):
-            tau_radial(lambda s: 0.0, 1, breakpoints=(-2.0,))
 
 
 class TestWeakNormLift:
@@ -198,19 +192,14 @@ class TestIncursion:
         assert np.all(np.diff(vals) < 0.0)
 
     def test_decay_exponent(self):
-        report = incursion_profile(1, np.linspace(0.1, 0.9, 9))
+        report = incursion_profile(1)
         assert report.fitted_exponent == pytest.approx(-0.5, abs=0.05)
         assert report.target_exponent == -0.5
-        report2 = incursion_profile(2, np.linspace(0.1, 0.9, 9))
+        report2 = incursion_profile(2)
         assert report2.fitted_exponent == pytest.approx(-1.0 / 3.0, abs=0.05)
-
-    def test_inverted_values_decrease(self):
-        report = incursion_profile(1, [0.5])
-        assert np.all(np.diff(report.mu) < 0.0)
-        assert np.all(report.mu > 0.0)
 
     def test_rejects_levels_outside_unit_interval(self):
         with pytest.raises(ValueError):
             incursion_distribution(1, 0.0)
         with pytest.raises(ValueError):
-            incursion_profile(1, [0.5, 1.5])
+            incursion_distribution(1, [0.5, 1.5])

@@ -1,8 +1,10 @@
-"""Every public name of ``heislab`` is reached by the package itself.
+"""Every public name and member of ``heislab`` is reached by the package itself.
 
 A name listed in a module's ``__all__`` must be used somewhere in
-``src/heislab`` outside its own definition, or be allowlisted below with
-its reason; a name kept alive only by its own unit tests fails here.
+``src/heislab`` outside its own definition, and every public field and
+public non-dunder method of a public class must be read there, or be
+allowlisted below with its reason; a name or member kept alive only by its
+own unit tests fails here.
 """
 
 import ast
@@ -14,13 +16,23 @@ import heislab
 
 # public names no package code reaches, each kept for the stated reason
 ALLOWLIST = {
-    "save_operator": "documented in the README for persisting a grid operator",
-    "load_operator": "documented in the README as the inverse of save_operator",
     "build_sublaplacian": "the dense -Delta the benchmark tracer prebuilds; a test oracle",
     "sublaplacian_spectrum": "the full spectrum the benchmark tracer prebuilds; a test oracle",
 }
 
+# public class members no package code reads, each kept for the stated reason
+MEMBER_ALLOWLIST = {
+    "GridFunction.norm_lp": "the L_p norm the Cwikel surrogate test divides by; a test oracle",
+}
+
 SOURCE = Path(heislab.__file__).parent
+
+
+def _trees():
+    return {
+        path.name: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(SOURCE.glob("*.py"))
+    }
 
 
 def _public_names():
@@ -46,10 +58,7 @@ def _definition_spans(tree):
 
 def _unreached():
     """Public names with no use in the package outside their definition."""
-    trees = {
-        path.name: ast.parse(path.read_text(encoding="utf-8"))
-        for path in sorted(SOURCE.glob("*.py"))
-    }
+    trees = _trees()
     used: dict[str, list[tuple[str, int]]] = {}
     for file, tree in trees.items():
         for node in ast.walk(tree):
@@ -72,3 +81,73 @@ def test_every_public_name_is_reached():
     )
     # an allowlisted name that the package starts to use leaves the list
     assert set(ALLOWLIST) <= unreached
+
+
+def _reads(trees):
+    """Member name -> (file, line, constructed class) of every read of it.
+
+    A read is an attribute access ``.name`` or a keyword argument
+    ``name=``; a keyword argument of a call to a class by its name sets
+    that class's field, so it records the class and is not a read of it.
+    Reads are matched by name alone: the AST does not know the type of
+    the object a member is read from.
+    """
+    reads: dict[str, list[tuple[str, int, str | None]]] = {}
+    for file, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                reads.setdefault(node.attr, []).append((file, node.lineno, None))
+            elif isinstance(node, ast.Call):
+                callee = node.func.id if isinstance(node.func, ast.Name) else None
+                for keyword in node.keywords:
+                    if keyword.arg:
+                        reads.setdefault(keyword.arg, []).append(
+                            (file, keyword.value.lineno, callee)
+                        )
+    return reads
+
+
+def _members(cls):
+    """(name, definition line) of the public fields and non-dunder methods."""
+    for item in cls.body:
+        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+            name = item.target.id
+        elif isinstance(item, ast.FunctionDef):
+            name = item.name
+        else:
+            continue
+        if not name.startswith("_"):
+            yield name, item.lineno
+
+
+def _unread_members():
+    """``Class.member`` for public members with no read outside their own
+    definition line and their class's ``__post_init__``."""
+    trees = _trees()
+    reads = _reads(trees)
+    unread = set()
+    for file, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+                continue
+            validation = set()
+            for item in cls.body:
+                if isinstance(item, ast.FunctionDef) and item.name == "__post_init__":
+                    validation = set(range(item.lineno, item.end_lineno + 1))
+            for name, line in _members(cls):
+                if not any(
+                    callee != cls.name
+                    and not (where == file and (at == line or at in validation))
+                    for where, at, callee in reads.get(name, [])
+                ):
+                    unread.add(f"{cls.name}.{name}")
+    return unread
+
+
+def test_every_public_member_is_read():
+    unread = _unread_members()
+    assert not unread - set(MEMBER_ALLOWLIST), (
+        f"public members only their own tests read: {sorted(unread - set(MEMBER_ALLOWLIST))}"
+    )
+    # an allowlisted member that the package starts to read leaves the list
+    assert set(MEMBER_ALLOWLIST) <= unread

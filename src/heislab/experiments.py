@@ -22,7 +22,9 @@ from .grid import (
     SECTORS,
     GridFunction,
     GridSpec,
+    _GridModel,
     _model,
+    _sector_index,
     build_riesz,
     sobolev_seminorm,
 )
@@ -348,6 +350,37 @@ def _reflection_parity(vals: np.ndarray, index_map: np.ndarray) -> int | None:
     return None
 
 
+def _sector_blocks(
+    model: _GridModel, ell: int, f: GridFunction, parity: tuple[int, int]
+) -> list[np.ndarray]:
+    """The blocks ``Q_{sigma chi}^T [R_ell, M_f] Q_sigma``, cut by colour.
+
+    For f with parity eps, ``M_f Q_sigma = Q_{sigma eps} diag(f_rep)`` with
+    f_rep the values of f at the orbit representatives: the live sectors of
+    an orbit share one norm, and where ``sigma eps`` vanishes on an orbit
+    so does f_rep.  So the block of sector sigma and colour class c is
+    ``Rt_{sigma eps} f_rep[cols] - f_rep[rows] Rt_sigma`` on the cached
+    Riesz sector blocks ``Rt`` (``_GridModel.sector_blocks``), restricted to
+    the rows live in ``sigma chi`` and the columns live in sigma.  Both terms
+    scale the same cached entries, so a constant f gives exact zeros.
+    """
+    orbits = model.sectors()
+    cached = model.sector_blocks(ell)
+    chi = tuple(s * e for s, e in zip(_FIELD_CHARACTER[ell], parity))
+    f_rep = f.flat[orbits.table[0]]
+    blocks = []
+    for k, sigma in enumerate(SECTORS):
+        tau = _sector_index(sigma, chi)
+        shifted = cached[_sector_index(sigma, parity)]
+        for (rows, cols), plain, moved in zip(orbits.classes, cached[k], shifted):
+            r = np.flatnonzero(orbits.live[tau, rows])
+            c = np.flatnonzero(orbits.live[k, cols])
+            block = moved[np.ix_(r, c)] * f_rep[cols[c]]
+            block -= f_rep[rows[r], None] * plain[np.ix_(r, c)]
+            blocks.append(block)
+    return blocks
+
+
 def _commutator_spectrum(
     spec: GridSpec, ell: int, f: GridFunction
 ) -> tuple[SingularSpectrum, dict]:
@@ -355,26 +388,22 @@ def _commutator_spectrum(
 
     When f is exactly even or odd under both grid reflections, with parity
     eps, the commutator has the character chi = s_ell * eps of ``R_ell``
-    times that of ``M_f``: it maps sector sigma into sector sigma * chi, so
-    its singular values are those of the four blocks ``Q_{sigma chi}^T C
-    Q_sigma``, gathered through the sparse sector bases.  Otherwise the
-    full matrix is decomposed.  The health record names the character the
-    spectrum was split by (``"+-"``) or ``"full"``, the clamp count and the
-    smallest kept value over the largest.
+    times that of ``M_f``: it maps sector sigma into sector sigma * chi, and
+    (on grids with ``ny + nt`` even) colour c into 1 - c, so its singular
+    values are those of the eight blocks of ``_sector_blocks``, and the N x N
+    commutator is never formed.  Otherwise the full matrix is decomposed.
+    The health record names the character the spectrum was split by
+    (``"+-"``) or ``"full"``, the clamp count and the smallest kept value
+    over the largest.
     """
     model = _model(spec)
-    commutator = _commutator(model.riesz(ell), f)
-    reflections, bases = model.sectors()
-    parity = [_reflection_parity(f.flat, p) for p in reflections]
+    parity = tuple(_reflection_parity(f.flat, p) for p in model.sectors().reflections)
     if None in parity:
-        spectrum, sector = singular_values(commutator), "full"
+        spectrum = singular_values(_commutator(model.riesz(ell), f))
+        sector = "full"
     else:
-        chi = tuple(s * e for s, e in zip(_FIELD_CHARACTER[ell], parity))
-        blocks = []
-        for sigma in SECTORS:
-            target = bases[(sigma[0] * chi[0], sigma[1] * chi[1])]
-            blocks.append((target.T @ commutator) @ bases[sigma])
-        spectrum = singular_values(*blocks)
+        spectrum = singular_values(*_sector_blocks(model, ell, f, parity))
+        chi = (s * e for s, e in zip(_FIELD_CHARACTER[ell], parity))
         sector = "".join("+" if c > 0 else "-" for c in chi)
     kept = int(np.count_nonzero(spectrum.values))
     smallest = spectrum.values[kept - 1] / spectrum.values[0] if kept else 0.0

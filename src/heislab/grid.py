@@ -26,7 +26,7 @@ import functools
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -61,6 +61,15 @@ SECTORS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 # P_k X_ell P_k = s_k X_ell; -Delta commutes with both reflections, so the
 # Riesz transform R_ell carries the character of its field.
 _FIELD_CHARACTER = {1: (1, -1), 2: (-1, 1)}
+
+# _SIGNS[k, g]: the value of the character SECTORS[k] on the group element
+# g of (1, P1, P2, P1 P2)
+_SIGNS = np.array([[1, s1, s2, s1 * s2] for s1, s2 in SECTORS], dtype=float)
+
+
+def _sector_index(a: tuple[int, int], b: tuple[int, int]) -> int:
+    """Position in ``SECTORS`` of the product of the characters a and b."""
+    return SECTORS.index((a[0] * b[0], a[1] * b[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +217,33 @@ def _vertical_basis(count: int, h: float) -> tuple[np.ndarray, np.ndarray]:
     return sine, mu
 
 
+class _Orbits(NamedTuple):
+    """The orbits of the reflection group ``{1, P1, P2, P1 P2}`` on the grid.
+
+    ``(P_k u)[i] = u[p_k[i]]`` for ``reflections = (p_1, p_2)``.  Column o of
+    the 4 x n ``table`` lists where the group elements, in that order, send
+    the orbit's representative (its smallest point).  The unit vector of
+    sector ``SECTORS[k]`` on orbit o is
+    ``q = sum_g _SIGNS[k, g] e_{table[g, o]} / norms[k, o]``; a point the
+    orbit visits twice adds up, and where the sum cancels the sector is not
+    ``live`` and its norm is 0.  The live sectors of an orbit share one
+    norm, and the live counts of the four sectors sum to N.
+
+    ``colour`` is the representative's ``(ix + iy + it) mod 2``.  When
+    ``ny + nt`` is even the reflections keep colours, so every orbit has
+    one colour, and ``classes`` holds two (row orbits, column orbits) pairs:
+    the orbits of colour 1 - c against those of colour c, between which the
+    Riesz transforms act.  Otherwise it is the single pair (all, all).
+    """
+
+    reflections: tuple[np.ndarray, np.ndarray]
+    table: np.ndarray
+    norms: np.ndarray
+    live: np.ndarray
+    colour: np.ndarray
+    classes: tuple[tuple[np.ndarray, np.ndarray], ...]
+
+
 class _GridModel:
     """Sparse stencils plus the one spectral calculus of the grid.
 
@@ -220,8 +256,8 @@ class _GridModel:
     conjugate of block j, so its ``eigh`` calls are of size M, never N.
 
     Powers of the sub-Laplacian vanish on its numerical kernel (the
-    pseudo-inverse policy).  The block eigendecomposition, Riesz matrices
-    and sector bases are built on first use.
+    pseudo-inverse policy).  The block eigendecomposition, Riesz matrices,
+    reflection orbits and Riesz sector blocks are built on first use.
     """
 
     def __init__(self, spec: GridSpec):
@@ -265,7 +301,8 @@ class _GridModel:
         self._t_outer = np.concatenate([steps.real * outer, -steps.imag * outer])
         self._eig: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._riesz: dict[int, np.ndarray] = {}
-        self._sectors: tuple[tuple[np.ndarray, np.ndarray], dict] | None = None
+        self._sectors: _Orbits | None = None
+        self._sector_blocks: dict[int, tuple[tuple[np.ndarray, ...], ...]] = {}
 
     def horizontal(self, ell: int) -> sparse.csr_matrix:
         if ell == 1:
@@ -362,38 +399,74 @@ class _GridModel:
             self._riesz[ell] = mat
         return self._riesz[ell]
 
-    def sectors(self) -> tuple[tuple[np.ndarray, np.ndarray], dict]:
-        """The reflections as index maps and the orthonormal sector bases.
-
-        ``(P_k u)[i] = u[p_k[i]]`` for the maps ``(p_1, p_2)``; the bases are
-        sparse N x d matrices keyed by character (see ``SECTORS``).  Each
-        column is supported on one orbit of the reflections, so it has at
-        most four nonzeros, and the four dimensions sum to N.
-        """
+    def sectors(self) -> _Orbits:
+        """The orbits of the reflections as index data (see ``_Orbits``)."""
         if self._sectors is None:
             size = self.spec.size
             index = np.arange(size).reshape(self.spec.shape)
             p1 = index[:, ::-1, ::-1].reshape(-1)
             p2 = index[::-1, :, ::-1].reshape(-1)
-            orbits = np.stack([np.arange(size), p1, p2, p1[p2]])
-            # one column per orbit, named by its smallest point
-            reps = np.flatnonzero(orbits.min(axis=0) == np.arange(size))
-            columns = np.tile(np.arange(reps.size), 4)
-            bases = {}
-            for s1, s2 in SECTORS:
-                signs = np.repeat([1.0, s1, s2, s1 * s2], reps.size)
-                q = sparse.csc_matrix(
-                    (signs, (orbits[:, reps].reshape(-1), columns)),
-                    shape=(size, reps.size),
+            images = np.stack([np.arange(size), p1, p2, p1[p2]])
+            # one orbit per representative, its smallest point
+            reps = np.flatnonzero(images.min(axis=0) == np.arange(size))
+            table = images[:, reps]
+            # |q|^2 = sum over group pairs (g, h) with g.rep == h.rep of
+            # sigma(g) sigma(h): points an orbit visits twice add up
+            same = table[:, None, :] == table[None, :, :]
+            norms = np.sqrt(np.einsum("sg,sh,gho->so", _SIGNS, _SIGNS, same))
+            colour = np.indices(self.spec.shape).sum(axis=0).reshape(-1)[reps] % 2
+            if (self.spec.ny + self.spec.nt) % 2 == 0:
+                classes = tuple(
+                    (np.flatnonzero(colour != c), np.flatnonzero(colour == c))
+                    for c in (0, 1)
                 )
-                q.eliminate_zeros()  # orbits on which the character vanishes
-                norms = np.sqrt(np.asarray(q.multiply(q).sum(axis=0)).reshape(-1))
-                live = norms > 0.0
-                bases[(s1, s2)] = (q[:, live] @ sparse.diags(1.0 / norms[live])).tocsc()
-            for arr in (p1, p2):
+            else:
+                every = np.arange(reps.size)
+                classes = ((every, every),)
+            live = norms > 0.0
+            for arr in (p1, p2, table, norms, live, colour):
                 arr.flags.writeable = False
-            self._sectors = ((p1, p2), bases)
+            self._sectors = _Orbits((p1, p2), table, norms, live, colour, classes)
         return self._sectors
+
+    def sector_blocks(self, ell: int) -> tuple[tuple[np.ndarray, ...], ...]:
+        """The sector blocks ``Q_{sigma s_ell}^T R_ell Q_sigma`` of the Riesz
+        transform, cut by colour; built on first use and kept read-only.
+
+        Entry ``[k][c]`` belongs to ``sigma = SECTORS[k]`` and has the rows
+        ``classes[c][0]`` and the columns ``classes[c][1]`` of the orbits
+        (see ``_Orbits``); rows and columns of orbits where a sector
+        vanishes are exactly 0.  It is gathered from ``riesz(ell)`` entrywise,
+        ``sum_{g,h} tau(g) sigma(h) R[g a, h b] / (|q_{tau,a}| |q_{sigma,b}|)``
+        with ``tau = sigma s_ell``, and ``R_ell`` maps colour c into 1 - c, so
+        the same-colour parts it leaves out are rounding noise.
+        """
+        if ell not in self._sector_blocks:
+            riesz = self.riesz(ell)
+            orbits = self.sectors()
+            targets = [_sector_index(sigma, _FIELD_CHARACTER[ell]) for sigma in SECTORS]
+            # weights[k, g, h] = tau_k(g) sigma_k(h)
+            weights = _SIGNS[targets][:, :, None] * _SIGNS[:, None, :]
+            inverse = np.divide(
+                1.0, orbits.norms, out=np.zeros_like(orbits.norms), where=orbits.live
+            )
+            per_class = []
+            for rows, cols in orbits.classes:
+                out = np.zeros((len(SECTORS), rows.size, cols.size))
+                for g in range(4):
+                    parts = riesz[
+                        orbits.table[g, rows][None, :, None],
+                        orbits.table[:, cols][:, None, :],
+                    ]
+                    out += np.tensordot(weights[:, g], parts, axes=1)
+                out *= inverse[targets][:, rows, None]
+                out *= inverse[:, None, cols]
+                out.flags.writeable = False
+                per_class.append(out)
+            self._sector_blocks[ell] = tuple(
+                tuple(out[k] for out in per_class) for k in range(len(SECTORS))
+            )
+        return self._sector_blocks[ell]
 
     def vertical_quarter_root(self) -> np.ndarray:
         """The nt x nt fourth root of ``D_t^T D_t`` on one vertical line;

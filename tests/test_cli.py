@@ -375,7 +375,8 @@ class TestRunCommand:
 
     def test_commutator_svds_are_sector_blocks(self, tmp_path, monkeypatch):
         # every shipped bound and trace function has exact reflection parity,
-        # so no SVD sees the full 729 x 729 commutator
+        # so no SVD sees the full 729 x 729 commutator, only the eight
+        # sector-and-colour blocks of at most 95
         svd = np.linalg.svd
         shapes = []
 
@@ -389,7 +390,7 @@ class TestRunCommand:
             run_suite(load_config(path, {"suite": suite}))
         assert shapes
         assert (9**3, 9**3) not in shapes
-        assert max(max(shape) for shape in shapes) <= 189
+        assert max(max(shape) for shape in shapes) <= 95
         for suite in ("bound", "trace"):
             (artifact,) = (tmp_path / "out").glob(f"{suite}_*.json")
             extra = json.loads(artifact.read_text())["extra"]

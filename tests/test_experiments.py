@@ -203,22 +203,69 @@ def oracle_functions(spec):
     }
 
 
+def assert_matches_dense_svd(spec, ell):
+    riesz = build_riesz(spec, ell)
+    for label, f in oracle_functions(spec).items():
+        spectrum, health = experiments._commutator_spectrum(spec, ell, f)
+        dense = np.linalg.svd(experiments._commutator(riesz, f), compute_uv=False)
+        oracle = np.where(dense < CLAMP_RATIO * dense[0], 0.0, dense)
+        assert health["sector"] != "full", label
+        assert len(spectrum) == spec.size
+        assert np.abs(spectrum.values - oracle).max() <= 1e-13 * dense[0], label
+        assert np.count_nonzero(spectrum.values) == np.count_nonzero(oracle), label
+
+
+def parity_of(spec, f):
+    return tuple(
+        experiments._reflection_parity(f.flat, p)
+        for p in _model(spec).sectors().reflections
+    )
+
+
 class TestCommutatorSpectrum:
-    """The reflection-sector spectrum against the dense SVD oracle."""
+    """The sector-and-colour spectrum against the dense SVD oracle."""
 
     @pytest.mark.parametrize("count", [9, 13])
     @pytest.mark.parametrize("ell", [1, 2])
     def test_sectors_match_dense_svd(self, count, ell):
-        spec = GridSpec.cube(count)
-        riesz = build_riesz(spec, ell)
+        assert_matches_dense_svd(GridSpec.cube(count), ell)
+
+    @pytest.mark.parametrize("shape", [(9, 9, 10), (10, 10, 9)])
+    @pytest.mark.parametrize("ell", [1, 2])
+    def test_odd_ny_plus_nt_matches_dense_svd(self, shape, ell):
+        # both reflections swap the colours here: four reflection blocks
+        assert_matches_dense_svd(GridSpec(*shape), ell)
+
+    @pytest.mark.parametrize(
+        "shape, count",
+        [((9, 9, 9), 8), ((13, 13, 13), 8), ((9, 9, 10), 4), ((10, 10, 9), 4)],
+    )
+    def test_blocks_split_rows_and_columns(self, shape, count):
+        spec = GridSpec(*shape)
+        model = _model(spec)
         for label, f in oracle_functions(spec).items():
+            for ell in (1, 2):
+                blocks = experiments._sector_blocks(model, ell, f, parity_of(spec, f))
+                assert len(blocks) == count, label
+                assert sum(block.shape[0] for block in blocks) == spec.size, label
+                assert sum(block.shape[1] for block in blocks) == spec.size, label
+
+    @pytest.mark.parametrize("count", [9, 13])
+    @pytest.mark.parametrize("ell", [1, 2])
+    def test_constants_give_exact_zeros(self, count, ell):
+        spec = GridSpec.cube(count)
+        for label, f in named_family("constants", spec).items():
             spectrum, health = experiments._commutator_spectrum(spec, ell, f)
-            dense = np.linalg.svd(experiments._commutator(riesz, f), compute_uv=False)
-            oracle = np.where(dense < CLAMP_RATIO * dense[0], 0.0, dense)
             assert health["sector"] != "full", label
-            assert len(spectrum) == spec.size
-            assert np.abs(spectrum.values - oracle).max() <= 1e-13 * dense[0], label
-            assert np.count_nonzero(spectrum.values) == np.count_nonzero(oracle), label
+            assert np.all(spectrum.values == 0.0), label
+
+    def test_parity_path_forms_no_commutator(self, monkeypatch):
+        def no_commutator(riesz, f):
+            raise AssertionError("the N x N commutator was formed")
+
+        monkeypatch.setattr(experiments, "_commutator", no_commutator)
+        for f in oracle_functions(SPEC).values():
+            experiments._commutator_spectrum(SPEC, 1, f)
 
     def test_health_record(self):
         f = grid_fn(lambda x, y, t: x * np.exp(-(x * x + y * y + t * t)))

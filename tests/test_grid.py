@@ -357,9 +357,31 @@ class TestRiesz:
 
 
 def reflection_matrices(spec):
-    (p1, p2), _ = _model(spec).sectors()
+    p1, p2 = _model(spec).sectors().reflections
     eye = sparse.identity(spec.size, format="csr")
     return eye[p1], eye[p2]
+
+
+def sector_bases(spec):
+    """Oracle: the orthonormal sector bases as dense N x d matrices keyed by
+    character, built from the model's orbit table column by column."""
+    orbits = _model(spec).sectors()
+    columns = np.arange(orbits.table.shape[1])
+    bases = {}
+    for k, (s1, s2) in enumerate(SECTORS):
+        q = np.zeros((spec.size, columns.size))
+        for g, sign in enumerate((1.0, s1, s2, s1 * s2)):
+            q[orbits.table[g], columns] += sign
+        norms = np.linalg.norm(q, axis=0)
+        assert np.array_equal(norms > 0.0, orbits.live[k])
+        np.testing.assert_allclose(orbits.norms[k], norms, rtol=1e-15)
+        bases[(s1, s2)] = q[:, orbits.live[k]] / norms[orbits.live[k]]
+    return bases
+
+
+def point_colours(spec):
+    """``(ix + iy + it) mod 2`` of every grid point."""
+    return np.indices(spec.shape).sum(axis=0).reshape(-1) % 2
 
 
 class TestReflectionSectors:
@@ -369,23 +391,22 @@ class TestReflectionSectors:
     )
     def test_orthonormal_bases_split_the_grid(self, count, dims):
         spec = GridSpec.cube(count)
-        _, bases = _model(spec).sectors()
+        bases = sector_bases(spec)
         assert tuple(bases) == SECTORS
         assert [q.shape[1] for q in bases.values()] == dims
         assert sum(dims) == spec.size
-        assert max(np.diff(q.indptr).max() for q in bases.values()) <= 4
-        full = sparse.hstack(list(bases.values())).toarray()
+        assert max(np.count_nonzero(q, axis=0).max() for q in bases.values()) <= 4
+        full = np.hstack(list(bases.values()))
         np.testing.assert_allclose(full.T @ full, np.eye(spec.size), atol=1e-15)
 
     def test_bases_carry_their_character(self):
         p1, p2 = reflection_matrices(SPEC)
-        _, bases = _model(SPEC).sectors()
-        for (s1, s2), q in bases.items():
+        for (s1, s2), q in sector_bases(SPEC).items():
             assert abs(p1 @ q - s1 * q).max() == 0.0
             assert abs(p2 @ q - s2 * q).max() == 0.0
 
     def test_reflections_act_on_coordinates(self):
-        (p1, p2), _ = _model(SPEC).sectors()
+        p1, p2 = _model(SPEC).sectors().reflections
         xs, ys, ts = (
             a.reshape(-1)
             for a in np.meshgrid(SPEC.axis_x, SPEC.axis_y, SPEC.axis_t, indexing="ij")
@@ -405,13 +426,74 @@ class TestReflectionSectors:
     @pytest.mark.parametrize("count", [9, 13])
     def test_riesz_reflection_residual(self, count):
         spec = GridSpec.cube(count)
-        (p1, p2), _ = _model(spec).sectors()
+        p1, p2 = _model(spec).sectors().reflections
         for ell, (s1, s2) in _FIELD_CHARACTER.items():
             riesz = build_riesz(spec, ell)
             scale = np.linalg.norm(riesz)
             for p, s in ((p1, s1), (p2, s2)):
                 gap = riesz[np.ix_(p, p)] - s * riesz
                 assert np.linalg.norm(gap) <= 1e-13 * scale
+
+
+class TestColourGrading:
+    """The red-black grading ``(-1)^(ix+iy+it)`` of the sites."""
+
+    @pytest.mark.parametrize("shape", [(9, 9, 9), (10, 10, 10), (9, 9, 10)])
+    def test_fields_couple_opposite_colours(self, shape):
+        spec = GridSpec(*shape)
+        colours = point_colours(spec)
+        x_op, y_op, _ = sparse_fields(spec)
+        for field_mat in (x_op, y_op):
+            rows, cols = field_mat.nonzero()
+            assert np.all(colours[rows] != colours[cols])
+
+    @pytest.mark.parametrize(
+        "shape, graded",
+        [((9, 9, 9), True), ((10, 10, 10), True), ((9, 9, 10), False), ((10, 10, 9), False)],
+    )
+    def test_orbits_keep_one_colour_when_ny_plus_nt_is_even(self, shape, graded):
+        spec = GridSpec(*shape)
+        orbits = _model(spec).sectors()
+        colours = point_colours(spec)[orbits.table]
+        assert np.array_equal(colours[0], orbits.colour)
+        if graded:
+            assert np.all(colours == orbits.colour)
+            assert len(orbits.classes) == 2
+            for rows, cols in orbits.classes:
+                assert np.all(orbits.colour[rows] != orbits.colour[cols[0]])
+                assert np.all(orbits.colour[cols] == orbits.colour[cols[0]])
+        else:
+            # both reflections swap the colours
+            assert np.all(colours[1] != colours[0]) and np.all(colours[2] != colours[0])
+            assert len(orbits.classes) == 1
+
+    @pytest.mark.parametrize("count", [9, 13])
+    def test_riesz_sector_blocks_match_the_bases(self, count):
+        # the same-colour part of each sector block, which the cached blocks
+        # leave out, is rounding noise
+        spec = GridSpec.cube(count)
+        model = _model(spec)
+        orbits = model.sectors()
+        bases = sector_bases(spec)
+        same = orbits.colour[:, None] == orbits.colour[None, :]
+        for ell, field in _FIELD_CHARACTER.items():
+            riesz = build_riesz(spec, ell)
+            for k, sigma in enumerate(SECTORS):
+                target = (sigma[0] * field[0], sigma[1] * field[1])
+                live = np.ix_(orbits.live[SECTORS.index(target)], orbits.live[k])
+                full = np.zeros(same.shape)
+                full[live] = bases[target].T @ riesz @ bases[sigma]
+                scale = np.abs(full).max()
+                assert np.abs(full[same]).max() <= 1e-15 * scale
+                for (r, c), cached in zip(orbits.classes, model.sector_blocks(ell)[k]):
+                    assert np.abs(cached - full[np.ix_(r, c)]).max() <= 1e-15 * scale
+
+    def test_sector_blocks_are_cached_read_only(self):
+        model = _model(SPEC)
+        blocks = model.sector_blocks(1)
+        assert model.sector_blocks(1) is blocks
+        assert len(blocks) == 4 and all(len(per_sector) == 2 for per_sector in blocks)
+        assert not any(b.flags.writeable for per_sector in blocks for b in per_sector)
 
 
 class TestMultiplicationAndCommutator:
@@ -438,7 +520,18 @@ class TestMultiplicationAndCommutator:
 class TestSobolev:
     def test_constant_is_flat(self):
         c = GridFunction.from_callable(SPEC, lambda x, y, t: np.ones_like(x))
-        # boundary rows see the zero exterior, so restrict to a bump instead
+        x_op, y_op, _ = sparse_fields(SPEC)
+        # the zero exterior enters X = D_x - y D_t on the x and t faces, and
+        # Y = D_y + x D_t on the y and t faces; off them both vanish exactly
+        for field_mat, axis in ((x_op, 0), (y_op, 1)):
+            derivative = (field_mat @ c.flat).reshape(SPEC.shape)
+            inner = np.ones(SPEC.shape, dtype=bool)
+            for face_axis in (axis, 2):
+                faces = [slice(None)] * 3
+                faces[face_axis] = [0, -1]
+                inner[tuple(faces)] = False
+            assert np.all(derivative[inner] == 0.0)
+            assert np.any(derivative[~inner] != 0.0)
         assert sobolev_seminorm(GridFunction(SPEC, c.values * 0.0)) == 0.0
 
     def test_scaling(self):

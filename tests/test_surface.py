@@ -23,6 +23,8 @@ ALLOWLIST = {
 # public class members no package code reads, each kept for the stated reason
 MEMBER_ALLOWLIST = {
     "GridFunction.norm_lp": "the L_p norm the Cwikel surrogate test divides by; a test oracle",
+    "GridSpec.cap": "the point-count cap, read only in __post_init__; a byte budget "
+    "of the plan is to replace it",
 }
 
 SOURCE = Path(heislab.__file__).parent
@@ -83,22 +85,38 @@ def test_every_public_name_is_reached():
     assert set(ALLOWLIST) <= unreached
 
 
+def _own_calls(tree):
+    """Class name of every ``cls(...)`` call inside a class body, keyed by
+    the id of the call node."""
+    return {
+        id(node): cls.name
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for node in ast.walk(cls)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "cls"
+    }
+
+
 def _reads(trees):
     """Member name -> (file, line, constructed class) of every read of it.
 
     A read is an attribute access ``.name`` or a keyword argument
-    ``name=``; a keyword argument of a call to a class by its name sets
-    that class's field, so it records the class and is not a read of it.
-    Reads are matched by name alone: the AST does not know the type of
-    the object a member is read from.
+    ``name=``; a keyword argument of a call to a class, by its name or as
+    ``cls`` inside its own body, sets that class's field, so it records the
+    class and is not a read of it.  Reads are matched by name alone: the AST
+    does not know the type of the object a member is read from.
     """
     reads: dict[str, list[tuple[str, int, str | None]]] = {}
     for file, tree in trees.items():
+        own = _own_calls(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute):
                 reads.setdefault(node.attr, []).append((file, node.lineno, None))
             elif isinstance(node, ast.Call):
                 callee = node.func.id if isinstance(node.func, ast.Name) else None
+                callee = own.get(id(node), callee)
                 for keyword in node.keywords:
                     if keyword.arg:
                         reads.setdefault(keyword.arg, []).append(

@@ -607,6 +607,7 @@ def _run_grid(config: RunConfig) -> SuiteOutcome:
             "leibniz_defect": split.leibniz_defect,
             "kernel_dimension": split.kernel_dimension,
             "lhs_norm": split.lhs_norm,
+            "components": list(split.components),
         }
     for k in (1, 2):
         _, rotation = quarter_rotation(spec, k)

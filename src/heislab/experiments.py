@@ -23,6 +23,7 @@ from .grid import (
     GridFunction,
     GridSpec,
     _GridModel,
+    _character_label,
     _model,
     _sector_index,
     build_riesz,
@@ -404,7 +405,7 @@ def _commutator_spectrum(
     else:
         spectrum = singular_values(*_sector_blocks(model, ell, f, parity))
         chi = (s * e for s, e in zip(_FIELD_CHARACTER[ell], parity))
-        sector = "".join("+" if c > 0 else "-" for c in chi)
+        sector = _character_label(chi)
     kept = int(np.count_nonzero(spectrum.values))
     smallest = spectrum.values[kept - 1] / spectrum.values[0] if kept else 0.0
     return spectrum, {

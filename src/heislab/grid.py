@@ -72,6 +72,18 @@ def _sector_index(a: tuple[int, int], b: tuple[int, int]) -> int:
     return SECTORS.index((a[0] * b[0], a[1] * b[1]))
 
 
+def _character_label(character) -> str:
+    """A character as its signs, e.g. ``"+-"`` for (1, -1)."""
+    return "".join("+" if c > 0 else "-" for c in character)
+
+
+def _inverse_norms(orbits: "_Orbits") -> np.ndarray:
+    """``1 / norms`` where a sector is live on an orbit, 0 where it vanishes."""
+    return np.divide(
+        1.0, orbits.norms, out=np.zeros_like(orbits.norms), where=orbits.live
+    )
+
+
 # ---------------------------------------------------------------------------
 # grid containers
 
@@ -391,10 +403,13 @@ class _GridModel:
             if mu
         ]
 
-    def riesz(self, ell: int) -> np.ndarray:
-        """``X_ell (-Delta)^{-1/2}``, built on first use and kept read-only."""
+    def riesz(self, ell: int, inv_sqrt: np.ndarray | None = None) -> np.ndarray:
+        """``X_ell (-Delta)^{-1/2}``, built on first use and kept read-only;
+        a caller already holding ``power(-0.5)`` passes it as ``inv_sqrt``."""
         if ell not in self._riesz:
-            mat = self.horizontal(ell) @ self.power(-0.5)
+            if inv_sqrt is None:
+                inv_sqrt = self.power(-0.5)
+            mat = self.horizontal(ell) @ inv_sqrt
             mat.flags.writeable = False
             self._riesz[ell] = mat
         return self._riesz[ell]
@@ -429,42 +444,59 @@ class _GridModel:
             self._sectors = _Orbits((p1, p2), table, norms, live, colour, classes)
         return self._sectors
 
-    def sector_blocks(self, ell: int) -> tuple[tuple[np.ndarray, ...], ...]:
-        """The sector blocks ``Q_{sigma s_ell}^T R_ell Q_sigma`` of the Riesz
-        transform, cut by colour; built on first use and kept read-only.
+    def gather(
+        self,
+        mat: np.ndarray | sparse.csr_matrix,
+        character: tuple[int, int],
+        flip: bool,
+    ) -> tuple[tuple[np.ndarray, ...], ...]:
+        """The sector blocks ``Q_{sigma chi}^T T Q_sigma`` of a grid operator
+        T of reflection character chi, cut by colour.
 
-        Entry ``[k][c]`` belongs to ``sigma = SECTORS[k]`` and has the rows
-        ``classes[c][0]`` and the columns ``classes[c][1]`` of the orbits
-        (see ``_Orbits``); rows and columns of orbits where a sector
-        vanishes are exactly 0.  It is gathered from ``riesz(ell)`` entrywise,
-        ``sum_{g,h} tau(g) sigma(h) R[g a, h b] / (|q_{tau,a}| |q_{sigma,b}|)``
-        with ``tau = sigma s_ell``, and ``R_ell`` maps colour c into 1 - c, so
-        the same-colour parts it leaves out are rounding noise.
+        Entry ``[k][c]`` belongs to ``sigma = SECTORS[k]``; its columns are
+        the orbits ``classes[c][1]`` (see ``_Orbits``) and its rows
+        ``classes[c][0]`` when T flips colour (``flip``) or the columns
+        again when it keeps colour.  Rows and columns of orbits where a
+        sector vanishes are exactly 0.  Each entry is
+        ``sum_{g,h} tau(g) sigma(h) T[g a, h b] / (|q_{tau,a}| |q_{sigma,b}|)``
+        with ``tau = sigma chi``, read off the dense array or the sparse
+        matrix T by index arithmetic; the parts of T that the cut leaves out
+        are those its colour structure makes 0.
+        """
+        orbits = self.sectors()
+        targets = [_sector_index(sigma, character) for sigma in SECTORS]
+        # weights[k, g, h] = tau_k(g) sigma_k(h)
+        weights = _SIGNS[targets][:, :, None] * _SIGNS[:, None, :]
+        inverse = _inverse_norms(orbits)
+        per_class = []
+        for rows, cols in orbits.classes:
+            if not flip:
+                rows = cols
+            out = np.zeros((len(SECTORS), rows.size, cols.size))
+            images = orbits.table[:, cols]
+            for g in range(4):
+                points = orbits.table[g, rows]
+                if sparse.issparse(mat):
+                    parts = mat[points][:, images.reshape(-1)].toarray()
+                    parts = parts.reshape(rows.size, 4, cols.size).transpose(1, 0, 2)
+                else:
+                    parts = mat[points[None, :, None], images[:, None, :]]
+                out += np.tensordot(weights[:, g], parts, axes=1)
+            out *= inverse[targets][:, rows, None]
+            out *= inverse[:, None, cols]
+            out.flags.writeable = False
+            per_class.append(out)
+        return tuple(tuple(out[k] for out in per_class) for k in range(len(SECTORS)))
+
+    def sector_blocks(self, ell: int) -> tuple[tuple[np.ndarray, ...], ...]:
+        """The colour-flipping sector blocks ``Q_{sigma s_ell}^T R_ell Q_sigma``
+        of the Riesz transform (see ``gather``), built on first use and kept
+        read-only.  ``R_ell`` maps colour c into 1 - c, so the same-colour
+        parts the cut leaves out are rounding noise.
         """
         if ell not in self._sector_blocks:
-            riesz = self.riesz(ell)
-            orbits = self.sectors()
-            targets = [_sector_index(sigma, _FIELD_CHARACTER[ell]) for sigma in SECTORS]
-            # weights[k, g, h] = tau_k(g) sigma_k(h)
-            weights = _SIGNS[targets][:, :, None] * _SIGNS[:, None, :]
-            inverse = np.divide(
-                1.0, orbits.norms, out=np.zeros_like(orbits.norms), where=orbits.live
-            )
-            per_class = []
-            for rows, cols in orbits.classes:
-                out = np.zeros((len(SECTORS), rows.size, cols.size))
-                for g in range(4):
-                    parts = riesz[
-                        orbits.table[g, rows][None, :, None],
-                        orbits.table[:, cols][:, None, :],
-                    ]
-                    out += np.tensordot(weights[:, g], parts, axes=1)
-                out *= inverse[targets][:, rows, None]
-                out *= inverse[:, None, cols]
-                out.flags.writeable = False
-                per_class.append(out)
-            self._sector_blocks[ell] = tuple(
-                tuple(out[k] for out in per_class) for k in range(len(SECTORS))
+            self._sector_blocks[ell] = self.gather(
+                self.riesz(ell), _FIELD_CHARACTER[ell], flip=True
             )
         return self._sector_blocks[ell]
 
@@ -571,14 +603,27 @@ class RieszSplitReport:
     lhs_norm: float
     leibniz_defect: float
     kernel_dimension: int
+    # the reflection characters eps (as "+-") of the nonzero components f_eps
+    components: tuple[str, ...]
 
 
-def _project_off(mat: np.ndarray, kernel: np.ndarray) -> None:
-    """``mat <- (I - K K^T) mat (I - K K^T)`` in place, for orthonormal
-    columns ``K``, by two rank-k updates."""
-    if kernel.shape[1]:
-        mat -= kernel @ (kernel.T @ mat)
-        mat -= (mat @ kernel) @ kernel.T
+def _reflection_components(at_orbits: np.ndarray) -> dict[int, np.ndarray]:
+    """The nonzero reflection components of f at the orbit representatives.
+
+    ``at_orbits`` holds f at ``table`` (4 x n_orb).  Component
+    ``f_eps = (f + e1 f o P1 + e2 f o P2 + e1 e2 f o P1 P2) / 4`` has
+    character eps; the key is the position of eps in ``SECTORS``.  The sum
+    is taken in pairs, so an exactly even or odd f gives one component
+    exactly equal to f and three exactly 0, which are left out.
+    """
+    out = {}
+    for k, (e1, e2) in enumerate(SECTORS):
+        part = at_orbits[0] + e1 * at_orbits[1]
+        part += e2 * (at_orbits[2] + e1 * at_orbits[3])
+        part /= 4.0
+        if np.any(part):
+            out[k] = part
+    return out
 
 
 def riesz_decomposition_residual(
@@ -589,39 +634,78 @@ def riesz_decomposition_residual(
     Compares ``[R, M_f]`` against
     ``[X, M_f] (-Delta)^{-1/2} - R [(-Delta)^{1/2}, M_f] (-Delta)^{-1/2}``,
     all factors projected off the numerical kernel, for every function of
-    ``functions``; the powers and ``R`` are built once and shared.  The
-    derivative term is kept in commutator form; the gap between ``[X, M_f]``
-    and multiplication by the discrete derivative (the Leibniz defect of
-    centered differences) is reported separately, normalized by the
-    derivative's own size.
+    ``functions``.  The derivative term is kept in commutator form; the gap
+    between ``[X, M_f]`` and multiplication by the discrete derivative (the
+    Leibniz defect of centered differences) is reported separately,
+    normalized by the derivative's own size.
+
+    Everything is computed in sector coordinates (``_GridModel.gather``).
+    The powers keep sector and colour, ``X_ell`` and ``R_ell`` carry the
+    character ``s_ell`` and flip colour, and for f of character eps
+    ``M_f Q_sigma = Q_{sigma eps} diag(f_rep)``.  So every term maps
+    (sigma, c) into (sigma eps s_ell, 1 - c), and the kernel projector,
+    which commutes with both reflections and with colour, acts on each
+    block by its own sector coordinates.  f is split into its reflection
+    components, which land on disjoint blocks, and the Frobenius norms are
+    the roots of the sums of squared block norms.  Each power is built once
+    and gathered; no N x N product is formed.
     """
     if any(f.spec != spec for f in functions.values()):
         raise ValueError("function lives on a different grid")
     model = _model(spec)
-    inv_sqrt = model.power(-0.5)
-    sqrt_mat = model.power(0.5)
+    orbits = model.sectors()
+    # one inverse root serves R_ell (when the model has not built it yet)
+    # and its own blocks; each dense power is dropped once gathered, and
+    # the powers have the trivial character (1, 1)
+    dense = model.power(-0.5)
+    model.riesz(ell, dense)
+    riesz = model.sector_blocks(ell)
+    inv_sqrt = model.gather(dense, (1, 1), flip=False)
+    del dense
+    sqrt_mat = model.gather(model.power(0.5), (1, 1), flip=False)
     x_mat = model.horizontal(ell)
-    riesz = x_mat @ inv_sqrt
+    field = model.gather(x_mat, _FIELD_CHARACTER[ell], flip=True)
     kernel = model.kernel()
+    # Q^T K: the kernel's coordinates in each sector, orbit by orbit
+    kernel_coords = np.einsum("sg,gok->sok", _SIGNS, kernel[orbits.table])
+    kernel_coords *= _inverse_norms(orbits)[:, :, None]
+
+    def blocks(eps: int, f_rep: np.ndarray):
+        """The blocks of ``[R, M_f]`` and of the split's gap for f of
+        character ``SECTORS[eps]``, each projected off the kernel."""
+        for k, sigma in enumerate(SECTORS):
+            shifted = _sector_index(sigma, SECTORS[eps])
+            tau = _sector_index(SECTORS[shifted], _FIELD_CHARACTER[ell])
+            for c, (rows, cols) in enumerate(orbits.classes):
+                f_rows = f_rep[rows, None]
+                f_cols = f_rep[cols]
+                lhs = riesz[shifted][c] * f_cols
+                lhs -= f_rows * riesz[k][c]
+                # gap = lhs - [X, M_f] A^{-1/2} + R [A^{1/2}, M_f] A^{-1/2}
+                # with A = -Delta
+                comm_sqrt = sqrt_mat[shifted][c] * f_cols
+                comm_sqrt -= f_cols[:, None] * sqrt_mat[k][c]
+                gap = riesz[shifted][c] @ (comm_sqrt @ inv_sqrt[k][c])
+                gap -= field[shifted][c] @ (f_cols[:, None] * inv_sqrt[k][c])
+                gap += f_rows * riesz[k][c]
+                gap += lhs
+                left = kernel_coords[tau, rows]
+                right = kernel_coords[k, cols]
+                for mat in (lhs, gap):
+                    mat -= left @ (left.T @ mat)
+                    mat -= (mat @ right) @ right.T
+                yield lhs, gap
 
     def split(f: GridFunction) -> RieszSplitReport:
         fv = f.flat
-        lhs = riesz * fv[None, :]
-        lhs -= fv[:, None] * riesz
-        # gap = lhs - [X, M_f] A^{-1/2} + R [A^{1/2}, M_f] A^{-1/2} with
-        # A = -Delta, summed into the buffer of the last term so that at
-        # most four N x N arrays of this function are alive at once
-        comm_sqrt = sqrt_mat * fv[None, :]
-        comm_sqrt -= fv[:, None] * sqrt_mat
-        gap = riesz @ (comm_sqrt @ inv_sqrt)
-        del comm_sqrt
-        gap -= x_mat @ (fv[:, None] * inv_sqrt)
-        gap += fv[:, None] * riesz
-        gap += lhs
-        _project_off(gap, kernel)
-        _project_off(lhs, kernel)
-        lhs_norm = float(np.linalg.norm(lhs))
-        absolute = float(np.linalg.norm(gap))
+        components = _reflection_components(fv[orbits.table])
+        lhs_norms, gap_norms = [], []
+        for eps, f_rep in components.items():
+            for lhs, gap in blocks(eps, f_rep):
+                lhs_norms.append(np.linalg.norm(lhs))
+                gap_norms.append(np.linalg.norm(gap))
+        lhs_norm = float(np.linalg.norm(lhs_norms))
+        absolute = float(np.linalg.norm(gap_norms))
         derivative = x_mat @ fv
         defect = (
             x_mat.multiply(fv[None, :])
@@ -635,6 +719,7 @@ def riesz_decomposition_residual(
                 sparse_linalg.norm(defect) / max(np.linalg.norm(derivative), 1e-30)
             ),
             kernel_dimension=kernel.shape[1],
+            components=tuple(_character_label(SECTORS[eps]) for eps in components),
         )
 
     return {label: split(f) for label, f in functions.items()}

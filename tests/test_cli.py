@@ -349,8 +349,10 @@ class TestRunCommand:
         assert eigh_sizes and 9**3 not in eigh_sizes
 
     def test_grid_suite_takes_each_power_once(self, tmp_path, monkeypatch):
-        # the split residuals of the whole family share one set of powers,
-        # and the kernel projection needs none
+        # on a cold model the split residuals of the whole family share one
+        # set of powers: the inverse root also builds R_ell, and the kernel
+        # projection needs none
+        _model.cache_clear()
         power = _GridModel.power
         exponents = []
 
@@ -361,6 +363,12 @@ class TestRunCommand:
         monkeypatch.setattr(_GridModel, "power", counting_power)
         cli._run_grid(load_config(write_config(tmp_path), {"suite": "grid"}))
         assert exponents == [-0.5, 0.5]
+
+    def test_grid_artifact_reports_split_components(self, tmp_path):
+        # every shipped split function is even: one component, character ++
+        outcome = cli._run_grid(load_config(write_config(tmp_path), {"suite": "grid"}))
+        diagnostics = outcome.extra["diagnostics"]
+        assert diagnostics and all(d["components"] == ["++"] for d in diagnostics.values())
 
     def test_grid_artifact_reports_block_levels(self, tmp_path):
         outcome = cli._run_grid(load_config(write_config(tmp_path), {"suite": "grid"}))

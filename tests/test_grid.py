@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.sparse import linalg as sparse_linalg
 
 from heislab.experiments import _commutator, _grid_symbol_realization, named_family
 from heislab.grid import (
@@ -67,6 +68,63 @@ def dense_symbol_realization(spec, eig, k):
     table *= np.outer(live, live)
     core = quarter[:, None] * (u.T @ (_model(spec).horizontal(k) @ u)) * quarter[None, :]
     return u @ (table * core) @ u.T
+
+
+def dense_split(spec, functions, ell):
+    """Oracle for ``riesz_decomposition_residual``: the split formed with
+    N x N products and projected off the kernel by rank-k updates; one
+    record per function, without the reflection components."""
+    model = _model(spec)
+    inv_sqrt = model.power(-0.5)
+    sqrt_mat = model.power(0.5)
+    x_mat = model.horizontal(ell)
+    riesz = x_mat @ inv_sqrt
+    kernel = model.kernel()
+
+    def project_off(mat):
+        mat -= kernel @ (kernel.T @ mat)
+        mat -= (mat @ kernel) @ kernel.T
+
+    out = {}
+    for label, f in functions.items():
+        fv = f.flat
+        lhs = riesz * fv[None, :] - fv[:, None] * riesz
+        comm_sqrt = sqrt_mat * fv[None, :] - fv[:, None] * sqrt_mat
+        gap = riesz @ (comm_sqrt @ inv_sqrt)
+        gap -= x_mat @ (fv[:, None] * inv_sqrt)
+        gap += fv[:, None] * riesz
+        gap += lhs
+        project_off(gap)
+        project_off(lhs)
+        lhs_norm = float(np.linalg.norm(lhs))
+        derivative = x_mat @ fv
+        defect = (
+            x_mat.multiply(fv[None, :])
+            - x_mat.multiply(fv[:, None])
+            - sparse.diags(derivative)
+        )
+        out[label] = {
+            "relative_residual": float(np.linalg.norm(gap)) / lhs_norm,
+            "lhs_norm": lhs_norm,
+            "leibniz_defect": float(
+                sparse_linalg.norm(defect) / np.linalg.norm(derivative)
+            ),
+            "kernel_dimension": kernel.shape[1],
+        }
+    return out
+
+
+def split_family(spec):
+    """An even, an odd and a parity-free function."""
+    gauss = GridFunction.from_callable(
+        spec, lambda x, y, t: np.exp(-(x * x + y * y + t * t))
+    ).values
+    xs, ys, _ = np.meshgrid(spec.axis_x, spec.axis_y, spec.axis_t, indexing="ij")
+    return {
+        "even": GridFunction(spec, gauss),
+        "odd_x": GridFunction(spec, xs * gauss),
+        "no_parity": GridFunction(spec, (1.0 + xs + ys) * gauss),
+    }
 
 
 def relative_gap(actual, expected):
@@ -488,6 +546,37 @@ class TestColourGrading:
                 for (r, c), cached in zip(orbits.classes, model.sector_blocks(ell)[k]):
                     assert np.abs(cached - full[np.ix_(r, c)]).max() <= 1e-15 * scale
 
+    def test_gather_reads_a_sparse_field_as_its_dense_matrix(self):
+        model = _model(SPEC)
+        for ell, field in _FIELD_CHARACTER.items():
+            mat = model.horizontal(ell)
+            from_sparse = model.gather(mat, field, flip=True)
+            from_dense = model.gather(mat.toarray(), field, flip=True)
+            for sparse_blocks, dense_blocks in zip(from_sparse, from_dense):
+                for got, expected in zip(sparse_blocks, dense_blocks):
+                    assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("shape", [(9, 9, 9), (9, 9, 10)])
+    def test_power_sector_blocks_match_the_bases(self, shape):
+        # the powers keep sector and colour; the opposite-colour part of
+        # each diagonal sector block is rounding noise
+        spec = GridSpec(*shape)
+        model = _model(spec)
+        orbits = model.sectors()
+        bases = sector_bases(spec)
+        same = orbits.colour[:, None] == orbits.colour[None, :]
+        root = model.power(0.5)
+        blocks = model.gather(root, (1, 1), flip=False)
+        for k, sigma in enumerate(SECTORS):
+            live = np.ix_(orbits.live[k], orbits.live[k])
+            full = np.zeros(same.shape)
+            full[live] = bases[sigma].T @ root @ bases[sigma]
+            scale = np.abs(full).max()
+            if len(orbits.classes) == 2:
+                assert np.abs(full[~same]).max() <= 1e-15 * scale
+            for (_, c), gathered in zip(orbits.classes, blocks[k]):
+                assert np.abs(gathered - full[np.ix_(c, c)]).max() <= 1e-14 * scale
+
     def test_sector_blocks_are_cached_read_only(self):
         model = _model(SPEC)
         blocks = model.sector_blocks(1)
@@ -633,6 +722,90 @@ class TestRieszDecomposition:
         other = GridSpec.cube(7)
         with pytest.raises(ValueError, match="different grid"):
             riesz_decomposition_residual(SPEC, {"f": bump(other)}, 1)
+
+
+@pytest.fixture(
+    scope="class", params=T_BLOCK_SHAPES, ids=["x".join(map(str, s)) for s in T_BLOCK_SHAPES]
+)
+def split_pair(request):
+    """A grid and, per field, the sector split and the dense oracle of the
+    even, odd and parity-free functions."""
+    spec = GridSpec(*request.param)
+    family = split_family(spec)
+    return spec, {
+        ell: (
+            riesz_decomposition_residual(spec, family, ell),
+            dense_split(spec, family, ell),
+        )
+        for ell in (1, 2)
+    }
+
+
+class TestSectorSplit:
+    """The split residual in sector coordinates against the dense products."""
+
+    def test_lhs_norm_matches_dense(self, split_pair):
+        _, by_ell = split_pair
+        for sector, dense in by_ell.values():
+            for label, report in sector.items():
+                expected = dense[label]["lhs_norm"]
+                assert abs(report.lhs_norm - expected) <= 1e-13 * expected
+
+    def test_both_residuals_within_allowance(self, split_pair):
+        _, by_ell = split_pair
+        for sector, dense in by_ell.values():
+            for label, report in sector.items():
+                assert report.relative_residual <= 1e-9
+                assert dense[label]["relative_residual"] <= 1e-9
+
+    def test_kernel_and_leibniz_equal_dense(self, split_pair):
+        spec, by_ell = split_pair
+        for sector, dense in by_ell.values():
+            for label, report in sector.items():
+                assert report.kernel_dimension == dense[label]["kernel_dimension"]
+                assert report.kernel_dimension == int(all(n % 2 for n in spec.shape))
+                assert report.leibniz_defect == dense[label]["leibniz_defect"]
+
+    def test_components(self, split_pair):
+        _, by_ell = split_pair
+        for sector, _ in by_ell.values():
+            assert sector["even"].components == ("++",)
+            assert sector["odd_x"].components == ("+-",)
+            # 1, x and y carry ++, +- and -+; the rounding of the sums
+            # (1 + x) + y may leave a -- component of rounding size, which
+            # the split carries like any other
+            assert sector["no_parity"].components[:3] == ("++", "+-", "-+")
+
+    def test_perturbed_root_fails_on_both_paths(self, monkeypatch):
+        # one live eigenvalue of a paired kept block of (-Delta)^{1/2},
+        # scaled by 1 + 1e-6, must show on the sector blocks as on the
+        # dense products
+        power = _GridModel.power
+
+        def perturbed_power(self, exponent):
+            out = power(self, exponent)
+            if exponent == 0.5:
+                w, v, live = self.eig()
+                assert self.weight[0] == 2
+                mode = np.flatnonzero(live[0])[0]
+                z = np.kron(v[0, :, mode], self._t_vectors[:, 0])
+                # the mode and its conjugate in block nt, as a real operator
+                out += 1e-6 * math.sqrt(w[0, mode]) * 2.0 * np.outer(z, z.conj()).real
+            return out
+
+        monkeypatch.setattr(_GridModel, "power", perturbed_power)
+        family = {"bump": bump(SPEC)}
+        sector = riesz_decomposition_residual(SPEC, family, 1)["bump"]
+        dense = dense_split(SPEC, family, 1)["bump"]
+        assert sector.relative_residual > 1e-9
+        assert dense["relative_residual"] > 1e-9
+
+    def test_zero_function(self):
+        report = riesz_decomposition_residual(
+            SPEC, {"zero": GridFunction(SPEC, np.zeros(SPEC.shape))}, 1
+        )["zero"]
+        assert report.components == ()
+        assert report.lhs_norm == 0.0 and report.relative_residual == 0.0
 
 
 class TestCwikelSurrogate:

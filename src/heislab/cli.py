@@ -29,13 +29,17 @@ import argparse
 import dataclasses
 import json
 import math
+import os
+import resource
 import sys
+import time
 import traceback
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from .doi import (
     SpectralDecomposition,
@@ -836,13 +840,42 @@ def _run_and_record(directory: Path, suite: str, config: RunConfig) -> dict:
     return payload
 
 
+def _provenance_line() -> str:
+    """Library versions, BLAS build and BLAS thread count of this process."""
+    config = getattr(np.__config__, "CONFIG", {})  # absent before numpy 1.26
+    blas = config.get("Build Dependencies", {}).get("blas", {})
+    return (
+        f"[lab] numpy {np.__version__}, scipy {scipy.__version__}, "
+        f"blas {blas.get('name', '?')} {blas.get('version', '?')}, "
+        f"OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS', 'unset')}"
+    )
+
+
+def _peak_rss_mb() -> float:
+    """Peak resident set size of this process so far, in MB (Linux reports KB)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
 def run_suite(config: RunConfig) -> int:
-    """Execute the configured suite (or all of them); 0 on success, 3 on violation."""
+    """Execute the configured suite (or all of them); 0 on success, 3 on violation.
+
+    Verdicts and metrics go to stdout.  Timing goes to stderr only (the
+    provenance line once, then wall seconds and peak RSS after each suite)
+    so that the artifacts in the output directory stay byte-identical
+    across re-runs.
+    """
     directory = Path(config.output_dir)
     directory.mkdir(parents=True, exist_ok=True)
+    print(_provenance_line(), file=sys.stderr)
     status = 0
     for suite in config.requested_suites():
+        started = time.perf_counter()
         payload = _run_and_record(directory, suite, config)
+        elapsed = time.perf_counter() - started
+        print(
+            f"[{suite}] {elapsed:.3f} s, peak RSS {_peak_rss_mb():.1f} MB",
+            file=sys.stderr,
+        )
         verdict = "PASS" if payload["passed"] else "FAIL"
         print(f"[{suite}] {verdict} -> {payload['artifact']}")
         for key in sorted(payload["metrics"]):

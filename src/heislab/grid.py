@@ -30,7 +30,6 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse import linalg as sparse_linalg
 
 __all__ = [
     "KERNEL_THRESHOLD",
@@ -712,11 +711,12 @@ def riesz_decomposition_residual(
             - x_mat.multiply(fv[:, None])
             - sparse.diags(derivative)
         )
+        defect.sum_duplicates()
         return RieszSplitReport(
             relative_residual=absolute / max(lhs_norm, 1e-30),
             lhs_norm=lhs_norm,
             leibniz_defect=float(
-                sparse_linalg.norm(defect) / max(np.linalg.norm(derivative), 1e-30)
+                np.linalg.norm(defect.data) / max(np.linalg.norm(derivative), 1e-30)
             ),
             kernel_dimension=kernel.shape[1],
             components=tuple(_character_label(SECTORS[eps]) for eps in components),

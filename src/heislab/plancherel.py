@@ -4,7 +4,8 @@ The measure ``|s|^n ds`` over the signed spectral parameter ``s`` is
 sampled by mirrored node rules.  Radial profiles of the sub-Laplacian reduce
 to one-dimensional integrals, which gives closed forms for distribution
 functions and weak-Schatten quasinorms that the experiment layer checks
-against brute-force quadrature.
+against brute-force quadrature.  scipy is imported inside the three
+functions that use it, so that suites which never integrate do not pay for it.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import integrate, optimize
 
 from .oscillator import FiberOperator, _pooled_singular_values
 
@@ -118,6 +118,8 @@ def tau_radial(g: Callable[[float], float], n: int) -> float:
         except (ZeroDivisionError, OverflowError):
             return math.inf
 
+    from scipy import integrate
+
     with warnings.catch_warnings():
         warnings.simplefilter("error", integrate.IntegrationWarning)
         try:
@@ -160,6 +162,8 @@ def weak_distribution_brute(x: FiberOperator, n: int, t: float) -> float:
     """
     if t <= 0.0:
         raise ValueError("level must be positive")
+    from scipy import integrate
+
     total = 0.0
     for sigma in _pooled_singular_values(x):
         if sigma == 0.0:
@@ -200,6 +204,8 @@ def incursion_profile(n: int) -> IncursionReport:
     generalized singular-value samples, then fits their power-law decay;
     the target exponent is ``-1/(n+1)``.
     """
+    from scipy import optimize
+
     t_grid = np.geomspace(1e2, 1e6, 25)
     mu = np.empty_like(t_grid)
     for i, t in enumerate(t_grid):

@@ -6,6 +6,7 @@ the physics-grade defaults are exercised by the acceptance tests.
 
 import argparse
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -27,6 +28,19 @@ from heislab.cli import (
     sweep,
 )
 from heislab.grid import _GridModel, _model
+
+
+SUITE_TIMING = re.compile(r"\[(\w+)\] \d+\.\d{3} s, peak RSS \d+\.\d MB")
+
+
+def timed_suites(err):
+    """Suites named by the per-suite timing lines ``run_suite`` writes to stderr."""
+    return [m.group(1) for m in map(SUITE_TIMING.fullmatch, err.splitlines()) if m]
+
+
+# loaded by the plancherel suite's quadrature and root finding, never by
+# ``import heislab.cli`` (scipy.optimize pulls in scipy.sparse.linalg)
+DEFERRED_MODULES = ("scipy.integrate", "scipy.optimize", "scipy.sparse.linalg")
 
 
 def write_config(tmp_path, **entries):
@@ -295,6 +309,24 @@ class TestRunCommand:
         ]
         assert first == second
 
+    def test_grid_rerun_into_fresh_dirs_is_byte_identical(self, tmp_path, capsys):
+        # timing goes to stderr, never into --out: the artifacts of two runs
+        # must match file for file and byte for byte
+        contents = []
+        for name in ("a", "b"):
+            out = tmp_path / name
+            argv = ["run", "--suite", "grid", "--grid", "9", "--out", str(out)]
+            assert main(argv) == 0
+            contents.append({p.name: p.read_bytes() for p in out.iterdir()})
+            err = capsys.readouterr().err
+            assert timed_suites(err) == ["grid"]
+            provenance = [line for line in err.splitlines() if line.startswith("[lab] ")]
+            assert len(provenance) == 1
+            assert f"numpy {np.__version__}, scipy " in provenance[0]
+            assert "OPENBLAS_NUM_THREADS=" in provenance[0]
+        assert len(contents[0]) == 2
+        assert contents[0] == contents[1]
+
     def test_artifacts_independent_of_output_dir(self, tmp_path):
         config_a = write_config(tmp_path, output_dir=str(tmp_path / "a"))
         run_suite(load_config(config_a, {"suite": "plancherel"}))
@@ -309,9 +341,11 @@ class TestRunCommand:
         path = write_config(tmp_path)
         # the coarse grid trips the bound slope check; the other six pass
         assert main(["run", "--config", str(path)]) == 3
-        out = capsys.readouterr().out
+        captured = capsys.readouterr()
+        out = captured.out
         for suite in SUITES:
             assert f"[{suite}] " in out
+        assert timed_suites(captured.err) == list(SUITES)
         written = {
             json.loads(p.read_text())["suite"]
             for p in (tmp_path / "out").glob("*.json")
@@ -438,6 +472,28 @@ class TestRunCommand:
         )
         assert result.returncode == 0
         assert "[hermite] PASS" in result.stdout
+
+    def test_cold_start_defers_integration_modules(self, tmp_path):
+        # a fresh interpreter, so that modules this test process has already
+        # imported cannot hide a module-level import of them
+        script = f"""
+import json, sys
+loaded = lambda: [m for m in {DEFERRED_MODULES!r} if m in sys.modules]
+import heislab.cli
+after_import = loaded()
+code = heislab.cli.main(
+    ["run", "--suite", "grid", "--grid", "9", "--out", {str(tmp_path / "out")!r}]
+)
+print(json.dumps({{"import": after_import, "grid": loaded(), "code": code}}))
+"""
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
+        state = json.loads(result.stdout.splitlines()[-1])
+        assert state["code"] == 0
+        assert state["import"] == []
+        assert not {"scipy.integrate", "scipy.optimize"} & set(state["grid"])
 
 
 class TestSweepCommand:

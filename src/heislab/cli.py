@@ -967,7 +967,11 @@ def report(output_dir: str | Path) -> int:
             data = json.loads(path.read_text(encoding="utf-8"))
         except (json.JSONDecodeError, UnicodeDecodeError):
             continue
+        # other kinds, and runs that lack a field read below, are skipped
+        fields = {"suite", "digest", "passed", "metrics", "violations"}
         if not isinstance(data, dict) or data.get("kind") != "run":
+            continue
+        if not fields <= data.keys():
             continue
         groups.setdefault((data["suite"], data["digest"]), []).append((path, data))
     _require(bool(groups), f"no run artifacts found in {directory}")

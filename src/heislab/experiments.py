@@ -22,9 +22,9 @@ from .grid import (
     SECTORS,
     GridFunction,
     GridSpec,
-    _GridModel,
     _character_label,
     _model,
+    _reflection_components,
     _sector_index,
     build_riesz,
     sobolev_seminorm,
@@ -329,57 +329,17 @@ class DixmierEstimate:
     spectrum: Mapping | None = None
 
 
-def _commutator(riesz: np.ndarray, f: GridFunction) -> np.ndarray:
-    """The dense matrix of ``[R, M_f]``, entrywise ``R_ij (f_j - f_i)``.
-
-    Built in place, so it costs one N x N array, and exactly zero when f is
-    constant.
-    """
-    vals = f.flat
-    out = vals[None, :] - vals[:, None]
-    out *= riesz
-    return out
-
-
-def _reflection_parity(vals: np.ndarray, index_map: np.ndarray) -> int | None:
-    """+1 or -1 when ``vals`` is exactly even or odd under the reflection."""
-    mirrored = vals[index_map]
-    if np.array_equal(mirrored, vals):
-        return 1
-    if np.array_equal(mirrored, -vals):
-        return -1
-    return None
-
-
-def _sector_blocks(
-    model: _GridModel, ell: int, f: GridFunction, parity: tuple[int, int]
-) -> list[np.ndarray]:
-    """The blocks ``Q_{sigma chi}^T [R_ell, M_f] Q_sigma``, cut by colour.
-
-    For f with parity eps, ``M_f Q_sigma = Q_{sigma eps} diag(f_rep)`` with
-    f_rep the values of f at the orbit representatives: the live sectors of
-    an orbit share one norm, and where ``sigma eps`` vanishes on an orbit
-    so does f_rep.  So the block of sector sigma and colour class c is
-    ``Rt_{sigma eps} f_rep[cols] - f_rep[rows] Rt_sigma`` on the cached
-    Riesz sector blocks ``Rt`` (``_GridModel.sector_blocks``), restricted to
-    the rows live in ``sigma chi`` and the columns live in sigma.  Both terms
-    scale the same cached entries, so a constant f gives exact zeros.
-    """
-    orbits = model.sectors()
-    cached = model.sector_blocks(ell)
-    chi = tuple(s * e for s, e in zip(_FIELD_CHARACTER[ell], parity))
-    f_rep = f.flat[orbits.table[0]]
-    blocks = []
-    for k, sigma in enumerate(SECTORS):
-        tau = _sector_index(sigma, chi)
-        shifted = cached[_sector_index(sigma, parity)]
-        for (rows, cols), plain, moved in zip(orbits.classes, cached[k], shifted):
-            r = np.flatnonzero(orbits.live[tau, rows])
-            c = np.flatnonzero(orbits.live[k, cols])
-            block = moved[np.ix_(r, c)] * f_rep[cols[c]]
-            block -= f_rep[rows[r], None] * plain[np.ix_(r, c)]
-            blocks.append(block)
-    return blocks
+def _join(blocks: Mapping[tuple[int, int], np.ndarray]) -> np.ndarray:
+    """The matrix of blocks keyed (row sector, column sector), zero where a
+    key is absent; a single block is returned uncopied."""
+    if len(blocks) == 1:
+        return next(iter(blocks.values()))
+    heights = {rho: block.shape[0] for (rho, _), block in blocks.items()}
+    widths = {sigma: block.shape[1] for (_, sigma), block in blocks.items()}
+    return np.block([
+        [blocks.get((rho, sigma), np.zeros((h, w))) for sigma, w in sorted(widths.items())]
+        for rho, h in sorted(heights.items())
+    ])
 
 
 def _commutator_spectrum(
@@ -387,29 +347,32 @@ def _commutator_spectrum(
 ) -> tuple[SingularSpectrum, dict]:
     """Singular values of ``[R_ell, M_f]`` and their numerical health.
 
-    When f is exactly even or odd under both grid reflections, with parity
-    eps, the commutator has the character chi = s_ell * eps of ``R_ell``
-    times that of ``M_f``: it maps sector sigma into sector sigma * chi, and
-    (on grids with ``ny + nt`` even) colour c into 1 - c, so its singular
-    values are those of the eight blocks of ``_sector_blocks``, and the N x N
-    commutator is never formed.  Otherwise the full matrix is decomposed.
-    The health record names the character the spectrum was split by
-    (``"+-"``) or ``"full"``, the clamp count and the smallest kept value
-    over the largest.
+    ``_GridModel.commutator_blocks`` gives one block per reflection
+    component eps of f, column sector sigma and colour class, with rows in
+    rho = sigma eps s_ell.  So two column sectors share a row sector exactly
+    when sigma sigma' = eps eps' for two components; in the Klein group of
+    characters these products form a subgroup, whose cosets cut each colour
+    class into independent pieces, one SVD each: single blocks for f of
+    exact parity, one piece per class for four components.  The N x N
+    matrix is never formed.  The health record names the character the
+    spectrum was split by (``"+-"``) for one component or ``"full"``, the
+    clamp count and the smallest kept value over the largest.
     """
     model = _model(spec)
-    parity = tuple(_reflection_parity(f.flat, p) for p in model.sectors().reflections)
-    if None in parity:
-        spectrum = singular_values(_commutator(model.riesz(ell), f))
-        sector = "full"
-    else:
-        spectrum = singular_values(*_sector_blocks(model, ell, f, parity))
-        chi = (s * e for s, e in zip(_FIELD_CHARACTER[ell], parity))
-        sector = _character_label(chi)
+    values = f.flat[model.sectors().table]
+    # the zero function has no component; one zero component gives N zeros
+    components = _reflection_components(values) or {0: values[0]}
+    steps = {_sector_index(SECTORS[a], SECTORS[b]) for a in components for b in components}
+    pieces: dict[tuple[int, int], dict] = {}
+    for block in model.commutator_blocks(ell, components):
+        coset = min(_sector_index(SECTORS[block.sigma], SECTORS[h]) for h in steps)
+        pieces.setdefault((block.colour, coset), {})[block.rho, block.sigma] = block.matrix
+    spectrum = singular_values(*map(_join, pieces.values()))
+    chi = [_sector_index(SECTORS[eps], _FIELD_CHARACTER[ell]) for eps in components]
     kept = int(np.count_nonzero(spectrum.values))
     smallest = spectrum.values[kept - 1] / spectrum.values[0] if kept else 0.0
     return spectrum, {
-        "sector": sector,
+        "sector": _character_label(SECTORS[chi[0]]) if len(chi) == 1 else "full",
         "clamped": spectrum.clamped,
         "min_kept_ratio": float(smallest),
     }

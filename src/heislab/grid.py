@@ -11,8 +11,10 @@ centered difference along t the fields and the sub-Laplacian are block
 diagonal: one block of size nx*ny per vertical eigenvalue ``i mu_j``, the
 grid counterpart of the Schroedinger fibre at ``lambda = mu_j``.  Blocks j
 and nt+1-j are complex conjugates, so ``ceil(nt/2)`` small ``eigh`` calls
-(cached per grid) drive the fractional calculus, Riesz transforms, and the
-commutator identities the experiments check.
+(cached per grid) drive the fractional calculus.  The grid reflections and
+the colour ``(ix+iy+it) mod 2`` grade the operators exactly, so the Riesz
+transforms and the commutators the experiments check are read block by
+block in sector coordinates; no dense one is kept or formed.
 
 Zero-exterior (Dirichlet) boundaries are deliberate: the coordinate
 coefficients in the fields are globally defined, and a periodic wrap would
@@ -24,7 +26,8 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Mapping
+from collections import namedtuple
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -66,9 +69,9 @@ _FIELD_CHARACTER = {1: (1, -1), 2: (-1, 1)}
 _SIGNS = np.array([[1, s1, s2, s1 * s2] for s1, s2 in SECTORS], dtype=float)
 
 
-def _sector_index(a: tuple[int, int], b: tuple[int, int]) -> int:
-    """Position in ``SECTORS`` of the product of the characters a and b."""
-    return SECTORS.index((a[0] * b[0], a[1] * b[1]))
+def _sector_index(*characters: tuple[int, int]) -> int:
+    """Position in ``SECTORS`` of the product of the characters."""
+    return SECTORS.index(tuple(map(math.prod, zip(*characters))))
 
 
 def _character_label(character) -> str:
@@ -255,6 +258,12 @@ class _Orbits(NamedTuple):
     classes: tuple[tuple[np.ndarray, np.ndarray], ...]
 
 
+# a block of [R_ell, M_f] from the component SECTORS[eps], of rows in
+# SECTORS[rho] and columns in SECTORS[sigma]: ``rows`` and ``cols`` are the
+# positions, in the row and column orbits of class ``colour``, of the live ones
+_Block = namedtuple("_Block", "eps rho sigma colour rows cols matrix")
+
+
 class _GridModel:
     """Sparse stencils plus the one spectral calculus of the grid.
 
@@ -267,8 +276,9 @@ class _GridModel:
     conjugate of block j, so its ``eigh`` calls are of size M, never N.
 
     Powers of the sub-Laplacian vanish on its numerical kernel (the
-    pseudo-inverse policy).  The block eigendecomposition, Riesz matrices,
-    reflection orbits and Riesz sector blocks are built on first use.
+    pseudo-inverse policy).  The block eigendecomposition, reflection orbits
+    and the sector blocks of the inverse root and the Riesz transforms are
+    built on first use; the model keeps no N x N array.
     """
 
     def __init__(self, spec: GridSpec):
@@ -311,8 +321,8 @@ class _GridModel:
         )
         self._t_outer = np.concatenate([steps.real * outer, -steps.imag * outer])
         self._eig: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        self._riesz: dict[int, np.ndarray] = {}
         self._sectors: _Orbits | None = None
+        self._inverse_root: tuple[tuple[np.ndarray, ...], ...] | None = None
         self._sector_blocks: dict[int, tuple[tuple[np.ndarray, ...], ...]] = {}
 
     def horizontal(self, ell: int) -> sparse.csr_matrix:
@@ -402,17 +412,6 @@ class _GridModel:
             if mu
         ]
 
-    def riesz(self, ell: int, inv_sqrt: np.ndarray | None = None) -> np.ndarray:
-        """``X_ell (-Delta)^{-1/2}``, built on first use and kept read-only;
-        a caller already holding ``power(-0.5)`` passes it as ``inv_sqrt``."""
-        if ell not in self._riesz:
-            if inv_sqrt is None:
-                inv_sqrt = self.power(-0.5)
-            mat = self.horizontal(ell) @ inv_sqrt
-            mat.flags.writeable = False
-            self._riesz[ell] = mat
-        return self._riesz[ell]
-
     def sectors(self) -> _Orbits:
         """The orbits of the reflections as index data (see ``_Orbits``)."""
         if self._sectors is None:
@@ -487,17 +486,58 @@ class _GridModel:
             per_class.append(out)
         return tuple(tuple(out[k] for out in per_class) for k in range(len(SECTORS)))
 
+    def inverse_root_blocks(self) -> tuple[tuple[np.ndarray, ...], ...]:
+        """The sector blocks ``Q_sigma^T (-Delta)^{-1/2} Q_sigma`` (see
+        ``gather``), built on first use and kept read-only; the power keeps
+        sector and colour, and the dense power is dropped once gathered."""
+        if self._inverse_root is None:
+            self._inverse_root = self.gather(self.power(-0.5), (1, 1), flip=False)
+        return self._inverse_root
+
     def sector_blocks(self, ell: int) -> tuple[tuple[np.ndarray, ...], ...]:
-        """The colour-flipping sector blocks ``Q_{sigma s_ell}^T R_ell Q_sigma``
-        of the Riesz transform (see ``gather``), built on first use and kept
-        read-only.  ``R_ell`` maps colour c into 1 - c, so the same-colour
-        parts the cut leaves out are rounding noise.
-        """
+        """The colour-flipping sector blocks ``Rt_sigma = Q_{sigma s_ell}^T
+        R_ell Q_sigma`` of the Riesz transform, built on first use and kept
+        read-only.  ``(-Delta)^{-1/2}`` keeps sector and colour and
+        ``sum_rho Q_rho Q_rho^T = I``, so ``Rt_sigma`` is the product of the
+        gathered blocks of ``X_ell`` and of ``inverse_root_blocks``."""
         if ell not in self._sector_blocks:
-            self._sector_blocks[ell] = self.gather(
-                self.riesz(ell), _FIELD_CHARACTER[ell], flip=True
+            field = self.gather(self.horizontal(ell), _FIELD_CHARACTER[ell], flip=True)
+            blocks = tuple(
+                tuple(x @ s for x, s in zip(per_field, per_root))
+                for per_field, per_root in zip(field, self.inverse_root_blocks())
             )
+            for block in sum(blocks, ()):
+                block.flags.writeable = False
+            self._sector_blocks[ell] = blocks
         return self._sector_blocks[ell]
+
+    def commutator_blocks(
+        self, ell: int, components: Mapping[int, np.ndarray]
+    ) -> Iterator[_Block]:
+        """The blocks of ``[R_ell, M_f]`` in sector coordinates, by colour class.
+
+        ``components`` maps eps to the reflection component f_eps of f at the
+        orbit representatives (``_reflection_components``).  The live sectors
+        of an orbit share one norm, so ``M_{f_eps} Q_sigma = Q_{sigma eps}
+        diag(f_eps)``: f_eps gives the block of rows rho = sigma eps s_ell
+        and columns sigma, ``Rt_{sigma eps} f_eps[cols] - f_eps[rows]
+        Rt_sigma``, on the rows live in rho and the columns live in sigma;
+        one component's blocks hold N rows and N columns.  Both terms scale
+        the same entries, so a constant f gives exact zeros.
+        """
+        orbits = self.sectors()
+        riesz = self.sector_blocks(ell)
+        for eps, f_rep in components.items():
+            for k, sigma in enumerate(SECTORS):
+                shifted = riesz[_sector_index(sigma, SECTORS[eps])]
+                rho = _sector_index(sigma, SECTORS[eps], _FIELD_CHARACTER[ell])
+                for c, (rows, cols) in enumerate(orbits.classes):
+                    r = np.flatnonzero(orbits.live[rho, rows])
+                    s = np.flatnonzero(orbits.live[k, cols])
+                    live = np.ix_(r, s)
+                    block = shifted[c][live] * f_rep[cols[s]]
+                    block -= f_rep[rows[r], None] * riesz[k][c][live]
+                    yield _Block(eps, rho, k, c, r, s, block)
 
     def vertical_quarter_root(self) -> np.ndarray:
         """The nt x nt fourth root of ``D_t^T D_t`` on one vertical line;
@@ -536,8 +576,11 @@ def sublaplacian_spectrum(spec: GridSpec) -> np.ndarray:
 
 
 def build_riesz(spec: GridSpec, ell: int) -> np.ndarray:
-    """Horizontal field times the inverse square root; one shared read-only matrix per grid."""
-    return _model(spec).riesz(ell)
+    """Dense ``X_ell (-Delta)^{-1/2}``, built anew on each call; the
+    commutator checks read the Riesz transform through its sector blocks
+    (``_GridModel.sector_blocks``) instead."""
+    model = _model(spec)
+    return model.horizontal(ell) @ model.power(-0.5)
 
 
 def sobolev_seminorm(f: GridFunction, p: float = 4.0) -> float:
@@ -639,28 +682,24 @@ def riesz_decomposition_residual(
     normalized by the derivative's own size.
 
     Everything is computed in sector coordinates (``_GridModel.gather``).
-    The powers keep sector and colour, ``X_ell`` and ``R_ell`` carry the
-    character ``s_ell`` and flip colour, and for f of character eps
-    ``M_f Q_sigma = Q_{sigma eps} diag(f_rep)``.  So every term maps
-    (sigma, c) into (sigma eps s_ell, 1 - c), and the kernel projector,
-    which commutes with both reflections and with colour, acts on each
-    block by its own sector coordinates.  f is split into its reflection
-    components, which land on disjoint blocks, and the Frobenius norms are
-    the roots of the sums of squared block norms.  Each power is built once
-    and gathered; no N x N product is formed.
+    For f of character eps every term maps (sigma, c) into
+    (sigma eps s_ell, 1 - c), as ``[R, M_f]`` does
+    (``_GridModel.commutator_blocks``), and the kernel projector, which
+    commutes with both reflections and with colour, acts on each block by
+    its own sector coordinates.  The reflection components of f land on
+    disjoint blocks, and the Frobenius norms are the roots of the sums of
+    squared block norms.  Each power is built once and gathered; no N x N
+    product is formed.
     """
     if any(f.spec != spec for f in functions.values()):
         raise ValueError("function lives on a different grid")
     model = _model(spec)
     orbits = model.sectors()
-    # one inverse root serves R_ell (when the model has not built it yet)
-    # and its own blocks; each dense power is dropped once gathered, and
-    # the powers have the trivial character (1, 1)
-    dense = model.power(-0.5)
-    model.riesz(ell, dense)
+    # the powers have the trivial character (1, 1); the inverse root's
+    # blocks are the model's own, shared with the Riesz blocks, and the
+    # dense root is dropped once gathered
     riesz = model.sector_blocks(ell)
-    inv_sqrt = model.gather(dense, (1, 1), flip=False)
-    del dense
+    inv_sqrt = model.inverse_root_blocks()
     sqrt_mat = model.gather(model.power(0.5), (1, 1), flip=False)
     x_mat = model.horizontal(ell)
     field = model.gather(x_mat, _FIELD_CHARACTER[ell], flip=True)
@@ -669,40 +708,31 @@ def riesz_decomposition_residual(
     kernel_coords = np.einsum("sg,gok->sok", _SIGNS, kernel[orbits.table])
     kernel_coords *= _inverse_norms(orbits)[:, :, None]
 
-    def blocks(eps: int, f_rep: np.ndarray):
-        """The blocks of ``[R, M_f]`` and of the split's gap for f of
-        character ``SECTORS[eps]``, each projected off the kernel."""
-        for k, sigma in enumerate(SECTORS):
-            shifted = _sector_index(sigma, SECTORS[eps])
-            tau = _sector_index(SECTORS[shifted], _FIELD_CHARACTER[ell])
-            for c, (rows, cols) in enumerate(orbits.classes):
-                f_rows = f_rep[rows, None]
-                f_cols = f_rep[cols]
-                lhs = riesz[shifted][c] * f_cols
-                lhs -= f_rows * riesz[k][c]
-                # gap = lhs - [X, M_f] A^{-1/2} + R [A^{1/2}, M_f] A^{-1/2}
-                # with A = -Delta
-                comm_sqrt = sqrt_mat[shifted][c] * f_cols
-                comm_sqrt -= f_cols[:, None] * sqrt_mat[k][c]
-                gap = riesz[shifted][c] @ (comm_sqrt @ inv_sqrt[k][c])
-                gap -= field[shifted][c] @ (f_cols[:, None] * inv_sqrt[k][c])
-                gap += f_rows * riesz[k][c]
-                gap += lhs
-                left = kernel_coords[tau, rows]
-                right = kernel_coords[k, cols]
-                for mat in (lhs, gap):
-                    mat -= left @ (left.T @ mat)
-                    mat -= (mat @ right) @ right.T
-                yield lhs, gap
-
     def split(f: GridFunction) -> RieszSplitReport:
         fv = f.flat
         components = _reflection_components(fv[orbits.table])
         lhs_norms, gap_norms = [], []
-        for eps, f_rep in components.items():
-            for lhs, gap in blocks(eps, f_rep):
-                lhs_norms.append(np.linalg.norm(lhs))
-                gap_norms.append(np.linalg.norm(gap))
+        for block in model.commutator_blocks(ell, components):
+            k, c, lhs = block.sigma, block.colour, block.matrix
+            shifted = _sector_index(SECTORS[k], SECTORS[block.eps])
+            rows, cols = orbits.classes[c]
+            f_rep = components[block.eps]
+            f_cols = f_rep[cols]
+            # gap = lhs - [X, M_f] A^{-1/2} + R [A^{1/2}, M_f] A^{-1/2}
+            # with A = -Delta, on the live rows and columns of lhs
+            comm_sqrt = sqrt_mat[shifted][c] * f_cols
+            comm_sqrt -= f_cols[:, None] * sqrt_mat[k][c]
+            gap = riesz[shifted][c] @ (comm_sqrt @ inv_sqrt[k][c])
+            gap -= field[shifted][c] @ (f_cols[:, None] * inv_sqrt[k][c])
+            gap += f_rep[rows, None] * riesz[k][c]
+            gap = gap[np.ix_(block.rows, block.cols)] + lhs
+            left = kernel_coords[block.rho, rows[block.rows]]
+            right = kernel_coords[k, cols[block.cols]]
+            for mat in (lhs, gap):
+                mat -= left @ (left.T @ mat)
+                mat -= (mat @ right) @ right.T
+            lhs_norms.append(np.linalg.norm(lhs))
+            gap_norms.append(np.linalg.norm(gap))
         lhs_norm = float(np.linalg.norm(lhs_norms))
         absolute = float(np.linalg.norm(gap_norms))
         derivative = x_mat @ fv

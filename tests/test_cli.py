@@ -27,7 +27,7 @@ from heislab.cli import (
     run_suite,
     sweep,
 )
-from heislab.grid import _GridModel, _model
+from heislab.grid import GridSpec, _GridModel, _model
 
 
 SUITE_TIMING = re.compile(r"\[(\w+)\] \d+\.\d{3} s, peak RSS \d+\.\d MB")
@@ -243,6 +243,42 @@ def eigh_sizes(monkeypatch):
     return sizes
 
 
+@pytest.fixture
+def power_exponents(monkeypatch):
+    """Exponents of the ``_GridModel.power`` calls made after a cold model
+    cache."""
+    power = _GridModel.power
+    exponents = []
+
+    def counting_power(self, exponent):
+        exponents.append(exponent)
+        return power(self, exponent)
+
+    monkeypatch.setattr(_GridModel, "power", counting_power)
+    _model.cache_clear()
+    return exponents
+
+
+def reachable_arrays(obj, seen=None):
+    """Every array reachable from ``obj`` through attributes, containers,
+    sparse matrices and the bases of views."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        yield obj
+        children = [obj.base]
+    elif isinstance(obj, dict):
+        children = obj.values()
+    elif isinstance(obj, (tuple, list)):
+        children = obj
+    else:
+        children = getattr(obj, "__dict__", {}).values()
+    for child in children:
+        yield from reachable_arrays(child, seen)
+
+
 class TestRunCommand:
     def test_hermite_defaults_pass(self, tmp_path, capsys):
         path = write_config(tmp_path)
@@ -382,21 +418,28 @@ class TestRunCommand:
         run_suite(load_config(write_config(tmp_path), {"suite": "all"}))
         assert eigh_sizes and 9**3 not in eigh_sizes
 
-    def test_grid_suite_takes_each_power_once(self, tmp_path, monkeypatch):
+    def test_grid_suite_takes_each_power_once(self, tmp_path, power_exponents):
         # on a cold model the split residuals of the whole family share one
-        # set of powers: the inverse root also builds R_ell, and the kernel
-        # projection needs none
-        _model.cache_clear()
-        power = _GridModel.power
-        exponents = []
-
-        def counting_power(self, exponent):
-            exponents.append(exponent)
-            return power(self, exponent)
-
-        monkeypatch.setattr(_GridModel, "power", counting_power)
+        # set of powers: the inverse root's blocks also build the Riesz
+        # blocks, and the kernel projection needs none
         cli._run_grid(load_config(write_config(tmp_path), {"suite": "grid"}))
-        assert exponents == [-0.5, 0.5]
+        assert power_exponents == [-0.5, 0.5]
+
+    def test_bound_suite_takes_one_inverse_root(self, tmp_path, power_exponents):
+        run_suite(load_config(write_config(tmp_path), {"suite": "bound"}))
+        assert power_exponents == [-0.5]
+
+    @pytest.mark.parametrize("suite", ["bound", "trace", "grid"])
+    def test_cold_run_leaves_no_dense_matrix_on_the_model(self, tmp_path, suite):
+        # the cached model keeps sector blocks of about (N/8)^2 entries, and
+        # nothing of N x N: not R_ell, not a power
+        _model.cache_clear()
+        run_suite(load_config(write_config(tmp_path), {"suite": suite}))
+        model = _model(GridSpec.cube(9))
+        assert _model.cache_info().currsize == 1
+        assert model._sector_blocks
+        sizes = [arr.size for arr in reachable_arrays(model)]
+        assert max(sizes) < (9**3) ** 2
 
     def test_grid_artifact_reports_split_components(self, tmp_path):
         # every shipped split function is even: one component, character ++
@@ -635,6 +678,22 @@ class TestReportCommand:
     def test_missing_directory(self, tmp_path):
         with pytest.raises(UsageError, match="no output directory"):
             report(tmp_path / "absent")
+
+    def test_run_missing_a_field_is_skipped(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "bare.json").write_text('{"kind": "run"}')
+        assert main(["report", "--out", str(out)]) == 2
+        assert "no run artifacts" in capsys.readouterr().err
+        main(["run", "--suite", "hermite", "--config", str(write_config(tmp_path))])
+        (artifact,) = out.glob("hermite_*.json")
+        payload = json.loads(artifact.read_text())
+        for field in ("suite", "digest", "passed", "metrics", "violations"):
+            partial = {key: value for key, value in payload.items() if key != field}
+            (out / f"without_{field}.json").write_text(json.dumps(partial))
+        assert main(["report", "--out", str(out)]) == 0
+        (entry,) = json.loads((out / "report.json").read_text())["entries"]
+        assert entry["history"] == [artifact.name]
 
     def test_single_run_identity_merge(self, tmp_path):
         path = write_config(tmp_path)

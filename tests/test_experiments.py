@@ -25,7 +25,13 @@ from heislab.experiments import (
     report_as_dict,
     trace_formula_experiment,
 )
-from heislab.grid import GridFunction, GridSpec, _model, build_riesz
+from heislab.grid import (
+    GridFunction,
+    GridSpec,
+    _model,
+    _reflection_components,
+    build_riesz,
+)
 from heislab.schatten import CLAMP_RATIO, singular_values
 from heislab.oscillator import (
     enumerate_basis,
@@ -203,23 +209,71 @@ def oracle_functions(spec):
     }
 
 
+# functions without exact parity, by their number of reflection components
+# (the rounding of (1 + x) + y may add a fourth of rounding size)
+MIXED_PARITY = {
+    "two": lambda x, y, t: np.exp(-((x - 0.7) ** 2 + y * y + t * t)),
+    "three": lambda x, y, t: (1.0 + x + y) * np.exp(-(x * x + y * y + t * t)),
+    "four": lambda x, y, t: np.exp(-((x - 0.7) ** 2 + (y - 0.4) ** 2 + (t - 0.3) ** 2)),
+}
+
+
+def mixed_functions(spec):
+    return {label: GridFunction.from_callable(spec, fn) for label, fn in MIXED_PARITY.items()}
+
+
+def dense_commutator(spec, ell, f):
+    """Oracle for the commutator spectrum: the dense N x N matrix of
+    ``[R_ell, M_f]``, entrywise ``R_ij (f_j - f_i)``."""
+    vals = f.flat
+    out = vals[None, :] - vals[:, None]
+    out *= build_riesz(spec, ell)
+    return out
+
+
 def assert_matches_dense_svd(spec, ell):
-    riesz = build_riesz(spec, ell)
-    for label, f in oracle_functions(spec).items():
+    functions = {**oracle_functions(spec), **mixed_functions(spec)}
+    for label, f in functions.items():
         spectrum, health = experiments._commutator_spectrum(spec, ell, f)
-        dense = np.linalg.svd(experiments._commutator(riesz, f), compute_uv=False)
+        dense = np.linalg.svd(dense_commutator(spec, ell, f), compute_uv=False)
         oracle = np.where(dense < CLAMP_RATIO * dense[0], 0.0, dense)
-        assert health["sector"] != "full", label
+        assert (health["sector"] == "full") == (label in MIXED_PARITY), label
         assert len(spectrum) == spec.size
         assert np.abs(spectrum.values - oracle).max() <= 1e-13 * dense[0], label
         assert np.count_nonzero(spectrum.values) == np.count_nonzero(oracle), label
 
 
-def parity_of(spec, f):
-    return tuple(
-        experiments._reflection_parity(f.flat, p)
-        for p in _model(spec).sectors().reflections
-    )
+def components_of(spec, f):
+    return _reflection_components(f.flat[_model(spec).sectors().table])
+
+
+def recorded_svd_shapes(monkeypatch):
+    """The shapes of the matrices every later ``np.linalg.svd`` call sees."""
+    svd = np.linalg.svd
+    shapes = []
+
+    def recording_svd(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    return shapes
+
+
+def assert_pieces(monkeypatch, label, components, pieces):
+    """The mixed-parity function ``label`` has ``components`` reflection
+    components, and its spectrum takes ``pieces`` SVDs covering the N rows
+    and columns, with the dense oracle's values."""
+    f = mixed_functions(SPEC)[label]
+    assert len(components_of(SPEC, f)) == components
+    shapes = recorded_svd_shapes(monkeypatch)
+    spectrum, health = experiments._commutator_spectrum(SPEC, 1, f)
+    assert health["sector"] == "full"
+    assert len(shapes) == pieces
+    assert sum(shape[0] for shape in shapes) == SPEC.size
+    assert sum(shape[1] for shape in shapes) == SPEC.size
+    full = singular_values(dense_commutator(SPEC, 1, f))
+    assert np.abs(spectrum.values - full.values).max() <= 1e-13 * full.values[0]
 
 
 class TestCommutatorSpectrum:
@@ -241,31 +295,40 @@ class TestCommutatorSpectrum:
         [((9, 9, 9), 8), ((13, 13, 13), 8), ((9, 9, 10), 4), ((10, 10, 9), 4)],
     )
     def test_blocks_split_rows_and_columns(self, shape, count):
+        # every component gives one block per sector and colour class, and
+        # its blocks hold N rows and N columns
         spec = GridSpec(*shape)
         model = _model(spec)
-        for label, f in oracle_functions(spec).items():
+        functions = {**oracle_functions(spec), **mixed_functions(spec)}
+        for label, f in functions.items():
+            components = components_of(spec, f)
             for ell in (1, 2):
-                blocks = experiments._sector_blocks(model, ell, f, parity_of(spec, f))
-                assert len(blocks) == count, label
-                assert sum(block.shape[0] for block in blocks) == spec.size, label
-                assert sum(block.shape[1] for block in blocks) == spec.size, label
+                blocks = list(model.commutator_blocks(ell, components))
+                for eps in components:
+                    own = [block.matrix for block in blocks if block.eps == eps]
+                    assert len(own) == count, label
+                    assert sum(m.shape[0] for m in own) == spec.size, label
+                    assert sum(m.shape[1] for m in own) == spec.size, label
 
     @pytest.mark.parametrize("count", [9, 13])
     @pytest.mark.parametrize("ell", [1, 2])
     def test_constants_give_exact_zeros(self, count, ell):
+        # the zero function has no reflection component at all
         spec = GridSpec.cube(count)
-        for label, f in named_family("constants", spec).items():
+        zero = GridFunction(spec, np.zeros(spec.shape))
+        for label, f in {**named_family("constants", spec), "zero": zero}.items():
             spectrum, health = experiments._commutator_spectrum(spec, ell, f)
             assert health["sector"] != "full", label
+            assert len(spectrum) == spec.size, label
             assert np.all(spectrum.values == 0.0), label
 
     def test_parity_path_forms_no_commutator(self, monkeypatch):
-        def no_commutator(riesz, f):
-            raise AssertionError("the N x N commutator was formed")
-
-        monkeypatch.setattr(experiments, "_commutator", no_commutator)
+        # a function of exact parity is decomposed one sector block at a time
+        shapes = recorded_svd_shapes(monkeypatch)
         for f in oracle_functions(SPEC).values():
             experiments._commutator_spectrum(SPEC, 1, f)
+        assert len(shapes) == 8 * len(oracle_functions(SPEC))
+        assert max(max(shape) for shape in shapes) < SPEC.size // 4
 
     def test_health_record(self):
         f = grid_fn(lambda x, y, t: x * np.exp(-(x * x + y * y + t * t)))
@@ -276,13 +339,13 @@ class TestCommutatorSpectrum:
         kept = spectrum.values[spectrum.values > 0.0]
         assert health["min_kept_ratio"] == kept[-1] / kept[0]
 
-    def test_no_parity_takes_the_full_matrix(self):
-        f = grid_fn(lambda x, y, t: np.exp(-((x - 0.7) ** 2 + y * y + t * t)))
-        spectrum, health = experiments._commutator_spectrum(SPEC, 1, f)
-        full = singular_values(experiments._commutator(build_riesz(SPEC, 1), f))
-        assert health["sector"] == "full"
-        assert np.array_equal(spectrum.values, full.values)
-        assert spectrum.clamped == full.clamped
+    def test_no_parity_takes_the_full_matrix(self, monkeypatch):
+        # two components pair the sectors of each colour class: two SVDs
+        # per class, and none of the N x N matrix
+        assert_pieces(monkeypatch, "two", 2, 4)
+
+    def test_four_components_take_one_piece_per_class(self, monkeypatch):
+        assert_pieces(monkeypatch, "four", 4, 2)
 
     def test_grid_11_rows_take_the_sector_path(self):
         # 11 is a size where np.linspace axes are not exactly antisymmetric

@@ -5,7 +5,7 @@ import pytest
 from scipy import sparse
 from scipy.sparse import linalg as sparse_linalg
 
-from heislab.experiments import _commutator, _grid_symbol_realization, named_family
+from heislab.experiments import _grid_symbol_realization, named_family
 from heislab.grid import (
     _FIELD_CHARACTER,
     KERNEL_THRESHOLD,
@@ -14,6 +14,7 @@ from heislab.grid import (
     GridSpec,
     _GridModel,
     _model,
+    _reflection_components,
     build_riesz,
     build_sublaplacian,
     quarter_rotation,
@@ -395,11 +396,6 @@ class TestRiesz:
         op = build_riesz(SPEC, 1)
         assert np.abs(op @ unit_checkerboard(SPEC)).max() < 1e-12
 
-    def test_built_once_per_grid(self):
-        first = build_riesz(SPEC, 1)
-        assert build_riesz(SPEC, 1) is first
-        assert not first.flags.writeable
-
     def test_squares_sum_to_kernel_complement_projection(self):
         total = sum(
             build_riesz(SPEC, ell).T @ build_riesz(SPEC, ell)
@@ -587,8 +583,16 @@ class TestColourGrading:
 
 class TestMultiplicationAndCommutator:
     def test_commutator_with_constant_vanishes(self):
+        # a constant is one even component, and both terms of each block
+        # scale the same Riesz entries by it
         c = GridFunction.from_callable(SPEC, lambda x, y, t: 2.5 * np.ones_like(x))
-        assert np.abs(_commutator(build_riesz(SPEC, 1), c)).max() < 1e-12
+        model = _model(SPEC)
+        components = _reflection_components(c.flat[model.sectors().table])
+        assert list(components) == [0]
+        for ell in (1, 2):
+            blocks = list(model.commutator_blocks(ell, components))
+            assert len(blocks) == 8
+            assert all(np.all(block.matrix == 0.0) for block in blocks)
 
     def test_field_commutator_acts_as_identity_on_low_degree(self):
         # the averaging stencil of [X, M_x] equals the identity on functions

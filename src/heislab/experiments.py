@@ -262,7 +262,7 @@ def _derivative_coefficients(
 ) -> np.ndarray:
     """Columns conj(X_ℓ f), conj(X_1 f), conj(X_2 f) as flat arrays."""
     model = _model(spec)
-    grads = [model.horizontal(k) @ f.flat for k in (1, 2)]
+    grads = [model.apply_field(k, f.flat) for k in (1, 2)]
     columns = [np.conj(grads[ell - 1])] + [np.conj(g) for g in grads]
     return np.stack(columns, axis=1)
 

@@ -16,6 +16,11 @@ the colour ``(ix+iy+it) mod 2`` grade the operators exactly, so the Riesz
 transforms and the commutators the experiments check are read block by
 block in sector coordinates; no dense one is kept or formed.
 
+The horizontal fields are nearest-neighbour stencils: short lists of
+(neighbour offset, coefficient) terms, applied by slicing the (x, y, t)
+view of a grid function and scattered into sector blocks by index
+arithmetic.  No sparse matrix is formed.
+
 Zero-exterior (Dirichlet) boundaries are deliberate: the coordinate
 coefficients in the fields are globally defined, and a periodic wrap would
 break skew-symmetry.  The exact identities are therefore checked on
@@ -32,7 +37,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy import sparse
 
 __all__ = [
     "KERNEL_THRESHOLD",
@@ -205,11 +209,48 @@ class GridFunction:
 # cached stencil model
 
 
-def _centered_difference(count: int, h: float) -> sparse.csr_matrix:
+def _centered_difference(count: int, h: float) -> np.ndarray:
     # zero exterior: rows at the faces keep only their inner neighbor,
     # which preserves exact skew-symmetry
-    off = np.full(count - 1, 1.0 / (2.0 * h))
-    return sparse.diags([off, -off], [1, -1]).tocsr()
+    off = 1.0 / (2.0 * h)
+    out = np.zeros((count, count))
+    steps = np.arange(count - 1)
+    out[steps, steps + 1] = off
+    out[steps + 1, steps] = -off
+    return out
+
+
+# one term of a horizontal field: X[a, a + step e_axis] = coefficient[a] for
+# the points a whose neighbour lies in the box (coefficient has the grid's
+# shape)
+_Term = namedtuple("_Term", "axis step coefficient")
+
+
+def _field_stencil(spec: GridSpec, ell: int) -> tuple[_Term, ...]:
+    """``X_1 = D_x - y D_t`` or ``X_2 = D_y + x D_t`` as its four terms.
+
+    Opposite neighbours come in adjacent pairs, the vertical pair first, so
+    a sum over the terms in this order cancels exactly on a constant away
+    from the faces.
+    """
+    hx, hy, ht = spec.spacing
+    shape = spec.shape
+    if ell == 1:
+        planar, h = 0, hx
+        vertical = -spec.axis_y[None, :, None]
+    else:
+        planar, h = 1, hy
+        vertical = spec.axis_x[:, None, None]
+    off, off_t = 1.0 / (2.0 * h), 1.0 / (2.0 * ht)
+    terms = [
+        _Term(2, -1, np.broadcast_to(vertical * -off_t, shape).copy()),
+        _Term(2, 1, np.broadcast_to(vertical * off_t, shape).copy()),
+        _Term(planar, 1, np.full(shape, off)),
+        _Term(planar, -1, np.full(shape, -off)),
+    ]
+    for term in terms:
+        term.coefficient.flags.writeable = False
+    return tuple(terms)
 
 
 def _vertical_basis(count: int, h: float) -> tuple[np.ndarray, np.ndarray]:
@@ -234,9 +275,9 @@ def _vertical_basis(count: int, h: float) -> tuple[np.ndarray, np.ndarray]:
 class _Orbits(NamedTuple):
     """The orbits of the reflection group ``{1, P1, P2, P1 P2}`` on the grid.
 
-    ``(P_k u)[i] = u[p_k[i]]`` for ``reflections = (p_1, p_2)``.  Column o of
-    the 4 x n ``table`` lists where the group elements, in that order, send
-    the orbit's representative (its smallest point).  The unit vector of
+    Column o of the 4 x n ``table`` lists where the group elements, in that
+    order, send the orbit's representative (its smallest point):
+    ``(P_k u)[table[0, o]] = u[table[k, o]]`` for k = 1, 2.  The unit vector of
     sector ``SECTORS[k]`` on orbit o is
     ``q = sum_g _SIGNS[k, g] e_{table[g, o]} / norms[k, o]``; a point the
     orbit visits twice adds up, and where the sum cancels the sector is not
@@ -250,7 +291,6 @@ class _Orbits(NamedTuple):
     Riesz transforms act.  Otherwise it is the single pair (all, all).
     """
 
-    reflections: tuple[np.ndarray, np.ndarray]
     table: np.ndarray
     norms: np.ndarray
     live: np.ndarray
@@ -265,7 +305,7 @@ _Block = namedtuple("_Block", "eps rho sigma colour rows cols matrix")
 
 
 class _GridModel:
-    """Sparse stencils plus the one spectral calculus of the grid.
+    """The field stencils plus the one spectral calculus of the grid.
 
     In the vertical eigenbasis ``u_j`` (see ``_vertical_basis``) every
     operator of the calculus is block diagonal, with one block of size
@@ -277,34 +317,21 @@ class _GridModel:
 
     Powers of the sub-Laplacian vanish on its numerical kernel (the
     pseudo-inverse policy).  The block eigendecomposition, reflection orbits
-    and the sector blocks of the inverse root and the Riesz transforms are
-    built on first use; the model keeps no N x N array.
+    and the sector blocks of the fields, the inverse root and the Riesz
+    transforms are built on first use; the model keeps no N x N array.
     """
 
     def __init__(self, spec: GridSpec):
         self.spec = spec
         nx, ny, nt = spec.shape
         hx, hy, ht = spec.spacing
+        self._stencils = {ell: _field_stencil(spec, ell) for ell in (1, 2)}
+        # X_ell on a t-block is base + i mu diag(coefficient) on the plane
         dx1 = _centered_difference(nx, hx)
         dy1 = _centered_difference(ny, hy)
-        dt1 = _centered_difference(nt, ht)
-        ix = sparse.identity(nx, format="csr")
-        iy = sparse.identity(ny, format="csr")
-        it = sparse.identity(nt, format="csr")
-        d_x = sparse.kron(sparse.kron(dx1, iy), it, format="csr")
-        d_y = sparse.kron(sparse.kron(ix, dy1), it, format="csr")
-        self.d_t = sparse.kron(sparse.kron(ix, iy), dt1, format="csr")
-
-        xs, ys, _ = np.meshgrid(spec.axis_x, spec.axis_y, spec.axis_t, indexing="ij")
-        x_diag = sparse.diags(xs.reshape(-1))
-        y_diag = sparse.diags(ys.reshape(-1))
-        self.x_field = (d_x - y_diag @ self.d_t).tocsr()
-        self.y_field = (d_y + x_diag @ self.d_t).tocsr()
-
-        # X_ell on a t-block is base + i mu diag(coefficient) on the plane
         self._planar = {
-            1: (np.kron(dx1.toarray(), np.eye(ny)), -np.tile(spec.axis_y, nx)),
-            2: (np.kron(np.eye(nx), dy1.toarray()), np.repeat(spec.axis_x, ny)),
+            1: (np.kron(dx1, np.eye(ny)), -np.tile(spec.axis_y, nx)),
+            2: (np.kron(np.eye(nx), dy1), np.repeat(spec.axis_x, ny)),
         }
         sine, self.mu = _vertical_basis(nt, ht)
         half = self.mu.size
@@ -323,14 +350,62 @@ class _GridModel:
         self._eig: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._sectors: _Orbits | None = None
         self._inverse_root: tuple[tuple[np.ndarray, ...], ...] | None = None
+        self._field_blocks: dict[int, tuple[tuple[np.ndarray, ...], ...]] = {}
         self._sector_blocks: dict[int, tuple[tuple[np.ndarray, ...], ...]] = {}
 
-    def horizontal(self, ell: int) -> sparse.csr_matrix:
-        if ell == 1:
-            return self.x_field
-        if ell == 2:
-            return self.y_field
-        raise ValueError(f"horizontal index {ell} outside 1..2")
+    def stencil(self, ell: int) -> tuple[_Term, ...]:
+        """The four terms of ``X_ell`` (see ``_field_stencil``)."""
+        if ell not in self._stencils:
+            raise ValueError(f"horizontal index {ell} outside 1..2")
+        return self._stencils[ell]
+
+    def apply_field(self, ell: int, values: np.ndarray) -> np.ndarray:
+        """``X_ell`` applied to a flat grid function, or to each column of an
+        N x k array, by slicing the (nx, ny, nt) view."""
+        grid = values.reshape(self.spec.shape + values.shape[1:])
+        out = np.zeros(grid.shape, dtype=np.result_type(grid, 1.0))
+        trailing = (1,) * (grid.ndim - 3)
+        for term in self.stencil(ell):
+            rows = [slice(None)] * 3
+            neighbours = [slice(None)] * 3
+            rows[term.axis] = slice(None, -1) if term.step > 0 else slice(1, None)
+            neighbours[term.axis] = slice(1, None) if term.step > 0 else slice(None, -1)
+            coefficient = term.coefficient[tuple(rows)]
+            coefficient = coefficient.reshape(coefficient.shape + trailing)
+            out[tuple(rows)] += coefficient * grid[tuple(neighbours)]
+        return out.reshape(values.shape)
+
+    def field_nonzeros(
+        self, ell: int, points: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The nonzeros of the rows ``points`` (flat indices) of ``X_ell``,
+        term by term: the positions r in ``points`` of the rows with a
+        neighbour in the box, those neighbours, and the entries
+        ``X_ell[points[r], neighbour]``."""
+        shape = self.spec.shape
+        strides = (shape[1] * shape[2], shape[2], 1)
+        coords = np.unravel_index(points, shape)
+        parts = []
+        for term in self.stencil(ell):
+            target = coords[term.axis] + term.step
+            r = np.flatnonzero((target >= 0) & (target < shape[term.axis]))
+            start = points[r]
+            neighbour = start + term.step * strides[term.axis]
+            parts.append((r, neighbour, term.coefficient.reshape(-1)[start]))
+        r, neighbour, value = map(np.concatenate, zip(*parts))
+        return r, neighbour, value
+
+    def leibniz_defect(self, ell: int, values: np.ndarray) -> float:
+        """``|[X_ell, M_f] - M_{X_ell f}|_F / |X_ell f|`` for the flat f.
+
+        ``[X, M_f][a, b] = X[a, b] (f_b - f_a)`` lives on the stencil's
+        pairs and ``X`` has a zero diagonal, so the numerator squared is
+        ``sum (X[a, b] (f_b - f_a))^2 + |X f|^2``.
+        """
+        rows, neighbours, entries = self.field_nonzeros(ell, np.arange(values.size))
+        pairs = entries * (values[neighbours] - values[rows])
+        derivative = float(np.linalg.norm(self.apply_field(ell, values)))
+        return math.sqrt(float(pairs @ pairs) + derivative**2) / max(derivative, 1e-30)
 
     def planar_field(self, ell: int, mu: float) -> np.ndarray:
         """Dense M x M block of ``X_ell`` where ``D_t`` acts as ``i mu``;
@@ -437,29 +512,20 @@ class _GridModel:
                 every = np.arange(reps.size)
                 classes = ((every, every),)
             live = norms > 0.0
-            for arr in (p1, p2, table, norms, live, colour):
+            for arr in (table, norms, live, colour):
                 arr.flags.writeable = False
-            self._sectors = _Orbits((p1, p2), table, norms, live, colour, classes)
+            self._sectors = _Orbits(table, norms, live, colour, classes)
         return self._sectors
 
-    def gather(
-        self,
-        mat: np.ndarray | sparse.csr_matrix,
-        character: tuple[int, int],
-        flip: bool,
+    def _gathered(
+        self, character: tuple[int, int], flip: bool, accumulate: Callable
     ) -> tuple[tuple[np.ndarray, ...], ...]:
-        """The sector blocks ``Q_{sigma chi}^T T Q_sigma`` of a grid operator
-        T of reflection character chi, cut by colour.
+        """The frame of ``gather`` and ``field_blocks``.
 
-        Entry ``[k][c]`` belongs to ``sigma = SECTORS[k]``; its columns are
-        the orbits ``classes[c][1]`` (see ``_Orbits``) and its rows
-        ``classes[c][0]`` when T flips colour (``flip``) or the columns
-        again when it keeps colour.  Rows and columns of orbits where a
-        sector vanishes are exactly 0.  Each entry is
-        ``sum_{g,h} tau(g) sigma(h) T[g a, h b] / (|q_{tau,a}| |q_{sigma,b}|)``
-        with ``tau = sigma chi``, read off the dense array or the sparse
-        matrix T by index arithmetic; the parts of T that the cut leaves out
-        are those its colour structure makes 0.
+        Per colour class, ``accumulate(out, weights, rows, cols)`` adds
+        ``sum_{g,h} weights[k, g, h] T[g a, h b]`` for the row orbits a and
+        the column orbits b into ``out[k]``; the frame then divides by the
+        sector norms.
         """
         orbits = self.sectors()
         targets = [_sector_index(sigma, character) for sigma in SECTORS]
@@ -471,20 +537,70 @@ class _GridModel:
             if not flip:
                 rows = cols
             out = np.zeros((len(SECTORS), rows.size, cols.size))
-            images = orbits.table[:, cols]
-            for g in range(4):
-                points = orbits.table[g, rows]
-                if sparse.issparse(mat):
-                    parts = mat[points][:, images.reshape(-1)].toarray()
-                    parts = parts.reshape(rows.size, 4, cols.size).transpose(1, 0, 2)
-                else:
-                    parts = mat[points[None, :, None], images[:, None, :]]
-                out += np.tensordot(weights[:, g], parts, axes=1)
+            accumulate(out, weights, rows, cols)
             out *= inverse[targets][:, rows, None]
             out *= inverse[:, None, cols]
             out.flags.writeable = False
             per_class.append(out)
         return tuple(tuple(out[k] for out in per_class) for k in range(len(SECTORS)))
+
+    def gather(
+        self, mat: np.ndarray, character: tuple[int, int], flip: bool
+    ) -> tuple[tuple[np.ndarray, ...], ...]:
+        """The sector blocks ``Q_{sigma chi}^T T Q_sigma`` of a dense grid
+        operator T of reflection character chi, cut by colour.
+
+        Entry ``[k][c]`` belongs to ``sigma = SECTORS[k]``; its columns are
+        the orbits ``classes[c][1]`` (see ``_Orbits``) and its rows
+        ``classes[c][0]`` when T flips colour (``flip``) or the columns
+        again when it keeps colour.  Rows and columns of orbits where a
+        sector vanishes are exactly 0.  Each entry is
+        ``sum_{g,h} tau(g) sigma(h) T[g a, h b] / (|q_{tau,a}| |q_{sigma,b}|)``
+        with ``tau = sigma chi``, read off T by index arithmetic; the parts
+        of T that the cut leaves out are those its colour structure makes 0.
+        """
+        table = self.sectors().table
+
+        def accumulate(out, weights, rows, cols):
+            images = table[:, cols]
+            for g in range(4):
+                parts = mat[table[g, rows][None, :, None], images[:, None, :]]
+                out += np.tensordot(weights[:, g], parts, axes=1)
+
+        return self._gathered(character, flip, accumulate)
+
+    def field_blocks(self, ell: int) -> tuple[tuple[np.ndarray, ...], ...]:
+        """The colour-flipping sector blocks ``Xt_sigma = Q_{sigma s_ell}^T
+        X_ell Q_sigma`` (as ``gather`` gives them), built on first use and
+        kept read-only.
+
+        They are scattered from the stencil's nonzeros: for each group
+        element g, each row orbit a and each term of ``X_ell`` with value v
+        from ``g a`` to its neighbour p, every h with ``h b = p`` for a
+        column orbit b adds ``tau(g) sigma(h) v`` to entry (a, b).  For one
+        (g, h) the pairs (a, b) are distinct, so each scatter is one
+        indexed add.
+        """
+        if ell not in self._field_blocks:
+            table = self.sectors().table
+            orbit_of = np.empty(self.spec.size, dtype=int)
+            orbit_of[table] = np.arange(table.shape[1])
+
+            def accumulate(out, weights, rows, cols):
+                position = np.full(table.shape[1], -1)
+                position[cols] = np.arange(cols.size)
+                for g in range(4):
+                    r, neighbour, value = self.field_nonzeros(ell, table[g, rows])
+                    orbit = orbit_of[neighbour]
+                    c = position[orbit]
+                    for h in range(4):
+                        hit = (c >= 0) & (table[h, orbit] == neighbour)
+                        out[:, r[hit], c[hit]] += weights[:, g, h, None] * value[hit]
+
+            self._field_blocks[ell] = self._gathered(
+                _FIELD_CHARACTER[ell], True, accumulate
+            )
+        return self._field_blocks[ell]
 
     def inverse_root_blocks(self) -> tuple[tuple[np.ndarray, ...], ...]:
         """The sector blocks ``Q_sigma^T (-Delta)^{-1/2} Q_sigma`` (see
@@ -498,13 +614,14 @@ class _GridModel:
         """The colour-flipping sector blocks ``Rt_sigma = Q_{sigma s_ell}^T
         R_ell Q_sigma`` of the Riesz transform, built on first use and kept
         read-only.  ``(-Delta)^{-1/2}`` keeps sector and colour and
-        ``sum_rho Q_rho Q_rho^T = I``, so ``Rt_sigma`` is the product of the
-        gathered blocks of ``X_ell`` and of ``inverse_root_blocks``."""
+        ``sum_rho Q_rho Q_rho^T = I``, so ``Rt_sigma`` is the product of
+        ``field_blocks`` and ``inverse_root_blocks``."""
         if ell not in self._sector_blocks:
-            field = self.gather(self.horizontal(ell), _FIELD_CHARACTER[ell], flip=True)
             blocks = tuple(
                 tuple(x @ s for x, s in zip(per_field, per_root))
-                for per_field, per_root in zip(field, self.inverse_root_blocks())
+                for per_field, per_root in zip(
+                    self.field_blocks(ell), self.inverse_root_blocks()
+                )
             )
             for block in sum(blocks, ()):
                 block.flags.writeable = False
@@ -543,8 +660,7 @@ class _GridModel:
         """The nt x nt fourth root of ``D_t^T D_t`` on one vertical line;
         ``D_t`` acts along t alone, so the grid operator is this root in
         the t-index."""
-        nt = self.spec.nt
-        block = self.d_t[:nt, :nt].toarray()
+        block = _centered_difference(self.spec.nt, self.spec.spacing[2])
         w, v = np.linalg.eigh(block.T @ block)
         return (v * np.clip(w, 0.0, None) ** 0.25) @ v.T
 
@@ -562,7 +678,13 @@ def build_sublaplacian(spec: GridSpec) -> np.ndarray:
     """Dense symmetrized ``X^T X + Y^T Y``, built on each call; raises when
     the asymmetry residual it removes is not tiny."""
     model = _model(spec)
-    quad = (model.x_field.T @ model.x_field + model.y_field.T @ model.y_field).toarray()
+    quad = np.zeros((spec.size, spec.size))
+    for ell in (1, 2):
+        # X^T X = -X X, since the fields are exactly skew-symmetric: each
+        # two-step path a -> b -> c of the stencil adds X[a, b] X[b, c]
+        a, b, first = model.field_nonzeros(ell, np.arange(spec.size))
+        s, c, second = model.field_nonzeros(ell, b)
+        np.subtract.at(quad, (a[s], c), first[s] * second)
     asym = float(np.linalg.norm(quad - quad.T) / max(np.linalg.norm(quad), 1.0))
     if asym > _ASYMMETRY_LIMIT:
         raise ValueError(f"sub-Laplacian asymmetry {asym:.2e} exceeds limit")
@@ -580,7 +702,7 @@ def build_riesz(spec: GridSpec, ell: int) -> np.ndarray:
     commutator checks read the Riesz transform through its sector blocks
     (``_GridModel.sector_blocks``) instead."""
     model = _model(spec)
-    return model.horizontal(ell) @ model.power(-0.5)
+    return model.apply_field(ell, model.power(-0.5))
 
 
 def sobolev_seminorm(f: GridFunction, p: float = 4.0) -> float:
@@ -589,8 +711,8 @@ def sobolev_seminorm(f: GridFunction, p: float = 4.0) -> float:
         raise ValueError("exponent must be >= 1")
     model = _model(f.spec)
     total = 0.0
-    for field_mat in (model.x_field, model.y_field):
-        df = field_mat @ f.flat
+    for ell in (1, 2):
+        df = model.apply_field(ell, f.flat)
         total += float(
             (np.sum(np.abs(df) ** p) * f.spec.cell_volume) ** (1.0 / p)
         )
@@ -603,40 +725,35 @@ class RotationReport:
     full_residual: float
 
 
-def quarter_rotation(
-    spec: GridSpec, k: int = 1
-) -> tuple[sparse.csr_matrix, RotationReport]:
-    """Sparse quarter-turn permutation ``(x, y) -> (-y, x)`` and its conjugation report.
+def quarter_rotation(spec: GridSpec, k: int = 1) -> tuple[np.ndarray, RotationReport]:
+    """Quarter-turn permutation ``(x, y) -> (-y, x)`` and its conjugation report.
 
-    Conjugation sends the first horizontal field to the second and the
-    second to minus the first; the report records the residual on the full
-    grid.
+    The permutation U is returned as the index array ``source`` with
+    ``U f = f[source]``, so ``U^T X U`` holds ``X[p, q]`` at
+    ``(source[p], source[q])``.  Conjugation sends the first horizontal
+    field to the second and the second to minus the first; the report
+    records the residual over the nonzeros of both sides.
     """
     if k not in (1, 2):
         raise ValueError("field index must be 1 or 2")
-    nx, ny, nt = spec.shape
-    dest = np.arange(spec.size).reshape(spec.shape)
-    ix, iy, it = np.meshgrid(
-        np.arange(nx), np.arange(ny), np.arange(nt), indexing="ij"
-    )
+    nx, _, _ = spec.shape
+    index = np.arange(spec.size).reshape(spec.shape)
+    ix, iy, it = np.indices(spec.shape)
     # (U f)[ix, iy, it] = f[nx-1-iy, ix, it]
-    source = dest[nx - 1 - iy, ix, it]
-    rows = dest.reshape(-1)
-    cols = source.reshape(-1)
-    u = sparse.csr_matrix(
-        (np.ones(spec.size), (rows, cols)), shape=(spec.size, spec.size)
+    source = index[nx - 1 - iy, ix, it].reshape(-1)
+    field, target, sign, name = (
+        (1, 2, 1.0, "second_field") if k == 1 else (2, 1, -1.0, "minus_first_field")
     )
     model = _model(spec)
-    if k == 1:
-        conjugated = u.T @ model.x_field @ u
-        target = model.y_field
-        name = "second_field"
-    else:
-        conjugated = u.T @ model.y_field @ u
-        target = -model.x_field
-        name = "minus_first_field"
-    gap = conjugated - target
-    return u, RotationReport(name, float(np.linalg.norm(gap.data)))
+    every = np.arange(spec.size)
+    rows, cols, conjugated = model.field_nonzeros(field, every)
+    target_rows, target_cols, expected = model.field_nonzeros(target, every)
+    keys = np.concatenate(
+        [source[rows] * spec.size + source[cols], target_rows * spec.size + target_cols]
+    )
+    _, position = np.unique(keys, return_inverse=True)
+    gap = np.bincount(position, weights=np.concatenate([conjugated, -sign * expected]))
+    return source, RotationReport(name, float(np.linalg.norm(gap)))
 
 
 @dataclass(frozen=True)
@@ -695,14 +812,13 @@ def riesz_decomposition_residual(
         raise ValueError("function lives on a different grid")
     model = _model(spec)
     orbits = model.sectors()
-    # the powers have the trivial character (1, 1); the inverse root's
-    # blocks are the model's own, shared with the Riesz blocks, and the
-    # dense root is dropped once gathered
+    # the powers have the trivial character (1, 1); the blocks of the
+    # inverse root and of X_ell are the model's own, shared with the Riesz
+    # blocks, and the dense root is dropped once gathered
     riesz = model.sector_blocks(ell)
     inv_sqrt = model.inverse_root_blocks()
     sqrt_mat = model.gather(model.power(0.5), (1, 1), flip=False)
-    x_mat = model.horizontal(ell)
-    field = model.gather(x_mat, _FIELD_CHARACTER[ell], flip=True)
+    field = model.field_blocks(ell)
     kernel = model.kernel()
     # Q^T K: the kernel's coordinates in each sector, orbit by orbit
     kernel_coords = np.einsum("sg,gok->sok", _SIGNS, kernel[orbits.table])
@@ -735,19 +851,10 @@ def riesz_decomposition_residual(
             gap_norms.append(np.linalg.norm(gap))
         lhs_norm = float(np.linalg.norm(lhs_norms))
         absolute = float(np.linalg.norm(gap_norms))
-        derivative = x_mat @ fv
-        defect = (
-            x_mat.multiply(fv[None, :])
-            - x_mat.multiply(fv[:, None])
-            - sparse.diags(derivative)
-        )
-        defect.sum_duplicates()
         return RieszSplitReport(
             relative_residual=absolute / max(lhs_norm, 1e-30),
             lhs_norm=lhs_norm,
-            leibniz_defect=float(
-                np.linalg.norm(defect.data) / max(np.linalg.norm(derivative), 1e-30)
-            ),
+            leibniz_defect=model.leibniz_defect(ell, fv),
             kernel_dimension=kernel.shape[1],
             components=tuple(_character_label(SECTORS[eps]) for eps in components),
         )

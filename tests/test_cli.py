@@ -42,6 +42,10 @@ def timed_suites(err):
 # ``import heislab.cli`` (scipy.optimize pulls in scipy.sparse.linalg)
 DEFERRED_MODULES = ("scipy.integrate", "scipy.optimize", "scipy.sparse.linalg")
 
+# loaded by any scipy subpackage, but by no grid, bound or trace run: the
+# field stencils need numpy only
+SUBPACKAGE_MODULES = ("scipy.sparse", "scipy._lib._array_api")
+
 
 def write_config(tmp_path, **entries):
     entries.setdefault("grid_size", 9)
@@ -260,8 +264,8 @@ def power_exponents(monkeypatch):
 
 
 def reachable_arrays(obj, seen=None):
-    """Every array reachable from ``obj`` through attributes, containers,
-    sparse matrices and the bases of views."""
+    """Every array reachable from ``obj`` through attributes, containers
+    and the bases of views."""
     seen = set() if seen is None else seen
     if id(obj) in seen:
         return
@@ -537,6 +541,39 @@ print(json.dumps({{"import": after_import, "grid": loaded(), "code": code}}))
         assert state["code"] == 0
         assert state["import"] == []
         assert not {"scipy.integrate", "scipy.optimize"} & set(state["grid"])
+
+    def test_grid_suites_load_no_scipy_subpackage(self, tmp_path):
+        # one fresh interpreter runs the suites in turn and lists what each
+        # step has loaded; only the plancherel suite reaches scipy.integrate
+        script = f"""
+import json, sys
+loaded = lambda names: [m for m in names if m in sys.modules]
+import heislab.cli
+state = {{"import": [0, loaded({SUBPACKAGE_MODULES!r})]}}
+for suite in ("grid", "bound", "trace"):
+    code = heislab.cli.main(
+        ["run", "--suite", suite, "--grid", "9", "--out", {str(tmp_path / "out")!r}]
+    )
+    state[suite] = [code, loaded({SUBPACKAGE_MODULES!r})]
+code = heislab.cli.main(
+    ["run", "--suite", "plancherel", "--out", {str(tmp_path / "out")!r}]
+)
+state["plancherel"] = [code, loaded(("scipy.integrate",))]
+print(json.dumps(state))
+"""
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
+        state = json.loads(result.stdout.splitlines()[-1])
+        # bound fails its slope band at grid 9, the expected verdict there
+        assert state == {
+            "import": [0, []],
+            "grid": [0, []],
+            "bound": [3, []],
+            "trace": [0, []],
+            "plancherel": [0, ["scipy.integrate"]],
+        }
 
 
 class TestSweepCommand:

@@ -64,7 +64,7 @@ def bochner_rhs_combined(f, family, spec):
     """Oracle of ``bochner_rhs``: the same mass through the k >= 1
     combination, with no separate flat column."""
     model = _model(spec)
-    grads = [np.conj(model.horizontal(k) @ f.flat) for k in (1, 2)]
+    grads = [np.conj(model.apply_field(k, f.flat)) for k in (1, 2)]
     coeff = np.stack(grads, axis=1)
     return bochner_norm(coeff, theorem_combination(family), spec.cell_volume, 4.0)
 

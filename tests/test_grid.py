@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -32,10 +34,32 @@ def interior_mask(spec, margin=1):
     return mask
 
 
+@functools.lru_cache(maxsize=8)
 def sparse_fields(spec):
-    """The sparse fields ``X``, ``Y`` and the vertical difference ``D_t``."""
-    model = _model(spec)
-    return model.x_field, model.y_field, model.d_t
+    """Oracle: the fields ``X``, ``Y`` and the vertical difference ``D_t``
+    as CSR matrices, assembled from the 1-D centered differences (zero
+    exterior) by Kronecker products."""
+    nx, ny, nt = spec.shape
+    hx, hy, ht = spec.spacing
+
+    def centered(count, h):
+        off = np.full(count - 1, 1.0 / (2.0 * h))
+        return sparse.diags([off, -off], [1, -1])
+
+    ix, iy, it = (sparse.identity(count) for count in spec.shape)
+    d_x = sparse.kron(sparse.kron(centered(nx, hx), iy), it, format="csr")
+    d_y = sparse.kron(sparse.kron(ix, centered(ny, hy)), it, format="csr")
+    d_t = sparse.kron(sparse.kron(ix, iy), centered(nt, ht), format="csr")
+    xs, ys, _ = np.meshgrid(spec.axis_x, spec.axis_y, spec.axis_t, indexing="ij")
+    x_field = (d_x - sparse.diags(ys.reshape(-1)) @ d_t).tocsr()
+    y_field = (d_y + sparse.diags(xs.reshape(-1)) @ d_t).tocsr()
+    return x_field, y_field, d_t
+
+
+def model_field(spec, ell):
+    """The model's ``X_ell`` as a dense matrix: the stencil applied to the
+    identity."""
+    return _model(spec).apply_field(ell, np.eye(spec.size))
 
 
 def dense_eig(matrix):
@@ -67,7 +91,7 @@ def dense_symbol_realization(spec, eig, k):
     root = np.sqrt(safe)
     table = 2.0 * np.outer(safe**0.25, safe**0.25) / (root[:, None] + root[None, :])
     table *= np.outer(live, live)
-    core = quarter[:, None] * (u.T @ (_model(spec).horizontal(k) @ u)) * quarter[None, :]
+    core = quarter[:, None] * (u.T @ (sparse_fields(spec)[k - 1] @ u)) * quarter[None, :]
     return u @ (table * core) @ u.T
 
 
@@ -78,7 +102,7 @@ def dense_split(spec, functions, ell):
     model = _model(spec)
     inv_sqrt = model.power(-0.5)
     sqrt_mat = model.power(0.5)
-    x_mat = model.horizontal(ell)
+    x_mat = sparse_fields(spec)[ell - 1]
     riesz = x_mat @ inv_sqrt
     kernel = model.kernel()
 
@@ -302,7 +326,7 @@ class TestTBlockCalculus:
         spec, _ = oracle
         model = _model(spec)
         u = model._t_vectors
-        dt1 = model.d_t[: spec.nt, : spec.nt].toarray()
+        dt1 = sparse_fields(spec)[2][: spec.nt, : spec.nt].toarray()
         scale = np.abs(model.mu).max()
         np.testing.assert_allclose(dt1 @ u, u * (1j * model.mu), atol=1e-14 * scale)
         # u_{nt+1-j} = -conj(u_j) has the eigenvalue -i mu_j
@@ -366,7 +390,7 @@ class TestTBlockCalculus:
     @pytest.mark.parametrize("ell", [1, 2])
     def test_riesz(self, oracle, ell):
         spec, eig = oracle
-        dense = _model(spec).horizontal(ell) @ dense_power(eig, -0.5)
+        dense = sparse_fields(spec)[ell - 1] @ dense_power(eig, -0.5)
         assert relative_gap(build_riesz(spec, ell), dense) <= 1e-13
 
     @pytest.mark.parametrize("k", [1, 2])
@@ -410,10 +434,15 @@ class TestRiesz:
             build_riesz(SPEC, 3)
 
 
+def reflection_maps(spec):
+    """``p_1`` and ``p_2`` with ``(P_k u)[i] = u[p_k[i]]``, by index arithmetic."""
+    index = np.arange(spec.size).reshape(spec.shape)
+    return index[:, ::-1, ::-1].reshape(-1), index[::-1, :, ::-1].reshape(-1)
+
+
 def reflection_matrices(spec):
-    p1, p2 = _model(spec).sectors().reflections
     eye = sparse.identity(spec.size, format="csr")
-    return eye[p1], eye[p2]
+    return tuple(eye[p] for p in reflection_maps(spec))
 
 
 def sector_bases(spec):
@@ -460,27 +489,28 @@ class TestReflectionSectors:
             assert abs(p2 @ q - s2 * q).max() == 0.0
 
     def test_reflections_act_on_coordinates(self):
-        p1, p2 = _model(SPEC).sectors().reflections
-        xs, ys, ts = (
+        # the orbit table sends each representative through 1, P1, P2, P1 P2
+        table = _model(SPEC).sectors().table
+        coordinates = [
             a.reshape(-1)
             for a in np.meshgrid(SPEC.axis_x, SPEC.axis_y, SPEC.axis_t, indexing="ij")
-        )
-        assert np.array_equal(xs[p1], xs) and np.array_equal(ys[p1], -ys)
-        assert np.array_equal(xs[p2], -xs) and np.array_equal(ys[p2], ys)
-        assert np.array_equal(ts[p1], -ts) and np.array_equal(ts[p2], -ts)
+        ]
+        signs = ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))
+        for images, per_axis in zip(table, signs):
+            for axis, sign in zip(coordinates, per_axis):
+                assert np.array_equal(axis[images], sign * axis[table[0]])
 
     def test_fields_have_exact_character(self):
-        p1, p2 = reflection_matrices(SPEC)
-        model = _model(SPEC)
+        p1, p2 = reflection_maps(SPEC)
         for ell, (s1, s2) in _FIELD_CHARACTER.items():
-            field_mat = model.horizontal(ell)
-            assert abs(p1 @ field_mat @ p1 - s1 * field_mat).max() == 0.0
-            assert abs(p2 @ field_mat @ p2 - s2 * field_mat).max() == 0.0
+            field_mat = model_field(SPEC, ell)
+            assert np.array_equal(field_mat[np.ix_(p1, p1)], s1 * field_mat)
+            assert np.array_equal(field_mat[np.ix_(p2, p2)], s2 * field_mat)
 
     @pytest.mark.parametrize("count", [9, 13])
     def test_riesz_reflection_residual(self, count):
         spec = GridSpec.cube(count)
-        p1, p2 = _model(spec).sectors().reflections
+        p1, p2 = reflection_maps(spec)
         for ell, (s1, s2) in _FIELD_CHARACTER.items():
             riesz = build_riesz(spec, ell)
             scale = np.linalg.norm(riesz)
@@ -496,9 +526,8 @@ class TestColourGrading:
     def test_fields_couple_opposite_colours(self, shape):
         spec = GridSpec(*shape)
         colours = point_colours(spec)
-        x_op, y_op, _ = sparse_fields(spec)
-        for field_mat in (x_op, y_op):
-            rows, cols = field_mat.nonzero()
+        for ell in (1, 2):
+            rows, cols = np.nonzero(model_field(spec, ell))
             assert np.all(colours[rows] != colours[cols])
 
     @pytest.mark.parametrize(
@@ -543,14 +572,18 @@ class TestColourGrading:
                     assert np.abs(cached - full[np.ix_(r, c)]).max() <= 1e-15 * scale
 
     def test_gather_reads_a_sparse_field_as_its_dense_matrix(self):
+        # the scatter of the stencil's nonzeros against the dense gather of
+        # the same field; entries several (g, h) pairs reach add up in
+        # another order
         model = _model(SPEC)
         for ell, field in _FIELD_CHARACTER.items():
-            mat = model.horizontal(ell)
-            from_sparse = model.gather(mat, field, flip=True)
-            from_dense = model.gather(mat.toarray(), field, flip=True)
-            for sparse_blocks, dense_blocks in zip(from_sparse, from_dense):
+            scattered = model.field_blocks(ell)
+            assert model.field_blocks(ell) is scattered
+            from_dense = model.gather(model_field(SPEC, ell), field, flip=True)
+            for sparse_blocks, dense_blocks in zip(scattered, from_dense):
                 for got, expected in zip(sparse_blocks, dense_blocks):
-                    assert np.array_equal(got, expected)
+                    assert not got.flags.writeable
+                    assert np.abs(got - expected).max() <= 1e-15 * np.abs(expected).max()
 
     @pytest.mark.parametrize("shape", [(9, 9, 9), (9, 9, 10)])
     def test_power_sector_blocks_match_the_bases(self, shape):
@@ -597,7 +630,7 @@ class TestMultiplicationAndCommutator:
     def test_field_commutator_acts_as_identity_on_low_degree(self):
         # the averaging stencil of [X, M_x] equals the identity on functions
         # at most linear in x
-        x_op, _, _ = sparse_fields(SPEC)
+        model = _model(SPEC)
         coord = GridFunction.from_callable(SPEC, lambda x, y, t: x).flat
         mask = interior_mask(SPEC).reshape(-1)
         for fn in (
@@ -606,18 +639,18 @@ class TestMultiplicationAndCommutator:
             lambda x, y, t: y * t,
         ):
             u = GridFunction.from_callable(SPEC, fn).flat
-            out = x_op @ (coord * u) - coord * (x_op @ u)
+            out = model.apply_field(1, coord * u) - coord * model.apply_field(1, u)
             np.testing.assert_allclose(out[mask], u[mask], atol=1e-13)
 
 
 class TestSobolev:
     def test_constant_is_flat(self):
         c = GridFunction.from_callable(SPEC, lambda x, y, t: np.ones_like(x))
-        x_op, y_op, _ = sparse_fields(SPEC)
+        model = _model(SPEC)
         # the zero exterior enters X = D_x - y D_t on the x and t faces, and
         # Y = D_y + x D_t on the y and t faces; off them both vanish exactly
-        for field_mat, axis in ((x_op, 0), (y_op, 1)):
-            derivative = (field_mat @ c.flat).reshape(SPEC.shape)
+        for ell, axis in ((1, 0), (2, 1)):
+            derivative = model.apply_field(ell, c.flat).reshape(SPEC.shape)
             inner = np.ones(SPEC.shape, dtype=bool)
             for face_axis in (axis, 2):
                 faces = [slice(None)] * 3
@@ -648,11 +681,13 @@ class TestSobolev:
 
 class TestQuarterRotation:
     def test_permutation_and_order_four(self):
-        u, _ = quarter_rotation(SPEC, 1)
-        assert sparse.issparse(u)
-        identity = sparse.identity(SPEC.size)
-        assert abs(u.T @ u - identity).max() == 0.0
-        assert abs(u @ u @ u @ u - identity).max() == 0.0
+        # U f = f[source], so U^2 f = f[source[source]]
+        source, _ = quarter_rotation(SPEC, 1)
+        identity = np.arange(SPEC.size)
+        assert source.shape == (SPEC.size,)
+        assert np.array_equal(np.sort(source), identity)
+        assert not np.array_equal(source, identity)
+        assert np.array_equal(source[source[source[source]]], identity)
 
     def test_conjugation_exact(self):
         _, report = quarter_rotation(SPEC, 1)
@@ -665,9 +700,9 @@ class TestQuarterRotation:
         assert report.target == "minus_first_field"
 
     def test_rotates_coordinates(self):
-        u, _ = quarter_rotation(SPEC, 1)
+        source, _ = quarter_rotation(SPEC, 1)
         f = GridFunction.from_callable(SPEC, lambda x, y, t: x + 10.0 * y + 100.0 * t)
-        rotated = u @ f.flat
+        rotated = f.flat[source]
         expected = GridFunction.from_callable(
             SPEC, lambda x, y, t: -y + 10.0 * x + 100.0 * t
         )
@@ -676,6 +711,86 @@ class TestQuarterRotation:
     def test_bad_index(self):
         with pytest.raises(ValueError):
             quarter_rotation(SPEC, 3)
+
+
+CSR_SHAPES = [(9, 9, 9), (13, 13, 13), (9, 9, 10), (10, 10, 9)]
+
+
+@pytest.fixture(
+    scope="class", params=CSR_SHAPES, ids=["x".join(map(str, s)) for s in CSR_SHAPES]
+)
+def csr_spec(request):
+    return GridSpec(*request.param)
+
+
+def csr_rotation_residual(spec, k):
+    """Oracle: ``|U^T X U - Y|_F`` (k = 1) or ``|U^T Y U + X|_F`` (k = 2)
+    with the quarter turn U as a CSR permutation; also U's source indices."""
+    nx, _, _ = spec.shape
+    index = np.arange(spec.size).reshape(spec.shape)
+    ix, iy, it = np.meshgrid(*(np.arange(n) for n in spec.shape), indexing="ij")
+    source = index[nx - 1 - iy, ix, it].reshape(-1)
+    size = spec.size
+    u = sparse.csr_matrix((np.ones(size), (np.arange(size), source)), shape=(size, size))
+    x_op, y_op, _ = sparse_fields(spec)
+    gap = u.T @ x_op @ u - y_op if k == 1 else u.T @ y_op @ u + x_op
+    return sparse_linalg.norm(gap), source
+
+
+class TestStencilAgainstCSR:
+    """The stencil paths of the model against the CSR fields."""
+
+    @pytest.mark.parametrize("ell", [1, 2])
+    def test_matvec(self, csr_spec, ell):
+        x_op = sparse_fields(csr_spec)[ell - 1]
+        model = _model(csr_spec)
+        rng = np.random.default_rng(ell)
+        size = csr_spec.size
+        for values in (rng.standard_normal(size), rng.standard_normal((size, 3))):
+            assert relative_gap(model.apply_field(ell, values), x_op @ values) <= 1e-15
+        # the stencil's entries are the CSR entries, bit for bit
+        assert np.array_equal(model_field(csr_spec, ell), x_op.toarray())
+
+    @pytest.mark.parametrize("ell", [1, 2])
+    def test_field_blocks(self, csr_spec, ell):
+        model = _model(csr_spec)
+        dense = sparse_fields(csr_spec)[ell - 1].toarray()
+        expected = model.gather(dense, _FIELD_CHARACTER[ell], flip=True)
+        for got_blocks, want_blocks in zip(model.field_blocks(ell), expected):
+            for got, want in zip(got_blocks, want_blocks):
+                assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+    @pytest.mark.parametrize("ell", [1, 2])
+    def test_leibniz_defect(self, csr_spec, ell):
+        x_op = sparse_fields(csr_spec)[ell - 1]
+        for f in split_family(csr_spec).values():
+            fv = f.flat
+            derivative = x_op @ fv
+            defect = x_op.multiply(fv[None, :]) - x_op.multiply(fv[:, None])
+            defect -= sparse.diags(derivative)
+            expected = sparse_linalg.norm(defect) / np.linalg.norm(derivative)
+            got = _model(csr_spec).leibniz_defect(ell, fv)
+            assert abs(got - expected) <= 1e-13 * expected
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_rotation_residual(self, csr_spec, k):
+        # equal half-widths turn one field exactly into the other; a
+        # narrower y axis leaves a residual of order one
+        for spec in (csr_spec, dataclasses.replace(csr_spec, ly=2.5)):
+            expected, source = csr_rotation_residual(spec, k)
+            got, report = quarter_rotation(spec, k)
+            assert np.array_equal(got, source)
+            assert report.full_residual == pytest.approx(expected, rel=1e-13, abs=0.0)
+        assert expected > 0.1
+
+    def test_sublaplacian_and_riesz(self, csr_spec):
+        x_op, y_op, _ = sparse_fields(csr_spec)
+        quad = (x_op.T @ x_op + y_op.T @ y_op).toarray()
+        expected = 0.5 * (quad + quad.T)
+        assert relative_gap(build_sublaplacian(csr_spec), expected) <= 1e-14
+        inv_sqrt = _model(csr_spec).power(-0.5)
+        for ell, field in ((1, x_op), (2, y_op)):
+            assert relative_gap(build_riesz(csr_spec, ell), field @ inv_sqrt) <= 1e-14
 
 
 class TestRieszDecomposition:
@@ -699,7 +814,7 @@ class TestRieszDecomposition:
             SPEC, lambda x, y, t: (1.0 + x) * np.exp(-(x * x + y * y + t * t))
         )
         report = riesz_decomposition_residual(SPEC, {"f": f}, 1)["f"]
-        x_dense = _model(SPEC).x_field.toarray()
+        x_dense = sparse_fields(SPEC)[0].toarray()
         derivative = x_dense @ f.flat
         defect = x_dense * f.flat[None, :] - f.flat[:, None] * x_dense
         expected = np.linalg.norm(defect - np.diag(derivative)) / np.linalg.norm(
@@ -768,7 +883,8 @@ class TestSectorSplit:
             for label, report in sector.items():
                 assert report.kernel_dimension == dense[label]["kernel_dimension"]
                 assert report.kernel_dimension == int(all(n % 2 for n in spec.shape))
-                assert report.leibniz_defect == dense[label]["leibniz_defect"]
+                expected = dense[label]["leibniz_defect"]
+                assert abs(report.leibniz_defect - expected) <= 1e-13 * expected
 
     def test_components(self, split_pair):
         _, by_ell = split_pair

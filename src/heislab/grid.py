@@ -10,11 +10,13 @@ The vertical difference ``D_t`` commutes with the coordinates and with
 centered difference along t the fields and the sub-Laplacian are block
 diagonal: one block of size nx*ny per vertical eigenvalue ``i mu_j``, the
 grid counterpart of the Schroedinger fibre at ``lambda = mu_j``.  Blocks j
-and nt+1-j are complex conjugates, so ``ceil(nt/2)`` small ``eigh`` calls
-(cached per grid) drive the fractional calculus.  The grid reflections and
-the colour ``(ix+iy+it) mod 2`` grade the operators exactly, so the Riesz
-transforms and the commutators the experiments check are read block by
-block in sector coordinates; no dense one is kept or formed.
+and nt+1-j are complex conjugates, and each kept block splits into two
+real symmetric halves under the planar reflections, so ``2 ceil(nt/2)``
+small real ``eigh`` calls (cached per grid) drive the fractional calculus.
+The grid reflections and the colour ``(ix+iy+it) mod 2`` grade the
+operators exactly, so the powers, the Riesz transforms and the commutators
+the experiments check are read block by block in sector coordinates; no
+dense one is kept or formed.
 
 The horizontal fields are nearest-neighbour stencils: short lists of
 (neighbour offset, coefficient) terms, applied by slicing the (x, y, t)
@@ -58,6 +60,10 @@ __all__ = [
 KERNEL_THRESHOLD = 1e-10
 
 _ASYMMETRY_LIMIT = 1e-8
+
+# columns of a grid power read per batched matmul in ``power_blocks``; the
+# batch holds this many grid columns of N entries
+_COLUMN_BATCH = 64
 
 # Characters (s1, s2) of the two grid reflections P1: (x, y, t) -> (x, -y, -t)
 # and P2: (x, y, t) -> (-x, y, -t): u lies in sector (s1, s2) when
@@ -263,13 +269,106 @@ def _vertical_basis(count: int, h: float) -> tuple[np.ndarray, np.ndarray]:
     Since ``u_{count+1-j} = -conj(u_j)``, only ``mu_j`` for
     ``j <= ceil(count/2)`` is returned; the middle one of an odd count is
     exactly 0.
+
+    ``S`` is read off one period of ``sin(pi r/(count+1))``, tabulated on
+    ``r <= (count+1)/2`` and mirrored, so the t-reflection acts on it bit
+    for bit: ``S[count+1-k, j] = (-1)^(j+1) S[k, j]``.
     """
+    period = count + 1
+    quarter = np.sin(np.pi * np.arange(period // 2 + 1) / period)
+    half = np.empty(period + 1)
+    half[: quarter.size] = quarter
+    half[period - np.arange(quarter.size)] = quarter
+    table = np.concatenate([half[:-1], 0.0 - half[:-1]])
     k = np.arange(1, count + 1)
-    sine = math.sqrt(2.0 / (count + 1)) * np.sin(np.pi * np.outer(k, k) / (count + 1))
-    mu = np.cos(np.pi * k[: (count + 1) // 2] / (count + 1)) / h
+    sine = math.sqrt(2.0 / period) * table[np.outer(k, k) % (2 * period)]
+    mu = np.cos(np.pi * k[: (count + 1) // 2] / period) / h
     if count % 2:
         mu[-1] = 0.0
     return sine, mu
+
+
+# one r_xy parity half of a t-block (see _parity_halves): the orbit vector a
+# is ``o_a = sum_g coefficient[g, a] e_{points[g, a]}``.  A planar point m
+# lies on at most one vector of phase 1 and one of phase i; there ``o[m]`` is
+# ``real_value[m]`` on the vector ``real_column[m]`` and ``1j *
+# imag_value[m]`` on ``imag_column[m]`` (value 0 where m lies on none)
+_ParityHalf = namedtuple(
+    "_ParityHalf", "points coefficient real_column real_value imag_column imag_value"
+)
+
+
+def _parity_halves(count: int) -> tuple[_ParityHalf, _ParityHalf]:
+    """Real orthonormal bases of the two ``r_xy`` parities of a t-block.
+
+    On the ``count x count`` plane, with ``m = ix*count + iy``, let ``r_xy``
+    reverse both planar indices (``m -> M-1-m``), ``r_y`` the y index and
+    ``r_x`` the x index.  A t-block ``A_j`` commutes with ``r_xy`` and with
+    ``J = r_y`` composed with complex conjugation, since ``r_y A_j r_y =
+    conj(A_j)``.  For an orbit representative m, a parity p and a phase c
+    in {1, i}, ``o = c (e_m + p e_{r_xy m}) + conj(c) (e_{r_y m} +
+    p e_{r_x m})`` has parity p and ``J o = o``, so ``o_a^H A_j o_b`` is
+    real: each parity half of ``A_j`` is real symmetric in these vectors.
+    Where an orbit visits a point twice the terms add up, and vectors that
+    cancel are dropped; the halves have ``ceil(M/2)`` and ``floor(M/2)``
+    vectors.
+    """
+    size = count * count
+    index = np.arange(size).reshape(count, count)
+    images = np.stack(
+        [index, index[::-1, ::-1], index[:, ::-1], index[::-1, :]]
+    ).reshape(4, size)
+    reps = np.flatnonzero(images.min(axis=0) == np.arange(size))
+    points = np.repeat(images[:, reps], 2, axis=1)
+    phase = np.tile([1.0, 1j], reps.size)
+    same = points[:, None, :] == points[None, :, :]
+    halves = []
+    for parity in (1, -1):
+        coefficient = np.stack(
+            [phase, parity * phase, phase.conj(), parity * phase.conj()]
+        )
+        # |o|^2 = sum over pairs (g, h) that meet at one point of
+        # conj(c_g) c_h, an integer
+        norm2 = np.einsum("ga,ha,gha->a", coefficient.conj(), coefficient, same).real
+        keep = norm2 > 0.5
+        coefficient = coefficient[:, keep] / np.sqrt(norm2[keep])
+        basis = np.zeros((size, coefficient.shape[1]), dtype=complex)
+        for g in range(4):
+            basis[points[g, keep], np.arange(basis.shape[1])] += coefficient[g]
+        real_column = np.argmax(np.abs(basis.real), axis=1)
+        imag_column = np.argmax(np.abs(basis.imag), axis=1)
+        rows = np.arange(size)
+        halves.append(
+            _ParityHalf(
+                points[:, keep],
+                coefficient,
+                real_column,
+                basis.real[rows, real_column],
+                imag_column,
+                basis.imag[rows, imag_column],
+            )
+        )
+    return tuple(halves)
+
+
+def _parity_block(block: np.ndarray, half: _ParityHalf) -> np.ndarray:
+    """The real symmetric ``o_a^H A o_b`` of a t-block A on one parity half.
+
+    A commutes with ``r_xy`` and with J, so ``o_b = (1 + p r_xy)(1 + J)
+    (c_b e_m) / |o_b|`` gives ``o_a^H A o_b = 4 Re(o_a^H A e_m c_b) /
+    |o_b|``: four row gathers of the columns of A at the representatives.
+    """
+    points, coefficient = half.points, half.coefficient
+    columns = block[:, points[0]]
+    out = sum(coefficient[g, :, None].conj() * columns[points[g]] for g in range(4))
+    return 4.0 * (out * coefficient[0]).real
+
+
+def _in_grid(half: _ParityHalf, u: np.ndarray) -> np.ndarray:
+    """The vectors ``sum_a u[..., a, i] o_a`` of one parity half, over the
+    plane: row m is read off the rows of u at m's two orbit vectors."""
+    real = half.real_value[:, None] * u[..., half.real_column, :]
+    return real + 1j * (half.imag_value[:, None] * u[..., half.imag_column, :])
 
 
 class _Orbits(NamedTuple):
@@ -313,12 +412,17 @@ class _GridModel:
     ``X_j = D_x - i mu_j y`` and ``Y_j = D_y + i mu_j x`` on the (x, y)
     plane, and ``-Delta`` becomes ``A_j = X_j^H X_j + Y_j^H Y_j``.  The model
     keeps the blocks j <= ceil(nt/2) and takes block nt+1-j as the complex
-    conjugate of block j, so its ``eigh`` calls are of size M, never N.
+    conjugate of block j; each kept block is solved as its two real parity
+    halves (``_parity_halves``), so its ``eigh`` calls are real and of size
+    about M/2, never N.
 
     Powers of the sub-Laplacian vanish on its numerical kernel (the
     pseudo-inverse policy).  The block eigendecomposition, reflection orbits
     and the sector blocks of the fields, the inverse root and the Riesz
-    transforms are built on first use; the model keeps no N x N array.
+    transforms are built on first use; the model keeps no N x N array.  The
+    sector blocks of a power are read straight off the t-block eigenpairs
+    (``power_blocks``); ``power`` and ``assemble`` form dense N x N
+    matrices for the product factors only.
     """
 
     def __init__(self, spec: GridSpec):
@@ -347,6 +451,17 @@ class _GridModel:
             "kj,lj->jkl", sine[:, :half], sine[:, :half]
         )
         self._t_outer = np.concatenate([steps.real * outer, -steps.imag * outer])
+        # the mu-independent parts of sublaplacian_block
+        self._block_parts = (
+            sum(d.T @ d for d, _ in self._planar.values()),
+            sum(d.T * c[None, :] - c[:, None] * d for d, c in self._planar.values()),
+            sum(c * c for _, c in self._planar.values()),
+        )
+        self._parity = _parity_halves(nx)
+        # the planar point pairs of opposite ix + iy parity
+        planar_colour = np.indices((nx, ny)).sum(axis=0).reshape(-1) % 2
+        self._odd_pairs = planar_colour[:, None] != planar_colour[None, :]
+        self._parity_eig: tuple[tuple[np.ndarray, ...], ...] | None = None
         self._eig: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._sectors: _Orbits | None = None
         self._inverse_root: tuple[tuple[np.ndarray, ...], ...] | None = None
@@ -414,23 +529,57 @@ class _GridModel:
         return base + np.diag(1j * mu * coefficient) if mu else base
 
     def sublaplacian_block(self, mu: float) -> np.ndarray:
-        """``X^H X + Y^H Y`` of the blocks where ``D_t`` acts as ``i mu``."""
-        fields = [self.planar_field(ell, mu) for ell in (1, 2)]
-        return sum(f.conj().T @ f for f in fields)
+        """``X^H X + Y^H Y`` of the blocks where ``D_t`` acts as ``i mu``:
+        with ``X = D + i mu diag(c)`` and D real, ``X^H X = D^T D + i mu
+        (D^T diag(c) - diag(c) D) + mu^2 diag(c^2)``; real when ``mu`` is
+        0."""
+        square, cross, diagonal = self._block_parts
+        real = square + np.diag(mu * mu * diagonal)
+        return real + 1j * mu * cross if mu else real
+
+    def parity_eig(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+        """Per parity half (``_parity_halves``) of the kept blocks: the
+        eigenvalues (h, d), the real orthonormal eigenvectors in the orbit
+        vectors (h, d, d) and the live masks (h, d), from one real ``eigh``
+        per half and block.  A mode is live when its eigenvalue is above
+        ``KERNEL_THRESHOLD`` times the largest of all blocks.  Read-only.
+        """
+        if self._parity_eig is None:
+            pairs = [
+                [np.linalg.eigh(_parity_block(block, half)) for half in self._parity]
+                for block in map(self.sublaplacian_block, self.mu)
+            ]
+            values = [np.stack([pair[p][0] for pair in pairs]) for p in (0, 1)]
+            vectors = [np.stack([pair[p][1] for pair in pairs]) for p in (0, 1)]
+            scale = max(float(np.max(np.abs(w))) for w in values)
+            halves = []
+            for w, u in zip(values, vectors):
+                live = np.abs(w) > KERNEL_THRESHOLD * scale
+                for arr in (w, u, live):
+                    arr.flags.writeable = False
+                halves.append((w, u, live))
+            self._parity_eig = tuple(halves)
+        return self._parity_eig
 
     def eig(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Eigenvalues, eigenvectors and live masks of the kept blocks.
 
         Row j belongs to the block of ``mu[j]``: shapes (h, M), (h, M, M) and
-        (h, M) with ``h = ceil(nt/2)``.  A mode is live when its eigenvalue
-        is above ``KERNEL_THRESHOLD`` times the largest of all blocks.  All
-        three arrays are read-only.
+        (h, M) with ``h = ceil(nt/2)``, eigenvalues ascending.  They are the
+        two parity halves of ``parity_eig`` merged, with the eigenvectors
+        carried to the plane.  All three arrays are read-only.
         """
         if self._eig is None:
-            pairs = [np.linalg.eigh(self.sublaplacian_block(mu)) for mu in self.mu]
-            w = np.stack([pair[0] for pair in pairs])
-            v = np.stack([pair[1] for pair in pairs])
-            live = np.abs(w) > KERNEL_THRESHOLD * float(np.max(np.abs(w)))
+            halves = self.parity_eig()
+            w = np.concatenate([half[0] for half in halves], axis=1)
+            live = np.concatenate([half[2] for half in halves], axis=1)
+            v = np.concatenate(
+                [_in_grid(half, u) for half, (_, u, _) in zip(self._parity, halves)],
+                axis=2,
+            )
+            order = np.argsort(w, axis=1, kind="stable")
+            w, live = (np.take_along_axis(arr, order, axis=1) for arr in (w, live))
+            v = np.take_along_axis(v, order[:, None, :], axis=2)
             for arr in (w, v, live):
                 arr.flags.writeable = False
             self._eig = (w, v, live)
@@ -449,25 +598,103 @@ class _GridModel:
             out[:, k] = np.tensordot(parts, self._t_outer[:, k], axes=(0, 0))
         return out.reshape(self.spec.size, self.spec.size)
 
+    def planar_power(
+        self, exponent: float, columns: np.ndarray | None = None
+    ) -> np.ndarray:
+        """The columns ``columns`` (all by default) of the kept t-blocks
+        ``B_j`` of ``(-Delta)^exponent``, zero on the kernel: h x M x k.
+
+        Per parity half ``B = O K O^H`` with the real ``K = U w^exponent
+        U^T`` of ``parity_eig``.  Row m of O holds m's phase-1 and phase-i
+        values, so an entry of B is at most four entries of K times those
+        values, which the planar group maps onto themselves up to sign and
+        conjugation: B commutes with ``r_xy`` and ``r_y B r_y = conj(B)``
+        bit for bit.  With ``C = (-1)^(ix+iy)``, also ``C B C = conj(B)``:
+        B is real between planar points of equal ``ix+iy`` parity and
+        imaginary between the others, and the rounding parts are set to 0.
+        The grid power of these blocks thus commutes exactly with the
+        reflections and keeps colour exactly.
+        """
+        if columns is None:
+            columns = np.arange(self.spec.nx * self.spec.ny)
+        halves = self.parity_eig()
+        shape = (halves[0][0].shape[0], self._odd_pairs.shape[0], columns.size)
+        out = np.zeros(shape, dtype=complex)
+        real, imag = out.real, out.imag
+        for half, (w, u, live) in zip(self._parity, halves):
+            values = np.zeros_like(w)
+            values[live] = w[live] ** exponent
+            core = (u * values[:, None, :]) @ u.transpose(0, 2, 1)
+            at_real, at_imag = core[:, half.real_column], core[:, half.imag_column]
+            cr, ci = half.real_column[columns], half.imag_column[columns]
+            vr, vi = half.real_value[columns], half.imag_value[columns]
+            row_real, row_imag = half.real_value[:, None], half.imag_value[:, None]
+            real += row_real * at_real[:, :, cr] * vr + row_imag * at_imag[:, :, ci] * vi
+            imag += row_imag * at_imag[:, :, cr] * vr - row_real * at_real[:, :, ci] * vi
+        odd = self._odd_pairs[:, columns]
+        real[:, odd] = 0.0
+        imag[:, ~odd] = 0.0
+        return out
+
     def power(self, exponent: float) -> np.ndarray:
         """Dense ``(-Delta)^exponent`` on the live modes, zero on the kernel."""
-        w, v, live = self.eig()
-        values = np.zeros_like(w)
-        values[live] = w[live] ** exponent
-        return self.assemble((v * values[:, None, :]) @ v.conj().transpose(0, 2, 1))
+        return self.assemble(self.planar_power(exponent))
+
+    def power_blocks(self, exponent: float) -> tuple[tuple[np.ndarray, ...], ...]:
+        """The sector blocks ``Q_sigma^T (-Delta)^exponent Q_sigma`` of the
+        colour-keeping power (see ``_gathered``), straight from the t-block
+        eigenpairs.
+
+        The power P commutes with the reflections, so ``sum_{g,h} sigma(g)
+        sigma(h) P[g a, h b] = 4 sum_g sigma(g) P[g a, b]`` when b is an
+        orbit representative: only the columns of P at the representatives
+        are read.  Column ``(n, l)`` (planar point n, t-index l) is
+        ``sum_p parts[p][:, n] (x) _t_outer[p][:, l]`` with ``parts = [Re B;
+        Im B]`` of ``planar_power``, and n is a representative of the planar
+        group; a batch of columns is one batched matmul, read by four row
+        gathers.
+        """
+        nt = self.spec.nt
+        table = self.sectors().table
+        at_reps = np.bincount(table[0] // nt, minlength=self._odd_pairs.shape[0]) > 0
+        # position[n]: where planar point n sits among the representatives
+        position = np.cumsum(at_reps) - 1
+        blocks = self.planar_power(exponent, np.flatnonzero(at_reps))
+        half = blocks.shape[0]
+        # by_column[c, m, p] = parts[p][m, n] for the c-th representative n,
+        # so a gather of columns is contiguous
+        by_column = np.empty(blocks.shape[2:0:-1] + (2 * half,))
+        by_column[..., :half] = blocks.real.transpose(2, 1, 0)
+        by_column[..., half:] = blocks.imag.transpose(2, 1, 0)
+        by_step = self._t_outer.transpose(2, 0, 1)
+
+        def accumulate(out, weights, rows, cols):
+            signs = 4.0 * weights[:, :, 0]
+            for start in range(0, cols.size, _COLUMN_BATCH):
+                batch = slice(start, start + _COLUMN_BATCH)
+                planar, vertical = np.divmod(table[0, cols[batch]], nt)
+                # columns[b] = P[:, table[0, b]], over the grid's flat index
+                columns = np.matmul(by_column[position[planar]], by_step[vertical])
+                columns = columns.reshape(planar.size, -1)
+                # picked[b, g, a] = P[g a, b]
+                picked = columns[:, table[:, rows]]
+                out[:, :, batch] = np.matmul(signs, picked).transpose(1, 2, 0)
+
+        return self._gathered((1, 1), False, accumulate)
 
     def kernel(self) -> np.ndarray:
         """Real orthonormal N x k basis of the numerical kernel."""
-        _, v, live = self.eig()
         columns = []
-        for j, mode in zip(*np.nonzero(~live)):
-            z = np.kron(v[j, :, mode], self._t_vectors[:, j])
-            if self.weight[j] == 2:
-                # z and its conjugate, from block nt+1-j, span a real plane
-                columns += [math.sqrt(2.0) * z.real, math.sqrt(2.0) * z.imag]
-            else:
-                top = z[np.argmax(np.abs(z))]
-                columns.append((z * (abs(top) / top)).real)
+        for half, (_, u, live) in zip(self._parity, self.parity_eig()):
+            for j, mode in zip(*np.nonzero(~live)):
+                planar = _in_grid(half, u[j][:, [mode]])[:, 0]
+                z = np.kron(planar, self._t_vectors[:, j])
+                if self.weight[j] == 2:
+                    # z and its conjugate, from block nt+1-j, span a real plane
+                    columns += [math.sqrt(2.0) * z.real, math.sqrt(2.0) * z.imag]
+                else:
+                    top = z[np.argmax(np.abs(z))]
+                    columns.append((z * (abs(top) / top)).real)
         if not columns:
             return np.zeros((self.spec.size, 0))
         return np.stack(columns, axis=1)
@@ -476,12 +703,15 @@ class _GridModel:
         """Lowest live eigenvalue over ``|mu_j|`` of every kept block with
         ``mu_j != 0``; the Schroedinger fibre at ``lambda`` starts at
         ``2|lambda|``."""
-        w, _, live = self.eig()
+        lowest = np.min(
+            [np.where(live, w, np.inf).min(axis=1) for w, _, live in self.parity_eig()],
+            axis=0,
+        )
         return [
             {
                 "block": j + 1,
                 "abs_mu": abs(float(mu)),
-                "lowest_over_abs_mu": float(w[j][live[j]].min()) / abs(float(mu)),
+                "lowest_over_abs_mu": float(lowest[j]) / abs(float(mu)),
             }
             for j, mu in enumerate(self.mu)
             if mu
@@ -520,16 +750,24 @@ class _GridModel:
     def _gathered(
         self, character: tuple[int, int], flip: bool, accumulate: Callable
     ) -> tuple[tuple[np.ndarray, ...], ...]:
-        """The frame of ``gather`` and ``field_blocks``.
+        """The sector blocks ``Q_{sigma chi}^T T Q_sigma`` of a grid operator
+        T of reflection character chi, cut by colour; the frame of
+        ``power_blocks`` and ``field_blocks``.
 
-        Per colour class, ``accumulate(out, weights, rows, cols)`` adds
-        ``sum_{g,h} weights[k, g, h] T[g a, h b]`` for the row orbits a and
-        the column orbits b into ``out[k]``; the frame then divides by the
-        sector norms.
+        Entry ``[k][c]`` belongs to ``sigma = SECTORS[k]``; its columns are
+        the orbits ``classes[c][1]`` (see ``_Orbits``) and its rows
+        ``classes[c][0]`` when T flips colour (``flip``) or the columns
+        again when it keeps colour.  Each entry is ``sum_{g,h} tau(g)
+        sigma(h) T[g a, h b] / (|q_{tau,a}| |q_{sigma,b}|)`` with ``tau =
+        sigma chi``; the parts of T that the cut leaves out are those its
+        colour structure makes 0.  Per colour class, ``accumulate(out,
+        weights, rows, cols)`` adds the sum over (g, h) for the row orbits a
+        and the column orbits b into ``out[k]``, with ``weights[k, g, h] =
+        tau_k(g) sigma_k(h)``; the frame then divides by the sector norms,
+        so rows and columns of orbits where a sector vanishes are exactly 0.
         """
         orbits = self.sectors()
         targets = [_sector_index(sigma, character) for sigma in SECTORS]
-        # weights[k, g, h] = tau_k(g) sigma_k(h)
         weights = _SIGNS[targets][:, :, None] * _SIGNS[:, None, :]
         inverse = _inverse_norms(orbits)
         per_class = []
@@ -544,35 +782,10 @@ class _GridModel:
             per_class.append(out)
         return tuple(tuple(out[k] for out in per_class) for k in range(len(SECTORS)))
 
-    def gather(
-        self, mat: np.ndarray, character: tuple[int, int], flip: bool
-    ) -> tuple[tuple[np.ndarray, ...], ...]:
-        """The sector blocks ``Q_{sigma chi}^T T Q_sigma`` of a dense grid
-        operator T of reflection character chi, cut by colour.
-
-        Entry ``[k][c]`` belongs to ``sigma = SECTORS[k]``; its columns are
-        the orbits ``classes[c][1]`` (see ``_Orbits``) and its rows
-        ``classes[c][0]`` when T flips colour (``flip``) or the columns
-        again when it keeps colour.  Rows and columns of orbits where a
-        sector vanishes are exactly 0.  Each entry is
-        ``sum_{g,h} tau(g) sigma(h) T[g a, h b] / (|q_{tau,a}| |q_{sigma,b}|)``
-        with ``tau = sigma chi``, read off T by index arithmetic; the parts
-        of T that the cut leaves out are those its colour structure makes 0.
-        """
-        table = self.sectors().table
-
-        def accumulate(out, weights, rows, cols):
-            images = table[:, cols]
-            for g in range(4):
-                parts = mat[table[g, rows][None, :, None], images[:, None, :]]
-                out += np.tensordot(weights[:, g], parts, axes=1)
-
-        return self._gathered(character, flip, accumulate)
-
     def field_blocks(self, ell: int) -> tuple[tuple[np.ndarray, ...], ...]:
         """The colour-flipping sector blocks ``Xt_sigma = Q_{sigma s_ell}^T
-        X_ell Q_sigma`` (as ``gather`` gives them), built on first use and
-        kept read-only.
+        X_ell Q_sigma`` (laid out as in ``_gathered``), built on first use
+        and kept read-only.
 
         They are scattered from the stencil's nonzeros: for each group
         element g, each row orbit a and each term of ``X_ell`` with value v
@@ -604,10 +817,10 @@ class _GridModel:
 
     def inverse_root_blocks(self) -> tuple[tuple[np.ndarray, ...], ...]:
         """The sector blocks ``Q_sigma^T (-Delta)^{-1/2} Q_sigma`` (see
-        ``gather``), built on first use and kept read-only; the power keeps
-        sector and colour, and the dense power is dropped once gathered."""
+        ``power_blocks``), built on first use and kept read-only; the power
+        keeps sector and colour, and no dense power is formed."""
         if self._inverse_root is None:
-            self._inverse_root = self.gather(self.power(-0.5), (1, 1), flip=False)
+            self._inverse_root = self.power_blocks(-0.5)
         return self._inverse_root
 
     def sector_blocks(self, ell: int) -> tuple[tuple[np.ndarray, ...], ...]:
@@ -694,7 +907,8 @@ def build_sublaplacian(spec: GridSpec) -> np.ndarray:
 def sublaplacian_spectrum(spec: GridSpec) -> np.ndarray:
     """All N eigenvalues, ascending: the union of the t-block spectra."""
     model = _model(spec)
-    return np.sort(np.repeat(model.eig()[0], model.weight, axis=0), axis=None)
+    w = np.concatenate([half[0] for half in model.parity_eig()], axis=1)
+    return np.sort(np.repeat(w, model.weight, axis=0), axis=None)
 
 
 def build_riesz(spec: GridSpec, ell: int) -> np.ndarray:
@@ -798,15 +1012,16 @@ def riesz_decomposition_residual(
     Leibniz defect of centered differences) is reported separately,
     normalized by the derivative's own size.
 
-    Everything is computed in sector coordinates (``_GridModel.gather``).
+    Everything is computed in sector coordinates (``_GridModel._gathered``).
     For f of character eps every term maps (sigma, c) into
     (sigma eps s_ell, 1 - c), as ``[R, M_f]`` does
     (``_GridModel.commutator_blocks``), and the kernel projector, which
     commutes with both reflections and with colour, acts on each block by
     its own sector coordinates.  The reflection components of f land on
     disjoint blocks, and the Frobenius norms are the roots of the sums of
-    squared block norms.  Each power is built once and gathered; no N x N
-    product is formed.
+    squared block norms.  The sector blocks of each power are read straight
+    off the t-block eigenpairs (``_GridModel.power_blocks``), once per call;
+    no N x N array is formed.
     """
     if any(f.spec != spec for f in functions.values()):
         raise ValueError("function lives on a different grid")
@@ -814,10 +1029,10 @@ def riesz_decomposition_residual(
     orbits = model.sectors()
     # the powers have the trivial character (1, 1); the blocks of the
     # inverse root and of X_ell are the model's own, shared with the Riesz
-    # blocks, and the dense root is dropped once gathered
+    # blocks
     riesz = model.sector_blocks(ell)
     inv_sqrt = model.inverse_root_blocks()
-    sqrt_mat = model.gather(model.power(0.5), (1, 1), flip=False)
+    sqrt_mat = model.power_blocks(0.5)
     field = model.field_blocks(ell)
     kernel = model.kernel()
     # Q^T K: the kernel's coordinates in each sector, orbit by orbit

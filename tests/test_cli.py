@@ -9,6 +9,7 @@ import json
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -249,18 +250,35 @@ def eigh_sizes(monkeypatch):
 
 @pytest.fixture
 def power_exponents(monkeypatch):
-    """Exponents of the ``_GridModel.power`` calls made after a cold model
-    cache."""
-    power = _GridModel.power
+    """Exponents of the ``_GridModel.power_blocks`` calls made after a cold
+    model cache."""
+    power_blocks = _GridModel.power_blocks
     exponents = []
 
-    def counting_power(self, exponent):
+    def counting_power_blocks(self, exponent):
         exponents.append(exponent)
-        return power(self, exponent)
+        return power_blocks(self, exponent)
 
-    monkeypatch.setattr(_GridModel, "power", counting_power)
+    monkeypatch.setattr(_GridModel, "power_blocks", counting_power_blocks)
     _model.cache_clear()
     return exponents
+
+
+@pytest.fixture
+def dense_power_calls(monkeypatch):
+    """Names of the ``_GridModel.power`` and ``assemble`` calls made after a
+    cold model cache."""
+    calls = []
+    for name in ("power", "assemble"):
+        method = getattr(_GridModel, name)
+
+        def recording(self, *args, _name=name, _method=method):
+            calls.append(_name)
+            return _method(self, *args)
+
+        monkeypatch.setattr(_GridModel, name, recording)
+    _model.cache_clear()
+    return calls
 
 
 def reachable_arrays(obj, seen=None):
@@ -409,14 +427,16 @@ class TestRunCommand:
             checks = {(c["name"], c["allowed"], c["mode"]) for c in payload["checks"]}
             assert checks == pinned, payload["suite"]
 
-    def test_cold_trace_run_does_one_eigh_per_conjugate_block_pair(
+    def test_cold_trace_run_does_two_real_eigh_per_kept_block(
         self, tmp_path, eigh_sizes
     ):
-        # a run starting on a cold model cache solves the ceil(nt/2) t-blocks
-        # of size nx * ny once, and nothing of size N
+        # a run starting on a cold model cache solves each of the ceil(nt/2)
+        # kept t-blocks once, as its two real parity halves of sizes
+        # ceil(M/2) and floor(M/2) with M = nx * ny, and nothing of size M
+        # or more
         run_suite(load_config(write_config(tmp_path), {"suite": "trace"}))
-        assert eigh_sizes.count(9**2) == 5
-        assert max(eigh_sizes) <= 9**2
+        assert sorted(eigh_sizes) == [40] * 5 + [41] * 5
+        assert max(eigh_sizes) < 9**2
 
     def test_no_suite_calls_a_dense_eigh(self, tmp_path, eigh_sizes):
         run_suite(load_config(write_config(tmp_path), {"suite": "all"}))
@@ -432,6 +452,28 @@ class TestRunCommand:
     def test_bound_suite_takes_one_inverse_root(self, tmp_path, power_exponents):
         run_suite(load_config(write_config(tmp_path), {"suite": "bound"}))
         assert power_exponents == [-0.5]
+
+    @pytest.mark.parametrize("suite", ["grid", "bound", "trace"])
+    def test_cold_run_forms_no_dense_power(self, tmp_path, suite, dense_power_calls):
+        # the sector blocks of the powers come straight from the t-block
+        # eigenpairs; only the product suite assembles a dense power
+        run_suite(load_config(write_config(tmp_path), {"suite": suite}))
+        assert dense_power_calls == []
+
+    @pytest.mark.parametrize("suite", ["grid", "bound", "trace"])
+    def test_cold_run_peaks_below_one_dense_matrix(self, tmp_path, suite):
+        # at 13^3 every array the run allocates, cached or transient, fits
+        # together in less than one N x N float64 array
+        _model.cache_clear()
+        config = load_config(write_config(tmp_path, grid_size=13), {"suite": suite})
+        tracemalloc.start()
+        try:
+            run_suite(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            _model.cache_clear()
+        assert peak < (13**3) ** 2 * 8
 
     @pytest.mark.parametrize("suite", ["bound", "trace", "grid"])
     def test_cold_run_leaves_no_dense_matrix_on_the_model(self, tmp_path, suite):

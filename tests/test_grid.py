@@ -16,7 +16,9 @@ from heislab.grid import (
     GridSpec,
     _GridModel,
     _model,
+    _parity_block,
     _reflection_components,
+    _vertical_basis,
     build_riesz,
     build_sublaplacian,
     quarter_rotation,
@@ -370,14 +372,18 @@ class TestTBlockCalculus:
         # no shipped grid has one; mark a mode of block 1 as kernel on a
         # fresh model and check the real plane of it and its conjugate
         model = _GridModel(SPEC)
-        w, v, live = model.eig()
+        halves = list(model.parity_eig())
+        w, u, live = halves[0]
         live = live.copy()
         live[0, 0] = False
-        model._eig = (w, v, live)
+        halves[0] = (w, u, live)
+        model._parity_eig = tuple(halves)
         kernel = model.kernel()
         assert kernel.shape == (SPEC.size, 3) and kernel.dtype == float
         np.testing.assert_allclose(kernel.T @ kernel, np.eye(3), atol=1e-14)
-        z = np.kron(v[0, :, 0], model._t_vectors[:, 0])
+        _, v, live = model.eig()
+        (mode,) = np.flatnonzero(~live[0])
+        z = np.kron(v[0, :, mode], model._t_vectors[:, 0])
         pair = 2.0 * np.outer(z, z.conj()).real
         np.testing.assert_allclose(kernel[:, :2] @ kernel[:, :2].T, pair, atol=1e-14)
 
@@ -465,6 +471,38 @@ def sector_bases(spec):
 def point_colours(spec):
     """``(ix + iy + it) mod 2`` of every grid point."""
     return np.indices(spec.shape).sum(axis=0).reshape(-1) % 2
+
+
+def gather(model, mat, character, flip):
+    """Oracle: the sector blocks of a dense grid operator ``mat`` of
+    reflection character ``character``, in the model's layout (see
+    ``_GridModel._gathered``), by the full sum over the 16 group pairs:
+    ``sum_{g,h} tau(g) sigma(h) mat[g a, h b] / (|q_{tau,a}| |q_{sigma,b}|)``
+    with ``tau = sigma character``."""
+    orbits = model.sectors()
+    table = orbits.table
+    signs = [(1, s1, s2, s1 * s2) for s1, s2 in SECTORS]
+    inverse = np.divide(
+        1.0, orbits.norms, out=np.zeros_like(orbits.norms), where=orbits.live
+    )
+    out = []
+    for k, (s1, s2) in enumerate(SECTORS):
+        t = SECTORS.index((s1 * character[0], s2 * character[1]))
+        per_class = []
+        for rows, cols in orbits.classes:
+            if not flip:
+                rows = cols
+            block = np.zeros((rows.size, cols.size))
+            for g in range(4):
+                for h in range(4):
+                    block += (
+                        signs[t][g]
+                        * signs[k][h]
+                        * mat[np.ix_(table[g, rows], table[h, cols])]
+                    )
+            per_class.append(block * inverse[t][rows, None] * inverse[k][None, cols])
+        out.append(tuple(per_class))
+    return tuple(out)
 
 
 class TestReflectionSectors:
@@ -579,7 +617,7 @@ class TestColourGrading:
         for ell, field in _FIELD_CHARACTER.items():
             scattered = model.field_blocks(ell)
             assert model.field_blocks(ell) is scattered
-            from_dense = model.gather(model_field(SPEC, ell), field, flip=True)
+            from_dense = gather(model, model_field(SPEC, ell), field, flip=True)
             for sparse_blocks, dense_blocks in zip(scattered, from_dense):
                 for got, expected in zip(sparse_blocks, dense_blocks):
                     assert not got.flags.writeable
@@ -595,7 +633,7 @@ class TestColourGrading:
         bases = sector_bases(spec)
         same = orbits.colour[:, None] == orbits.colour[None, :]
         root = model.power(0.5)
-        blocks = model.gather(root, (1, 1), flip=False)
+        blocks = model.power_blocks(0.5)
         for k, sigma in enumerate(SECTORS):
             live = np.ix_(orbits.live[k], orbits.live[k])
             full = np.zeros(same.shape)
@@ -612,6 +650,67 @@ class TestColourGrading:
         assert model.sector_blocks(1) is blocks
         assert len(blocks) == 4 and all(len(per_sector) == 2 for per_sector in blocks)
         assert not any(b.flags.writeable for per_sector in blocks for b in per_sector)
+
+
+# an odd plane, an even plane, an even nt (no middle DST row) and a single
+# colour class
+ORACLE_SHAPES = [(9, 9, 9), (13, 13, 13), (9, 9, 10), (10, 10, 9)]
+
+
+@pytest.fixture(
+    scope="class", params=ORACLE_SHAPES, ids=["x".join(map(str, s)) for s in ORACLE_SHAPES]
+)
+def oracle_model(request):
+    return _model(GridSpec(*request.param))
+
+
+class TestSectorPowerBlocks:
+    """The real parity halves and the power blocks read off the t-block
+    eigenpairs, against complex ``eigh`` and the dense 16-term gather."""
+
+    def test_parity_spectra_match_complex_eigh(self, oracle_model):
+        model = oracle_model
+        size = model.spec.nx * model.spec.ny
+        w, _, _ = model.eig()
+        for j, mu in enumerate(model.mu):
+            block = model.sublaplacian_block(mu)
+            halves = [_parity_block(block, half) for half in model._parity]
+            assert [h.shape[0] for h in halves] == [(size + 1) // 2, size // 2]
+            assert all(h.dtype == float for h in halves)
+            expected = np.linalg.eigvalsh(block)
+            scale = np.abs(expected).max()
+            parity = np.sort(np.concatenate([np.linalg.eigvalsh(h) for h in halves]))
+            assert np.abs(parity - expected).max() <= 1e-13 * scale
+            assert np.abs(w[j] - expected).max() <= 1e-13 * scale
+
+    def test_planar_power_commutes_exactly_with_the_planar_group(self, oracle_model):
+        model = oracle_model
+        n = model.spec.nx
+        blocks = model.planar_power(0.5)
+        grid = blocks.reshape((blocks.shape[0],) + (n,) * 4)
+        assert np.array_equal(grid[:, ::-1, ::-1, ::-1, ::-1], grid)
+        assert np.array_equal(grid[:, :, ::-1, :, ::-1], grid.conj())
+        assert np.array_equal(grid[:, ::-1, :, ::-1, :], grid.conj())
+
+    @pytest.mark.parametrize("exponent", [-0.5, 0.0, 0.5])
+    def test_power_blocks_match_dense_gather(self, oracle_model, exponent):
+        model = oracle_model
+        expected = gather(model, model.power(exponent), (1, 1), flip=False)
+        for got_blocks, want_blocks in zip(model.power_blocks(exponent), expected):
+            scale = max(np.abs(want).max() for want in want_blocks)
+            for got, want in zip(got_blocks, want_blocks):
+                assert not got.flags.writeable
+                assert got.shape == want.shape
+                assert np.abs(got - want).max() <= 1e-14 * scale
+
+    def test_vertical_basis_mirrors_bit_for_bit(self, oracle_model):
+        for count in sorted({oracle_model.spec.nt, oracle_model.spec.nx}):
+            sine, _ = _vertical_basis(count, 0.5)
+            signs = (-1.0) ** np.arange(2, count + 2)
+            # S[count+1-k, j] = (-1)^(j+1) S[k, j]
+            assert np.array_equal(sine[::-1], sine * signs)
+            if count % 2:
+                assert np.all(sine[count // 2, 1::2] == 0.0)
 
 
 class TestMultiplicationAndCommutator:
@@ -713,11 +812,8 @@ class TestQuarterRotation:
             quarter_rotation(SPEC, 3)
 
 
-CSR_SHAPES = [(9, 9, 9), (13, 13, 13), (9, 9, 10), (10, 10, 9)]
-
-
 @pytest.fixture(
-    scope="class", params=CSR_SHAPES, ids=["x".join(map(str, s)) for s in CSR_SHAPES]
+    scope="class", params=ORACLE_SHAPES, ids=["x".join(map(str, s)) for s in ORACLE_SHAPES]
 )
 def csr_spec(request):
     return GridSpec(*request.param)
@@ -755,7 +851,7 @@ class TestStencilAgainstCSR:
     def test_field_blocks(self, csr_spec, ell):
         model = _model(csr_spec)
         dense = sparse_fields(csr_spec)[ell - 1].toarray()
-        expected = model.gather(dense, _FIELD_CHARACTER[ell], flip=True)
+        expected = gather(model, dense, _FIELD_CHARACTER[ell], flip=True)
         for got_blocks, want_blocks in zip(model.field_blocks(ell), expected):
             for got, want in zip(got_blocks, want_blocks):
                 assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
@@ -899,21 +995,33 @@ class TestSectorSplit:
     def test_perturbed_root_fails_on_both_paths(self, monkeypatch):
         # one live eigenvalue of a paired kept block of (-Delta)^{1/2},
         # scaled by 1 + 1e-6, must show on the sector blocks as on the
-        # dense products
-        power = _GridModel.power
+        # dense products: the same perturbation enters the sector path's
+        # S~+ and the dense oracle's power
+        model = _model(SPEC)
+        w, v, live = model.eig()
+        assert model.weight[0] == 2
+        mode = np.flatnonzero(live[0])[0]
+        z = np.kron(v[0, :, mode], model._t_vectors[:, 0])
+        # the mode and its conjugate in block nt, as a real operator
+        shift = 1e-6 * math.sqrt(w[0, mode]) * 2.0 * np.outer(z, z.conj()).real
+        shift_blocks = gather(model, shift, (1, 1), flip=False)
+        power, power_blocks = _GridModel.power, _GridModel.power_blocks
 
         def perturbed_power(self, exponent):
             out = power(self, exponent)
-            if exponent == 0.5:
-                w, v, live = self.eig()
-                assert self.weight[0] == 2
-                mode = np.flatnonzero(live[0])[0]
-                z = np.kron(v[0, :, mode], self._t_vectors[:, 0])
-                # the mode and its conjugate in block nt, as a real operator
-                out += 1e-6 * math.sqrt(w[0, mode]) * 2.0 * np.outer(z, z.conj()).real
-            return out
+            return out + shift if exponent == 0.5 else out
+
+        def perturbed_power_blocks(self, exponent):
+            out = power_blocks(self, exponent)
+            if exponent != 0.5:
+                return out
+            return tuple(
+                tuple(block + extra for block, extra in zip(per_sector, per_shift))
+                for per_sector, per_shift in zip(out, shift_blocks)
+            )
 
         monkeypatch.setattr(_GridModel, "power", perturbed_power)
+        monkeypatch.setattr(_GridModel, "power_blocks", perturbed_power_blocks)
         family = {"bump": bump(SPEC)}
         sector = riesz_decomposition_residual(SPEC, family, 1)["bump"]
         dense = dense_split(SPEC, family, 1)["bump"]

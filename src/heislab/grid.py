@@ -987,14 +987,18 @@ def _reflection_components(at_orbits: np.ndarray) -> dict[int, np.ndarray]:
     ``f_eps = (f + e1 f o P1 + e2 f o P2 + e1 e2 f o P1 P2) / 4`` has
     character eps; the key is the position of eps in ``SECTORS``.  The sum
     is taken in pairs, so an exactly even or odd f gives one component
-    exactly equal to f and three exactly 0, which are left out.
+    exactly equal to f and three exactly 0, which are left out.  So is a
+    component no larger than the rounding of the sums, ``4 eps max|f|``:
+    ``(1 + x) + y`` and ``(1 + x) - y`` round differently, which leaves such
+    a remainder where f has none.
     """
+    rounding = 4.0 * np.finfo(float).eps * np.max(np.abs(at_orbits), initial=0.0)
     out = {}
     for k, (e1, e2) in enumerate(SECTORS):
         part = at_orbits[0] + e1 * at_orbits[1]
         part += e2 * (at_orbits[2] + e1 * at_orbits[3])
         part /= 4.0
-        if np.any(part):
+        if np.max(np.abs(part), initial=0.0) > rounding:
             out[k] = part
     return out
 

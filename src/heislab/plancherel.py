@@ -4,14 +4,15 @@ The measure ``|s|^n ds`` over the signed spectral parameter ``s`` is
 sampled by mirrored node rules.  Radial profiles of the sub-Laplacian reduce
 to one-dimensional integrals, which gives closed forms for distribution
 functions and weak-Schatten quasinorms that the experiment layer checks
-against brute-force quadrature.  scipy is imported inside the three
-functions that use it, so that suites which never integrate do not pay for it.
+against brute-force quadrature.  Every rule here is numpy Gauss-Legendre:
+the radial integrals bisect panels of the half-line mapped onto (0, 1], the
+brute distribution puts one panel on each side of its jump, and the incursion
+distribution is inverted in closed form.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -29,6 +30,14 @@ __all__ = [
     "incursion_profile",
     "IncursionReport",
 ]
+
+
+# panel budget of tau_radial (QUADPACK's limit=200), the narrowest panel it
+# makes, and the summed error estimate, relative to the total, at which it
+# stops bisecting
+MAX_PANELS = 200
+MIN_PANEL_WIDTH = 1e-13
+ROUNDING_LEVEL = 1e-13
 
 
 class NonIntegrableError(ValueError):
@@ -108,25 +117,56 @@ class PlancherelQuadrature:
 
 
 def tau_radial(g: Callable[[float], float], n: int) -> float:
-    """Adaptive quadrature of ``integral_0^inf g(s) s^n ds``."""
+    """Adaptive quadrature of ``integral_0^inf g(s) s^n ds``.
+
+    The half-line is mapped onto (0, 1] by ``s = (1 - u)/u``, the map of
+    QUADPACK's infinite-range rule.  Each panel is integrated by the 10- and
+    21-point Gauss-Legendre rules, whose difference estimates its error, and
+    the panel with the largest estimate is bisected until the estimates sum
+    to rounding level, the panel count reaches 200 or that panel is too
+    narrow to split.  The 21-point values are returned if the estimates sum
+    to at most ``max(1e-7, 1e-7 |total|)``; otherwise, or when g is not
+    finite at a node, the profile is not integrable.
+    """
     if n < 0:
         raise ValueError("dimension must be nonnegative")
 
-    def integrand(s: float) -> float:
+    def integrand(u: float) -> float:
+        s = (1.0 - u) / u
         try:
-            return float(g(s)) * s**n
+            return float(g(s)) * s**n / (u * u)
         except (ZeroDivisionError, OverflowError):
             return math.inf
 
-    from scipy import integrate
+    rules = [np.polynomial.legendre.leggauss(k) for k in (10, 21)]
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", integrate.IntegrationWarning)
-        try:
-            total, total_err = integrate.quad(integrand, 0.0, np.inf, limit=200)
-        except integrate.IntegrationWarning as exc:
-            raise NonIntegrableError(f"profile failed to integrate: {exc}") from exc
-    if not math.isfinite(total) or total_err > max(1e-7, 1e-7 * abs(total)):
+    def panel(a: float, b: float) -> tuple[float, float]:
+        half = 0.5 * (b - a)
+        coarse, fine = (
+            half * np.dot(w, [integrand(a + half * (x + 1.0)) for x in nodes])
+            for nodes, w in rules
+        )
+        if not (math.isfinite(coarse) and math.isfinite(fine)):
+            raise NonIntegrableError("profile is not finite against s^n")
+        return fine, abs(fine - coarse)
+
+    # (a, b) -> (21-point value, error estimate)
+    panels = {(0.0, 1.0): panel(0.0, 1.0)}
+    while True:
+        total = math.fsum(value for value, _ in panels.values())
+        total_err = sum(err for _, err in panels.values())
+        a, b = max(panels, key=lambda edges: panels[edges][1])
+        if (
+            total_err <= ROUNDING_LEVEL * abs(total)
+            or len(panels) == MAX_PANELS
+            or b - a < 2.0 * MIN_PANEL_WIDTH
+        ):
+            break
+        del panels[a, b]
+        mid = 0.5 * (a + b)
+        panels[a, mid] = panel(a, mid)
+        panels[mid, b] = panel(mid, b)
+    if total_err > max(1e-7, 1e-7 * abs(total)):
         raise NonIntegrableError("profile failed to integrate against s^n")
     return total
 
@@ -158,23 +198,21 @@ def weak_distribution_brute(x: FiberOperator, n: int, t: float) -> float:
     """Distribution function of the lifted operator by direct quadrature.
 
     Integrates the indicator of ``sigma |s|^{-1/2} > t`` against the measure
-    for every block singular value, without using the closed form.
+    for every block singular value, without using the closed form: one
+    Gauss-Legendre panel on each side of the jump at ``cut = (sigma/t)^2``,
+    ``[0, cut]`` and ``[cut, 2 cut]``, with n + 1 nodes, exact for the
+    density ``s^n`` where the indicator is one.
     """
     if t <= 0.0:
         raise ValueError("level must be positive")
-    from scipy import integrate
-
+    cut = (_pooled_singular_values(x) / t) ** 2
+    nodes, weights = np.polynomial.legendre.leggauss(n + 1)
+    half = cut / 2.0
     total = 0.0
-    for sigma in _pooled_singular_values(x):
-        if sigma == 0.0:
-            continue
-        cut = (sigma / t) ** 2
-
-        def indicator(s: float, cut=cut) -> float:
-            return s**n if s < cut else 0.0
-
-        val, _ = integrate.quad(indicator, 0.0, 2.0 * cut, points=[cut], limit=200)
-        total += val
+    for lo in (np.zeros_like(cut), cut):
+        s = lo[:, None] + np.outer(half, nodes + 1.0)
+        indicator = np.where(s < cut[:, None], s**n, 0.0)
+        total += float(np.dot(half, indicator @ weights))
     return total
 
 
@@ -197,20 +235,21 @@ class IncursionReport:
     target_exponent: float
 
 
+def _incursion_level(n: int, t: np.ndarray) -> np.ndarray:
+    """The level at which ``incursion_distribution(n, .)`` equals t, in
+    closed form: ``1 - (q/(1+q))^{1/4}`` with ``q = ((n+1) t)^{1/(n+1)}``."""
+    q = ((n + 1) * t) ** (1.0 / (n + 1))
+    return 1.0 - (q / (1.0 + q)) ** 0.25
+
+
 def incursion_profile(n: int) -> IncursionReport:
     """Inverted decay fit of the closed-form incursion distribution.
 
-    Inverts the distribution on a logarithmic grid of heights to recover
-    generalized singular-value samples, then fits their power-law decay;
-    the target exponent is ``-1/(n+1)``.
+    Inverts the distribution on a logarithmic grid of heights
+    (``_incursion_level``) to recover generalized singular-value samples,
+    then fits their power-law decay; the target exponent is ``-1/(n+1)``.
     """
-    from scipy import optimize
-
     t_grid = np.geomspace(1e2, 1e6, 25)
-    mu = np.empty_like(t_grid)
-    for i, t in enumerate(t_grid):
-        mu[i] = optimize.brentq(
-            lambda s, t=t: incursion_distribution(n, s) - t, 1e-12, 1.0 - 1e-12
-        )
+    mu = _incursion_level(n, t_grid)
     slope = float(np.polyfit(np.log(t_grid), np.log(mu), 1)[0])
     return IncursionReport(fitted_exponent=slope, target_exponent=-1.0 / (n + 1))

@@ -39,12 +39,13 @@ def timed_suites(err):
     return [m.group(1) for m in map(SUITE_TIMING.fullmatch, err.splitlines()) if m]
 
 
-# loaded by the plancherel suite's quadrature and root finding, never by
-# ``import heislab.cli`` (scipy.optimize pulls in scipy.sparse.linalg)
+# scipy's quadrature and root finding (scipy.optimize pulls in
+# scipy.sparse.linalg), loaded neither by ``import heislab.cli`` nor by any
+# suite: the plancherel suite integrates with numpy Gauss-Legendre rules
 DEFERRED_MODULES = ("scipy.integrate", "scipy.optimize", "scipy.sparse.linalg")
 
-# loaded by any scipy subpackage, but by no grid, bound or trace run: the
-# field stencils need numpy only
+# loaded by any scipy subpackage, but by no suite: the field stencils and
+# the plancherel rules need numpy only
 SUBPACKAGE_MODULES = ("scipy.sparse", "scipy._lib._array_api")
 
 
@@ -585,22 +586,19 @@ print(json.dumps({{"import": after_import, "grid": loaded(), "code": code}}))
         assert not {"scipy.integrate", "scipy.optimize"} & set(state["grid"])
 
     def test_grid_suites_load_no_scipy_subpackage(self, tmp_path):
-        # one fresh interpreter runs the suites in turn and lists what each
-        # step has loaded; only the plancherel suite reaches scipy.integrate
+        # one fresh interpreter runs the suites in turn, then all of them,
+        # and lists what each step has loaded
         script = f"""
 import json, sys
-loaded = lambda names: [m for m in names if m in sys.modules]
+names = {DEFERRED_MODULES + SUBPACKAGE_MODULES!r}
+loaded = lambda: [m for m in names if m in sys.modules]
 import heislab.cli
-state = {{"import": [0, loaded({SUBPACKAGE_MODULES!r})]}}
-for suite in ("grid", "bound", "trace"):
+state = {{"import": [0, loaded()]}}
+for suite in ("grid", "bound", "trace", "plancherel", "all"):
     code = heislab.cli.main(
         ["run", "--suite", suite, "--grid", "9", "--out", {str(tmp_path / "out")!r}]
     )
-    state[suite] = [code, loaded({SUBPACKAGE_MODULES!r})]
-code = heislab.cli.main(
-    ["run", "--suite", "plancherel", "--out", {str(tmp_path / "out")!r}]
-)
-state["plancherel"] = [code, loaded(("scipy.integrate",))]
+    state[suite] = [code, loaded()]
 print(json.dumps(state))
 """
         result = subprocess.run(
@@ -614,7 +612,8 @@ print(json.dumps(state))
             "grid": [0, []],
             "bound": [3, []],
             "trace": [0, []],
-            "plancherel": [0, ["scipy.integrate"]],
+            "plancherel": [0, []],
+            "all": [3, []],
         }
 
 

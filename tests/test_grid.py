@@ -988,9 +988,9 @@ class TestSectorSplit:
             assert sector["even"].components == ("++",)
             assert sector["odd_x"].components == ("+-",)
             # 1, x and y carry ++, +- and -+; the rounding of the sums
-            # (1 + x) + y may leave a -- component of rounding size, which
-            # the split carries like any other
-            assert sector["no_parity"].components[:3] == ("++", "+-", "-+")
+            # (1 + x) + y leaves a -- remainder of about 1e-17, which is
+            # dropped
+            assert sector["no_parity"].components == ("++", "+-", "-+")
 
     def test_perturbed_root_fails_on_both_paths(self, monkeypatch):
         # one live eigenvalue of a paired kept block of (-Delta)^{1/2},

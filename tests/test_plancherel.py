@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from heislab.oscillator import (
     FiberOperator,
@@ -15,6 +16,7 @@ from heislab.oscillator import (
 from heislab.plancherel import (
     NonIntegrableError,
     PlancherelQuadrature,
+    _incursion_level,
     incursion_distribution,
     incursion_profile,
     tau_radial,
@@ -104,6 +106,39 @@ class TestTauRadial:
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
             tau_radial(lambda s: 0.0, -1)
+
+
+def quad_radial(g, n):
+    """The oracle: QUADPACK's infinite-range rule on the same integral."""
+    total, _ = integrate.quad(lambda s: g(s) * s**n, 0.0, np.inf, limit=200)
+    return total
+
+
+# profile, dimension, exact integral, relative bound
+ORACLE_PROFILES = {
+    # integrable singularity at 0: the bound is tau_radial's own acceptance
+    "exp_over_root": (lambda s: math.exp(-s) / math.sqrt(s), 0, math.sqrt(math.pi), 1e-7),
+    "rational": (lambda s: (1.0 + s) ** -4, 1, 1.0 / 6.0, 1e-12),
+    "gaussian": (lambda s: math.exp(-s * s), 2, math.sqrt(math.pi) / 4.0, 1e-12),
+    # interior jump
+    "unit_step": (lambda s: 1.0 if s < 1.0 else 0.0, 1, 0.5, 1e-12),
+}
+
+
+class TestTauRadialOracle:
+    """The Gauss-Legendre bisection against scipy's quad and the exact values."""
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_PROFILES))
+    def test_matches_quad_and_exact(self, name):
+        g, n, exact, bound = ORACLE_PROFILES[name]
+        value = tau_radial(g, n)
+        assert abs(value - exact) <= bound * exact
+        assert abs(value - quad_radial(g, n)) <= bound * exact
+
+    def test_log_divergence_raises(self):
+        # integral of 1/(1 + s) diverges logarithmically at infinity
+        with pytest.raises(NonIntegrableError):
+            tau_radial(lambda s: 1.0 / (1.0 + s), 0)
 
 
 class TestWeakNormLift:
@@ -197,6 +232,19 @@ class TestIncursion:
         assert report.target_exponent == -0.5
         report2 = incursion_profile(2)
         assert report2.fitted_exponent == pytest.approx(-1.0 / 3.0, abs=0.05)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_closed_form_inverse(self, n):
+        # incursion_profile samples these heights; its levels map back to them
+        heights = np.geomspace(1e2, 1e6, 25)
+        back = incursion_distribution(n, _incursion_level(n, heights))
+        np.testing.assert_allclose(back, heights, rtol=1e-12, atol=0.0)
+
+    def test_decay_exponent_matches_root_finding(self):
+        # the fitted exponent of 25 brentq inversions (xtol 2e-12) was
+        # -0.5 + 0.0036820752148
+        report = incursion_profile(1)
+        assert abs(report.fitted_exponent + 0.5 - 0.0036820752148) <= 1e-9
 
     def test_rejects_levels_outside_unit_interval(self):
         with pytest.raises(ValueError):

@@ -301,9 +301,7 @@ def _check(metric: str, name: str, value: float, allowed: float, mode: str = "up
 
 @dataclass(frozen=True)
 class SuiteOutcome:
-    suite: str
     checks: tuple[dict, ...]
-    metrics: Mapping[str, float]
     sweep_name: str
     sweep_value: float
     extra: Mapping = field(default_factory=dict)
@@ -552,9 +550,7 @@ def _run_hermite(config: RunConfig) -> SuiteOutcome:
         pairs.append((config.hermite_n, config.hermite_K))
     checks = hermite_checks(pairs)
     return SuiteOutcome(
-        "hermite",
         tuple(checks),
-        _aggregate("hermite", checks),
         "identity_residual",
         max(check["value"] for check in checks),
     )
@@ -564,9 +560,7 @@ def _run_doi(config: RunConfig) -> SuiteOutcome:
     rng = np.random.default_rng(config.seed)
     checks = doi_identity_checks(rng) + closed_form_checks(rng)
     return SuiteOutcome(
-        "doi",
         tuple(checks),
-        _aggregate("doi", checks),
         "identity_residual",
         checks[0]["value"],  # the commutator identity residual
     )
@@ -586,9 +580,7 @@ def _run_plancherel(config: RunConfig) -> SuiteOutcome:
         _check("node_margin", "node_exponential_mass", node_err, 1e-6),
     ]
     return SuiteOutcome(
-        "plancherel",
         tuple(checks),
-        _aggregate("plancherel", checks),
         "node_error",
         node_err,
     )
@@ -624,9 +616,7 @@ def _run_grid(config: RunConfig) -> SuiteOutcome:
             )
         )
     return SuiteOutcome(
-        "grid",
         tuple(checks),
-        _aggregate("grid", checks),
         "split_residual",
         worst_split,
         # lowest level of each t-block over |mu|; the continuum fibre gives 2
@@ -657,9 +647,7 @@ def _run_bound(config: RunConfig) -> SuiteOutcome:
             _check("slope_margin", f"slope_{row.label}", abs(row.slope + 0.25), 0.10)
         )
     return SuiteOutcome(
-        "bound",
         tuple(checks),
-        _aggregate("bound", checks),
         "ratio_spread",
         spread,
         {
@@ -714,9 +702,7 @@ def _run_trace(config: RunConfig) -> SuiteOutcome:
             _check("gram_margin", f"coercivity_drift_ell{ell}", drift, 0.10)
         )
     return SuiteOutcome(
-        "trace",
         tuple(checks),
-        _aggregate("trace", checks),
         "ratio_variation",
         report.summary.variation,
         {
@@ -755,9 +741,7 @@ def _run_product(config: RunConfig) -> SuiteOutcome:
     ]
     report = product_trace_check(cases, spec, basis)
     return SuiteOutcome(
-        "product",
         tuple(checks),
-        _aggregate("product", checks),
         "product_variation",
         report.summary.variation,
         {"experiment": report_as_dict(report)},
@@ -819,9 +803,10 @@ def _write_run_artifacts(directory: Path, payload: Mapping) -> Path:
 def _run_and_record(directory: Path, suite: str, config: RunConfig) -> dict:
     """Execute one suite, write its artifacts, and return the payload."""
     outcome = _execute(suite, config)
+    metrics = _aggregate(suite, outcome.checks)
     thresholds = dict(config.thresholds[suite])
     violations = sorted(
-        key for key, allowed in thresholds.items() if outcome.metrics[key] > allowed
+        key for key, allowed in thresholds.items() if metrics[key] > allowed
     )
     payload = {
         "kind": "run",
@@ -829,7 +814,7 @@ def _run_and_record(directory: Path, suite: str, config: RunConfig) -> dict:
         "digest": config_digest(config.canonical(suite)),
         "config": config.canonical(suite),
         "checks": list(outcome.checks),
-        "metrics": dict(outcome.metrics),
+        "metrics": metrics,
         "thresholds": thresholds,
         "violations": violations,
         "passed": not violations,

@@ -26,7 +26,6 @@ from .grid import (
     _model,
     _reflection_components,
     _sector_index,
-    build_riesz,
     sobolev_seminorm,
 )
 from .oscillator import (
@@ -518,22 +517,26 @@ def _grid_symbol_realization(spec: GridSpec, k: int) -> np.ndarray:
 
 
 def product_factor(
-    spec: GridSpec, basis: MultiIndexBasis, name: str
+    spec: GridSpec, basis: MultiIndexBasis, name: str, inverse_root: np.ndarray
 ) -> tuple[np.ndarray, FiberOperator]:
-    """Resolve a catalog name to its grid matrix and fiber counterpart."""
+    """Resolve a catalog name to its grid matrix and fiber counterpart.
+
+    ``inverse_root`` is the grid's dense ``(-Delta)^{-1/2}``, which the flat
+    factor and the Riesz factors are built on.
+    """
     if name == "identity":
         return np.eye(spec.size), fiber_identity(basis)
+    model = _model(spec)
     if name == "flat_factor":
         # the vertical root acts on the t-index, the fastest of (x, y, t)
-        model = _model(spec)
-        rows = model.power(-0.5).reshape(-1, spec.nt) @ model.vertical_quarter_root()
+        rows = inverse_root.reshape(-1, spec.nt) @ model.vertical_quarter_root()
         grid = rows.reshape(spec.size, spec.size)
         energies = np.diag(oscillator_matrix(basis)).real
         return grid, tensor_scalar(basis, np.diag(energies**-0.5), "one")
     kind, _, index = name.partition(":")
     if kind == "riesz" and index.isdigit():
         k = int(index)
-        return build_riesz(spec, k), riesz_symbol(basis, k)
+        return model.apply_field(k, inverse_root), riesz_symbol(basis, k)
     if kind == "a" and index.isdigit():
         k = int(index)
         if k not in (1, 2):
@@ -573,9 +576,14 @@ def product_trace_check(
                 f"case {case.label!r} needs {GRID_HOMOGENEOUS_DIMENSION} functions, "
                 f"got {len(case.functions)}"
             )
-    # each distinct factor is realized once and shared by every slot using it
+    # each distinct factor is realized once and shared by every slot using
+    # it, and the flat and Riesz factors share one (-Delta)^{-1/2}
     names = dict.fromkeys(name for case in cases for name in case.factors)
-    factors = {name: product_factor(spec, basis, name) for name in names}
+    inverse_root = _model(spec).power(-0.5)
+    factors = {name: product_factor(spec, basis, name, inverse_root) for name in names}
+    # no factor is a view of the root: free it, so the products below do not
+    # hold one N x N array more than the factors
+    del inverse_root
     results: dict[str, ExperimentRow | None] = {}
     for case in cases:
         realized = [factors[name] for name in case.factors]

@@ -44,9 +44,7 @@ __all__ = [
     "KERNEL_THRESHOLD",
     "GridSpec",
     "GridFunction",
-    "build_sublaplacian",
     "sublaplacian_spectrum",
-    "build_riesz",
     "sobolev_seminorm",
     "quarter_rotation",
     "RotationReport",
@@ -199,13 +197,6 @@ class GridFunction:
     @property
     def flat(self) -> np.ndarray:
         return self.values.reshape(-1)
-
-    def norm_lp(self, p: float) -> float:
-        if p < 1.0:
-            raise ValueError("exponent must be >= 1")
-        return float(
-            (np.sum(np.abs(self.values) ** p) * self.spec.cell_volume) ** (1.0 / p)
-        )
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.values)))
@@ -362,6 +353,16 @@ def _parity_block(block: np.ndarray, half: _ParityHalf) -> np.ndarray:
     columns = block[:, points[0]]
     out = sum(coefficient[g, :, None].conj() * columns[points[g]] for g in range(4))
     return 4.0 * (out * coefficient[0]).real
+
+
+def _symmetric_eigh(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``eigh`` of a parity half; raises when the half is not symmetric to
+    within ``_ASYMMETRY_LIMIT`` relative, since ``eigh`` reads one triangle
+    only and would hide the asymmetry."""
+    asym = float(np.linalg.norm(block - block.T) / max(np.linalg.norm(block), 1.0))
+    if asym > _ASYMMETRY_LIMIT:
+        raise ValueError(f"sub-Laplacian asymmetry {asym:.2e} exceeds limit")
+    return np.linalg.eigh(block)
 
 
 def _in_grid(half: _ParityHalf, u: np.ndarray) -> np.ndarray:
@@ -541,12 +542,13 @@ class _GridModel:
         """Per parity half (``_parity_halves``) of the kept blocks: the
         eigenvalues (h, d), the real orthonormal eigenvectors in the orbit
         vectors (h, d, d) and the live masks (h, d), from one real ``eigh``
-        per half and block.  A mode is live when its eigenvalue is above
+        per half and block, each half checked for symmetry first
+        (``_symmetric_eigh``).  A mode is live when its eigenvalue is above
         ``KERNEL_THRESHOLD`` times the largest of all blocks.  Read-only.
         """
         if self._parity_eig is None:
             pairs = [
-                [np.linalg.eigh(_parity_block(block, half)) for half in self._parity]
+                [_symmetric_eigh(_parity_block(block, half)) for half in self._parity]
                 for block in map(self.sublaplacian_block, self.mu)
             ]
             values = [np.stack([pair[p][0] for pair in pairs]) for p in (0, 1)]
@@ -884,24 +886,7 @@ def _model(spec: GridSpec) -> _GridModel:
 
 
 # ---------------------------------------------------------------------------
-# operator builders
-
-
-def build_sublaplacian(spec: GridSpec) -> np.ndarray:
-    """Dense symmetrized ``X^T X + Y^T Y``, built on each call; raises when
-    the asymmetry residual it removes is not tiny."""
-    model = _model(spec)
-    quad = np.zeros((spec.size, spec.size))
-    for ell in (1, 2):
-        # X^T X = -X X, since the fields are exactly skew-symmetric: each
-        # two-step path a -> b -> c of the stencil adds X[a, b] X[b, c]
-        a, b, first = model.field_nonzeros(ell, np.arange(spec.size))
-        s, c, second = model.field_nonzeros(ell, b)
-        np.subtract.at(quad, (a[s], c), first[s] * second)
-    asym = float(np.linalg.norm(quad - quad.T) / max(np.linalg.norm(quad), 1.0))
-    if asym > _ASYMMETRY_LIMIT:
-        raise ValueError(f"sub-Laplacian asymmetry {asym:.2e} exceeds limit")
-    return 0.5 * (quad + quad.T)
+# spectra and checks
 
 
 def sublaplacian_spectrum(spec: GridSpec) -> np.ndarray:
@@ -909,14 +894,6 @@ def sublaplacian_spectrum(spec: GridSpec) -> np.ndarray:
     model = _model(spec)
     w = np.concatenate([half[0] for half in model.parity_eig()], axis=1)
     return np.sort(np.repeat(w, model.weight, axis=0), axis=None)
-
-
-def build_riesz(spec: GridSpec, ell: int) -> np.ndarray:
-    """Dense ``X_ell (-Delta)^{-1/2}``, built anew on each call; the
-    commutator checks read the Riesz transform through its sector blocks
-    (``_GridModel.sector_blocks``) instead."""
-    model = _model(spec)
-    return model.apply_field(ell, model.power(-0.5))
 
 
 def sobolev_seminorm(f: GridFunction, p: float = 4.0) -> float:

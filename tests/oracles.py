@@ -1,0 +1,40 @@
+"""Dense oracles shared by the test modules.
+
+The package reads every grid operator through its t-blocks and sector
+blocks; these build the dense N x N matrices the tests compare against, and
+the grid ``L_p`` norm.
+"""
+
+import numpy as np
+
+from heislab.grid import _ASYMMETRY_LIMIT, GridFunction, GridSpec, _model
+
+
+def dense_sublaplacian(spec: GridSpec) -> np.ndarray:
+    """Dense symmetrized ``X^T X + Y^T Y``, built on each call; raises when
+    the asymmetry residual it removes is not tiny."""
+    model = _model(spec)
+    quad = np.zeros((spec.size, spec.size))
+    for ell in (1, 2):
+        # X^T X = -X X, since the fields are exactly skew-symmetric: each
+        # two-step path a -> b -> c of the stencil adds X[a, b] X[b, c]
+        a, b, first = model.field_nonzeros(ell, np.arange(spec.size))
+        s, c, second = model.field_nonzeros(ell, b)
+        np.subtract.at(quad, (a[s], c), first[s] * second)
+    asym = float(np.linalg.norm(quad - quad.T) / max(np.linalg.norm(quad), 1.0))
+    if asym > _ASYMMETRY_LIMIT:
+        raise ValueError(f"sub-Laplacian asymmetry {asym:.2e} exceeds limit")
+    return 0.5 * (quad + quad.T)
+
+
+def dense_riesz(spec: GridSpec, ell: int) -> np.ndarray:
+    """Dense ``X_ell (-Delta)^{-1/2}``, built anew on each call."""
+    model = _model(spec)
+    return model.apply_field(ell, model.power(-0.5))
+
+
+def norm_lp(f: GridFunction, p: float) -> float:
+    """The grid ``L_p`` norm of f."""
+    if p < 1.0:
+        raise ValueError("exponent must be >= 1")
+    return float((np.sum(np.abs(f.values) ** p) * f.spec.cell_volume) ** (1.0 / p))

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from heislab import cli
+from heislab import cli, grid
 from heislab.cli import (
     DEFAULT_THRESHOLDS,
     RunConfig,
@@ -39,14 +39,17 @@ def timed_suites(err):
     return [m.group(1) for m in map(SUITE_TIMING.fullmatch, err.splitlines()) if m]
 
 
-# scipy's quadrature and root finding (scipy.optimize pulls in
-# scipy.sparse.linalg), loaded neither by ``import heislab.cli`` nor by any
-# suite: the plancherel suite integrates with numpy Gauss-Legendre rules
-DEFERRED_MODULES = ("scipy.integrate", "scipy.optimize", "scipy.sparse.linalg")
-
-# loaded by any scipy subpackage, but by no suite: the field stencils and
-# the plancherel rules need numpy only
-SUBPACKAGE_MODULES = ("scipy.sparse", "scipy._lib._array_api")
+# loaded neither by ``import heislab.cli`` nor by any suite: scipy's
+# quadrature and root finding (scipy.optimize pulls in scipy.sparse.linalg),
+# and what any scipy subpackage loads; the field stencils and the plancherel
+# rules (numpy Gauss-Legendre) need numpy only
+UNLOADED_SCIPY_MODULES = (
+    "scipy.integrate",
+    "scipy.optimize",
+    "scipy.sparse.linalg",
+    "scipy.sparse",
+    "scipy._lib._array_api",
+)
 
 
 def write_config(tmp_path, **entries):
@@ -461,6 +464,35 @@ class TestRunCommand:
         run_suite(load_config(write_config(tmp_path), {"suite": suite}))
         assert dense_power_calls == []
 
+    def test_product_suite_takes_one_dense_inverse_root(self, tmp_path, dense_power_calls):
+        # the flat and Riesz factors share one (-Delta)^{-1/2}; the symbol
+        # factor assembles its own t-blocks
+        cli._run_product(load_config(write_config(tmp_path), {"suite": "product"}))
+        assert dense_power_calls == ["power", "assemble", "assemble"]
+
+    def test_asymmetric_parity_block_is_rejected(self, tmp_path, monkeypatch, capsys):
+        # every eigensolve of a model checks its parity halves first, so a
+        # suite stops with a usage error instead of solving one triangle
+        parity_block = grid._parity_block
+
+        def skewed(block, half):
+            out = parity_block(block, half)
+            out[0, 1] += 1.0
+            return out
+
+        monkeypatch.setattr(grid, "_parity_block", skewed)
+        _model.cache_clear()
+        try:
+            with pytest.raises(ValueError, match="asymmetry"):
+                grid.sublaplacian_spectrum(GridSpec.cube(9))
+            code = main(
+                ["run", "--suite", "grid", "--grid", "9", "--out", str(tmp_path / "out")]
+            )
+        finally:
+            _model.cache_clear()
+        assert code == 2
+        assert "asymmetry" in capsys.readouterr().err
+
     @pytest.mark.parametrize("suite", ["grid", "bound", "trace"])
     def test_cold_run_peaks_below_one_dense_matrix(self, tmp_path, suite):
         # at 13^3 every array the run allocates, cached or transient, fits
@@ -563,34 +595,12 @@ class TestRunCommand:
         assert result.returncode == 0
         assert "[hermite] PASS" in result.stdout
 
-    def test_cold_start_defers_integration_modules(self, tmp_path):
-        # a fresh interpreter, so that modules this test process has already
-        # imported cannot hide a module-level import of them
-        script = f"""
-import json, sys
-loaded = lambda: [m for m in {DEFERRED_MODULES!r} if m in sys.modules]
-import heislab.cli
-after_import = loaded()
-code = heislab.cli.main(
-    ["run", "--suite", "grid", "--grid", "9", "--out", {str(tmp_path / "out")!r}]
-)
-print(json.dumps({{"import": after_import, "grid": loaded(), "code": code}}))
-"""
-        result = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True
-        )
-        assert result.returncode == 0, result.stderr
-        state = json.loads(result.stdout.splitlines()[-1])
-        assert state["code"] == 0
-        assert state["import"] == []
-        assert not {"scipy.integrate", "scipy.optimize"} & set(state["grid"])
-
     def test_grid_suites_load_no_scipy_subpackage(self, tmp_path):
         # one fresh interpreter runs the suites in turn, then all of them,
         # and lists what each step has loaded
         script = f"""
 import json, sys
-names = {DEFERRED_MODULES + SUBPACKAGE_MODULES!r}
+names = {UNLOADED_SCIPY_MODULES!r}
 loaded = lambda: [m for m in names if m in sys.modules]
 import heislab.cli
 state = {{"import": [0, loaded()]}}

@@ -30,7 +30,6 @@ from heislab.grid import (
     GridSpec,
     _model,
     _reflection_components,
-    build_riesz,
 )
 from heislab.schatten import CLAMP_RATIO, singular_values
 from heislab.oscillator import (
@@ -40,6 +39,8 @@ from heislab.oscillator import (
     riesz_symbol,
     tr_sigma,
 )
+
+from oracles import dense_riesz, norm_lp
 
 SPEC = GridSpec.cube(9)
 BASIS = enumerate_basis(1, 6)
@@ -120,7 +121,7 @@ class TestBochner:
         coeff = np.zeros((SPEC.size, 3), dtype=complex)
         coeff[:, 0] = f.flat
         value = bochner_norm(coeff, family.symbols, SPEC.cell_volume)
-        expect = f.norm_lp(4.0) ** 4 * fiber_schatten_norm(family.flat, 4.0) ** 4
+        expect = norm_lp(f, 4.0) ** 4 * fiber_schatten_norm(family.flat, 4.0) ** 4
         assert value == pytest.approx(expect, rel=1e-12)
 
     def test_zero_coefficients(self):
@@ -227,7 +228,7 @@ def dense_commutator(spec, ell, f):
     ``[R_ell, M_f]``, entrywise ``R_ij (f_j - f_i)``."""
     vals = f.flat
     out = vals[None, :] - vals[:, None]
-    out *= build_riesz(spec, ell)
+    out *= dense_riesz(spec, ell)
     return out
 
 
@@ -420,6 +421,12 @@ class TestTraceFormula:
             trace_formula_experiment({"f": wide_bump()}, 1, SPEC, BASIS)
 
 
+@pytest.fixture(scope="module")
+def inverse_root():
+    """The dense ``(-Delta)^{-1/2}`` of ``SPEC`` that the product factors read."""
+    return _model(SPEC).power(-0.5)
+
+
 class TestProductTrace:
     def test_identity_factor_reduction(self):
         fs = tuple(
@@ -458,9 +465,9 @@ class TestProductTrace:
     def test_catalog_spread(self, monkeypatch):
         resolved = []
 
-        def counting_factor(spec, basis, name):
+        def counting_factor(spec, basis, name, inverse_root):
             resolved.append(name)
-            return product_factor(spec, basis, name)
+            return product_factor(spec, basis, name, inverse_root)
 
         monkeypatch.setattr(experiments, "product_factor", counting_factor)
         fam = named_family("product", SPEC)
@@ -493,32 +500,33 @@ class TestProductTrace:
         with pytest.raises(ValueError, match="factor name per function"):
             ProductCase("bad", (f, f, f, f), ("identity",))
 
-    def test_unknown_factor(self):
+    def test_unknown_factor(self, inverse_root):
         with pytest.raises(ValueError, match="no fiber counterpart"):
-            product_factor(SPEC, BASIS, "mystery")
+            product_factor(SPEC, BASIS, "mystery", inverse_root)
         with pytest.raises(ValueError, match="outside"):
-            product_factor(SPEC, BASIS, "a:3")
+            product_factor(SPEC, BASIS, "a:3", inverse_root)
 
     @pytest.mark.parametrize("shape", [(9, 9, 9), (9, 9, 10)])
     def test_flat_factor_matches_kronecker_oracle(self, shape):
         spec = GridSpec(*shape)
         model = _model(spec)
-        oracle = model.power(-0.5) @ np.kron(
+        inverse_root = model.power(-0.5)
+        oracle = inverse_root @ np.kron(
             np.eye(spec.nx * spec.ny), model.vertical_quarter_root()
         )
-        grid_mat, _ = product_factor(spec, BASIS, "flat_factor")
+        grid_mat, _ = product_factor(spec, BASIS, "flat_factor", inverse_root)
         assert np.linalg.norm(grid_mat - oracle) <= 1e-13 * np.linalg.norm(oracle)
 
-    def test_factor_catalog_matches_components(self):
-        grid_mat, fiber = product_factor(SPEC, BASIS, "identity")
+    def test_factor_catalog_matches_components(self, inverse_root):
+        grid_mat, fiber = product_factor(SPEC, BASIS, "identity", inverse_root)
         np.testing.assert_array_equal(grid_mat, np.eye(SPEC.size))
         assert tr_sigma(fiber).real == pytest.approx(2 * BASIS.dim)
 
-        grid_mat, fiber = product_factor(SPEC, BASIS, "riesz:2")
-        np.testing.assert_array_equal(grid_mat, build_riesz(SPEC, 2))
+        grid_mat, fiber = product_factor(SPEC, BASIS, "riesz:2", inverse_root)
+        np.testing.assert_array_equal(grid_mat, dense_riesz(SPEC, 2))
         np.testing.assert_array_equal(fiber.minus, riesz_symbol(BASIS, 2).minus)
 
-        grid_mat, _ = product_factor(SPEC, BASIS, "a:1")
+        grid_mat, _ = product_factor(SPEC, BASIS, "a:1", inverse_root)
         assert np.linalg.norm(grid_mat, 2) <= 1.2
 
 

@@ -19,13 +19,13 @@ from heislab.grid import (
     _parity_block,
     _reflection_components,
     _vertical_basis,
-    build_riesz,
-    build_sublaplacian,
     quarter_rotation,
     riesz_decomposition_residual,
     sobolev_seminorm,
     sublaplacian_spectrum,
 )
+
+from oracles import dense_riesz, dense_sublaplacian, norm_lp
 
 SPEC = GridSpec.cube(9)
 
@@ -255,7 +255,7 @@ class TestSublaplacian:
         x_op, y_op, _ = sparse_fields(SPEC)
         quad = (x_op.T @ x_op + y_op.T @ y_op).toarray()
         assert np.linalg.norm(quad - quad.T) / max(np.linalg.norm(quad), 1.0) <= 1e-10
-        op = build_sublaplacian(SPEC)
+        op = dense_sublaplacian(SPEC)
         assert np.array_equal(op, op.T)
         w = sublaplacian_spectrum(SPEC)
         assert w.min() >= -1e-10
@@ -264,26 +264,26 @@ class TestSublaplacian:
         assert sublaplacian_spectrum(SPEC).size == SPEC.size
 
     def test_annihilates_constants_inside(self):
-        op = build_sublaplacian(SPEC)
+        op = dense_sublaplacian(SPEC)
         ones = GridFunction.from_callable(SPEC, lambda x, y, t: np.ones_like(x))
         out = (op @ ones.flat).reshape(SPEC.shape)
         mask = interior_mask(SPEC, margin=2)
         assert np.abs(out[mask]).max() <= 1e-13
 
     def test_checkerboard_kernel_mode(self):
-        op = build_sublaplacian(SPEC)
+        op = dense_sublaplacian(SPEC)
         assert np.abs(op @ checkerboard(SPEC)).max() <= 1e-13
 
 
 class TestSpectralFunction:
     def test_identity_profile(self):
         out = _model(SPEC).power(1.0)
-        np.testing.assert_allclose(out, build_sublaplacian(SPEC), atol=1e-10)
+        np.testing.assert_allclose(out, dense_sublaplacian(SPEC), atol=1e-10)
 
     def test_inverse_root_on_diagonal(self):
         # in the eigenbasis the power is diagonal; check the smallest and
         # the largest live eigenvalue
-        w, v, live = dense_eig(build_sublaplacian(SPEC))
+        w, v, live = dense_eig(dense_sublaplacian(SPEC))
         inv_sqrt = _model(SPEC).power(-0.5)
         for j in (np.flatnonzero(live)[0], w.size - 1):
             np.testing.assert_allclose(
@@ -298,7 +298,7 @@ class TestSpectralFunction:
         assert np.abs(model.power(-0.5) @ unit_checkerboard(SPEC)).max() < 1e-12
 
     def test_inverse_root_matches_dense_oracle(self):
-        oracle = dense_inverse_sqrt(build_sublaplacian(SPEC))
+        oracle = dense_inverse_sqrt(dense_sublaplacian(SPEC))
         gap = np.linalg.norm(_model(SPEC).power(-0.5) - oracle) / np.linalg.norm(oracle)
         assert gap <= 1e-13
 
@@ -318,7 +318,7 @@ T_BLOCK_SHAPES = [(9, 9, 9), (13, 13, 13), (10, 10, 10), (9, 9, 10), (10, 10, 9)
 def oracle(request):
     """A grid and the dense eigendecomposition of its sub-Laplacian."""
     spec = GridSpec(*request.param)
-    return spec, dense_eig(build_sublaplacian(spec))
+    return spec, dense_eig(dense_sublaplacian(spec))
 
 
 class TestTBlockCalculus:
@@ -397,7 +397,7 @@ class TestTBlockCalculus:
     def test_riesz(self, oracle, ell):
         spec, eig = oracle
         dense = sparse_fields(spec)[ell - 1] @ dense_power(eig, -0.5)
-        assert relative_gap(build_riesz(spec, ell), dense) <= 1e-13
+        assert relative_gap(dense_riesz(spec, ell), dense) <= 1e-13
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_symbol_realization(self, oracle, k):
@@ -419,16 +419,16 @@ class TestTBlockCalculus:
 class TestRiesz:
     def test_empirical_norm_near_one(self):
         for ell in (1, 2):
-            op = build_riesz(SPEC, ell)
+            op = dense_riesz(SPEC, ell)
             assert 0.5 <= np.linalg.norm(op, 2) <= 1.5
 
     def test_kills_kernel_modes(self):
-        op = build_riesz(SPEC, 1)
+        op = dense_riesz(SPEC, 1)
         assert np.abs(op @ unit_checkerboard(SPEC)).max() < 1e-12
 
     def test_squares_sum_to_kernel_complement_projection(self):
         total = sum(
-            build_riesz(SPEC, ell).T @ build_riesz(SPEC, ell)
+            dense_riesz(SPEC, ell).T @ dense_riesz(SPEC, ell)
             for ell in (1, 2)
         )
         f = bump(SPEC)
@@ -436,8 +436,8 @@ class TestRiesz:
         assert np.linalg.norm(total @ v - v) <= 0.2
 
     def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            build_riesz(SPEC, 3)
+        with pytest.raises(ValueError, match="outside 1..2"):
+            _model(SPEC).apply_field(3, np.zeros(SPEC.size))
 
 
 def reflection_maps(spec):
@@ -550,7 +550,7 @@ class TestReflectionSectors:
         spec = GridSpec.cube(count)
         p1, p2 = reflection_maps(spec)
         for ell, (s1, s2) in _FIELD_CHARACTER.items():
-            riesz = build_riesz(spec, ell)
+            riesz = dense_riesz(spec, ell)
             scale = np.linalg.norm(riesz)
             for p, s in ((p1, s1), (p2, s2)):
                 gap = riesz[np.ix_(p, p)] - s * riesz
@@ -598,7 +598,7 @@ class TestColourGrading:
         bases = sector_bases(spec)
         same = orbits.colour[:, None] == orbits.colour[None, :]
         for ell, field in _FIELD_CHARACTER.items():
-            riesz = build_riesz(spec, ell)
+            riesz = dense_riesz(spec, ell)
             for k, sigma in enumerate(SECTORS):
                 target = (sigma[0] * field[0], sigma[1] * field[1])
                 live = np.ix_(orbits.live[SECTORS.index(target)], orbits.live[k])
@@ -883,10 +883,10 @@ class TestStencilAgainstCSR:
         x_op, y_op, _ = sparse_fields(csr_spec)
         quad = (x_op.T @ x_op + y_op.T @ y_op).toarray()
         expected = 0.5 * (quad + quad.T)
-        assert relative_gap(build_sublaplacian(csr_spec), expected) <= 1e-14
+        assert relative_gap(dense_sublaplacian(csr_spec), expected) <= 1e-14
         inv_sqrt = _model(csr_spec).power(-0.5)
         for ell, field in ((1, x_op), (2, y_op)):
-            assert relative_gap(build_riesz(csr_spec, ell), field @ inv_sqrt) <= 1e-14
+            assert relative_gap(dense_riesz(csr_spec, ell), field @ inv_sqrt) <= 1e-14
 
 
 class TestRieszDecomposition:
@@ -1040,7 +1040,7 @@ class TestCwikelSurrogate:
     def test_family_ratio_bounded(self):
         from heislab.schatten import singular_values, weak_quasinorm
 
-        inv_sqrt = dense_inverse_sqrt(build_sublaplacian(SPEC))
+        inv_sqrt = dense_inverse_sqrt(dense_sublaplacian(SPEC))
         family = [
             lambda x, y, t: np.exp(-(x * x + y * y + t * t)),
             lambda x, y, t: np.exp(-2.0 * (x * x + y * y + t * t)),
@@ -1053,15 +1053,15 @@ class TestCwikelSurrogate:
             f = GridFunction.from_callable(SPEC, fn)
             product = f.flat[:, None] * inv_sqrt
             quasi = weak_quasinorm(singular_values(product), 4.0)
-            ratios.append(quasi / f.norm_lp(4.0))
+            ratios.append(quasi / norm_lp(f, 4.0))
         assert max(ratios) / min(ratios) <= 5.0
 
 
 class TestGridFunctionBasics:
     def test_norm_lp(self):
-        assert bump(SPEC).norm_lp(4.0) > 0.0
+        assert norm_lp(bump(SPEC), 4.0) > 0.0
         ones = GridFunction(SPEC, np.ones(SPEC.shape))
-        assert ones.norm_lp(2.0) == pytest.approx(
+        assert norm_lp(ones, 2.0) == pytest.approx(
             math.sqrt(SPEC.size * SPEC.cell_volume), rel=1e-14
         )
 

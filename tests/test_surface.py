@@ -16,13 +16,11 @@ import heislab
 
 # public names no package code reaches, each kept for the stated reason
 ALLOWLIST = {
-    "build_sublaplacian": "the dense -Delta the benchmark tracer prebuilds; a test oracle",
     "sublaplacian_spectrum": "the full spectrum the benchmark tracer prebuilds; a test oracle",
 }
 
 # public class members no package code reads, each kept for the stated reason
 MEMBER_ALLOWLIST = {
-    "GridFunction.norm_lp": "the L_p norm the Cwikel surrogate test divides by; a test oracle",
     "GridSpec.cap": "the point-count cap, read only in __post_init__; a byte budget "
     "of the plan is to replace it",
 }

@@ -39,7 +39,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from .doi import (
     SpectralDecomposition,
@@ -51,7 +50,6 @@ from .doi import (
 from .experiments import (
     ProductCase,
     bound_experiment,
-    bound_subreport,
     build_y_fibers,
     config_digest,
     family_names,
@@ -103,21 +101,6 @@ SWEEP_AXES: dict[str, tuple[str, ...]] = {
     "hermite_K": ("hermite", "doi", "trace"),
     "quadrature_nodes": ("plancherel",),
 }
-
-_CONFIG_KEYS = (
-    "suite",
-    "grid_size",
-    "hermite_n",
-    "hermite_K",
-    "quad_s_min",
-    "quad_s_max",
-    "quad_nodes_per_decade",
-    "family",
-    "ell",
-    "seed",
-    "output_dir",
-    "thresholds",
-)
 
 # margins are capped so artifacts stay strict JSON even when a floor check
 # sees a non-positive value
@@ -226,6 +209,9 @@ class RunConfig:
             "seed": self.seed,
             "thresholds": dict(sorted(self.thresholds[suite].items())),
         }
+
+
+_CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(RunConfig))
 
 
 def _merge_thresholds(overrides: Mapping | None) -> dict[str, dict[str, float]]:
@@ -632,13 +618,10 @@ def _spectrum_health(experiment) -> dict[str, Mapping]:
 def _run_bound(config: RunConfig) -> SuiteOutcome:
     spec = _grid_spec(config)
     ratio_name = config.family or "bumps"
-    ratio_family = named_family(ratio_name, spec)
-    decay_family = named_family("decay", spec)
-    # a label names the same function in every family, so rows shared by
-    # the two families are computed once
-    union = bound_experiment(spec, {**ratio_family, **decay_family}, config.ell)
-    report = bound_subreport(union, spec, config.ell, ratio_family)
-    decay_report = bound_subreport(union, spec, config.ell, decay_family)
+    # the model keeps each commutator spectrum, so a function of both
+    # families is decomposed once
+    report = bound_experiment(spec, named_family(ratio_name, spec), config.ell)
+    decay_report = bound_experiment(spec, named_family("decay", spec), config.ell)
     spread = report.summary.max_ratio / report.summary.min_ratio
     checks = [_check("ratio_spread_margin", f"spread_{ratio_name}", spread, 8.0)]
     # the target power law sits at -0.25; the band is +-0.10 around it
@@ -653,7 +636,7 @@ def _run_bound(config: RunConfig) -> SuiteOutcome:
         {
             "ratio_experiment": report_as_dict(report),
             "decay_experiment": report_as_dict(decay_report),
-            "spectrum": _spectrum_health(union),
+            "spectrum": {**_spectrum_health(report), **_spectrum_health(decay_report)},
         },
     )
 
@@ -787,6 +770,10 @@ def _write_json(path: Path, payload: Mapping) -> None:
     )
 
 
+def _write_csv(path: Path, lines: Sequence[str]) -> None:
+    path.write_text("\r\n".join(lines) + "\r\n", encoding="utf-8")
+
+
 def _write_run_artifacts(directory: Path, payload: Mapping) -> Path:
     stem = _fresh_stem(directory, f"{payload['suite']}_{payload['digest']}")
     _write_json(directory / f"{stem}.json", payload)
@@ -796,7 +783,7 @@ def _write_run_artifacts(directory: Path, payload: Mapping) -> Path:
             f"{check['name']},{check['value']!r},{check['allowed']!r},"
             f"{check['mode']},{check['margin']!r}"
         )
-    (directory / f"{stem}.csv").write_text("\r\n".join(lines) + "\r\n", encoding="utf-8")
+    _write_csv(directory / f"{stem}.csv", lines)
     return directory / f"{stem}.json"
 
 
@@ -827,6 +814,10 @@ def _run_and_record(directory: Path, suite: str, config: RunConfig) -> dict:
 
 def _provenance_line() -> str:
     """Library versions, BLAS build and BLAS thread count of this process."""
+    # imported here, not at the top: no suite needs scipy, and the import
+    # would lengthen every start-up
+    import scipy
+
     config = getattr(np.__config__, "CONFIG", {})  # absent before numpy 1.26
     blas = config.get("Build Dependencies", {}).get("blas", {})
     return (
@@ -934,7 +925,7 @@ def sweep(config: RunConfig, axis: str, values: Sequence[int]) -> int:
     for row in rows:
         delta_txt = "" if row["delta"] is None else repr(row["delta"])
         lines.append(f"{row['value']},{row['metric']!r},{delta_txt},{row['passed']}")
-    (directory / f"{stem}.csv").write_text("\r\n".join(lines) + "\r\n", encoding="utf-8")
+    _write_csv(directory / f"{stem}.csv", lines)
     print(f"[sweep {config.suite}/{axis}] {metric_name} -> {stem}.json")
     for row in rows:
         delta_txt = "" if row["delta"] is None else f" delta={row['delta']:+.6g}"
@@ -985,7 +976,7 @@ def report(output_dir: str | Path) -> int:
             f"{entry['suite']},{entry['digest']},{entry['passed']},"
             f"{entry['artifact']},{len(entry['history'])}"
         )
-    (directory / "report.csv").write_text("\r\n".join(lines) + "\r\n", encoding="utf-8")
+    _write_csv(directory / "report.csv", lines)
     print(f"[report] {len(entries)} configuration(s) -> report.json")
     for entry in entries:
         verdict = "PASS" if entry["passed"] else "FAIL"

@@ -17,17 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .doi import build_a_fiber
-from .grid import (
-    _FIELD_CHARACTER,
-    SECTORS,
-    GridFunction,
-    GridSpec,
-    _character_label,
-    _model,
-    _reflection_components,
-    _sector_index,
-    sobolev_seminorm,
-)
+from .grid import GridFunction, GridSpec, _model, sobolev_seminorm
 from .oscillator import (
     FiberOperator,
     MultiIndexBasis,
@@ -46,7 +36,6 @@ from .schatten import (
     dixmier_approximant,
     fit_weak_decay,
     shadow_fit_range,
-    singular_values,
     weak_quasinorm,
 )
 
@@ -61,7 +50,6 @@ __all__ = [
     "bochner_norm",
     "bochner_rhs",
     "bound_experiment",
-    "bound_subreport",
     "build_y_fibers",
     "config_digest",
     "dixmier_lhs",
@@ -328,58 +316,9 @@ class DixmierEstimate:
     spectrum: Mapping | None = None
 
 
-def _join(blocks: Mapping[tuple[int, int], np.ndarray]) -> np.ndarray:
-    """The matrix of blocks keyed (row sector, column sector), zero where a
-    key is absent; a single block is returned uncopied."""
-    if len(blocks) == 1:
-        return next(iter(blocks.values()))
-    heights = {rho: block.shape[0] for (rho, _), block in blocks.items()}
-    widths = {sigma: block.shape[1] for (_, sigma), block in blocks.items()}
-    return np.block([
-        [blocks.get((rho, sigma), np.zeros((h, w))) for sigma, w in sorted(widths.items())]
-        for rho, h in sorted(heights.items())
-    ])
-
-
-def _commutator_spectrum(
-    spec: GridSpec, ell: int, f: GridFunction
-) -> tuple[SingularSpectrum, dict]:
-    """Singular values of ``[R_ell, M_f]`` and their numerical health.
-
-    ``_GridModel.commutator_blocks`` gives one block per reflection
-    component eps of f, column sector sigma and colour class, with rows in
-    rho = sigma eps s_ell.  So two column sectors share a row sector exactly
-    when sigma sigma' = eps eps' for two components; in the Klein group of
-    characters these products form a subgroup, whose cosets cut each colour
-    class into independent pieces, one SVD each: single blocks for f of
-    exact parity, one piece per class for four components.  The N x N
-    matrix is never formed.  The health record names the character the
-    spectrum was split by (``"+-"``) for one component or ``"full"``, the
-    clamp count and the smallest kept value over the largest.
-    """
-    model = _model(spec)
-    values = f.flat[model.sectors().table]
-    # the zero function has no component; one zero component gives N zeros
-    components = _reflection_components(values) or {0: values[0]}
-    steps = {_sector_index(SECTORS[a], SECTORS[b]) for a in components for b in components}
-    pieces: dict[tuple[int, int], dict] = {}
-    for block in model.commutator_blocks(ell, components):
-        coset = min(_sector_index(SECTORS[block.sigma], SECTORS[h]) for h in steps)
-        pieces.setdefault((block.colour, coset), {})[block.rho, block.sigma] = block.matrix
-    spectrum = singular_values(*map(_join, pieces.values()))
-    chi = [_sector_index(SECTORS[eps], _FIELD_CHARACTER[ell]) for eps in components]
-    kept = int(np.count_nonzero(spectrum.values))
-    smallest = spectrum.values[kept - 1] / spectrum.values[0] if kept else 0.0
-    return spectrum, {
-        "sector": _character_label(SECTORS[chi[0]]) if len(chi) == 1 else "full",
-        "clamped": spectrum.clamped,
-        "min_kept_ratio": float(smallest),
-    }
-
-
 def dixmier_lhs(f: GridFunction, ell: int, spec: GridSpec) -> DixmierEstimate:
     """Trace estimate for the 2n+2 power of the Riesz-multiplier commutator."""
-    spectrum, health = _commutator_spectrum(spec, ell, f)
+    spectrum, health = _model(spec).commutator_spectrum(ell, f)
     powered = spectrum.values ** GRID_HOMOGENEOUS_DIMENSION
     usable = int(np.count_nonzero(powered > CLAMP_RATIO * max(powered[0], 1e-300)))
     if f.max_abs() == 0.0 or powered[0] == 0.0:
@@ -402,7 +341,7 @@ def bound_experiment(
     power = GRID_HOMOGENEOUS_DIMENSION
 
     def row(label: str, f: GridFunction) -> ExperimentRow | None:
-        spectrum, health = _commutator_spectrum(spec, ell, f)
+        spectrum, health = _model(spec).commutator_spectrum(ell, f)
         lhs = weak_quasinorm(spectrum, power)
         rhs = sobolev_seminorm(f, power)
         # constants hit this: the commutator vanishes as a matrix identity,
@@ -414,29 +353,11 @@ def bound_experiment(
         return ExperimentRow(label, lhs, rhs, lhs / rhs, fit.slope, health)
 
     results = {label: row(label, f) for label, f in family.items()}
-    return _build_report(_bound_digest(spec, ell, family), results)
-
-
-def _bound_digest(spec: GridSpec, ell: int, labels) -> str:
-    return config_digest(
+    digest = config_digest(
         {"experiment": "bound", "grid": spec.shape, "ell": ell,
-         "family": sorted(labels)}
+         "family": sorted(family)}
     )
-
-
-def bound_subreport(
-    report: ExperimentReport, spec: GridSpec, ell: int, labels: Sequence[str]
-) -> ExperimentReport:
-    """The ``bound_experiment`` report of a sub-family, read off a larger run.
-
-    ``report`` is a ``bound_experiment`` report on ``spec`` and ``ell`` whose
-    family holds every label in ``labels``; the result equals the report of
-    running ``bound_experiment`` on those labels alone, without recomputing
-    a row.
-    """
-    by_label = {row.label: row for row in report.rows}
-    results = {k: None if k in report.excluded else by_label[k] for k in labels}
-    return _build_report(_bound_digest(spec, ell, labels), results)
+    return _build_report(digest, results)
 
 
 def trace_formula_experiment(

@@ -33,12 +33,15 @@ from __future__ import annotations
 
 import functools
 import math
+import types
 from collections import namedtuple
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
+
+from .schatten import SingularSpectrum, singular_values
 
 __all__ = [
     "KERNEL_THRESHOLD",
@@ -404,6 +407,19 @@ class _Orbits(NamedTuple):
 _Block = namedtuple("_Block", "eps rho sigma colour rows cols matrix")
 
 
+def _join(blocks: Mapping[tuple[int, int], np.ndarray]) -> np.ndarray:
+    """The matrix of blocks keyed (row sector, column sector), zero where a
+    key is absent; a single block is returned uncopied."""
+    if len(blocks) == 1:
+        return next(iter(blocks.values()))
+    heights = {rho: block.shape[0] for (rho, _), block in blocks.items()}
+    widths = {sigma: block.shape[1] for (_, sigma), block in blocks.items()}
+    return np.block([
+        [blocks.get((rho, sigma), np.zeros((h, w))) for sigma, w in sorted(widths.items())]
+        for rho, h in sorted(heights.items())
+    ])
+
+
 class _GridModel:
     """The field stencils plus the one spectral calculus of the grid.
 
@@ -423,7 +439,10 @@ class _GridModel:
     transforms are built on first use; the model keeps no N x N array.  The
     sector blocks of a power are read straight off the t-block eigenpairs
     (``power_blocks``); ``power`` and ``assemble`` form dense N x N
-    matrices for the product factors only.
+    matrices for the product factors only.  The model also splits each
+    commutator ``[R_ell, M_f]`` into its independent SVD pieces and keeps
+    one spectrum per (ell, f) (``commutator_spectrum``), which the bound
+    and trace experiments and every sweep step on this grid share.
     """
 
     def __init__(self, spec: GridSpec):
@@ -468,6 +487,8 @@ class _GridModel:
         self._inverse_root: tuple[tuple[np.ndarray, ...], ...] | None = None
         self._field_blocks: dict[int, tuple[tuple[np.ndarray, ...], ...]] = {}
         self._sector_blocks: dict[int, tuple[tuple[np.ndarray, ...], ...]] = {}
+        # (ell, bytes of f) -> (spectrum, health) of [R_ell, M_f]
+        self._spectra: dict[tuple[int, bytes], tuple[SingularSpectrum, Mapping]] = {}
 
     def stencil(self, ell: int) -> tuple[_Term, ...]:
         """The four terms of ``X_ell`` (see ``_field_stencil``)."""
@@ -870,6 +891,52 @@ class _GridModel:
                     block = shifted[c][live] * f_rep[cols[s]]
                     block -= f_rep[rows[r], None] * riesz[k][c][live]
                     yield _Block(eps, rho, k, c, r, s, block)
+
+    def commutator_spectrum(
+        self, ell: int, f: GridFunction
+    ) -> tuple[SingularSpectrum, Mapping]:
+        """Singular values of ``[R_ell, M_f]`` and their numerical health,
+        computed once per (ell, f) and kept read-only.
+
+        ``commutator_blocks`` gives one block per reflection component eps
+        of f, column sector sigma and colour class, with rows in rho =
+        sigma eps s_ell.  So two column sectors share a row sector exactly
+        when sigma sigma' = eps eps' for two components; in the Klein group
+        of characters these products form a subgroup, whose cosets cut each
+        colour class into independent pieces, one SVD each: single blocks
+        for f of exact parity, one piece per class for four components.
+        The N x N matrix is never formed.  The health record names the
+        character the spectrum was split by (``"+-"``) for one component or
+        ``"full"``, the clamp count and the smallest kept value over the
+        largest.
+        """
+        if f.spec != self.spec:
+            raise ValueError("function lives on a different grid")
+        key = (ell, f.values.tobytes())
+        if key not in self._spectra:
+            values = f.flat[self.sectors().table]
+            # the zero function has no component; one zero component gives
+            # N zeros
+            components = _reflection_components(values) or {0: values[0]}
+            steps = {
+                _sector_index(SECTORS[a], SECTORS[b]) for a in components for b in components
+            }
+            pieces: dict[tuple[int, int], dict] = {}
+            for block in self.commutator_blocks(ell, components):
+                coset = min(_sector_index(SECTORS[block.sigma], SECTORS[h]) for h in steps)
+                piece = pieces.setdefault((block.colour, coset), {})
+                piece[block.rho, block.sigma] = block.matrix
+            spectrum = singular_values(*map(_join, pieces.values()))
+            chi = [_sector_index(SECTORS[eps], _FIELD_CHARACTER[ell]) for eps in components]
+            kept = int(np.count_nonzero(spectrum.values))
+            smallest = spectrum.values[kept - 1] / spectrum.values[0] if kept else 0.0
+            health = {
+                "sector": _character_label(SECTORS[chi[0]]) if len(chi) == 1 else "full",
+                "clamped": spectrum.clamped,
+                "min_kept_ratio": float(smallest),
+            }
+            self._spectra[key] = (spectrum, types.MappingProxyType(health))
+        return self._spectra[key]
 
     def vertical_quarter_root(self) -> np.ndarray:
         """The nt x nt fourth root of ``D_t^T D_t`` on one vertical line;

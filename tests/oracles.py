@@ -2,7 +2,8 @@
 
 The package reads every grid operator through its t-blocks and sector
 blocks; these build the dense N x N matrices the tests compare against, and
-the grid ``L_p`` norm.
+the grid ``L_p`` norm.  ``recorded_svd_shapes`` lets a test count the SVDs
+a computation makes.
 """
 
 import numpy as np
@@ -38,3 +39,16 @@ def norm_lp(f: GridFunction, p: float) -> float:
     if p < 1.0:
         raise ValueError("exponent must be >= 1")
     return float((np.sum(np.abs(f.values) ** p) * f.spec.cell_volume) ** (1.0 / p))
+
+
+def recorded_svd_shapes(monkeypatch):
+    """The shapes of the arrays every later ``np.linalg.svd`` call sees."""
+    svd = np.linalg.svd
+    shapes = []
+
+    def recording_svd(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    return shapes

@@ -30,6 +30,8 @@ from heislab.cli import (
 )
 from heislab.grid import GridSpec, _GridModel, _model
 
+from oracles import recorded_svd_shapes
+
 
 SUITE_TIMING = re.compile(r"\[(\w+)\] \d+\.\d{3} s, peak RSS \d+\.\d MB")
 
@@ -50,6 +52,13 @@ UNLOADED_SCIPY_MODULES = (
     "scipy.sparse",
     "scipy._lib._array_api",
 )
+
+
+def commutator_blocks(shapes):
+    """The recorded SVDs of commutator blocks: at 9^3 these are 2-d with
+    both sides above 20; the fiber norms take batched 3-d SVDs and the
+    Gram samplings small 2-d ones."""
+    return [shape for shape in shapes if len(shape) == 2 and min(shape) > 20]
 
 
 def write_config(tmp_path, **entries):
@@ -541,17 +550,13 @@ class TestRunCommand:
         # every shipped bound and trace function has exact reflection parity,
         # so no SVD sees the full 729 x 729 commutator, only the eight
         # sector-and-colour blocks of at most 95
-        svd = np.linalg.svd
-        shapes = []
-
-        def recording_svd(a, *args, **kwargs):
-            shapes.append(np.shape(a)[-2:])
-            return svd(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        shapes = recorded_svd_shapes(monkeypatch)
         path = write_config(tmp_path)
+        # a cold model, whose spectra are all computed in this run
+        _model.cache_clear()
         for suite in ("bound", "trace"):
             run_suite(load_config(path, {"suite": suite}))
+        shapes = [shape[-2:] for shape in shapes]
         assert shapes
         assert (9**3, 9**3) not in shapes
         assert max(max(shape) for shape in shapes) <= 95
@@ -576,6 +581,24 @@ class TestRunCommand:
                 else:
                     assert 50 <= record["window"] <= 9**3
                     assert "fit_range" not in record
+
+    def test_all_suites_share_the_commutator_spectra(self, tmp_path, monkeypatch):
+        # bound decomposes bumps and decay, six distinct functions, and trace
+        # the three centred Gaussians bound has already decomposed: eight
+        # blocks each for six functions
+        shapes = recorded_svd_shapes(monkeypatch)
+        _model.cache_clear()
+        run_suite(load_config(write_config(tmp_path), {"suite": "all"}))
+        assert len(commutator_blocks(shapes)) == 6 * 8
+
+    def test_trace_sweep_in_cutoff_decomposes_once(self, tmp_path, monkeypatch):
+        # the cutoff changes only the fiber side, so the three functions are
+        # decomposed at the first value only
+        shapes = recorded_svd_shapes(monkeypatch)
+        _model.cache_clear()
+        config = load_config(write_config(tmp_path), {"suite": "trace"})
+        assert sweep(config, "hermite_K", [4, 6, 8]) == 0
+        assert len(commutator_blocks(shapes)) == 3 * 8
 
     def test_module_entry_point(self, tmp_path):
         result = subprocess.run(
@@ -603,7 +626,7 @@ import json, sys
 names = {UNLOADED_SCIPY_MODULES!r}
 loaded = lambda: [m for m in names if m in sys.modules]
 import heislab.cli
-state = {{"import": [0, loaded()]}}
+state = {{"import": [0, loaded(), "scipy" in sys.modules]}}
 for suite in ("grid", "bound", "trace", "plancherel", "all"):
     code = heislab.cli.main(
         ["run", "--suite", suite, "--grid", "9", "--out", {str(tmp_path / "out")!r}]
@@ -618,7 +641,8 @@ print(json.dumps(state))
         state = json.loads(result.stdout.splitlines()[-1])
         # bound fails its slope band at grid 9, the expected verdict there
         assert state == {
-            "import": [0, []],
+            # the provenance line imports scipy on the first run only
+            "import": [0, [], False],
             "grid": [0, []],
             "bound": [3, []],
             "trace": [0, []],

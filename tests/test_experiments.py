@@ -13,7 +13,6 @@ from heislab.experiments import (
     bochner_norm,
     bochner_rhs,
     bound_experiment,
-    bound_subreport,
     build_y_fibers,
     config_digest,
     dixmier_lhs,
@@ -28,6 +27,7 @@ from heislab.experiments import (
 from heislab.grid import (
     GridFunction,
     GridSpec,
+    _GridModel,
     _model,
     _reflection_components,
 )
@@ -40,7 +40,7 @@ from heislab.oscillator import (
     tr_sigma,
 )
 
-from oracles import dense_riesz, norm_lp
+from oracles import dense_riesz, norm_lp, recorded_svd_shapes
 
 SPEC = GridSpec.cube(9)
 BASIS = enumerate_basis(1, 6)
@@ -235,7 +235,7 @@ def dense_commutator(spec, ell, f):
 def assert_matches_dense_svd(spec, ell):
     functions = {**oracle_functions(spec), **mixed_functions(spec)}
     for label, f in functions.items():
-        spectrum, health = experiments._commutator_spectrum(spec, ell, f)
+        spectrum, health = _model(spec).commutator_spectrum(ell, f)
         dense = np.linalg.svd(dense_commutator(spec, ell, f), compute_uv=False)
         oracle = np.where(dense < CLAMP_RATIO * dense[0], 0.0, dense)
         assert (health["sector"] == "full") == (label in MIXED_PARITY), label
@@ -248,27 +248,16 @@ def components_of(spec, f):
     return _reflection_components(f.flat[_model(spec).sectors().table])
 
 
-def recorded_svd_shapes(monkeypatch):
-    """The shapes of the matrices every later ``np.linalg.svd`` call sees."""
-    svd = np.linalg.svd
-    shapes = []
-
-    def recording_svd(a, *args, **kwargs):
-        shapes.append(np.shape(a))
-        return svd(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", recording_svd)
-    return shapes
-
-
 def assert_pieces(monkeypatch, label, components, pieces):
     """The mixed-parity function ``label`` has ``components`` reflection
     components, and its spectrum takes ``pieces`` SVDs covering the N rows
     and columns, with the dense oracle's values."""
     f = mixed_functions(SPEC)[label]
     assert len(components_of(SPEC, f)) == components
+    # a cold model: a warm one returns its stored spectrum without an SVD
+    model = _GridModel(SPEC)
     shapes = recorded_svd_shapes(monkeypatch)
-    spectrum, health = experiments._commutator_spectrum(SPEC, 1, f)
+    spectrum, health = model.commutator_spectrum(1, f)
     assert health["sector"] == "full"
     assert len(shapes) == pieces
     assert sum(shape[0] for shape in shapes) == SPEC.size
@@ -318,27 +307,56 @@ class TestCommutatorSpectrum:
         spec = GridSpec.cube(count)
         zero = GridFunction(spec, np.zeros(spec.shape))
         for label, f in {**named_family("constants", spec), "zero": zero}.items():
-            spectrum, health = experiments._commutator_spectrum(spec, ell, f)
+            spectrum, health = _model(spec).commutator_spectrum(ell, f)
             assert health["sector"] != "full", label
             assert len(spectrum) == spec.size, label
             assert np.all(spectrum.values == 0.0), label
 
     def test_parity_path_forms_no_commutator(self, monkeypatch):
         # a function of exact parity is decomposed one sector block at a time
+        model = _GridModel(SPEC)
         shapes = recorded_svd_shapes(monkeypatch)
         for f in oracle_functions(SPEC).values():
-            experiments._commutator_spectrum(SPEC, 1, f)
+            model.commutator_spectrum(1, f)
         assert len(shapes) == 8 * len(oracle_functions(SPEC))
         assert max(max(shape) for shape in shapes) < SPEC.size // 4
 
     def test_health_record(self):
         f = grid_fn(lambda x, y, t: x * np.exp(-(x * x + y * y + t * t)))
-        spectrum, health = experiments._commutator_spectrum(SPEC, 1, f)
+        spectrum, health = _model(SPEC).commutator_spectrum(1, f)
         # R_1 and the odd-in-x function both have character (+,-)
         assert health["sector"] == "++"
         assert health["clamped"] == spectrum.clamped
         kept = spectrum.values[spectrum.values > 0.0]
         assert health["min_kept_ratio"] == kept[-1] / kept[0]
+
+    def test_spectrum_is_kept_read_only(self, monkeypatch):
+        # a second call, from any experiment, returns the stored spectrum
+        # without another SVD
+        f = grid_fn(lambda x, y, t: x * np.exp(-(x * x + y * y + t * t)))
+        model = _GridModel(SPEC)
+        first = model.commutator_spectrum(1, f)
+        shapes = recorded_svd_shapes(monkeypatch)
+        again = model.commutator_spectrum(1, GridFunction(SPEC, f.values.copy()))
+        assert again is first
+        assert shapes == []
+        spectrum, health = first
+        with pytest.raises(TypeError):
+            health["sector"] = "full"
+        with pytest.raises(ValueError):
+            spectrum.values[0] = 0.0
+        # another field or function is another spectrum
+        assert model.commutator_spectrum(2, f) is not first
+        assert model.commutator_spectrum(1, wide_bump()) is not first
+
+    def test_function_from_another_grid_is_rejected(self):
+        # the orbit table of 9^3 would read a 13^3 function's values at the
+        # wrong points and give wrong ratios without an error
+        other = GridSpec.cube(13)
+        with pytest.raises(ValueError, match="different grid"):
+            bound_experiment(SPEC, named_family("bumps", other), 1)
+        with pytest.raises(ValueError, match="different grid"):
+            trace_formula_experiment(named_family("trace", other), 1, SPEC, BASIS)
 
     def test_no_parity_takes_the_full_matrix(self, monkeypatch):
         # two components pair the sectors of each colour class: two SVDs
@@ -386,15 +404,16 @@ class TestBoundExperiment:
             bound_experiment(SPEC, family, 1)
 
     def test_subreport_equals_direct_run(self):
+        # a sub-family run gives the rows of the larger run, read off the
+        # stored spectra
         family = dict(named_family("trace", SPEC))
         family["flat"] = grid_fn(lambda x, y, t: np.ones_like(x))
         union = bound_experiment(SPEC, family, 1)
         labels = ["flat", "gauss_narrow", "gauss_wide"]
         direct = bound_experiment(SPEC, {k: family[k] for k in labels}, 1)
-        assert bound_subreport(union, SPEC, 1, labels) == direct
         assert direct.excluded == ("flat",)
-        with pytest.raises(KeyError):
-            bound_subreport(union, SPEC, 1, ["gauss_wide", "absent"])
+        by_label = {row.label: row for row in union.rows}
+        assert all(row == by_label[row.label] for row in direct.rows)
 
 
 class TestTraceFormula:

@@ -727,7 +727,7 @@ def _run_product(config: RunConfig) -> SuiteOutcome:
         tuple(checks),
         "product_variation",
         report.summary.variation,
-        {"experiment": report_as_dict(report)},
+        {"experiment": report_as_dict(report), "spectrum": _spectrum_health(report)},
     )
 
 

@@ -17,7 +17,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .doi import build_a_fiber
-from .grid import GridFunction, GridSpec, _model, sobolev_seminorm
+from .grid import (
+    _FIELD_CHARACTER,
+    SECTORS,
+    GridFunction,
+    GridSpec,
+    _join,
+    _model,
+    _reflection_components,
+    _sector_index,
+    sobolev_seminorm,
+)
 from .oscillator import (
     FiberOperator,
     MultiIndexBasis,
@@ -479,6 +489,32 @@ class ProductCase:
             raise ValueError("need one factor name per function")
 
 
+def _factor_structure(name: str) -> tuple[tuple[int, int], bool]:
+    """Reflection character of a catalog factor and whether it flips colour:
+    the Riesz and symbol factors carry those of their field, the identity
+    and the flat factor keep sector and colour."""
+    kind, _, index = name.partition(":")
+    if kind in ("riesz", "a"):
+        return _FIELD_CHARACTER[int(index)], True
+    return SECTORS[0], False
+
+
+def _gather_factor(
+    model, matrix: np.ndarray, character: tuple[int, int], flip: bool
+) -> tuple[tuple[np.ndarray, ...], ...]:
+    """The sector blocks of a dense product factor in the layout of
+    ``_GridModel._gathered``: each entry sums ``tau(g) sigma(h) matrix[g a,
+    h b]`` over the 16 pairs (g, h) of the reflection group."""
+    table = model.sectors().table
+
+    def accumulate(out, weights, rows, cols):
+        # picked[g, h, a, b] = matrix[g a, h b]
+        picked = matrix[table[:, rows][:, None, :, None], table[:, cols][None, :, None, :]]
+        out += np.tensordot(weights, picked, axes=2)
+
+    return model._gathered(character, flip, accumulate)
+
+
 def product_trace_check(
     cases: Sequence[ProductCase], spec: GridSpec, basis: MultiIndexBasis
 ) -> ExperimentReport:
@@ -488,6 +524,22 @@ def product_trace_check(
     pairs, adjoint on every odd slot.  RHS: the product integral of the
     functions (conjugated on odd slots) times the two-component trace of the
     corresponding fiber product.
+
+    The eigenvalues are read piece by piece in sector coordinates.  Each
+    factor F has a reflection character chi and keeps or flips colour
+    (``_factor_structure``); it is gathered once into its sector blocks
+    ``Ft_sigma``.  A reflection component f_eps of a function gives
+    ``F M_{f_eps} Q_sigma = Q_{sigma eps chi} Ft_{sigma eps} diag(f_eps)``
+    (see ``_GridModel.commutator_blocks``).  Let H be the subgroup generated
+    by the components of the case's functions and the product of its
+    factor characters.  A piece is a coset sigma H within one colour class,
+    or within both when an odd number of factors flips colour.  Each term
+    maps a piece onto one piece and the product maps every piece onto
+    itself, so its eigenvalues are the union of those of the pieces, each
+    taken on the live sector coordinates of its piece.  No N x N product
+    and no N x N eigenproblem is formed.  Each row's ``spectrum`` records
+    the piece sizes, the eigenvalue count above ``CLAMP_RATIO`` times the
+    largest modulus and the smallest kept modulus over the largest.
     """
     if len({case.label for case in cases}) != len(cases):
         raise ValueError("product case labels must be distinct")
@@ -497,39 +549,120 @@ def product_trace_check(
                 f"case {case.label!r} needs {GRID_HOMOGENEOUS_DIMENSION} functions, "
                 f"got {len(case.functions)}"
             )
-    # each distinct factor is realized once and shared by every slot using
-    # it, and the flat and Riesz factors share one (-Delta)^{-1/2}
+    model = _model(spec)
+    orbits = model.sectors()
+    # colours[c]: the orbits of colour class c; live[c][k]: the positions
+    # among them of the orbits on which SECTORS[k] is live
+    colours = [cols for _, cols in orbits.classes]
+    live = [[np.flatnonzero(orbits.live[k, cols]) for k in range(len(SECTORS))]
+            for cols in colours]
+    # each distinct factor is realized and gathered once, and the flat and
+    # Riesz factors share one (-Delta)^{-1/2}; no dense factor outlives its
+    # gather
     names = dict.fromkeys(name for case in cases for name in case.factors)
-    inverse_root = _model(spec).power(-0.5)
-    factors = {name: product_factor(spec, basis, name, inverse_root) for name in names}
-    # no factor is a view of the root: free it, so the products below do not
-    # hold one N x N array more than the factors
+    structure = {name: _factor_structure(name) for name in names}
+    inverse_root = model.power(-0.5)
+    fibers, blocks = {}, {}
+    for name in names:
+        grid_mat, fibers[name] = product_factor(spec, basis, name, inverse_root)
+        blocks[name] = _gather_factor(model, grid_mat, *structure[name])
+        del grid_mat
     del inverse_root
+
+    def image(cell: tuple[int, int], name: str) -> tuple[int, int]:
+        """The (colour class, sector) that factor ``name`` maps ``cell`` to."""
+        c, k = cell
+        character, flip = structure[name]
+        if flip and len(colours) == 2:
+            c = 1 - c
+        return c, _sector_index(SECTORS[k], character)
+
+    def term(name: str, components: Mapping[int, np.ndarray], cells) -> np.ndarray:
+        """``F M_f`` from the live coordinates of ``cells`` onto its image."""
+        out = {}
+        for c, k in cells:
+            cols = live[c][k]
+            for eps, f_rep in components.items():
+                shifted = _sector_index(SECTORS[k], SECTORS[eps])
+                target = image((c, shifted), name)
+                rows = live[target[0]][target[1]]
+                block = blocks[name][shifted][c][np.ix_(rows, cols)]
+                out[target, (c, k)] = block * f_rep[colours[c][cols]]
+        return _join(out)
+
+    def eigenvalues(case: ProductCase) -> tuple[np.ndarray, list[int]]:
+        """The eigenvalues of the case's product, the union over its
+        pieces, and the piece sizes."""
+        components = []
+        for f in case.functions:
+            at_orbits = f.flat[orbits.table]
+            # the zero function has no component; one zero component gives
+            # zero blocks
+            components.append(_reflection_components(at_orbits) or {0: at_orbits[0]})
+        steps = {eps for parts in components for eps in parts}
+        steps.add(_sector_index(*(structure[name][0] for name in case.factors)))
+        subgroup = {0}
+        for step in steps:
+            subgroup |= {_sector_index(SECTORS[h], SECTORS[step]) for h in subgroup}
+        cosets = sorted(
+            {tuple(sorted(_sector_index(SECTORS[k], SECTORS[h]) for h in subgroup))
+             for k in range(len(SECTORS))}
+        )
+        flips = sum(structure[name][1] for name in case.factors)
+        classes = range(len(colours))
+        groups = [tuple(classes)] if flips % 2 else [(c,) for c in classes]
+        values, sizes = [], []
+        for group in groups:
+            for coset in cosets:
+                cells = sorted((c, k) for c in group for k in coset)
+                # the last slot acts first; an adjoint slot is the adjoint of
+                # its term from the image back onto the piece
+                terms = []
+                for slot in reversed(range(len(case.factors))):
+                    name, parts = case.factors[slot], components[slot]
+                    target = sorted(image(cell, name) for cell in cells)
+                    if slot % 2 == 0:
+                        terms.append(term(name, parts, target).conj().T)
+                    else:
+                        terms.append(term(name, parts, cells))
+                    cells = target
+                product = terms[-1]
+                for factor in reversed(terms[:-1]):
+                    product = product @ factor
+                sizes.append(product.shape[0])
+                values.append(np.linalg.eigvals(product))
+        return np.concatenate(values), sizes
+
     results: dict[str, ExperimentRow | None] = {}
     for case in cases:
-        realized = [factors[name] for name in case.factors]
-        grid_product: np.ndarray | None = None
+        eigs, sizes = eigenvalues(case)
+        lhs = eigenvalue_trace_approximant(eigs)
+        mods = np.sort(np.abs(eigs))[::-1]
+        usable = int(np.count_nonzero(mods > CLAMP_RATIO * mods[0]))
+        health = {
+            "pieces": sizes,
+            "usable": usable,
+            "min_kept_ratio": float(mods[usable - 1] / mods[0]) if usable else 0.0,
+        }
         fiber_product: FiberOperator | None = None
         integrand = np.ones(spec.size, dtype=complex)
-        for slot, ((grid_mat, fiber), f) in enumerate(zip(realized, case.functions)):
-            term = grid_mat * f.flat[None, :]
-            fib = fiber
+        for slot, (name, f) in enumerate(zip(case.factors, case.functions)):
+            fib = fibers[name]
             if slot % 2 == 0:
-                term = term.conj().T
                 fib = fiber_adjoint(fib)
                 integrand = integrand * np.conj(f.flat)
             else:
                 integrand = integrand * f.flat
-            grid_product = term if grid_product is None else grid_product @ term
             fiber_product = (
                 fib if fiber_product is None else fiber_mul(fiber_product, fib)
             )
-        lhs = eigenvalue_trace_approximant(np.linalg.eigvals(grid_product))
         trace_factor = tr_sigma(fiber_product).real
         rhs = float(spec.cell_volume * np.sum(integrand).real * trace_factor)
         degenerate = rhs == 0.0 and abs(lhs) < 1e-12
         results[case.label] = (
-            None if degenerate else ExperimentRow(case.label, lhs, rhs, lhs / rhs)
+            None
+            if degenerate
+            else ExperimentRow(case.label, lhs, rhs, lhs / rhs, spectrum=health)
         )
     digest = config_digest(
         {"experiment": "product", "grid": spec.shape,

@@ -36,7 +36,7 @@ import math
 import types
 from collections import namedtuple
 from collections.abc import Iterator, Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -113,7 +113,9 @@ def _symmetric_axis(half_width: float, count: int) -> np.ndarray:
 class GridSpec:
     """Symmetric box ``[-L, L]`` per axis; equal x and y counts.
 
-    Only the three-axis realization (first group) is operational.
+    Only the three-axis realization (first group) is operational.  ``cap``
+    bounds the point count when a spec is made and is no part of the grid:
+    specs that differ only in it are equal and share one model.
     """
 
     nx: int
@@ -122,7 +124,7 @@ class GridSpec:
     lx: float = 3.0
     ly: float = 3.0
     lt: float = 3.0
-    cap: int = 8000
+    cap: int = field(default=8000, compare=False)
 
     def __post_init__(self):
         for count in (self.nx, self.ny, self.nt):
@@ -408,8 +410,10 @@ _Block = namedtuple("_Block", "eps rho sigma colour rows cols matrix")
 
 
 def _join(blocks: Mapping[tuple[int, int], np.ndarray]) -> np.ndarray:
-    """The matrix of blocks keyed (row sector, column sector), zero where a
-    key is absent; a single block is returned uncopied."""
+    """The matrix of blocks keyed (row key, column key), in sorted key
+    order, zero where a key is absent; a key is a sector, or a (colour
+    class, sector) pair in the product table.  A single block is returned
+    uncopied."""
     if len(blocks) == 1:
         return next(iter(blocks.values()))
     heights = {rho: block.shape[0] for (rho, _), block in blocks.items()}
@@ -439,7 +443,9 @@ class _GridModel:
     transforms are built on first use; the model keeps no N x N array.  The
     sector blocks of a power are read straight off the t-block eigenpairs
     (``power_blocks``); ``power`` and ``assemble`` form dense N x N
-    matrices for the product factors only.  The model also splits each
+    matrices only for the product factors, which ``product_trace_check``
+    gathers into sector blocks (``_gathered``) as soon as each is built;
+    no product or eigenproblem is formed on them.  The model also splits each
     commutator ``[R_ell, M_f]`` into its independent SVD pieces and keeps
     one spectrum per (ell, f) (``commutator_spectrum``), which the bound
     and trace experiments and every sweep step on this grid share.

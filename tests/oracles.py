@@ -1,13 +1,15 @@
 """Dense oracles shared by the test modules.
 
 The package reads every grid operator through its t-blocks and sector
-blocks; these build the dense N x N matrices the tests compare against, and
-the grid ``L_p`` norm.  ``recorded_svd_shapes`` lets a test count the SVDs
-a computation makes.
+blocks; these build the dense N x N matrices the tests compare against, the
+dense eigenvalues of the ``product`` table and the grid ``L_p`` norm.
+``recorded_svd_shapes`` and ``recorded_eigenvalues`` let a test see the SVDs
+and the eigenvalue problems a computation solves.
 """
 
 import numpy as np
 
+from heislab.experiments import product_factor
 from heislab.grid import _ASYMMETRY_LIMIT, GridFunction, GridSpec, _model
 
 
@@ -52,3 +54,35 @@ def recorded_svd_shapes(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", recording_svd)
     return shapes
+
+
+def recorded_eigenvalues(monkeypatch):
+    """The results of every later ``np.linalg.eigvals`` call, one array per
+    call, as long as the side of its matrix."""
+    eigvals = np.linalg.eigvals
+    results = []
+
+    def recording_eigvals(a):
+        results.append(eigvals(a))
+        return results[-1]
+
+    monkeypatch.setattr(np.linalg, "eigvals", recording_eigvals)
+    return results
+
+
+def dense_product_eigenvalues(cases, spec, basis):
+    """Eigenvalues of every case of ``product_trace_check``, from the dense
+    N x N product of its factors and one ``np.linalg.eigvals`` of it."""
+    inverse_root = _model(spec).power(-0.5)
+    names = dict.fromkeys(name for case in cases for name in case.factors)
+    factors = {name: product_factor(spec, basis, name, inverse_root)[0] for name in names}
+    out = {}
+    for case in cases:
+        grid_product = None
+        for slot, (name, f) in enumerate(zip(case.factors, case.functions)):
+            term = factors[name] * f.flat[None, :]
+            if slot % 2 == 0:
+                term = term.conj().T
+            grid_product = term if grid_product is None else grid_product @ term
+        out[case.label] = np.linalg.eigvals(grid_product)
+    return out

@@ -30,7 +30,7 @@ from heislab.cli import (
 )
 from heislab.grid import GridSpec, _GridModel, _model
 
-from oracles import recorded_svd_shapes
+from oracles import recorded_eigenvalues, recorded_svd_shapes
 
 
 SUITE_TIMING = re.compile(r"\[(\w+)\] \d+\.\d{3} s, peak RSS \d+\.\d MB")
@@ -478,6 +478,20 @@ class TestRunCommand:
         # factor assembles its own t-blocks
         cli._run_product(load_config(write_config(tmp_path), {"suite": "product"}))
         assert dense_power_calls == ["power", "assemble", "assemble"]
+
+    def test_product_suite_solves_pieces_only(self, tmp_path, monkeypatch):
+        # the product table reads its eigenvalues piece by piece: at 9^3 the
+        # catalog's functions are even, so a piece is one sector of one
+        # colour class, at most 95 orbits
+        _model.cache_clear()
+        eigenvalues = recorded_eigenvalues(monkeypatch)
+        code = main(
+            ["run", "--suite", "product", "--grid", "9", "--out", str(tmp_path / "out")]
+        )
+        assert code == 0
+        sizes = [values.size for values in eigenvalues]
+        assert sizes and max(sizes) <= 95
+        assert sum(sizes) == 3 * 9**3
 
     def test_asymmetric_parity_block_is_rejected(self, tmp_path, monkeypatch, capsys):
         # every eigensolve of a model checks its parity halves first, so a

@@ -40,7 +40,13 @@ from heislab.oscillator import (
     tr_sigma,
 )
 
-from oracles import dense_riesz, norm_lp, recorded_svd_shapes
+from oracles import (
+    dense_product_eigenvalues,
+    dense_riesz,
+    norm_lp,
+    recorded_eigenvalues,
+    recorded_svd_shapes,
+)
 
 SPEC = GridSpec.cube(9)
 BASIS = enumerate_basis(1, 6)
@@ -358,6 +364,16 @@ class TestCommutatorSpectrum:
         with pytest.raises(ValueError, match="different grid"):
             trace_formula_experiment(named_family("trace", other), 1, SPEC, BASIS)
 
+    def test_spec_cap_leaves_the_grid_unchanged(self):
+        # the cap only bounds the point count: specs that differ in it are
+        # one grid, with one model, and a function made on either fits both
+        raised = GridSpec.cube(9, cap=10000)
+        assert raised == SPEC and hash(raised) == hash(SPEC)
+        assert _model(raised) is _model(SPEC)
+        report = bound_experiment(SPEC, named_family("bumps", raised), 1)
+        expected = bound_experiment(SPEC, named_family("bumps", SPEC), 1)
+        assert report.rows == expected.rows
+
     def test_no_parity_takes_the_full_matrix(self, monkeypatch):
         # two components pair the sectors of each colour class: two SVDs
         # per class, and none of the N x N matrix
@@ -547,6 +563,102 @@ class TestProductTrace:
 
         grid_mat, _ = product_factor(SPEC, BASIS, "a:1", inverse_root)
         assert np.linalg.norm(grid_mat, 2) <= 1.2
+
+
+PRODUCT_SHAPES = [(9, 9, 9), (9, 9, 10), (10, 10, 9)]
+
+
+def product_cases(spec, family):
+    """The shipped catalog on the family's first functions, as ``lab run
+    --suite product`` builds it, and an identity case; on ``bumps``, whose
+    fourth function is odd in x, also a Riesz pair on it and a case on the
+    sum of the family, which has no parity at all."""
+    fam = list(named_family(family, spec).values())
+    g1, g2, g3, g4 = fam[:4]
+    cases = [
+        ProductCase("all_flat", (g1, g2, g3, g1), ("flat_factor",) * 4),
+        ProductCase(
+            "riesz_mix",
+            (g1, g2, g3, g4),
+            ("flat_factor", "riesz:1", "flat_factor", "riesz:1"),
+        ),
+        ProductCase(
+            "symbol_mix", (g2, g1, g3, g1), ("flat_factor", "a:1", "flat_factor", "a:1")
+        ),
+        ProductCase("identity", (g1, g4, g2, g4), ("identity",) * 4),
+    ]
+    if family == "bumps":
+        mixed = GridFunction(spec, sum(f.values for f in fam))
+        cases += [
+            ProductCase(
+                "riesz_pair",
+                (g1, g4, g2, g4),
+                ("flat_factor", "riesz:2", "flat_factor", "riesz:2"),
+            ),
+            ProductCase(
+                "mixed", (mixed, g2, mixed, g3), ("riesz:2", "flat_factor", "a:2", "identity")
+            ),
+        ]
+    return cases
+
+
+class TestProductPieces:
+    """The piecewise eigenvalues of ``product_trace_check`` against one dense
+    ``eigvals`` of the N x N product (``dense_product_eigenvalues``)."""
+
+    @pytest.mark.parametrize("family", ["product", "bumps"])
+    @pytest.mark.parametrize("shape", PRODUCT_SHAPES)
+    def test_rows_match_dense_eigvals(self, shape, family):
+        spec = GridSpec(*shape)
+        cases = product_cases(spec, family)
+        dense = dense_product_eigenvalues(cases, spec, BASIS)
+        report = product_trace_check(cases, spec, BASIS)
+        rows = {row.label: row for row in report.rows}
+        for label, eigs in dense.items():
+            lhs = eigenvalue_trace_approximant(eigs)
+            if label in report.excluded:
+                assert abs(lhs) < 1e-12
+                continue
+            row = rows[label]
+            # a sum that cancels (the riesz_mix row of bumps, whose odd
+            # function gives it an odd character) is held to the scale of
+            # its terms, the approximant of the moduli
+            scale = eigenvalue_trace_approximant(np.abs(eigs))
+            assert row.lhs == pytest.approx(lhs, rel=1e-12, abs=1e-12 * scale)
+            mods = np.abs(eigs)
+            assert row.spectrum["usable"] == np.count_nonzero(
+                mods > CLAMP_RATIO * mods.max()
+            )
+            assert sum(row.spectrum["pieces"]) == spec.size
+
+    @pytest.mark.parametrize("shape", PRODUCT_SHAPES)
+    def test_odd_colour_flips_match_dense_eigvals(self, shape, monkeypatch):
+        # one colour-flipping factor: each piece holds both colour classes
+        # of a coset, and the trace vanishes, so the row is excluded and the
+        # eigenvalues are compared one by one
+        spec = GridSpec(*shape)
+        fam = list(named_family("bumps", spec).values())
+        g1, g2, g3, g4 = fam[:4]
+        odd = ProductCase(
+            "odd_flips", (g1, g4, g2, g4),
+            ("flat_factor", "riesz:1", "flat_factor", "flat_factor"),
+        )
+        live = ProductCase("all_flat", (g1, g2, g3, g1), ("flat_factor",) * 4)
+        dense = np.abs(dense_product_eigenvalues([odd], spec, BASIS)["odd_flips"])
+        pieces = recorded_eigenvalues(monkeypatch)
+        report = product_trace_check([odd, live], spec, BASIS)
+        assert report.excluded == ("odd_flips",)
+        count = len(report.rows[0].spectrum["pieces"])
+        # g4 (odd in x) and riesz:1 share the character (1, -1): two
+        # cosets, each one piece holding every colour
+        assert len(pieces) - count == 2
+        mods = np.abs(np.concatenate(pieces[:-count]))
+        assert mods.size == spec.size
+        dense, mods = np.sort(dense)[::-1], np.sort(mods)[::-1]
+        assert np.count_nonzero(mods > CLAMP_RATIO * mods[0]) == np.count_nonzero(
+            dense > CLAMP_RATIO * dense[0]
+        )
+        np.testing.assert_allclose(mods, dense, rtol=0.0, atol=1e-12 * dense[0])
 
 
 class TestEigenvalueApproximant:

@@ -424,13 +424,14 @@ def eigenvalue_trace_approximant(eigenvalues: np.ndarray) -> float:
     return float(np.sum(eigs[:usable]).real / math.log(usable + 2.0))
 
 
-def _grid_symbol_realization(spec: GridSpec, k: int) -> np.ndarray:
-    """Grid counterpart of the k-th commutator symbol via the entrywise kernel.
+def _grid_symbol_columns(model, k: int) -> np.ndarray:
+    """Grid counterpart of the k-th commutator symbol via the entrywise
+    kernel, as the columns of its kept t-blocks at the planar
+    representatives (``_GridModel.planar_representatives``).
 
     ``X_k`` and ``-Delta`` share the t-block structure, so the double
     operator integral is taken block by block, each block with its own table.
     """
-    model = _model(spec)
     w, v, live = model.eig()
     # kernel modes get a placeholder 1 so the table stays finite; their
     # rows and columns are zeroed below
@@ -444,36 +445,45 @@ def _grid_symbol_realization(spec: GridSpec, k: int) -> np.ndarray:
     v_adj = v.conj().transpose(0, 2, 1)
     fields = np.stack([model.planar_field(k, mu) for mu in model.mu])
     core = quarter[:, :, None] * (v_adj @ fields @ v) * quarter[:, None, :]
-    return model.assemble(v @ (table * core) @ v_adj)
+    return v @ (table * core) @ v_adj[:, :, model.planar_representatives()]
 
 
 def product_factor(
-    spec: GridSpec, basis: MultiIndexBasis, name: str, inverse_root: np.ndarray
-) -> tuple[np.ndarray, FiberOperator]:
-    """Resolve a catalog name to its grid matrix and fiber counterpart.
+    spec: GridSpec, basis: MultiIndexBasis, name: str
+) -> tuple[tuple[tuple[np.ndarray, ...], ...], FiberOperator]:
+    """Resolve a catalog name to the sector blocks of its grid operator (as
+    in ``_GridModel._gathered``) and its fiber counterpart.
 
-    ``inverse_root`` is the grid's dense ``(-Delta)^{-1/2}``, which the flat
-    factor and the Riesz factors are built on.
+    ``riesz:ell`` is the model's ``sector_blocks``; every other factor
+    hands the columns of its t-blocks at the planar representatives to
+    ``_GridModel.read_blocks``.  The vertical root V of the flat factor
+    acts on the t-index alone, so it scales t-block j of
+    ``(-Delta)^{-1/2}`` by ``u_j^H V u_j``.  No N x N array is formed.
     """
-    if name == "identity":
-        return np.eye(spec.size), fiber_identity(basis)
-    model = _model(spec)
-    if name == "flat_factor":
-        # the vertical root acts on the t-index, the fastest of (x, y, t)
-        rows = inverse_root.reshape(-1, spec.nt) @ model.vertical_quarter_root()
-        grid = rows.reshape(spec.size, spec.size)
-        energies = np.diag(oscillator_matrix(basis)).real
-        return grid, tensor_scalar(basis, np.diag(energies**-0.5), "one")
     kind, _, index = name.partition(":")
-    if kind == "riesz" and index.isdigit():
-        k = int(index)
-        return model.apply_field(k, inverse_root), riesz_symbol(basis, k)
-    if kind == "a" and index.isdigit():
-        k = int(index)
-        if k not in (1, 2):
-            raise ValueError(f"symbol index {k} outside 1..2")
-        return _grid_symbol_realization(spec, k), build_a_fiber(basis, k)
-    raise ValueError(f"no fiber counterpart for factor {name!r}")
+    k = int(index) if kind in ("riesz", "a") and index.isdigit() else None
+    if k is not None and k not in (1, 2):
+        raise ValueError(f"{kind} index {k} outside 1..2")
+    model = _model(spec)
+    if kind == "riesz" and k:
+        return model.sector_blocks(k), riesz_symbol(basis, k)
+    reps = model.planar_representatives()
+    if name == "identity":
+        columns = np.zeros((model.mu.size, spec.nx * spec.ny, reps.size), dtype=complex)
+        columns[:, reps, np.arange(reps.size)] = 1.0
+        fiber = fiber_identity(basis)
+    elif name == "flat_factor":
+        u = model._t_vectors
+        weights = np.einsum("kj,kl,lj->j", u.conj(), model.vertical_quarter_root(), u)
+        columns = model.planar_power(-0.5, reps) * weights.real[:, None, None]
+        energies = np.diag(oscillator_matrix(basis)).real
+        fiber = tensor_scalar(basis, np.diag(energies**-0.5), "one")
+    elif kind == "a" and k:
+        columns = _grid_symbol_columns(model, k)
+        fiber = build_a_fiber(basis, k)
+    else:
+        raise ValueError(f"no fiber counterpart for factor {name!r}")
+    return model.read_blocks(columns, *_factor_structure(name)), fiber
 
 
 @dataclass(frozen=True)
@@ -499,22 +509,6 @@ def _factor_structure(name: str) -> tuple[tuple[int, int], bool]:
     return SECTORS[0], False
 
 
-def _gather_factor(
-    model, matrix: np.ndarray, character: tuple[int, int], flip: bool
-) -> tuple[tuple[np.ndarray, ...], ...]:
-    """The sector blocks of a dense product factor in the layout of
-    ``_GridModel._gathered``: each entry sums ``tau(g) sigma(h) matrix[g a,
-    h b]`` over the 16 pairs (g, h) of the reflection group."""
-    table = model.sectors().table
-
-    def accumulate(out, weights, rows, cols):
-        # picked[g, h, a, b] = matrix[g a, h b]
-        picked = matrix[table[:, rows][:, None, :, None], table[:, cols][None, :, None, :]]
-        out += np.tensordot(weights, picked, axes=2)
-
-    return model._gathered(character, flip, accumulate)
-
-
 def product_trace_check(
     cases: Sequence[ProductCase], spec: GridSpec, basis: MultiIndexBasis
 ) -> ExperimentReport:
@@ -527,8 +521,8 @@ def product_trace_check(
 
     The eigenvalues are read piece by piece in sector coordinates.  Each
     factor F has a reflection character chi and keeps or flips colour
-    (``_factor_structure``); it is gathered once into its sector blocks
-    ``Ft_sigma``.  A reflection component f_eps of a function gives
+    (``_factor_structure``); its sector blocks ``Ft_sigma`` are read once
+    (``product_factor``).  A reflection component f_eps of a function gives
     ``F M_{f_eps} Q_sigma = Q_{sigma eps chi} Ft_{sigma eps} diag(f_eps)``
     (see ``_GridModel.commutator_blocks``).  Let H be the subgroup generated
     by the components of the case's functions and the product of its
@@ -556,18 +550,12 @@ def product_trace_check(
     colours = [cols for _, cols in orbits.classes]
     live = [[np.flatnonzero(orbits.live[k, cols]) for k in range(len(SECTORS))]
             for cols in colours]
-    # each distinct factor is realized and gathered once, and the flat and
-    # Riesz factors share one (-Delta)^{-1/2}; no dense factor outlives its
-    # gather
+    # each distinct factor is realized once, straight as its sector blocks
     names = dict.fromkeys(name for case in cases for name in case.factors)
     structure = {name: _factor_structure(name) for name in names}
-    inverse_root = model.power(-0.5)
     fibers, blocks = {}, {}
     for name in names:
-        grid_mat, fibers[name] = product_factor(spec, basis, name, inverse_root)
-        blocks[name] = _gather_factor(model, grid_mat, *structure[name])
-        del grid_mat
-    del inverse_root
+        blocks[name], fibers[name] = product_factor(spec, basis, name)
 
     def image(cell: tuple[int, int], name: str) -> tuple[int, int]:
         """The (colour class, sector) that factor ``name`` maps ``cell`` to."""
@@ -657,11 +645,22 @@ def product_trace_check(
                 fib if fiber_product is None else fiber_mul(fiber_product, fib)
             )
         trace_factor = tr_sigma(fiber_product).real
-        rhs = float(spec.cell_volume * np.sum(integrand).real * trace_factor)
-        degenerate = rhs == 0.0 and abs(lhs) < 1e-12
+        total = np.sum(integrand)
+        rhs = float(spec.cell_volume * total.real * trace_factor)
+        # a side vanishes when it is rounding next to the scale of its
+        # terms: the integral of a cancelling integrand, or the eigenvalue
+        # sum against the approximant of the moduli
+        cancelled = 16.0 * np.finfo(float).eps * np.sum(np.abs(integrand))
+        rhs_vanishes = rhs == 0.0 or abs(total) <= cancelled
+        lhs_vanishes = abs(lhs) <= 1e-12 * eigenvalue_trace_approximant(np.abs(eigs))
+        if rhs_vanishes and not lhs_vanishes:
+            raise ValueError(
+                f"inconsistent row {case.label!r}: fiber mass vanished but the "
+                f"grid estimate is {lhs!r}"
+            )
         results[case.label] = (
             None
-            if degenerate
+            if rhs_vanishes
             else ExperimentRow(case.label, lhs, rhs, lhs / rhs, spectrum=health)
         )
     digest = config_digest(

@@ -62,7 +62,7 @@ KERNEL_THRESHOLD = 1e-10
 
 _ASYMMETRY_LIMIT = 1e-8
 
-# columns of a grid power read per batched matmul in ``power_blocks``; the
+# columns of a grid operator read per batched matmul in ``read_blocks``; the
 # batch holds this many grid columns of N entries
 _COLUMN_BATCH = 64
 
@@ -441,11 +441,10 @@ class _GridModel:
     pseudo-inverse policy).  The block eigendecomposition, reflection orbits
     and the sector blocks of the fields, the inverse root and the Riesz
     transforms are built on first use; the model keeps no N x N array.  The
-    sector blocks of a power are read straight off the t-block eigenpairs
-    (``power_blocks``); ``power`` and ``assemble`` form dense N x N
-    matrices only for the product factors, which ``product_trace_check``
-    gathers into sector blocks (``_gathered``) as soon as each is built;
-    no product or eigenproblem is formed on them.  The model also splits each
+    sector blocks of an operator that the t-blocks carry are read straight
+    off its t-block columns at the planar representatives (``read_blocks``),
+    the powers (``power_blocks``) and the ``product`` factors alike; no
+    N x N array is formed.  The model also splits each
     commutator ``[R_ell, M_f]`` into its independent SVD pieces and keeps
     one spectrum per (ell, f) (``commutator_spectrum``), which the bound
     and trace experiments and every sweep step on this grid share.
@@ -614,24 +613,9 @@ class _GridModel:
             self._eig = (w, v, live)
         return self._eig
 
-    def assemble(self, blocks: np.ndarray) -> np.ndarray:
-        """The real N x N grid matrix with t-block j equal to ``blocks[j]``.
-
-        ``blocks`` holds the kept blocks (h x M x M); block nt+1-j is taken
-        as the conjugate of block j, which is what makes the result real.
-        """
-        nx, ny, nt = self.spec.shape
-        parts = np.concatenate([blocks.real, blocks.imag])
-        out = np.empty((nx * ny, nt, nx * ny, nt))
-        for k in range(nt):
-            out[:, k] = np.tensordot(parts, self._t_outer[:, k], axes=(0, 0))
-        return out.reshape(self.spec.size, self.spec.size)
-
-    def planar_power(
-        self, exponent: float, columns: np.ndarray | None = None
-    ) -> np.ndarray:
-        """The columns ``columns`` (all by default) of the kept t-blocks
-        ``B_j`` of ``(-Delta)^exponent``, zero on the kernel: h x M x k.
+    def planar_power(self, exponent: float, columns: np.ndarray) -> np.ndarray:
+        """The columns ``columns`` of the kept t-blocks ``B_j`` of
+        ``(-Delta)^exponent``, zero on the kernel: h x M x k.
 
         Per parity half ``B = O K O^H`` with the real ``K = U w^exponent
         U^T`` of ``parity_eig``.  Row m of O holds m's phase-1 and phase-i
@@ -644,8 +628,6 @@ class _GridModel:
         The grid power of these blocks thus commutes exactly with the
         reflections and keeps colour exactly.
         """
-        if columns is None:
-            columns = np.arange(self.spec.nx * self.spec.ny)
         halves = self.parity_eig()
         shape = (halves[0][0].shape[0], self._odd_pairs.shape[0], columns.size)
         out = np.zeros(shape, dtype=complex)
@@ -665,30 +647,35 @@ class _GridModel:
         imag[:, ~odd] = 0.0
         return out
 
-    def power(self, exponent: float) -> np.ndarray:
-        """Dense ``(-Delta)^exponent`` on the live modes, zero on the kernel."""
-        return self.assemble(self.planar_power(exponent))
+    def planar_representatives(self) -> np.ndarray:
+        """The planar points of the orbit representatives, ascending: the
+        t-block columns ``read_blocks`` takes."""
+        table = self.sectors().table
+        size = self.spec.nx * self.spec.ny
+        return np.flatnonzero(np.bincount(table[0] // self.spec.nt, minlength=size))
 
-    def power_blocks(self, exponent: float) -> tuple[tuple[np.ndarray, ...], ...]:
-        """The sector blocks ``Q_sigma^T (-Delta)^exponent Q_sigma`` of the
-        colour-keeping power (see ``_gathered``), straight from the t-block
-        eigenpairs.
+    def read_blocks(
+        self, blocks: np.ndarray, character: tuple[int, int], flip: bool
+    ) -> tuple[tuple[np.ndarray, ...], ...]:
+        """The sector blocks ``Q_{sigma chi}^T T Q_sigma`` (see ``_gathered``)
+        of the real grid operator T whose kept t-blocks ``B_j`` have the
+        columns ``blocks`` (h x M x k) at ``planar_representatives``; T has
+        the reflection character chi = ``character`` and flips colour when
+        ``flip``.
 
-        The power P commutes with the reflections, so ``sum_{g,h} sigma(g)
-        sigma(h) P[g a, h b] = 4 sum_g sigma(g) P[g a, b]`` when b is an
-        orbit representative: only the columns of P at the representatives
-        are read.  Column ``(n, l)`` (planar point n, t-index l) is
-        ``sum_p parts[p][:, n] (x) _t_outer[p][:, l]`` with ``parts = [Re B;
-        Im B]`` of ``planar_power``, and n is a representative of the planar
-        group; a batch of columns is one batched matmul, read by four row
-        gathers.
+        ``P_h T P_h = chi(h) T`` and ``tau = sigma chi`` give ``sum_{g,h}
+        tau(g) sigma(h) T[g a, h b] = 4 sum_g tau(g) T[g a, b]``, so when b
+        is an orbit representative only the columns of T at the
+        representatives are read.  Column ``(n, l)`` (planar point n,
+        t-index l) is ``sum_p parts[p][:, n] (x) _t_outer[p][:, l]`` with
+        ``parts = [Re B; Im B]``; a batch of columns is one batched matmul,
+        read by four row gathers.
         """
         nt = self.spec.nt
         table = self.sectors().table
-        at_reps = np.bincount(table[0] // nt, minlength=self._odd_pairs.shape[0]) > 0
         # position[n]: where planar point n sits among the representatives
-        position = np.cumsum(at_reps) - 1
-        blocks = self.planar_power(exponent, np.flatnonzero(at_reps))
+        position = np.zeros(self._odd_pairs.shape[0], dtype=int)
+        position[self.planar_representatives()] = np.arange(blocks.shape[2])
         half = blocks.shape[0]
         # by_column[c, m, p] = parts[p][m, n] for the c-th representative n,
         # so a gather of columns is contiguous
@@ -702,14 +689,21 @@ class _GridModel:
             for start in range(0, cols.size, _COLUMN_BATCH):
                 batch = slice(start, start + _COLUMN_BATCH)
                 planar, vertical = np.divmod(table[0, cols[batch]], nt)
-                # columns[b] = P[:, table[0, b]], over the grid's flat index
+                # columns[b] = T[:, table[0, b]], over the grid's flat index
                 columns = np.matmul(by_column[position[planar]], by_step[vertical])
                 columns = columns.reshape(planar.size, -1)
-                # picked[b, g, a] = P[g a, b]
+                # picked[b, g, a] = T[g a, b]
                 picked = columns[:, table[:, rows]]
                 out[:, :, batch] = np.matmul(signs, picked).transpose(1, 2, 0)
 
-        return self._gathered((1, 1), False, accumulate)
+        return self._gathered(character, flip, accumulate)
+
+    def power_blocks(self, exponent: float) -> tuple[tuple[np.ndarray, ...], ...]:
+        """The sector blocks ``Q_sigma^T (-Delta)^exponent Q_sigma`` of the
+        power, which keeps sector and colour, read off the t-block
+        eigenpairs (``read_blocks``)."""
+        columns = self.planar_power(exponent, self.planar_representatives())
+        return self.read_blocks(columns, SECTORS[0], False)
 
     def kernel(self) -> np.ndarray:
         """Real orthonormal N x k basis of the numerical kernel."""
@@ -781,7 +775,7 @@ class _GridModel:
     ) -> tuple[tuple[np.ndarray, ...], ...]:
         """The sector blocks ``Q_{sigma chi}^T T Q_sigma`` of a grid operator
         T of reflection character chi, cut by colour; the frame of
-        ``power_blocks`` and ``field_blocks``.
+        ``read_blocks`` and ``field_blocks``.
 
         Entry ``[k][c]`` belongs to ``sigma = SECTORS[k]``; its columns are
         the orbits ``classes[c][1]`` (see ``_Orbits``) and its rows

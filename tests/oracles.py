@@ -1,16 +1,93 @@
 """Dense oracles shared by the test modules.
 
 The package reads every grid operator through its t-blocks and sector
-blocks; these build the dense N x N matrices the tests compare against, the
-dense eigenvalues of the ``product`` table and the grid ``L_p`` norm.
+blocks; these build the dense N x N matrices the tests compare against (the
+powers and the ``product`` factors assembled from the t-blocks), the dense
+eigenvalues of the ``product`` table and the grid ``L_p`` norm.
 ``recorded_svd_shapes`` and ``recorded_eigenvalues`` let a test see the SVDs
 and the eigenvalue problems a computation solves.
 """
 
 import numpy as np
 
-from heislab.experiments import product_factor
+from heislab.doi import build_a_fiber
 from heislab.grid import _ASYMMETRY_LIMIT, GridFunction, GridSpec, _model
+from heislab.oscillator import (
+    fiber_identity,
+    oscillator_matrix,
+    riesz_symbol,
+    tensor_scalar,
+)
+
+
+def assemble(model, blocks: np.ndarray) -> np.ndarray:
+    """The real N x N grid matrix with t-block j equal to ``blocks[j]``.
+
+    ``blocks`` holds the kept blocks (h x M x M); block nt+1-j is taken
+    as the conjugate of block j, which is what makes the result real.
+    """
+    nx, ny, nt = model.spec.shape
+    parts = np.concatenate([blocks.real, blocks.imag])
+    out = np.empty((nx * ny, nt, nx * ny, nt))
+    for k in range(nt):
+        out[:, k] = np.tensordot(parts, model._t_outer[:, k], axes=(0, 0))
+    return out.reshape(model.spec.size, model.spec.size)
+
+
+def assembled_power(model, exponent: float) -> np.ndarray:
+    """Dense ``(-Delta)^exponent`` on the live modes, zero on the kernel."""
+    every = np.arange(model.spec.nx * model.spec.ny)
+    return assemble(model, model.planar_power(exponent, every))
+
+
+def assembled_symbol_realization(spec: GridSpec, k: int) -> np.ndarray:
+    """Grid counterpart of the k-th commutator symbol via the entrywise kernel.
+
+    ``X_k`` and ``-Delta`` share the t-block structure, so the double
+    operator integral is taken block by block, each block with its own table.
+    """
+    model = _model(spec)
+    w, v, live = model.eig()
+    # kernel modes get a placeholder 1 so the table stays finite; their
+    # rows and columns are zeroed below
+    safe = np.where(live, w, 1.0)
+    quarter = np.where(live, safe**-0.25, 0.0)
+    fourth = safe**0.25
+    root = np.sqrt(safe)
+    table = 2.0 * fourth[:, :, None] * fourth[:, None, :]
+    table /= root[:, :, None] + root[:, None, :]
+    table *= live[:, :, None] & live[:, None, :]
+    v_adj = v.conj().transpose(0, 2, 1)
+    fields = np.stack([model.planar_field(k, mu) for mu in model.mu])
+    core = quarter[:, :, None] * (v_adj @ fields @ v) * quarter[:, None, :]
+    return assemble(model, v @ (table * core) @ v_adj)
+
+
+def assembled_product_factor(spec, basis, name: str, inverse_root: np.ndarray):
+    """Resolve a catalog name to its dense grid matrix and fiber counterpart.
+
+    ``inverse_root`` is the grid's dense ``(-Delta)^{-1/2}``, which the flat
+    factor and the Riesz factors are built on.
+    """
+    if name == "identity":
+        return np.eye(spec.size), fiber_identity(basis)
+    model = _model(spec)
+    if name == "flat_factor":
+        # the vertical root acts on the t-index, the fastest of (x, y, t)
+        rows = inverse_root.reshape(-1, spec.nt) @ model.vertical_quarter_root()
+        grid = rows.reshape(spec.size, spec.size)
+        energies = np.diag(oscillator_matrix(basis)).real
+        return grid, tensor_scalar(basis, np.diag(energies**-0.5), "one")
+    kind, _, index = name.partition(":")
+    if kind == "riesz" and index.isdigit():
+        k = int(index)
+        return model.apply_field(k, inverse_root), riesz_symbol(basis, k)
+    if kind == "a" and index.isdigit():
+        k = int(index)
+        if k not in (1, 2):
+            raise ValueError(f"symbol index {k} outside 1..2")
+        return assembled_symbol_realization(spec, k), build_a_fiber(basis, k)
+    raise ValueError(f"no fiber counterpart for factor {name!r}")
 
 
 def dense_sublaplacian(spec: GridSpec) -> np.ndarray:
@@ -33,7 +110,7 @@ def dense_sublaplacian(spec: GridSpec) -> np.ndarray:
 def dense_riesz(spec: GridSpec, ell: int) -> np.ndarray:
     """Dense ``X_ell (-Delta)^{-1/2}``, built anew on each call."""
     model = _model(spec)
-    return model.apply_field(ell, model.power(-0.5))
+    return model.apply_field(ell, assembled_power(model, -0.5))
 
 
 def norm_lp(f: GridFunction, p: float) -> float:
@@ -73,9 +150,12 @@ def recorded_eigenvalues(monkeypatch):
 def dense_product_eigenvalues(cases, spec, basis):
     """Eigenvalues of every case of ``product_trace_check``, from the dense
     N x N product of its factors and one ``np.linalg.eigvals`` of it."""
-    inverse_root = _model(spec).power(-0.5)
+    inverse_root = assembled_power(_model(spec), -0.5)
     names = dict.fromkeys(name for case in cases for name in case.factors)
-    factors = {name: product_factor(spec, basis, name, inverse_root)[0] for name in names}
+    factors = {
+        name: assembled_product_factor(spec, basis, name, inverse_root)[0]
+        for name in names
+    }
     out = {}
     for case in cases:
         grid_product = None

@@ -6,6 +6,7 @@ the physics-grade defaults are exercised by the acceptance tests.
 
 import argparse
 import json
+import os
 import re
 import subprocess
 import sys
@@ -59,6 +60,24 @@ def commutator_blocks(shapes):
     both sides above 20; the fiber norms take batched 3-d SVDs and the
     Gram samplings small 2-d ones."""
     return [shape for shape in shapes if len(shape) == 2 and min(shape) > 20]
+
+
+def table_rows(payload):
+    """Every value of the ``rows`` tables of an artifact, keyed by its path."""
+    out = {}
+
+    def walk(node, path, in_rows):
+        if isinstance(node, dict):
+            for key, value in node.items():
+                walk(value, path + (key,), in_rows or key == "rows")
+        elif isinstance(node, list):
+            for index, value in enumerate(node):
+                walk(value, path + (index,), in_rows)
+        elif in_rows:
+            out[path] = node
+
+    walk(payload, (), False)
+    return out
 
 
 def write_config(tmp_path, **entries):
@@ -277,23 +296,6 @@ def power_exponents(monkeypatch):
     return exponents
 
 
-@pytest.fixture
-def dense_power_calls(monkeypatch):
-    """Names of the ``_GridModel.power`` and ``assemble`` calls made after a
-    cold model cache."""
-    calls = []
-    for name in ("power", "assemble"):
-        method = getattr(_GridModel, name)
-
-        def recording(self, *args, _name=name, _method=method):
-            calls.append(_name)
-            return _method(self, *args)
-
-        monkeypatch.setattr(_GridModel, name, recording)
-    _model.cache_clear()
-    return calls
-
-
 def reachable_arrays(obj, seen=None):
     """Every array reachable from ``obj`` through attributes, containers
     and the bases of views."""
@@ -466,18 +468,21 @@ class TestRunCommand:
         run_suite(load_config(write_config(tmp_path), {"suite": "bound"}))
         assert power_exponents == [-0.5]
 
-    @pytest.mark.parametrize("suite", ["grid", "bound", "trace"])
-    def test_cold_run_forms_no_dense_power(self, tmp_path, suite, dense_power_calls):
-        # the sector blocks of the powers come straight from the t-block
-        # eigenpairs; only the product suite assembles a dense power
-        run_suite(load_config(write_config(tmp_path), {"suite": suite}))
-        assert dense_power_calls == []
-
-    def test_product_suite_takes_one_dense_inverse_root(self, tmp_path, dense_power_calls):
-        # the flat and Riesz factors share one (-Delta)^{-1/2}; the symbol
-        # factor assembles its own t-blocks
-        cli._run_product(load_config(write_config(tmp_path), {"suite": "product"}))
-        assert dense_power_calls == ["power", "assemble", "assemble"]
+    def test_cancelling_product_row_is_excluded(self, tmp_path):
+        # on bumps at 10^3 the riesz_mix case carries the odd function
+        # odd_x: its integral cancels to a rounding residue and so does its
+        # eigenvalue sum, so the row is left out of the table and of the
+        # variation instead of entering them as a ratio of two residues
+        out = tmp_path / "out"
+        code = main(
+            ["run", "--suite", "product", "--grid", "10", "--family", "bumps",
+             "--out", str(out)]
+        )
+        assert code == 0
+        (path,) = out.glob("product_*.json")
+        experiment = json.loads(path.read_text())["extra"]["experiment"]
+        assert experiment["excluded"] == ["riesz_mix"]
+        assert [row["label"] for row in experiment["rows"]] == ["all_flat", "symbol_mix"]
 
     def test_product_suite_solves_pieces_only(self, tmp_path, monkeypatch):
         # the product table reads its eigenvalues piece by piece: at 9^3 the
@@ -530,6 +535,21 @@ class TestRunCommand:
             tracemalloc.stop()
             _model.cache_clear()
         assert peak < (13**3) ** 2 * 8
+
+    def test_cold_product_run_peaks_below_two_dense_matrices(self, tmp_path):
+        # every product factor is read off the t-blocks as sector blocks:
+        # at 13^3 the run never holds the two N x N float64 arrays a dense
+        # factor and its gather would take
+        _model.cache_clear()
+        config = load_config(write_config(tmp_path, grid_size=13), {"suite": "product"})
+        tracemalloc.start()
+        try:
+            run_suite(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            _model.cache_clear()
+        assert peak < 2 * (13**3) ** 2 * 8
 
     @pytest.mark.parametrize("suite", ["bound", "trace", "grid"])
     def test_cold_run_leaves_no_dense_matrix_on_the_model(self, tmp_path, suite):
@@ -631,6 +651,37 @@ class TestRunCommand:
         )
         assert result.returncode == 0
         assert "[hermite] PASS" in result.stdout
+
+    def test_verdicts_and_rows_agree_across_blas_thread_counts(self, tmp_path):
+        # byte identity holds for one BLAS build and one thread count; with
+        # another count the factorizations sum in another order, so only the
+        # verdicts must agree exactly, and every table row to rounding
+        runs = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            result = subprocess.run(
+                [sys.executable, "-m", "heislab.cli", "run", "--suite", "all",
+                 "--grid", "9", "--seed", "7", "--out", str(out)],
+                capture_output=True,
+                text=True,
+                env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+            )
+            payloads = {
+                path.name: json.loads(path.read_text()) for path in out.glob("*.json")
+            }
+            runs.append((result.returncode, payloads))
+        (code, first), (other_code, second) = runs
+        assert code == other_code and len(first) == 7
+        assert sorted(first) == sorted(second)
+        for name, payload in first.items():
+            again = second[name]
+            assert (payload["passed"], payload["violations"]) == (
+                again["passed"], again["violations"]
+            ), name
+            rows, rows_again = table_rows(payload), table_rows(again)
+            assert rows.keys() == rows_again.keys(), name
+            for key, value in rows.items():
+                assert rows_again[key] == pytest.approx(value, rel=1e-12, abs=0.0), key
 
     def test_grid_suites_load_no_scipy_subpackage(self, tmp_path):
         # one fresh interpreter runs the suites in turn, then all of them,

@@ -41,6 +41,8 @@ from heislab.oscillator import (
 )
 
 from oracles import (
+    assembled_power,
+    assembled_product_factor,
     dense_product_eigenvalues,
     dense_riesz,
     norm_lp,
@@ -456,12 +458,6 @@ class TestTraceFormula:
             trace_formula_experiment({"f": wide_bump()}, 1, SPEC, BASIS)
 
 
-@pytest.fixture(scope="module")
-def inverse_root():
-    """The dense ``(-Delta)^{-1/2}`` of ``SPEC`` that the product factors read."""
-    return _model(SPEC).power(-0.5)
-
-
 class TestProductTrace:
     def test_identity_factor_reduction(self):
         fs = tuple(
@@ -500,9 +496,9 @@ class TestProductTrace:
     def test_catalog_spread(self, monkeypatch):
         resolved = []
 
-        def counting_factor(spec, basis, name, inverse_root):
+        def counting_factor(spec, basis, name):
             resolved.append(name)
-            return product_factor(spec, basis, name, inverse_root)
+            return product_factor(spec, basis, name)
 
         monkeypatch.setattr(experiments, "product_factor", counting_factor)
         fam = named_family("product", SPEC)
@@ -535,34 +531,54 @@ class TestProductTrace:
         with pytest.raises(ValueError, match="factor name per function"):
             ProductCase("bad", (f, f, f, f), ("identity",))
 
-    def test_unknown_factor(self, inverse_root):
+    def test_unknown_factor(self):
         with pytest.raises(ValueError, match="no fiber counterpart"):
-            product_factor(SPEC, BASIS, "mystery", inverse_root)
+            product_factor(SPEC, BASIS, "mystery")
         with pytest.raises(ValueError, match="outside"):
-            product_factor(SPEC, BASIS, "a:3", inverse_root)
+            product_factor(SPEC, BASIS, "a:3")
+        with pytest.raises(ValueError, match="outside"):
+            product_factor(SPEC, BASIS, "riesz:0")
 
     @pytest.mark.parametrize("shape", [(9, 9, 9), (9, 9, 10)])
     def test_flat_factor_matches_kronecker_oracle(self, shape):
+        # the dense oracle's flat factor, which the sector blocks are
+        # checked against, is the Kronecker product of the vertical root
         spec = GridSpec(*shape)
         model = _model(spec)
-        inverse_root = model.power(-0.5)
+        inverse_root = assembled_power(model, -0.5)
         oracle = inverse_root @ np.kron(
             np.eye(spec.nx * spec.ny), model.vertical_quarter_root()
         )
-        grid_mat, _ = product_factor(spec, BASIS, "flat_factor", inverse_root)
+        grid_mat, _ = assembled_product_factor(spec, BASIS, "flat_factor", inverse_root)
         assert np.linalg.norm(grid_mat - oracle) <= 1e-13 * np.linalg.norm(oracle)
 
-    def test_factor_catalog_matches_components(self, inverse_root):
-        grid_mat, fiber = product_factor(SPEC, BASIS, "identity", inverse_root)
-        np.testing.assert_array_equal(grid_mat, np.eye(SPEC.size))
+    def test_factor_catalog_matches_components(self):
+        model = _model(SPEC)
+        orbits = model.sectors()
+        blocks, fiber = product_factor(SPEC, BASIS, "identity")
+        for live, per_class in zip(orbits.live, blocks):
+            for (_, cols), block in zip(orbits.classes, per_class):
+                identity = np.diag(live[cols].astype(float))
+                assert np.abs(block - identity).max() <= 1e-15
         assert tr_sigma(fiber).real == pytest.approx(2 * BASIS.dim)
 
-        grid_mat, fiber = product_factor(SPEC, BASIS, "riesz:2", inverse_root)
-        np.testing.assert_array_equal(grid_mat, dense_riesz(SPEC, 2))
+        blocks, fiber = product_factor(SPEC, BASIS, "riesz:2")
+        assert blocks is model.sector_blocks(2)
         np.testing.assert_array_equal(fiber.minus, riesz_symbol(BASIS, 2).minus)
 
-        grid_mat, _ = product_factor(SPEC, BASIS, "a:1", inverse_root)
-        assert np.linalg.norm(grid_mat, 2) <= 1.2
+        # the sector blocks are compressions of the grid operator to
+        # orthonormal bases, so none has a larger norm
+        blocks, _ = product_factor(SPEC, BASIS, "a:1")
+        assert max(np.linalg.norm(b, 2) for per in blocks for b in per) <= 1.2
+
+    def test_vanishing_fiber_mass_with_a_live_estimate_is_rejected(self, monkeypatch):
+        # a trace factor of 0 makes the right side vanish while the
+        # eigenvalue sum of the product stays at the scale of its terms
+        monkeypatch.setattr(experiments, "tr_sigma", lambda op: 0j)
+        f = wide_bump()
+        case = ProductCase("forced", (f, f, f, f), ("flat_factor",) * 4)
+        with pytest.raises(ValueError, match="inconsistent row 'forced'"):
+            product_trace_check([case], SPEC, BASIS)
 
 
 PRODUCT_SHAPES = [(9, 9, 9), (9, 9, 10), (10, 10, 9)]

@@ -7,7 +7,7 @@ import pytest
 from scipy import sparse
 from scipy.sparse import linalg as sparse_linalg
 
-from heislab.experiments import _grid_symbol_realization, named_family
+from heislab.experiments import named_family, product_factor
 from heislab.grid import (
     _FIELD_CHARACTER,
     KERNEL_THRESHOLD,
@@ -24,8 +24,17 @@ from heislab.grid import (
     sobolev_seminorm,
     sublaplacian_spectrum,
 )
+from heislab.oscillator import enumerate_basis
 
-from oracles import dense_riesz, dense_sublaplacian, norm_lp
+import oracles
+from oracles import (
+    assembled_power,
+    assembled_product_factor,
+    assembled_symbol_realization,
+    dense_riesz,
+    dense_sublaplacian,
+    norm_lp,
+)
 
 SPEC = GridSpec.cube(9)
 
@@ -85,7 +94,7 @@ def dense_inverse_sqrt(matrix):
 
 
 def dense_symbol_realization(spec, eig, k):
-    """Oracle for ``_grid_symbol_realization``: the double operator integral
+    """Oracle for ``assembled_symbol_realization``: the double operator integral
     taken over the dense eigenbasis, with one N x N table."""
     w, u, live = eig
     safe = np.where(live, w, 1.0)
@@ -102,8 +111,9 @@ def dense_split(spec, functions, ell):
     N x N products and projected off the kernel by rank-k updates; one
     record per function, without the reflection components."""
     model = _model(spec)
-    inv_sqrt = model.power(-0.5)
-    sqrt_mat = model.power(0.5)
+    # read through the module, so a test can perturb the powers
+    inv_sqrt = oracles.assembled_power(model, -0.5)
+    sqrt_mat = oracles.assembled_power(model, 0.5)
     x_mat = sparse_fields(spec)[ell - 1]
     riesz = x_mat @ inv_sqrt
     kernel = model.kernel()
@@ -277,14 +287,14 @@ class TestSublaplacian:
 
 class TestSpectralFunction:
     def test_identity_profile(self):
-        out = _model(SPEC).power(1.0)
+        out = assembled_power(_model(SPEC), 1.0)
         np.testing.assert_allclose(out, dense_sublaplacian(SPEC), atol=1e-10)
 
     def test_inverse_root_on_diagonal(self):
         # in the eigenbasis the power is diagonal; check the smallest and
         # the largest live eigenvalue
         w, v, live = dense_eig(dense_sublaplacian(SPEC))
-        inv_sqrt = _model(SPEC).power(-0.5)
+        inv_sqrt = assembled_power(_model(SPEC), -0.5)
         for j in (np.flatnonzero(live)[0], w.size - 1):
             np.testing.assert_allclose(
                 inv_sqrt @ v[:, j], w[j] ** -0.5 * v[:, j], atol=1e-12 * w[j] ** -0.5
@@ -295,15 +305,17 @@ class TestSpectralFunction:
         w, _, live = model.eig()
         assert np.array_equal(live, np.abs(w) > KERNEL_THRESHOLD * np.abs(w).max())
         assert not live.all()
-        assert np.abs(model.power(-0.5) @ unit_checkerboard(SPEC)).max() < 1e-12
+        inv_sqrt = assembled_power(model, -0.5)
+        assert np.abs(inv_sqrt @ unit_checkerboard(SPEC)).max() < 1e-12
 
     def test_inverse_root_matches_dense_oracle(self):
         oracle = dense_inverse_sqrt(dense_sublaplacian(SPEC))
-        gap = np.linalg.norm(_model(SPEC).power(-0.5) - oracle) / np.linalg.norm(oracle)
+        inv_sqrt = assembled_power(_model(SPEC), -0.5)
+        gap = np.linalg.norm(inv_sqrt - oracle) / np.linalg.norm(oracle)
         assert gap <= 1e-13
 
     def test_kernel_complement_projection(self):
-        proj = _model(SPEC).power(0.0)
+        proj = assembled_power(_model(SPEC), 0.0)
         np.testing.assert_allclose(proj, proj.T, atol=1e-14)
         np.testing.assert_allclose(proj @ proj, proj, atol=1e-13)
         assert np.abs(proj @ unit_checkerboard(SPEC)).max() < 1e-13
@@ -390,7 +402,8 @@ class TestTBlockCalculus:
     @pytest.mark.parametrize("exponent", [-0.5, 0.5])
     def test_power(self, oracle, exponent):
         spec, eig = oracle
-        gap = relative_gap(_model(spec).power(exponent), dense_power(eig, exponent))
+        power = assembled_power(_model(spec), exponent)
+        gap = relative_gap(power, dense_power(eig, exponent))
         assert gap <= 1e-13
 
     @pytest.mark.parametrize("ell", [1, 2])
@@ -403,7 +416,7 @@ class TestTBlockCalculus:
     def test_symbol_realization(self, oracle, k):
         spec, eig = oracle
         dense = dense_symbol_realization(spec, eig, k)
-        assert relative_gap(_grid_symbol_realization(spec, k), dense) <= 1e-13
+        assert relative_gap(assembled_symbol_realization(spec, k), dense) <= 1e-13
 
     def test_levels(self, oracle):
         spec, _ = oracle
@@ -466,6 +479,38 @@ def sector_bases(spec):
         np.testing.assert_allclose(orbits.norms[k], norms, rtol=1e-15)
         bases[(s1, s2)] = q[:, orbits.live[k]] / norms[orbits.live[k]]
     return bases
+
+
+def basis_nonzeros(q):
+    """The rows and the values, as np.longdouble, of the at most four
+    nonzeros of each column of a sector basis, zero-padded: 4 x d each."""
+    rows = np.argsort(q == 0.0, axis=0, kind="stable")[:4]
+    return rows, np.take_along_axis(q, rows, axis=0).astype(np.longdouble)
+
+
+def extended_inverse_root_times(model, q):
+    """``(-Delta)^{-1/2} q`` for a sector basis q, in np.longdouble: each
+    column of the power is summed from the float64 parity t-blocks and
+    t-vectors as ``assemble`` sums them."""
+    spec = model.spec
+    size = spec.nx * spec.ny
+    blocks = model.planar_power(-0.5, np.arange(size))
+    half = blocks.shape[0]
+    by_column = np.empty((size, size, 2 * half), dtype=np.longdouble)
+    by_column[..., :half] = blocks.real.transpose(2, 1, 0)
+    by_column[..., half:] = blocks.imag.transpose(2, 1, 0)
+    by_step = model._t_outer.transpose(2, 0, 1).astype(np.longdouble)
+    out = np.zeros((spec.size, q.shape[1]), dtype=np.longdouble)
+    for rows, values in zip(*basis_nonzeros(q)):
+        planar, vertical = np.divmod(rows, spec.nt)
+        columns = np.matmul(by_column[planar], by_step[vertical])
+        out += columns.reshape(rows.size, -1).T * values
+    return out
+
+
+def extended_sandwich(q, mat):
+    """``q^T mat`` in np.longdouble for a sector basis q."""
+    return sum(values[:, None] * mat[rows] for rows, values in zip(*basis_nonzeros(q)))
 
 
 def point_colours(spec):
@@ -609,6 +654,37 @@ class TestColourGrading:
                 for (r, c), cached in zip(orbits.classes, model.sector_blocks(ell)[k]):
                     assert np.abs(cached - full[np.ix_(r, c)]).max() <= 1e-15 * scale
 
+    @pytest.mark.parametrize("count", [9, 13])
+    def test_riesz_sector_block_routes_match_extended_precision(self, count):
+        # both routes of the test above against Q^T X P Q summed in
+        # np.longdouble from the same float64 factors: the parity t-blocks
+        # of P and the t-vectors, the stencil of X and the sector bases Q;
+        # measured gaps at most 7.1e-16 (9^3) and 6.8e-16 (13^3) of the
+        # block's largest entry for the cached blocks, 4.5e-16 and 5.5e-16
+        # for the dense sandwich
+        spec = GridSpec.cube(count)
+        model = _model(spec)
+        orbits = model.sectors()
+        bases = sector_bases(spec)
+        root_times = {
+            sigma: extended_inverse_root_times(model, q) for sigma, q in bases.items()
+        }
+        for ell, field in _FIELD_CHARACTER.items():
+            riesz = dense_riesz(spec, ell)
+            for k, sigma in enumerate(SECTORS):
+                target = (sigma[0] * field[0], sigma[1] * field[1])
+                live = np.ix_(orbits.live[SECTORS.index(target)], orbits.live[k])
+                extended = np.zeros((orbits.table.shape[1],) * 2, dtype=np.longdouble)
+                extended[live] = extended_sandwich(
+                    bases[target], model.apply_field(ell, root_times[sigma])
+                )
+                scale = np.abs(extended).max()
+                full = np.zeros(extended.shape)
+                full[live] = bases[target].T @ riesz @ bases[sigma]
+                assert np.abs(full - extended).max() <= 1e-15 * scale
+                for (r, c), cached in zip(orbits.classes, model.sector_blocks(ell)[k]):
+                    assert np.abs(cached - extended[np.ix_(r, c)]).max() <= 1e-15 * scale
+
     def test_gather_reads_a_sparse_field_as_its_dense_matrix(self):
         # the scatter of the stencil's nonzeros against the dense gather of
         # the same field; entries several (g, h) pairs reach add up in
@@ -632,7 +708,7 @@ class TestColourGrading:
         orbits = model.sectors()
         bases = sector_bases(spec)
         same = orbits.colour[:, None] == orbits.colour[None, :]
-        root = model.power(0.5)
+        root = assembled_power(model, 0.5)
         blocks = model.power_blocks(0.5)
         for k, sigma in enumerate(SECTORS):
             live = np.ix_(orbits.live[k], orbits.live[k])
@@ -686,7 +762,7 @@ class TestSectorPowerBlocks:
     def test_planar_power_commutes_exactly_with_the_planar_group(self, oracle_model):
         model = oracle_model
         n = model.spec.nx
-        blocks = model.planar_power(0.5)
+        blocks = model.planar_power(0.5, np.arange(n * n))
         grid = blocks.reshape((blocks.shape[0],) + (n,) * 4)
         assert np.array_equal(grid[:, ::-1, ::-1, ::-1, ::-1], grid)
         assert np.array_equal(grid[:, :, ::-1, :, ::-1], grid.conj())
@@ -695,7 +771,7 @@ class TestSectorPowerBlocks:
     @pytest.mark.parametrize("exponent", [-0.5, 0.0, 0.5])
     def test_power_blocks_match_dense_gather(self, oracle_model, exponent):
         model = oracle_model
-        expected = gather(model, model.power(exponent), (1, 1), flip=False)
+        expected = gather(model, assembled_power(model, exponent), (1, 1), flip=False)
         for got_blocks, want_blocks in zip(model.power_blocks(exponent), expected):
             scale = max(np.abs(want).max() for want in want_blocks)
             for got, want in zip(got_blocks, want_blocks):
@@ -711,6 +787,36 @@ class TestSectorPowerBlocks:
             assert np.array_equal(sine[::-1], sine * signs)
             if count % 2:
                 assert np.all(sine[count // 2, 1::2] == 0.0)
+
+
+# each product factor with its reflection character and whether it flips
+# colour
+PRODUCT_FACTORS = {
+    "identity": ((1, 1), False),
+    "flat_factor": ((1, 1), False),
+    "riesz:1": (_FIELD_CHARACTER[1], True),
+    "riesz:2": (_FIELD_CHARACTER[2], True),
+    "a:1": (_FIELD_CHARACTER[1], True),
+    "a:2": (_FIELD_CHARACTER[2], True),
+}
+
+
+class TestProductFactorBlocks:
+    """The sector blocks of each ``product`` factor, read off the t-blocks,
+    against the dense 16-term gather of the assembled factor."""
+
+    @pytest.mark.parametrize("name", list(PRODUCT_FACTORS))
+    def test_factor_blocks_match_dense_gather(self, oracle_model, name):
+        model = oracle_model
+        basis = enumerate_basis(1, 4)
+        inverse_root = assembled_power(model, -0.5)
+        dense, _ = assembled_product_factor(model.spec, basis, name, inverse_root)
+        expected = gather(model, dense, *PRODUCT_FACTORS[name])
+        got_blocks, _ = product_factor(model.spec, basis, name)
+        for got_per_class, want_per_class in zip(got_blocks, expected):
+            for got, want in zip(got_per_class, want_per_class):
+                assert got.shape == want.shape
+                assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 class TestMultiplicationAndCommutator:
@@ -884,7 +990,7 @@ class TestStencilAgainstCSR:
         quad = (x_op.T @ x_op + y_op.T @ y_op).toarray()
         expected = 0.5 * (quad + quad.T)
         assert relative_gap(dense_sublaplacian(csr_spec), expected) <= 1e-14
-        inv_sqrt = _model(csr_spec).power(-0.5)
+        inv_sqrt = assembled_power(_model(csr_spec), -0.5)
         for ell, field in ((1, x_op), (2, y_op)):
             assert relative_gap(dense_riesz(csr_spec, ell), field @ inv_sqrt) <= 1e-14
 
@@ -1005,10 +1111,10 @@ class TestSectorSplit:
         # the mode and its conjugate in block nt, as a real operator
         shift = 1e-6 * math.sqrt(w[0, mode]) * 2.0 * np.outer(z, z.conj()).real
         shift_blocks = gather(model, shift, (1, 1), flip=False)
-        power, power_blocks = _GridModel.power, _GridModel.power_blocks
+        power, power_blocks = oracles.assembled_power, _GridModel.power_blocks
 
-        def perturbed_power(self, exponent):
-            out = power(self, exponent)
+        def perturbed_power(model, exponent):
+            out = power(model, exponent)
             return out + shift if exponent == 0.5 else out
 
         def perturbed_power_blocks(self, exponent):
@@ -1020,7 +1126,7 @@ class TestSectorSplit:
                 for per_sector, per_shift in zip(out, shift_blocks)
             )
 
-        monkeypatch.setattr(_GridModel, "power", perturbed_power)
+        monkeypatch.setattr(oracles, "assembled_power", perturbed_power)
         monkeypatch.setattr(_GridModel, "power_blocks", perturbed_power_blocks)
         family = {"bump": bump(SPEC)}
         sector = riesz_decomposition_residual(SPEC, family, 1)["bump"]

@@ -24,6 +24,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+__all__ = [
+    "MAX_BASIS_DIM",
+    "MultiIndexBasis",
+    "enumerate_basis",
+    "momentum_matrix",
+    "position_matrix",
+    "oscillator_matrix",
+    "matrix_unit",
+    "FiberOperator",
+    "tensor_scalar",
+    "fiber_identity",
+    "riesz_symbol",
+    "fiber_mul",
+    "fiber_adjoint",
+    "tr_sigma",
+    "pooled_schatten_powers",
+]
+
 # Dense D x D blocks get eigendecomposed and multiplied freely; past this
 # dimension that stops being a desk-scale computation.
 MAX_BASIS_DIM = 4096
@@ -156,15 +174,6 @@ class FiberOperator:
         object.__setattr__(self, "minus", minus)
         object.__setattr__(self, "plus", plus)
 
-    def __add__(self, other: "FiberOperator") -> "FiberOperator":
-        _check_same_basis(self, other)
-        return FiberOperator(self.basis, self.minus + other.minus, self.plus + other.plus)
-
-    def __mul__(self, scalar) -> "FiberOperator":
-        return FiberOperator(self.basis, scalar * self.minus, scalar * self.plus)
-
-    __rmul__ = __mul__
-
 
 def _check_same_basis(x: FiberOperator, y: FiberOperator) -> None:
     if x.basis != y.basis:
@@ -223,22 +232,35 @@ def tr_sigma(x: FiberOperator) -> complex:
     return complex(np.trace(x.minus) + np.trace(x.plus))
 
 
-def _pooled_singular_values(x: FiberOperator) -> np.ndarray:
-    """Singular values of the minus block followed by those of the plus block."""
-    return np.concatenate(
-        [
-            np.linalg.svd(x.minus, compute_uv=False),
-            np.linalg.svd(x.plus, compute_uv=False),
-        ]
-    )
+def pooled_schatten_powers(coefficients, symbols, p: float) -> np.ndarray:
+    """Pooled Schatten p-th powers of a stack of fiber mixes, one per row.
 
-
-def fiber_schatten_norm(x: FiberOperator, p: float) -> float:
-    """Schatten p-norm with respect to the two-component trace.
-
-    Pools the singular values of both blocks: ``(sum mu^p)^{1/p}``.
+    Row r mixes the symbols as ``A_r = sum_k coefficients[r, k] symbols[k]``
+    and gets ``sum mu^p`` over the singular values of both of its blocks.
+    Only an even integer ``p = 2m >= 2`` is accepted: then
+    ``sum mu^{2m} = tr(G^m)`` with ``G = A^* A``, read as
+    ``sum_ij (G^a)_ij (G^b)_ji`` with ``a = floor(m/2)``, ``b = ceil(m/2)``,
+    so the whole stack takes a few batched matmuls and no SVD.
     """
-    if p < 1.0:
-        raise ValueError("Schatten exponent must be >= 1")
-    vals = _pooled_singular_values(x)
-    return float(np.sum(vals**p) ** (1.0 / p))
+    m = p / 2.0
+    if not (m >= 1.0 and m.is_integer()):
+        raise ValueError(f"Schatten exponent must be an even integer >= 2; got {p}")
+    m = int(m)
+    basis = symbols[0].basis
+    if any(s.basis != basis for s in symbols[1:]):
+        raise ValueError("fiber symbols live over different bases")
+    coeff = np.asarray(coefficients, dtype=complex)
+    if coeff.ndim != 2 or coeff.shape[1] != len(symbols):
+        raise ValueError(
+            f"coefficient array must be (rows, {len(symbols)}); got {coeff.shape}"
+        )
+    total = np.zeros(coeff.shape[0])
+    for blocks in ([s.minus for s in symbols], [s.plus for s in symbols]):
+        mix = np.tensordot(coeff, np.stack(blocks), axes=1)
+        gram = mix.conj().transpose(0, 2, 1) @ mix
+        low = gram if m > 1 else np.eye(basis.dim)
+        for _ in range(m // 2 - 1):
+            low = low @ gram
+        high = low @ gram if m % 2 else low
+        total += np.einsum("...ij,...ji->...", low, high).real
+    return total

@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .oscillator import FiberOperator, _pooled_singular_values
+from .oscillator import FiberOperator, pooled_schatten_powers
 
 __all__ = [
     "NonIntegrableError",
@@ -178,13 +178,13 @@ def weak_norm_lift(x: FiberOperator, n: int) -> tuple[float, Callable[[float], f
     ``sigma^{2n+2} t^{-(2n+2)} / (n+1)`` to the distribution (one
     half-line per block), so the level sets are exact power laws and the
     quasinorm is ``(1/(n+1))^{1/(2n+2)}`` times the pooled Schatten norm
-    of order ``2n+2``.
+    of order ``2n+2``, whose power ``pooled_schatten_powers`` reads as a
+    trace, without singular values.
     """
     if n < 1:
         raise ValueError("dimension must be >= 1")
     power = 2 * n + 2
-    sigma = _pooled_singular_values(x)
-    mass = float(np.sum(sigma**power)) / (n + 1)
+    mass = float(pooled_schatten_powers(np.ones((1, 1)), [x], power)[0]) / (n + 1)
 
     def distribution(t: float) -> float:
         if t <= 0.0:
@@ -198,14 +198,18 @@ def weak_distribution_brute(x: FiberOperator, n: int, t: float) -> float:
     """Distribution function of the lifted operator by direct quadrature.
 
     Integrates the indicator of ``sigma |s|^{-1/2} > t`` against the measure
-    for every block singular value, without using the closed form: one
+    for every singular value of the two blocks, taken by its own SVD, without
+    using the closed form or its trace kernel: one
     Gauss-Legendre panel on each side of the jump at ``cut = (sigma/t)^2``,
     ``[0, cut]`` and ``[cut, 2 cut]``, with n + 1 nodes, exact for the
     density ``s^n`` where the indicator is one.
     """
     if t <= 0.0:
         raise ValueError("level must be positive")
-    cut = (_pooled_singular_values(x) / t) ** 2
+    sigma = np.concatenate(
+        [np.linalg.svd(x.minus, compute_uv=False), np.linalg.svd(x.plus, compute_uv=False)]
+    )
+    cut = (sigma / t) ** 2
     nodes, weights = np.polynomial.legendre.leggauss(n + 1)
     half = cut / 2.0
     total = 0.0

@@ -19,6 +19,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+__all__ = [
+    "CLAMP_RATIO",
+    "SingularSpectrum",
+    "WeakFit",
+    "singular_values",
+    "weak_quasinorm",
+    "dixmier_approximant",
+    "shadow_fit_range",
+    "fit_weak_decay",
+]
+
 # Singular values below CLAMP_RATIO * mu(0) are rounding noise of the dense
 # solver; they are clamped to zero so log-log slope fits do not chase them.
 CLAMP_RATIO = 1e-13

@@ -4,15 +4,20 @@ The package reads every grid operator through its t-blocks and sector
 blocks; these build the dense N x N matrices the tests compare against (the
 powers and the ``product`` factors assembled from the t-blocks), the dense
 eigenvalues of the ``product`` table and the grid ``L_p`` norm.
+``fiber_schatten_norm`` and ``loop_coercivity`` are the SVD loop the fiber
+side's trace kernel replaced.
 ``recorded_svd_shapes`` and ``recorded_eigenvalues`` let a test see the SVDs
 and the eigenvalue problems a computation solves.
 """
+
+import math
 
 import numpy as np
 
 from heislab.doi import build_a_fiber
 from heislab.grid import _ASYMMETRY_LIMIT, GridFunction, GridSpec, _model
 from heislab.oscillator import (
+    FiberOperator,
     fiber_identity,
     oscillator_matrix,
     riesz_symbol,
@@ -118,6 +123,35 @@ def norm_lp(f: GridFunction, p: float) -> float:
     if p < 1.0:
         raise ValueError("exponent must be >= 1")
     return float((np.sum(np.abs(f.values) ** p) * f.spec.cell_volume) ** (1.0 / p))
+
+
+def fiber_schatten_norm(x: FiberOperator, p: float) -> float:
+    """Schatten p-norm pooled over both blocks: ``(sum mu^p)^{1/p}`` over
+    the singular values of the minus block and of the plus block."""
+    if p < 1.0:
+        raise ValueError("Schatten exponent must be >= 1")
+    vals = np.concatenate(
+        [np.linalg.svd(x.minus, compute_uv=False), np.linalg.svd(x.plus, compute_uv=False)]
+    )
+    return float(np.sum(vals**p) ** (1.0 / p))
+
+
+def loop_coercivity(family, samples: int = 200, seed: int = 42) -> float:
+    """The coercivity of ``gram_min_eigenvalue`` one direction at a time:
+    each draw mixed term by term and its pooled norm taken by SVD."""
+    symbols = family.symbols
+    m = len(symbols)
+    power = 2.0 * family.basis.n + 2.0
+    rng = np.random.default_rng(seed)
+    worst = math.inf
+    for _ in range(samples):
+        c = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        c /= np.sum(np.abs(c))
+        minus = sum(complex(ck) * s.minus for ck, s in zip(c, symbols))
+        plus = sum(complex(ck) * s.plus for ck, s in zip(c, symbols))
+        mixed = FiberOperator(family.basis, minus, plus)
+        worst = min(worst, fiber_schatten_norm(mixed, power))
+    return worst
 
 
 def recorded_svd_shapes(monkeypatch):

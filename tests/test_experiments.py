@@ -33,18 +33,21 @@ from heislab.grid import (
 )
 from heislab.schatten import CLAMP_RATIO, singular_values
 from heislab.oscillator import (
+    FiberOperator,
     enumerate_basis,
     fiber_identity,
-    fiber_schatten_norm,
     riesz_symbol,
     tr_sigma,
 )
+from heislab.plancherel import weak_norm_lift
 
 from oracles import (
     assembled_power,
     assembled_product_factor,
     dense_product_eigenvalues,
     dense_riesz,
+    fiber_schatten_norm,
+    loop_coercivity,
     norm_lp,
     recorded_eigenvalues,
     recorded_svd_shapes,
@@ -65,7 +68,10 @@ def wide_bump(spec=SPEC):
 def theorem_combination(family):
     """The k = 1, 2 combination that absorbs the flat factor into slot ℓ."""
     out = list(family.symbols[1:])
-    out[family.ell - 1] = out[family.ell - 1] + family.flat
+    slot, flat = out[family.ell - 1], family.flat
+    out[family.ell - 1] = FiberOperator(
+        family.basis, slot.minus + flat.minus, slot.plus + flat.plus
+    )
     return tuple(out)
 
 
@@ -184,6 +190,34 @@ class TestGram:
         a = gram_min_eigenvalue(family, samples=40, seed=7)
         b = gram_min_eigenvalue(family, samples=40, seed=7)
         assert a == b
+
+    @pytest.mark.parametrize("seed", [7, 42])
+    @pytest.mark.parametrize("ell", [1, 2])
+    @pytest.mark.parametrize("cutoff", [4, 6, 8])
+    def test_batched_coercivity_matches_loop_oracle(self, cutoff, ell, seed):
+        family = build_y_fibers(enumerate_basis(1, cutoff), ell)
+        report = gram_min_eigenvalue(family, seed=seed)
+        assert report.coercivity == pytest.approx(
+            loop_coercivity(family, seed=seed), rel=1e-14
+        )
+
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_rejects_empty_sampling(self, samples):
+        # no sample would leave the coercivity at inf, which passes its floor
+        with pytest.raises(ValueError, match="at least one sample"):
+            gram_min_eigenvalue(build_y_fibers(BASIS, 1), samples=samples)
+
+
+def test_fiber_side_takes_no_svd(monkeypatch):
+    def no_svd(*args, **kwargs):
+        raise AssertionError("the fiber side called np.linalg.svd")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    family = build_y_fibers(BASIS, 1)
+    assert gram_min_eigenvalue(family, samples=20).coercivity > 0.0
+    coeff = np.ones((4, len(family.symbols)), dtype=complex)
+    assert bochner_norm(coeff, family.symbols, 1.0) > 0.0
+    assert weak_norm_lift(family.flat, 1)[0] > 0.0
 
 
 class TestDixmierLhs:

@@ -9,15 +9,17 @@ from heislab.oscillator import (
     fiber_adjoint,
     fiber_identity,
     fiber_mul,
-    fiber_schatten_norm,
     matrix_unit,
     momentum_matrix,
     oscillator_matrix,
+    pooled_schatten_powers,
     position_matrix,
     riesz_symbol,
     tensor_scalar,
     tr_sigma,
 )
+
+from oracles import fiber_schatten_norm
 
 
 def interior_mask(basis):
@@ -292,6 +294,20 @@ class TestFiberAlgebra:
         )
 
 
+def schatten_power(x, p):
+    """The kernel on a single operator: one row, one symbol."""
+    return pooled_schatten_powers(np.ones((1, 1)), [x], p)[0]
+
+
+def random_fiber(rng, basis):
+    shape = (basis.dim, basis.dim)
+    return FiberOperator(
+        basis,
+        rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
+        rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
+    )
+
+
 class TestFiberSchattenNorm:
     def test_oscillator_inverse_root_fourth_power(self):
         K = 40
@@ -299,31 +315,53 @@ class TestFiberSchattenNorm:
         h_inv_sqrt = np.diag(np.diag(oscillator_matrix(basis)) ** -0.5)
         x = tensor_scalar(basis, h_inv_sqrt, "one")
         expected = 2.0 * sum((2.0 * k + 1.0) ** -2 for k in range(K + 1))
-        assert fiber_schatten_norm(x, 4.0) ** 4 == pytest.approx(expected, rel=1e-12)
+        assert schatten_power(x, 4) == pytest.approx(expected, rel=1e-12)
         # the tail limit is 2 * pi^2 / 8; at K = 40 the partial sum is within 1%
-        assert fiber_schatten_norm(x, 4.0) ** 4 == pytest.approx(math.pi**2 / 4.0, rel=1e-2)
+        assert schatten_power(x, 4) == pytest.approx(math.pi**2 / 4.0, rel=1e-2)
 
     def test_single_block_rank_one(self):
         basis = enumerate_basis(1, 2)
         e00 = matrix_unit(basis, (0,), (0,))
         x = FiberOperator(basis, e00, np.zeros_like(e00))
-        for p in (1.0, 2.0, 4.0):
-            assert fiber_schatten_norm(x, p) == pytest.approx(1.0)
+        for p in (2, 4, 6):
+            assert schatten_power(x, p) == pytest.approx(1.0)
+        assert fiber_schatten_norm(x, 1.0) == pytest.approx(1.0)
 
     def test_adjoint_invariance(self):
         basis = enumerate_basis(1, 3)
-        rng = np.random.default_rng(3)
-        shape = (basis.dim, basis.dim)
-        x = FiberOperator(
-            basis,
-            rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
-            rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
-        )
+        x = random_fiber(np.random.default_rng(3), basis)
         assert fiber_schatten_norm(x, 3.0) == pytest.approx(
             fiber_schatten_norm(fiber_adjoint(x), 3.0), rel=1e-12
+        )
+        assert schatten_power(x, 4) == pytest.approx(
+            schatten_power(fiber_adjoint(x), 4), rel=1e-12
         )
 
     def test_rejects_quasinorm_exponent(self):
         basis = enumerate_basis(1, 1)
         with pytest.raises(ValueError):
             fiber_schatten_norm(fiber_identity(basis), 0.5)
+
+
+class TestPooledSchattenPowers:
+    @pytest.mark.parametrize("n, K", [(1, 5), (2, 3)])
+    @pytest.mark.parametrize("p", [2, 4, 6])
+    def test_matches_svd_oracle_on_random_mixes(self, n, K, p):
+        rng = np.random.default_rng(17)
+        basis = enumerate_basis(n, K)
+        symbols = [random_fiber(rng, basis) for _ in range(3)]
+        coeff = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
+        powers = pooled_schatten_powers(coeff, symbols, p)
+        for row, value in zip(coeff, powers):
+            mixed = FiberOperator(
+                basis,
+                sum(c * s.minus for c, s in zip(row, symbols)),
+                sum(c * s.plus for c, s in zip(row, symbols)),
+            )
+            assert value == pytest.approx(fiber_schatten_norm(mixed, p) ** p, rel=1e-13)
+
+    @pytest.mark.parametrize("p", [3, 4.5, 0])
+    def test_rejects_all_but_even_integer_exponents(self, p):
+        basis = enumerate_basis(1, 2)
+        with pytest.raises(ValueError, match="even integer"):
+            pooled_schatten_powers(np.ones((1, 1)), [fiber_identity(basis)], p)

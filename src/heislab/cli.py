@@ -96,10 +96,11 @@ DEFAULT_THRESHOLDS: dict[str, dict[str, float]] = {
     "product": {"trace_margin": 1.0},
 }
 
-SWEEP_AXES: dict[str, tuple[str, ...]] = {
-    "grid_size": ("grid", "bound", "trace", "product"),
-    "hermite_K": ("hermite", "doi", "trace"),
-    "quadrature_nodes": ("plancherel",),
+# each sweep axis: the RunConfig field it steps and the suites it applies to
+SWEEP_AXES: dict[str, tuple[str, tuple[str, ...]]] = {
+    "grid_size": ("grid_size", ("grid", "bound", "trace", "product")),
+    "hermite_K": ("hermite_K", ("hermite", "doi", "trace")),
+    "quadrature_nodes": ("quad_nodes_per_decade", ("plancherel",)),
 }
 
 # margins are capped so artifacts stay strict JSON even when a floor check
@@ -744,7 +745,7 @@ _DRIVERS = {
 
 def _execute(suite: str, config: RunConfig) -> SuiteOutcome:
     # the numerical layer signals violated preconditions (degenerate
-    # families, sizes past the dense cap, short cutoffs) with ValueError
+    # families, grids over the byte budget, short cutoffs) with ValueError
     try:
         return _DRIVERS[suite](config)
     except ValueError as exc:
@@ -865,23 +866,14 @@ def run_suite(config: RunConfig) -> int:
     return status
 
 
-def _apply_axis(config: RunConfig, axis: str, value: int) -> RunConfig:
-    if axis == "grid_size":
-        return dataclasses.replace(config, grid_size=value)
-    if axis == "hermite_K":
-        return dataclasses.replace(config, hermite_K=value)
-    if axis == "quadrature_nodes":
-        return dataclasses.replace(config, quad_nodes_per_decade=value)
-    raise UsageError(f"unknown sweep axis {axis!r}")
-
-
 def sweep(config: RunConfig, axis: str, values: Sequence[int]) -> int:
     """Run the suite once per axis value and write a convergence table."""
     _require(axis in SWEEP_AXES, f"unknown sweep axis {axis!r}")
+    setting, suites = SWEEP_AXES[axis]
     _require(
-        config.suite in SWEEP_AXES[axis],
+        config.suite in suites,
         f"axis {axis!r} does not apply to suite {config.suite!r}; "
-        f"applicable suites: {', '.join(SWEEP_AXES[axis])}",
+        f"applicable suites: {', '.join(suites)}",
     )
     _require(bool(values), "sweep needs at least one value")
     directory = Path(config.output_dir)
@@ -890,7 +882,7 @@ def sweep(config: RunConfig, axis: str, values: Sequence[int]) -> int:
     metric_name = None
     previous = None
     for value in values:
-        step = _apply_axis(config, axis, int(value))
+        step = dataclasses.replace(config, **{setting: int(value)})
         payload = _run_and_record(directory, step.suite, step)
         metric_name = payload["sweep_metric"]["name"]
         metric_value = payload["sweep_metric"]["value"]

@@ -32,7 +32,6 @@ from .oscillator import (
     FiberOperator,
     MultiIndexBasis,
     fiber_adjoint,
-    fiber_identity,
     fiber_mul,
     oscillator_matrix,
     pooled_schatten_powers,
@@ -454,11 +453,7 @@ def product_factor(
     if kind == "riesz" and k:
         return model.sector_blocks(k), riesz_symbol(basis, k)
     reps = model.planar_representatives()
-    if name == "identity":
-        columns = np.zeros((model.mu.size, spec.nx * spec.ny, reps.size), dtype=complex)
-        columns[:, reps, np.arange(reps.size)] = 1.0
-        fiber = fiber_identity(basis)
-    elif name == "flat_factor":
+    if name == "flat_factor":
         u = model._t_vectors
         weights = np.einsum("kj,kl,lj->j", u.conj(), model.vertical_quarter_root(), u)
         columns = model.planar_power(-0.5, reps) * weights.real[:, None, None]
@@ -487,8 +482,8 @@ class ProductCase:
 
 def _factor_structure(name: str) -> tuple[tuple[int, int], bool]:
     """Reflection character of a catalog factor and whether it flips colour:
-    the Riesz and symbol factors carry those of their field, the identity
-    and the flat factor keep sector and colour."""
+    the Riesz and symbol factors carry those of their field, the flat factor
+    keeps sector and colour."""
     kind, _, index = name.partition(":")
     if kind in ("riesz", "a"):
         return _FIELD_CHARACTER[int(index)], True
@@ -547,7 +542,7 @@ def product_trace_check(
         """The (colour class, sector) that factor ``name`` maps ``cell`` to."""
         c, k = cell
         character, flip = structure[name]
-        if flip and len(colours) == 2:
+        if flip:
             c = 1 - c
         return c, _sector_index(SECTORS[k], character)
 
@@ -583,8 +578,7 @@ def product_trace_check(
              for k in range(len(SECTORS))}
         )
         flips = sum(structure[name][1] for name in case.factors)
-        classes = range(len(colours))
-        groups = [tuple(classes)] if flips % 2 else [(c,) for c in classes]
+        groups = [(0, 1)] if flips % 2 else [(0,), (1,)]
         values, sizes = [], []
         for group in groups:
             for coset in cosets:

@@ -8,11 +8,12 @@ the sub-Laplacian is symmetric positive semidefinite by construction.
 The vertical difference ``D_t`` commutes with the coordinates and with
 ``D_x`` and ``D_y``, so in the closed-form (DST-I) eigenbasis of the 1-D
 centered difference along t the fields and the sub-Laplacian are block
-diagonal: one block of size nx*ny per vertical eigenvalue ``i mu_j``, the
-grid counterpart of the Schroedinger fibre at ``lambda = mu_j``.  Blocks j
-and nt+1-j are complex conjugates, and each kept block splits into two
-real symmetric halves under the planar reflections, so ``2 ceil(nt/2)``
-small real ``eigh`` calls (cached per grid) drive the fractional calculus.
+diagonal: one block of size n*n per vertical eigenvalue ``i mu_j`` of the
+cube of n points per axis, the grid counterpart of the Schroedinger fibre
+at ``lambda = mu_j``.  Blocks j and n+1-j are complex conjugates, and each
+kept block splits into two real symmetric halves under the planar
+reflections, so ``2 ceil(n/2)`` small real ``eigh`` calls (cached per grid)
+drive the fractional calculus.
 The grid reflections and the colour ``(ix+iy+it) mod 2`` grade the
 operators exactly, so the powers, the Riesz transforms and the commutators
 the experiments check are read block by block in sector coordinates; no
@@ -36,7 +37,7 @@ import math
 import types
 from collections import namedtuple
 from collections.abc import Iterator, Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -65,6 +66,13 @@ _ASYMMETRY_LIMIT = 1e-8
 # columns of a grid operator read per batched matmul in ``read_blocks``; the
 # batch holds this many grid columns of N entries
 _COLUMN_BATCH = 64
+
+# The most bytes one model may estimate for a run (``_peak_bytes``), checked
+# before it allocates anything.  25^3, the largest grid the planned
+# refinement experiments take, estimates 1.36 GB and fits; 26^3 estimates
+# 1.70 GB and does not.  The budget holds per model, and ``_model`` keeps up
+# to three.
+_BYTE_BUDGET = 1_500_000_000
 
 # Characters (s1, s2) of the two grid reflections P1: (x, y, t) -> (x, -y, -t)
 # and P2: (x, y, t) -> (-x, y, -t): u lies in sector (s1, s2) when
@@ -111,69 +119,49 @@ def _symmetric_axis(half_width: float, count: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Symmetric box ``[-L, L]`` per axis; equal x and y counts.
+    """The cube ``[-L, L]^3`` with ``count`` points per axis, the box of the
+    first group's (x, y, t); ``L`` is ``half_width``."""
 
-    Only the three-axis realization (first group) is operational.  ``cap``
-    bounds the point count when a spec is made and is no part of the grid:
-    specs that differ only in it are equal and share one model.
-    """
-
-    nx: int
-    ny: int
-    nt: int
-    lx: float = 3.0
-    ly: float = 3.0
-    lt: float = 3.0
-    cap: int = field(default=8000, compare=False)
+    count: int
+    half_width: float = 3.0
 
     def __post_init__(self):
-        for count in (self.nx, self.ny, self.nt):
-            if count < 3:
-                raise ValueError("need at least 3 points per axis")
-        if self.nx != self.ny:
-            raise ValueError("quarter rotation requires nx == ny")
-        for width in (self.lx, self.ly, self.lt):
-            if width <= 0.0:
-                raise ValueError("half-widths must be positive")
-        if self.size > self.cap:
-            raise ValueError(f"grid dimension {self.size} exceeds the cap {self.cap}")
+        # bool is an int subclass: a count of True must not pass as 1
+        count, width = self.count, self.half_width
+        if isinstance(count, bool) or not isinstance(count, int) or count < 3:
+            raise ValueError(f"count must be an integer of at least 3, got {count!r}")
+        if (
+            isinstance(width, bool)
+            or not isinstance(width, (int, float))
+            or not (math.isfinite(width) and width > 0.0)
+        ):
+            raise ValueError(f"half-width must be finite and positive, got {width!r}")
 
     @classmethod
-    def cube(cls, count: int, half_width: float = 3.0, cap: int = 8000) -> "GridSpec":
-        return cls(count, count, count, half_width, half_width, half_width, cap=cap)
+    def cube(cls, count: int, half_width: float = 3.0) -> "GridSpec":
+        return cls(count, half_width)
 
     @property
     def shape(self) -> tuple[int, int, int]:
-        return (self.nx, self.ny, self.nt)
+        return (self.count,) * 3
 
     @property
     def size(self) -> int:
-        return self.nx * self.ny * self.nt
+        return self.count**3
 
     @property
-    def axis_x(self) -> np.ndarray:
-        return _symmetric_axis(self.lx, self.nx)
+    def axis(self) -> np.ndarray:
+        """The coordinates along each of x, y and t."""
+        return _symmetric_axis(self.half_width, self.count)
 
     @property
-    def axis_y(self) -> np.ndarray:
-        return _symmetric_axis(self.ly, self.ny)
-
-    @property
-    def axis_t(self) -> np.ndarray:
-        return _symmetric_axis(self.lt, self.nt)
-
-    @property
-    def spacing(self) -> tuple[float, float, float]:
-        return (
-            2.0 * self.lx / (self.nx - 1),
-            2.0 * self.ly / (self.ny - 1),
-            2.0 * self.lt / (self.nt - 1),
-        )
+    def spacing(self) -> float:
+        return 2.0 * self.half_width / (self.count - 1)
 
     @property
     def cell_volume(self) -> float:
-        hx, hy, ht = self.spacing
-        return hx * hy * ht
+        h = self.spacing
+        return h * h * h
 
 
 @dataclass
@@ -193,7 +181,8 @@ class GridFunction:
 
     @classmethod
     def from_callable(cls, spec: GridSpec, fn: Callable) -> "GridFunction":
-        xs, ys, ts = np.meshgrid(spec.axis_x, spec.axis_y, spec.axis_t, indexing="ij")
+        axis = spec.axis
+        xs, ys, ts = np.meshgrid(axis, axis, axis, indexing="ij")
         vals = np.asarray(fn(xs, ys, ts))
         if vals.shape != spec.shape:
             vals = np.vectorize(fn)(xs, ys, ts)
@@ -235,18 +224,15 @@ def _field_stencil(spec: GridSpec, ell: int) -> tuple[_Term, ...]:
     a sum over the terms in this order cancels exactly on a constant away
     from the faces.
     """
-    hx, hy, ht = spec.spacing
     shape = spec.shape
     if ell == 1:
-        planar, h = 0, hx
-        vertical = -spec.axis_y[None, :, None]
+        planar, vertical = 0, -spec.axis[None, :, None]
     else:
-        planar, h = 1, hy
-        vertical = spec.axis_x[:, None, None]
-    off, off_t = 1.0 / (2.0 * h), 1.0 / (2.0 * ht)
+        planar, vertical = 1, spec.axis[:, None, None]
+    off = 1.0 / (2.0 * spec.spacing)
     terms = [
-        _Term(2, -1, np.broadcast_to(vertical * -off_t, shape).copy()),
-        _Term(2, 1, np.broadcast_to(vertical * off_t, shape).copy()),
+        _Term(2, -1, np.broadcast_to(vertical * -off, shape).copy()),
+        _Term(2, 1, np.broadcast_to(vertical * off, shape).copy()),
         _Term(planar, 1, np.full(shape, off)),
         _Term(planar, -1, np.full(shape, -off)),
     ]
@@ -389,11 +375,11 @@ class _Orbits(NamedTuple):
     ``live`` and its norm is 0.  The live sectors of an orbit share one
     norm, and the live counts of the four sectors sum to N.
 
-    ``colour`` is the representative's ``(ix + iy + it) mod 2``.  When
-    ``ny + nt`` is even the reflections keep colours, so every orbit has
-    one colour, and ``classes`` holds two (row orbits, column orbits) pairs:
-    the orbits of colour 1 - c against those of colour c, between which the
-    Riesz transforms act.  Otherwise it is the single pair (all, all).
+    ``colour`` is the representative's ``(ix + iy + it) mod 2``.  On the
+    cube the reflections keep colours, so every orbit has one colour, and
+    ``classes`` holds two (row orbits, column orbits) pairs: the orbits of
+    colour 1 - c against those of colour c, between which the Riesz
+    transforms act.
     """
 
     table: np.ndarray
@@ -424,15 +410,39 @@ def _join(blocks: Mapping[tuple[int, int], np.ndarray]) -> np.ndarray:
     ])
 
 
+def _peak_bytes(count: int) -> int:
+    """Estimated peak bytes of a grid, bound or trace run on the cube of
+    ``count`` points per axis, from the model's block shapes.
+
+    A class of colour c holds at most ``(N + 3 count + 4) / 8`` orbits (the
+    points of colour c, plus three times the points a reflection fixes, over
+    the four group elements), so one set of sector blocks (4 sectors x 2
+    classes of orbits against orbits, float64) takes at most ``(N + 3 count +
+    4)^2`` bytes.  A run holds three sets (``inverse_root_blocks`` and the
+    ``field_blocks`` and ``sector_blocks`` of one field) while it reads a
+    fourth, or takes the SVDs of the commutator pieces; the fifth covers the
+    read's accumulators.  The t-block columns of a read (``planar_power``,
+    ``read_blocks``) take a few arrays of ``ceil(count/2)`` x M x M float64.
+    2 MB cover what the run allocates besides the model (the fiber side,
+    the families, the artifacts; 1.7 MB in a cold 9^3 trace run).  Against
+    the ``tracemalloc`` peaks of cold runs the estimate reads 1.05-1.9x at
+    9^3, 1.14-1.37x at 13^3 and 1.15-1.29x at 17^3.
+    """
+    size = count**3
+    sector_set = (size + 3 * count + 4) ** 2
+    t_blocks = 8 * ((count + 1) // 2) * count**4
+    return 5 * sector_set + 3 * t_blocks + 2_000_000
+
+
 class _GridModel:
     """The field stencils plus the one spectral calculus of the grid.
 
     In the vertical eigenbasis ``u_j`` (see ``_vertical_basis``) every
     operator of the calculus is block diagonal, with one block of size
-    ``M = nx*ny`` per vertical eigenvalue ``i mu_j``: ``X`` and ``Y`` become
+    ``M = n*n`` per vertical eigenvalue ``i mu_j``: ``X`` and ``Y`` become
     ``X_j = D_x - i mu_j y`` and ``Y_j = D_y + i mu_j x`` on the (x, y)
     plane, and ``-Delta`` becomes ``A_j = X_j^H X_j + Y_j^H Y_j``.  The model
-    keeps the blocks j <= ceil(nt/2) and takes block nt+1-j as the complex
+    keeps the blocks j <= ceil(n/2) and takes block n+1-j as the complex
     conjugate of block j; each kept block is solved as its two real parity
     halves (``_parity_halves``), so its ``eigh`` calls are real and of size
     about M/2, never N.
@@ -451,27 +461,31 @@ class _GridModel:
     """
 
     def __init__(self, spec: GridSpec):
+        estimate = _peak_bytes(spec.count)
+        if estimate > _BYTE_BUDGET:
+            raise ValueError(
+                f"grid {spec.count}^3 needs an estimated {estimate / 1e6:.0f} MB, "
+                f"over the budget of {_BYTE_BUDGET / 1e6:.0f} MB"
+            )
         self.spec = spec
-        nx, ny, nt = spec.shape
-        hx, hy, ht = spec.spacing
+        n, h, axis = spec.count, spec.spacing, spec.axis
         self._stencils = {ell: _field_stencil(spec, ell) for ell in (1, 2)}
         # X_ell on a t-block is base + i mu diag(coefficient) on the plane
-        dx1 = _centered_difference(nx, hx)
-        dy1 = _centered_difference(ny, hy)
+        d1 = _centered_difference(n, h)
         self._planar = {
-            1: (np.kron(dx1, np.eye(ny)), -np.tile(spec.axis_y, nx)),
-            2: (np.kron(np.eye(nx), dy1), np.repeat(spec.axis_x, ny)),
+            1: (np.kron(d1, np.eye(n)), -np.tile(axis, n)),
+            2: (np.kron(np.eye(n), d1), np.repeat(axis, n)),
         }
-        sine, self.mu = _vertical_basis(nt, ht)
+        sine, self.mu = _vertical_basis(n, h)
         half = self.mu.size
         # a kept block stands for itself and its conjugate, except the
         # self-conjugate middle block of an odd count
-        self.weight = np.where(np.arange(half) < nt // 2, 2, 1)
+        self.weight = np.where(np.arange(half) < n // 2, 2, 1)
         phase = np.array([1, 1j, -1, -1j])
-        self._t_vectors = phase[np.arange(1, nt + 1) % 4][:, None] * sine[:, :half]
+        self._t_vectors = phase[np.arange(1, n + 1) % 4][:, None] * sine[:, :half]
         # Re(B (x) u_j u_j^H) = Re B (x) Re(u_j u_j^H) - Im B (x) Im(u_j u_j^H),
         # where (u_j u_j^H)[k, l] = i^(k-l) S[k, j] S[l, j]
-        steps = phase[np.subtract.outer(np.arange(nt), np.arange(nt)) % 4]
+        steps = phase[np.subtract.outer(np.arange(n), np.arange(n)) % 4]
         outer = self.weight[:, None, None] * np.einsum(
             "kj,lj->jkl", sine[:, :half], sine[:, :half]
         )
@@ -482,9 +496,9 @@ class _GridModel:
             sum(d.T * c[None, :] - c[:, None] * d for d, c in self._planar.values()),
             sum(c * c for _, c in self._planar.values()),
         )
-        self._parity = _parity_halves(nx)
+        self._parity = _parity_halves(n)
         # the planar point pairs of opposite ix + iy parity
-        planar_colour = np.indices((nx, ny)).sum(axis=0).reshape(-1) % 2
+        planar_colour = np.indices((n, n)).sum(axis=0).reshape(-1) % 2
         self._odd_pairs = planar_colour[:, None] != planar_colour[None, :]
         self._parity_eig: tuple[tuple[np.ndarray, ...], ...] | None = None
         self._eig: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
@@ -503,7 +517,7 @@ class _GridModel:
 
     def apply_field(self, ell: int, values: np.ndarray) -> np.ndarray:
         """``X_ell`` applied to a flat grid function, or to each column of an
-        N x k array, by slicing the (nx, ny, nt) view."""
+        N x k array, by slicing the (x, y, t) view."""
         grid = values.reshape(self.spec.shape + values.shape[1:])
         out = np.zeros(grid.shape, dtype=np.result_type(grid, 1.0))
         trailing = (1,) * (grid.ndim - 3)
@@ -593,7 +607,7 @@ class _GridModel:
         """Eigenvalues, eigenvectors and live masks of the kept blocks.
 
         Row j belongs to the block of ``mu[j]``: shapes (h, M), (h, M, M) and
-        (h, M) with ``h = ceil(nt/2)``, eigenvalues ascending.  They are the
+        (h, M) with ``h = ceil(n/2)``, eigenvalues ascending.  They are the
         two parity halves of ``parity_eig`` merged, with the eigenvectors
         carried to the plane.  All three arrays are read-only.
         """
@@ -651,8 +665,8 @@ class _GridModel:
         """The planar points of the orbit representatives, ascending: the
         t-block columns ``read_blocks`` takes."""
         table = self.sectors().table
-        size = self.spec.nx * self.spec.ny
-        return np.flatnonzero(np.bincount(table[0] // self.spec.nt, minlength=size))
+        n = self.spec.count
+        return np.flatnonzero(np.bincount(table[0] // n, minlength=n * n))
 
     def read_blocks(
         self, blocks: np.ndarray, character: tuple[int, int], flip: bool
@@ -671,7 +685,7 @@ class _GridModel:
         ``parts = [Re B; Im B]``; a batch of columns is one batched matmul,
         read by four row gathers.
         """
-        nt = self.spec.nt
+        n = self.spec.count
         table = self.sectors().table
         # position[n]: where planar point n sits among the representatives
         position = np.zeros(self._odd_pairs.shape[0], dtype=int)
@@ -688,7 +702,7 @@ class _GridModel:
             signs = 4.0 * weights[:, :, 0]
             for start in range(0, cols.size, _COLUMN_BATCH):
                 batch = slice(start, start + _COLUMN_BATCH)
-                planar, vertical = np.divmod(table[0, cols[batch]], nt)
+                planar, vertical = np.divmod(table[0, cols[batch]], n)
                 # columns[b] = T[:, table[0, b]], over the grid's flat index
                 columns = np.matmul(by_column[position[planar]], by_step[vertical])
                 columns = columns.reshape(planar.size, -1)
@@ -713,7 +727,7 @@ class _GridModel:
                 planar = _in_grid(half, u[j][:, [mode]])[:, 0]
                 z = np.kron(planar, self._t_vectors[:, j])
                 if self.weight[j] == 2:
-                    # z and its conjugate, from block nt+1-j, span a real plane
+                    # z and its conjugate, from block n+1-j, span a real plane
                     columns += [math.sqrt(2.0) * z.real, math.sqrt(2.0) * z.imag]
                 else:
                     top = z[np.argmax(np.abs(z))]
@@ -756,14 +770,9 @@ class _GridModel:
             same = table[:, None, :] == table[None, :, :]
             norms = np.sqrt(np.einsum("sg,sh,gho->so", _SIGNS, _SIGNS, same))
             colour = np.indices(self.spec.shape).sum(axis=0).reshape(-1)[reps] % 2
-            if (self.spec.ny + self.spec.nt) % 2 == 0:
-                classes = tuple(
-                    (np.flatnonzero(colour != c), np.flatnonzero(colour == c))
-                    for c in (0, 1)
-                )
-            else:
-                every = np.arange(reps.size)
-                classes = ((every, every),)
+            classes = tuple(
+                (np.flatnonzero(colour != c), np.flatnonzero(colour == c)) for c in (0, 1)
+            )
             live = norms > 0.0
             for arr in (table, norms, live, colour):
                 arr.flags.writeable = False
@@ -939,10 +948,10 @@ class _GridModel:
         return self._spectra[key]
 
     def vertical_quarter_root(self) -> np.ndarray:
-        """The nt x nt fourth root of ``D_t^T D_t`` on one vertical line;
+        """The n x n fourth root of ``D_t^T D_t`` on one vertical line;
         ``D_t`` acts along t alone, so the grid operator is this root in
         the t-index."""
-        block = _centered_difference(self.spec.nt, self.spec.spacing[2])
+        block = _centered_difference(self.spec.count, self.spec.spacing)
         w, v = np.linalg.eigh(block.T @ block)
         return (v * np.clip(w, 0.0, None) ** 0.25) @ v.T
 
@@ -994,11 +1003,10 @@ def quarter_rotation(spec: GridSpec, k: int = 1) -> tuple[np.ndarray, RotationRe
     """
     if k not in (1, 2):
         raise ValueError("field index must be 1 or 2")
-    nx, _, _ = spec.shape
     index = np.arange(spec.size).reshape(spec.shape)
     ix, iy, it = np.indices(spec.shape)
-    # (U f)[ix, iy, it] = f[nx-1-iy, ix, it]
-    source = index[nx - 1 - iy, ix, it].reshape(-1)
+    # (U f)[ix, iy, it] = f[n-1-iy, ix, it]
+    source = index[spec.count - 1 - iy, ix, it].reshape(-1)
     field, target, sign, name = (
         (1, 2, 1.0, "second_field") if k == 1 else (2, 1, -1.0, "minus_first_field")
     )

@@ -34,7 +34,6 @@ __all__ = [
     "matrix_unit",
     "FiberOperator",
     "tensor_scalar",
-    "fiber_identity",
     "riesz_symbol",
     "fiber_mul",
     "fiber_adjoint",
@@ -192,10 +191,6 @@ def tensor_scalar(basis: MultiIndexBasis, mat: np.ndarray, component: str = "one
         raise ValueError(f"unknown component {component!r}; expected 'one' or 'z'")
     mat = np.asarray(mat, dtype=complex)
     return FiberOperator(basis, w_minus * mat, w_plus * mat)
-
-
-def fiber_identity(basis: MultiIndexBasis) -> FiberOperator:
-    return tensor_scalar(basis, np.eye(basis.dim))
 
 
 def riesz_symbol(basis: MultiIndexBasis, ell: int) -> FiberOperator:

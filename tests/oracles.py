@@ -5,7 +5,8 @@ blocks; these build the dense N x N matrices the tests compare against (the
 powers and the ``product`` factors assembled from the t-blocks), the dense
 eigenvalues of the ``product`` table and the grid ``L_p`` norm.
 ``fiber_schatten_norm`` and ``loop_coercivity`` are the SVD loop the fiber
-side's trace kernel replaced.
+side's trace kernel replaced; ``fiber_identity`` is an input of the fiber
+algebra tests.
 ``recorded_svd_shapes`` and ``recorded_eigenvalues`` let a test see the SVDs
 and the eigenvalue problems a computation solves.
 """
@@ -18,7 +19,7 @@ from heislab.doi import build_a_fiber
 from heislab.grid import _ASYMMETRY_LIMIT, GridFunction, GridSpec, _model
 from heislab.oscillator import (
     FiberOperator,
-    fiber_identity,
+    MultiIndexBasis,
     oscillator_matrix,
     riesz_symbol,
     tensor_scalar,
@@ -28,20 +29,20 @@ from heislab.oscillator import (
 def assemble(model, blocks: np.ndarray) -> np.ndarray:
     """The real N x N grid matrix with t-block j equal to ``blocks[j]``.
 
-    ``blocks`` holds the kept blocks (h x M x M); block nt+1-j is taken
+    ``blocks`` holds the kept blocks (h x M x M); block n+1-j is taken
     as the conjugate of block j, which is what makes the result real.
     """
-    nx, ny, nt = model.spec.shape
+    n = model.spec.count
     parts = np.concatenate([blocks.real, blocks.imag])
-    out = np.empty((nx * ny, nt, nx * ny, nt))
-    for k in range(nt):
+    out = np.empty((n * n, n, n * n, n))
+    for k in range(n):
         out[:, k] = np.tensordot(parts, model._t_outer[:, k], axes=(0, 0))
     return out.reshape(model.spec.size, model.spec.size)
 
 
 def assembled_power(model, exponent: float) -> np.ndarray:
     """Dense ``(-Delta)^exponent`` on the live modes, zero on the kernel."""
-    every = np.arange(model.spec.nx * model.spec.ny)
+    every = np.arange(model.spec.count**2)
     return assemble(model, model.planar_power(exponent, every))
 
 
@@ -74,12 +75,10 @@ def assembled_product_factor(spec, basis, name: str, inverse_root: np.ndarray):
     ``inverse_root`` is the grid's dense ``(-Delta)^{-1/2}``, which the flat
     factor and the Riesz factors are built on.
     """
-    if name == "identity":
-        return np.eye(spec.size), fiber_identity(basis)
     model = _model(spec)
     if name == "flat_factor":
         # the vertical root acts on the t-index, the fastest of (x, y, t)
-        rows = inverse_root.reshape(-1, spec.nt) @ model.vertical_quarter_root()
+        rows = inverse_root.reshape(-1, spec.count) @ model.vertical_quarter_root()
         grid = rows.reshape(spec.size, spec.size)
         energies = np.diag(oscillator_matrix(basis)).real
         return grid, tensor_scalar(basis, np.diag(energies**-0.5), "one")
@@ -123,6 +122,11 @@ def norm_lp(f: GridFunction, p: float) -> float:
     if p < 1.0:
         raise ValueError("exponent must be >= 1")
     return float((np.sum(np.abs(f.values) ** p) * f.spec.cell_volume) ** (1.0 / p))
+
+
+def fiber_identity(basis: MultiIndexBasis) -> FiberOperator:
+    """The identity on both sign blocks."""
+    return tensor_scalar(basis, np.eye(basis.dim))
 
 
 def fiber_schatten_norm(x: FiberOperator, p: float) -> float:

@@ -29,7 +29,7 @@ from heislab.cli import (
     run_suite,
     sweep,
 )
-from heislab.grid import GridSpec, _GridModel, _model
+from heislab.grid import GridSpec, _GridModel, _model, _peak_bytes
 
 from oracles import recorded_eigenvalues, recorded_svd_shapes
 
@@ -296,6 +296,19 @@ def power_exponents(monkeypatch):
     return exponents
 
 
+def cold_run_peak(tmp_path, suite, count):
+    """The ``tracemalloc`` peak of one run that starts on a cold model cache."""
+    _model.cache_clear()
+    config = load_config(write_config(tmp_path, grid_size=count), {"suite": suite})
+    tracemalloc.start()
+    try:
+        run_suite(config)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        _model.cache_clear()
+
+
 def reachable_arrays(obj, seen=None):
     """Every array reachable from ``obj`` through attributes, containers
     and the bases of views."""
@@ -445,10 +458,10 @@ class TestRunCommand:
     def test_cold_trace_run_does_two_real_eigh_per_kept_block(
         self, tmp_path, eigh_sizes
     ):
-        # a run starting on a cold model cache solves each of the ceil(nt/2)
+        # a run starting on a cold model cache solves each of the ceil(n/2)
         # kept t-blocks once, as its two real parity halves of sizes
-        # ceil(M/2) and floor(M/2) with M = nx * ny, and nothing of size M
-        # or more
+        # ceil(M/2) and floor(M/2) with M = n * n, and nothing of size M or
+        # more
         run_suite(load_config(write_config(tmp_path), {"suite": "trace"}))
         assert sorted(eigh_sizes) == [40] * 5 + [41] * 5
         assert max(eigh_sizes) < 9**2
@@ -524,17 +537,34 @@ class TestRunCommand:
     @pytest.mark.parametrize("suite", ["grid", "bound", "trace"])
     def test_cold_run_peaks_below_one_dense_matrix(self, tmp_path, suite):
         # at 13^3 every array the run allocates, cached or transient, fits
-        # together in less than one N x N float64 array
+        # together in less than one N x N float64 array, and the model's
+        # byte estimate covers the run within a factor 2
+        peak = cold_run_peak(tmp_path, suite, 13)
+        assert peak < (13**3) ** 2 * 8
+        assert peak <= _peak_bytes(13) <= 2 * peak
+
+    @pytest.mark.parametrize("suite", ["grid", "bound", "trace"])
+    def test_byte_estimate_covers_a_cold_9_run(self, tmp_path, suite):
+        peak = cold_run_peak(tmp_path, suite, 9)
+        assert peak <= _peak_bytes(9) <= 2 * peak
+
+    def test_over_budget_grid_exits_before_building_a_model(self, tmp_path, capsys):
+        # 41^3 estimates 25 GB: the run names the estimate and the budget
+        # and exits 2, having allocated far less than one N x N matrix
         _model.cache_clear()
-        config = load_config(write_config(tmp_path, grid_size=13), {"suite": suite})
+        args = ["run", "--suite", "grid", "--grid", "41", "--out", str(tmp_path / "out")]
         tracemalloc.start()
         try:
-            run_suite(config)
-            _, peak = tracemalloc.get_traced_memory()
+            code = main(args)
+            peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-            _model.cache_clear()
-        assert peak < (13**3) ** 2 * 8
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"estimated {_peak_bytes(41) / 1e6:.0f} MB" in err
+        assert "over the budget of 1500 MB" in err
+        assert _model.cache_info().currsize == 0
+        assert peak < (41**3) ** 2 * 8 / 1000
 
     def test_cold_product_run_peaks_below_two_dense_matrices(self, tmp_path):
         # every product factor is read off the t-blocks as sector blocks:
@@ -842,7 +872,8 @@ class TestSweepCommand:
             sweep(config, "grid_size", [9])
 
     def test_axis_tables_are_consistent(self):
-        for axis, suites in SWEEP_AXES.items():
+        for axis, (setting, suites) in SWEEP_AXES.items():
+            assert setting in cli._CONFIG_KEYS, axis
             for name in suites:
                 assert name in SUITES
 

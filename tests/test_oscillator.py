@@ -7,7 +7,6 @@ from heislab.oscillator import (
     FiberOperator,
     enumerate_basis,
     fiber_adjoint,
-    fiber_identity,
     fiber_mul,
     matrix_unit,
     momentum_matrix,
@@ -19,7 +18,7 @@ from heislab.oscillator import (
     tr_sigma,
 )
 
-from oracles import fiber_schatten_norm
+from oracles import fiber_identity, fiber_schatten_norm
 
 
 def interior_mask(basis):

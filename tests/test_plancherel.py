@@ -7,7 +7,6 @@ from scipy import integrate
 from heislab.oscillator import (
     FiberOperator,
     enumerate_basis,
-    fiber_identity,
     matrix_unit,
     oscillator_matrix,
     tensor_scalar,
@@ -23,7 +22,7 @@ from heislab.plancherel import (
     weak_norm_lift,
 )
 
-from oracles import fiber_schatten_norm
+from oracles import fiber_identity, fiber_schatten_norm
 
 
 def random_fiber(rng, basis):

@@ -20,10 +20,7 @@ ALLOWLIST = {
 }
 
 # public class members no package code reads, each kept for the stated reason
-MEMBER_ALLOWLIST = {
-    "GridSpec.cap": "the point-count cap, read only in __post_init__; a byte budget "
-    "of the plan is to replace it",
-}
+MEMBER_ALLOWLIST: dict[str, str] = {}
 
 SOURCE = Path(heislab.__file__).parent
 

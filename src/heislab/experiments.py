@@ -439,9 +439,9 @@ def product_factor(
     """Resolve a catalog name to the sector blocks of its grid operator (as
     in ``_GridModel._gathered``) and its fiber counterpart.
 
-    ``riesz:ell`` is the model's ``sector_blocks``; every other factor
-    hands the columns of its t-blocks at the planar representatives to
-    ``_GridModel.read_blocks``.  The vertical root V of the flat factor
+    ``riesz:ell`` is gathered anew by the model's ``riesz_blocks``; every
+    other factor hands the columns of its t-blocks at the planar
+    representatives to ``_GridModel.read_blocks``.  The vertical root V of the flat factor
     acts on the t-index alone, so it scales t-block j of
     ``(-Delta)^{-1/2}`` by ``u_j^H V u_j``.  No N x N array is formed.
     """
@@ -451,7 +451,7 @@ def product_factor(
         raise ValueError(f"{kind} index {k} outside 1..2")
     model = _model(spec)
     if kind == "riesz" and k:
-        return model.sector_blocks(k), riesz_symbol(basis, k)
+        return model.riesz_blocks(k), riesz_symbol(basis, k)
     reps = model.planar_representatives()
     if name == "flat_factor":
         u = model._t_vectors

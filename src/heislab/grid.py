@@ -32,7 +32,6 @@ interior-supported functions and via refinement sweeps.
 
 from __future__ import annotations
 
-import functools
 import math
 import types
 from collections import namedtuple
@@ -67,11 +66,14 @@ _ASYMMETRY_LIMIT = 1e-8
 # batch holds this many grid columns of N entries
 _COLUMN_BATCH = 64
 
+# bytes of the right factor's rows that one einsum of ``field_times`` reads
+# (four rows per row of the product), a few times L1 and well inside L2
+_GATHER_BYTES = 262_144
+
 # The most bytes one model may estimate for a run (``_peak_bytes``), checked
-# before it allocates anything.  25^3, the largest grid the planned
-# refinement experiments take, estimates 1.36 GB and fits; 26^3 estimates
-# 1.70 GB and does not.  The budget holds per model, and ``_model`` keeps up
-# to three.
+# before it allocates anything.  27^3 estimates 1.35 GB and fits; 28^3
+# estimates 1.67 GB and does not.  ``_model`` keeps models while the sum of
+# their estimates fits.
 _BYTE_BUDGET = 1_500_000_000
 
 # Characters (s1, s2) of the two grid reflections P1: (x, y, t) -> (x, -y, -t)
@@ -389,6 +391,12 @@ class _Orbits(NamedTuple):
     classes: tuple[tuple[np.ndarray, np.ndarray], ...]
 
 
+# the stencil rows of the sector blocks of a field in one colour class (see
+# ``_GridModel.field_rows``): entry (a, b) of the block of SECTORS[k] is the
+# sum of ``values[k, a, j]`` over the slots j with ``columns[a, j] = b``;
+# columns is rows x 4 and values 4 x rows x 4
+_FieldRows = namedtuple("_FieldRows", "columns values")
+
 # a block of [R_ell, M_f] from the component SECTORS[eps], of rows in
 # SECTORS[rho] and columns in SECTORS[sigma]: ``rows`` and ``cols`` are the
 # positions, in the row and column orbits of class ``colour``, of the live ones
@@ -418,20 +426,23 @@ def _peak_bytes(count: int) -> int:
     points of colour c, plus three times the points a reflection fixes, over
     the four group elements), so one set of sector blocks (4 sectors x 2
     classes of orbits against orbits, float64) takes at most ``(N + 3 count +
-    4)^2`` bytes.  A run holds three sets (``inverse_root_blocks`` and the
-    ``field_blocks`` and ``sector_blocks`` of one field) while it reads a
-    fourth, or takes the SVDs of the commutator pieces; the fifth covers the
-    read's accumulators.  The t-block columns of a read (``planar_power``,
-    ``read_blocks``) take a few arrays of ``ceil(count/2)`` x M x M float64.
-    2 MB cover what the run allocates besides the model (the fiber side,
-    the families, the artifacts; 1.7 MB in a cold 9^3 trace run).  Against
-    the ``tracemalloc`` peaks of cold runs the estimate reads 1.05-1.9x at
-    9^3, 1.14-1.37x at 13^3 and 1.15-1.29x at 17^3.
+    4)^2`` bytes.  The model keeps one set (``inverse_root_blocks``); a run
+    holds a second while it reads ``(-Delta)^{1/2}`` for the split or the
+    commutator blocks of one function before their SVDs, and the third
+    covers the read's accumulators and the products of a block.  The field
+    blocks are stencil rows of four entries and the Riesz blocks are
+    gathered per block, so neither adds a set.  The t-block columns of a
+    read (``planar_power``, ``read_blocks``) take a few arrays of
+    ``ceil(count/2)`` x M x M float64.  1.5 MB cover what the run allocates
+    besides the model (the fiber side, the families, the artifacts).
+    Against the ``tracemalloc`` peaks of runs on a cold model, with the
+    modules loaded, the estimate reads 1.17-1.70x at 9^3, 1.18-1.56x at
+    13^3 and 1.16-1.51x at 17^3.
     """
     size = count**3
     sector_set = (size + 3 * count + 4) ** 2
     t_blocks = 8 * ((count + 1) // 2) * count**4
-    return 5 * sector_set + 3 * t_blocks + 2_000_000
+    return 3 * sector_set + 3 * t_blocks + 1_500_000
 
 
 class _GridModel:
@@ -448,13 +459,17 @@ class _GridModel:
     about M/2, never N.
 
     Powers of the sub-Laplacian vanish on its numerical kernel (the
-    pseudo-inverse policy).  The block eigendecomposition, reflection orbits
-    and the sector blocks of the fields, the inverse root and the Riesz
-    transforms are built on first use; the model keeps no N x N array.  The
-    sector blocks of an operator that the t-blocks carry are read straight
-    off its t-block columns at the planar representatives (``read_blocks``),
-    the powers (``power_blocks``) and the ``product`` factors alike; no
-    N x N array is formed.  The model also splits each
+    pseudo-inverse policy).  The block eigendecomposition, the reflection
+    orbits, the sector blocks of the inverse root and the fields' sector
+    blocks as stencil rows of at most four entries (``field_rows``) are
+    built on first use; that one set of sector blocks is the largest thing
+    the model keeps, and it keeps no N x N array.  The Riesz blocks are
+    gathered from the inverse root's rows where they are read
+    (``riesz_block``) and never kept.  The sector blocks of an operator
+    that the t-blocks carry are read straight off its t-block columns at
+    the planar representatives (``read_blocks``), the powers
+    (``power_blocks``) and the ``product`` factors alike; no N x N array is
+    formed.  The model also splits each
     commutator ``[R_ell, M_f]`` into its independent SVD pieces and keeps
     one spectrum per (ell, f) (``commutator_spectrum``), which the bound
     and trace experiments and every sweep step on this grid share.
@@ -504,8 +519,7 @@ class _GridModel:
         self._eig: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._sectors: _Orbits | None = None
         self._inverse_root: tuple[tuple[np.ndarray, ...], ...] | None = None
-        self._field_blocks: dict[int, tuple[tuple[np.ndarray, ...], ...]] = {}
-        self._sector_blocks: dict[int, tuple[tuple[np.ndarray, ...], ...]] = {}
+        self._field_rows: dict[int, tuple[_FieldRows, ...]] = {}
         # (ell, bytes of f) -> (spectrum, health) of [R_ell, M_f]
         self._spectra: dict[tuple[int, bytes], tuple[SingularSpectrum, Mapping]] = {}
 
@@ -784,7 +798,7 @@ class _GridModel:
     ) -> tuple[tuple[np.ndarray, ...], ...]:
         """The sector blocks ``Q_{sigma chi}^T T Q_sigma`` of a grid operator
         T of reflection character chi, cut by colour; the frame of
-        ``read_blocks`` and ``field_blocks``.
+        ``read_blocks``, whose layout ``field_rows`` keeps.
 
         Entry ``[k][c]`` belongs to ``sigma = SECTORS[k]``; its columns are
         the orbits ``classes[c][1]`` (see ``_Orbits``) and its rows
@@ -814,38 +828,85 @@ class _GridModel:
             per_class.append(out)
         return tuple(tuple(out[k] for out in per_class) for k in range(len(SECTORS)))
 
-    def field_blocks(self, ell: int) -> tuple[tuple[np.ndarray, ...], ...]:
+    def field_rows(self, ell: int) -> tuple[_FieldRows, ...]:
         """The colour-flipping sector blocks ``Xt_sigma = Q_{sigma s_ell}^T
-        X_ell Q_sigma`` (laid out as in ``_gathered``), built on first use
-        and kept read-only.
+        X_ell Q_sigma`` as stencil rows, one ``_FieldRows`` per colour class
+        (rows and columns as in ``_gathered``), built on first use and kept
+        read-only.
 
-        They are scattered from the stencil's nonzeros: for each group
-        element g, each row orbit a and each term of ``X_ell`` with value v
-        from ``g a`` to its neighbour p, every h with ``h b = p`` for a
-        column orbit b adds ``tau(g) sigma(h) v`` to entry (a, b).  For one
-        (g, h) the pairs (a, b) are distinct, so each scatter is one
+        Entry (a, b) is ``sum_{g,h} tau(g) sigma(h) X_ell[g a, h b]`` over
+        the norms.  The reflections map the neighbours of a onto those of
+        ``g a``, so the columns of row a are the orbits of a's at most four
+        neighbours, for every sector.  They are scattered from the
+        stencil's nonzeros: for each group element g and each term of
+        ``X_ell`` with value v from ``g a`` to its neighbour p, every h with
+        ``h b = p`` adds ``tau(g) sigma(h) v`` to the slot of b in row a.
+        For one (g, h) the pairs (a, b) are distinct, so each scatter is one
         indexed add.
         """
-        if ell not in self._field_blocks:
-            table = self.sectors().table
+        if ell not in self._field_rows:
+            orbits = self.sectors()
+            table = orbits.table
             orbit_of = np.empty(self.spec.size, dtype=int)
             orbit_of[table] = np.arange(table.shape[1])
-
-            def accumulate(out, weights, rows, cols):
+            targets = [_sector_index(sigma, _FIELD_CHARACTER[ell]) for sigma in SECTORS]
+            weights = _SIGNS[targets][:, :, None] * _SIGNS[:, None, :]
+            inverse = _inverse_norms(orbits)
+            per_class = []
+            for rows, cols in orbits.classes:
                 position = np.full(table.shape[1], -1)
                 position[cols] = np.arange(cols.size)
+                # the distinct column orbits of each row, ascending, then the
+                # free slots, which read column 0 with weight 0; the first
+                # slot of a row equal to a column is that column's own
+                r, neighbour, _ = self.field_nonzeros(ell, table[0, rows])
+                pairs = np.sort(r * cols.size + position[orbit_of[neighbour]])
+                pairs = pairs[np.diff(pairs, prepend=-1) > 0]
+                r, c = np.divmod(pairs, cols.size)
+                columns = np.zeros((rows.size, 4), dtype=int)
+                columns[r, np.arange(r.size) - np.searchsorted(r, r)] = c
+                values = np.zeros((len(SECTORS),) + columns.shape)
                 for g in range(4):
                     r, neighbour, value = self.field_nonzeros(ell, table[g, rows])
                     orbit = orbit_of[neighbour]
-                    c = position[orbit]
+                    slot = np.argmax(columns[r] == position[orbit][:, None], axis=1)
                     for h in range(4):
-                        hit = (c >= 0) & (table[h, orbit] == neighbour)
-                        out[:, r[hit], c[hit]] += weights[:, g, h, None] * value[hit]
+                        hit = table[h, orbit] == neighbour
+                        values[:, r[hit], slot[hit]] += weights[:, g, h, None] * value[hit]
+                values *= inverse[targets][:, rows, None]
+                values *= inverse[:, cols[columns]]
+                for arr in (columns, values):
+                    arr.flags.writeable = False
+                per_class.append(_FieldRows(columns, values))
+            self._field_rows[ell] = tuple(per_class)
+        return self._field_rows[ell]
 
-            self._field_blocks[ell] = self._gathered(
-                _FIELD_CHARACTER[ell], True, accumulate
-            )
-        return self._field_blocks[ell]
+    def field_times(
+        self,
+        ell: int,
+        k: int,
+        c: int,
+        rows: np.ndarray,
+        right: np.ndarray,
+        cols: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """The rows ``rows`` (and the columns ``cols``, or all) of
+        ``Xt_sigma @ right`` for ``sigma = SECTORS[k]`` in colour class c:
+        each row is a sum of at most four rows of ``right``, read off
+        ``field_rows``.  ``right`` is cut to ``cols`` once, unless they are
+        all its columns; ``np.take`` keeps the cut row-major, so its rows
+        are read contiguously."""
+        columns, values = self.field_rows(ell)[c]
+        columns, values = columns[rows], values[k, rows]
+        if cols is not None and cols.size < right.shape[1]:
+            right = np.take(right, cols, axis=1)
+        out = np.empty((columns.shape[0], right.shape[1]))
+        row_bytes = columns.shape[1] * right.shape[1] * right.itemsize
+        step = max(1, _GATHER_BYTES // row_bytes)
+        for start in range(0, out.shape[0], step):
+            batch = slice(start, start + step)
+            np.einsum("rj,rjs->rs", values[batch], right[columns[batch]], out=out[batch])
+        return out
 
     def inverse_root_blocks(self) -> tuple[tuple[np.ndarray, ...], ...]:
         """The sector blocks ``Q_sigma^T (-Delta)^{-1/2} Q_sigma`` (see
@@ -855,23 +916,30 @@ class _GridModel:
             self._inverse_root = self.power_blocks(-0.5)
         return self._inverse_root
 
-    def sector_blocks(self, ell: int) -> tuple[tuple[np.ndarray, ...], ...]:
-        """The colour-flipping sector blocks ``Rt_sigma = Q_{sigma s_ell}^T
-        R_ell Q_sigma`` of the Riesz transform, built on first use and kept
-        read-only.  ``(-Delta)^{-1/2}`` keeps sector and colour and
-        ``sum_rho Q_rho Q_rho^T = I``, so ``Rt_sigma`` is the product of
-        ``field_blocks`` and ``inverse_root_blocks``."""
-        if ell not in self._sector_blocks:
-            blocks = tuple(
-                tuple(x @ s for x, s in zip(per_field, per_root))
-                for per_field, per_root in zip(
-                    self.field_blocks(ell), self.inverse_root_blocks()
-                )
+    def riesz_block(
+        self, ell: int, k: int, c: int, rows: np.ndarray, cols: np.ndarray | None = None
+    ) -> np.ndarray:
+        """The rows ``rows`` (and the columns ``cols``, or all) of the
+        colour-flipping sector block ``Rt_sigma = Q_{sigma s_ell}^T R_ell
+        Q_sigma`` of the Riesz transform, ``sigma = SECTORS[k]``, in colour
+        class c, gathered anew on each call.  ``(-Delta)^{-1/2}`` keeps
+        sector and colour and ``sum_rho Q_rho Q_rho^T = I``, so ``Rt_sigma =
+        Xt_sigma St_sigma`` with the inverse root's blocks ``St_sigma``: a
+        row of ``Rt_sigma`` is a sum of at most four rows of ``St_sigma``
+        (``field_times``)."""
+        root = self.inverse_root_blocks()[k][c]
+        return self.field_times(ell, k, c, rows, root, cols)
+
+    def riesz_blocks(self, ell: int) -> tuple[tuple[np.ndarray, ...], ...]:
+        """Every block ``Rt_sigma`` of ``riesz_block``, laid out as in
+        ``_gathered``; gathered anew on each call, never cached."""
+        return tuple(
+            tuple(
+                self.riesz_block(ell, k, c, np.arange(rows.size))
+                for c, (rows, _) in enumerate(self.sectors().classes)
             )
-            for block in sum(blocks, ()):
-                block.flags.writeable = False
-            self._sector_blocks[ell] = blocks
-        return self._sector_blocks[ell]
+            for k in range(len(SECTORS))
+        )
 
     def commutator_blocks(
         self, ell: int, components: Mapping[int, np.ndarray]
@@ -884,21 +952,27 @@ class _GridModel:
         diag(f_eps)``: f_eps gives the block of rows rho = sigma eps s_ell
         and columns sigma, ``Rt_{sigma eps} f_eps[cols] - f_eps[rows]
         Rt_sigma``, on the rows live in rho and the columns live in sigma;
-        one component's blocks hold N rows and N columns.  Both terms scale
-        the same entries, so a constant f gives exact zeros.
+        one component's blocks hold N rows and N columns.  Only those rows
+        and columns of the Riesz blocks are gathered (``riesz_block``), once
+        when eps is trivial.  Both terms scale the same entries, so a
+        constant f gives exact zeros.
         """
         orbits = self.sectors()
-        riesz = self.sector_blocks(ell)
         for eps, f_rep in components.items():
             for k, sigma in enumerate(SECTORS):
-                shifted = riesz[_sector_index(sigma, SECTORS[eps])]
+                shifted = _sector_index(sigma, SECTORS[eps])
                 rho = _sector_index(sigma, SECTORS[eps], _FIELD_CHARACTER[ell])
                 for c, (rows, cols) in enumerate(orbits.classes):
                     r = np.flatnonzero(orbits.live[rho, rows])
                     s = np.flatnonzero(orbits.live[k, cols])
-                    live = np.ix_(r, s)
-                    block = shifted[c][live] * f_rep[cols[s]]
-                    block -= f_rep[rows[r], None] * riesz[k][c][live]
+                    riesz = self.riesz_block(ell, k, c, r, s)
+                    if shifted == k:
+                        block = riesz * f_rep[cols[s]]
+                    else:
+                        block = self.riesz_block(ell, shifted, c, r, s)
+                        block *= f_rep[cols[s]]
+                    riesz *= f_rep[rows[r], None]
+                    block -= riesz
                     yield _Block(eps, rho, k, c, r, s, block)
 
     def commutator_spectrum(
@@ -956,9 +1030,45 @@ class _GridModel:
         return (v * np.clip(w, 0.0, None) ** 0.25) @ v.T
 
 
-@functools.lru_cache(maxsize=3)
-def _model(spec: GridSpec) -> _GridModel:
-    return _GridModel(spec)
+# the number of models ``_model`` holds and the sum of their estimates
+_CacheInfo = namedtuple("_CacheInfo", "currsize bytes")
+
+
+class _ModelCache:
+    """The models of the grids last used, bounded in bytes: their
+    ``_peak_bytes`` estimates sum to at most ``_BYTE_BUDGET``.
+
+    Calling it with a spec returns that grid's model, built on first use.
+    Before a model is built, the least recently used ones are dropped until
+    the new estimate fits beside the rest; a grid over the budget on its
+    own raises from ``_GridModel`` and drops none.
+    """
+
+    def __init__(self):
+        # least recently used first
+        self._models: dict[GridSpec, _GridModel] = {}
+
+    def __call__(self, spec: GridSpec) -> _GridModel:
+        model = self._models.pop(spec, None)
+        if model is None:
+            estimate = _peak_bytes(spec.count)
+            if estimate <= _BYTE_BUDGET:
+                while estimate + self.cache_info().bytes > _BYTE_BUDGET:
+                    del self._models[next(iter(self._models))]
+            model = _GridModel(spec)
+        self._models[spec] = model
+        return model
+
+    def cache_clear(self) -> None:
+        self._models.clear()
+
+    def cache_info(self) -> _CacheInfo:
+        return _CacheInfo(
+            len(self._models), sum(_peak_bytes(spec.count) for spec in self._models)
+        )
+
+
+_model = _ModelCache()
 
 
 # ---------------------------------------------------------------------------
@@ -1076,20 +1186,20 @@ def riesz_decomposition_residual(
     its own sector coordinates.  The reflection components of f land on
     disjoint blocks, and the Frobenius norms are the roots of the sums of
     squared block norms.  The sector blocks of each power are read straight
-    off the t-block eigenpairs (``_GridModel.power_blocks``), once per call;
-    no N x N array is formed.
+    off the t-block eigenpairs (``_GridModel.power_blocks``), once per call.
+    The terms with ``X_ell`` on the left are row gathers of the stencil rows
+    (``_GridModel.field_times``), for each block alone; no N x N array is
+    formed.
     """
     if any(f.spec != spec for f in functions.values()):
         raise ValueError("function lives on a different grid")
     model = _model(spec)
     orbits = model.sectors()
     # the powers have the trivial character (1, 1); the blocks of the
-    # inverse root and of X_ell are the model's own, shared with the Riesz
-    # blocks
-    riesz = model.sector_blocks(ell)
+    # inverse root are the model's own, which the Riesz blocks are gathered
+    # from
     inv_sqrt = model.inverse_root_blocks()
     sqrt_mat = model.power_blocks(0.5)
-    field = model.field_blocks(ell)
     kernel = model.kernel()
     # Q^T K: the kernel's coordinates in each sector, orbit by orbit
     kernel_coords = np.einsum("sg,gok->sok", _SIGNS, kernel[orbits.table])
@@ -1101,18 +1211,23 @@ def riesz_decomposition_residual(
         lhs_norms, gap_norms = [], []
         for block in model.commutator_blocks(ell, components):
             k, c, lhs = block.sigma, block.colour, block.matrix
+            r, s = block.rows, block.cols
             shifted = _sector_index(SECTORS[k], SECTORS[block.eps])
             rows, cols = orbits.classes[c]
             f_rep = components[block.eps]
             f_cols = f_rep[cols]
             # gap = lhs - [X, M_f] A^{-1/2} + R [A^{1/2}, M_f] A^{-1/2}
-            # with A = -Delta, on the live rows and columns of lhs
+            # with A = -Delta, on the live rows and columns of lhs:
+            # X_{sigma eps} (S^-_{sigma eps} C S^-_sigma - f S^-_sigma)
+            # + f R_sigma + lhs, the field and Riesz rows gathered for this
+            # block alone
             comm_sqrt = sqrt_mat[shifted][c] * f_cols
             comm_sqrt -= f_cols[:, None] * sqrt_mat[k][c]
-            gap = riesz[shifted][c] @ (comm_sqrt @ inv_sqrt[k][c])
-            gap -= field[shifted][c] @ (f_cols[:, None] * inv_sqrt[k][c])
-            gap += f_rep[rows, None] * riesz[k][c]
-            gap = gap[np.ix_(block.rows, block.cols)] + lhs
+            right = inv_sqrt[shifted][c] @ (comm_sqrt @ inv_sqrt[k][c])
+            right -= f_cols[:, None] * inv_sqrt[k][c]
+            gap = model.field_times(ell, shifted, c, r, right, s)
+            gap += f_rep[rows[r], None] * model.riesz_block(ell, k, c, r, s)
+            gap += lhs
             left = kernel_coords[block.rho, rows[block.rows]]
             right = kernel_coords[k, cols[block.cols]]
             for mat in (lhs, gap):

@@ -3,6 +3,7 @@
 The package reads every grid operator through its t-blocks and sector
 blocks; these build the dense N x N matrices the tests compare against (the
 powers and the ``product`` factors assembled from the t-blocks), the dense
+sector blocks of the fields expanded from their stencil rows, the dense
 eigenvalues of the ``product`` table and the grid ``L_p`` norm.
 ``fiber_schatten_norm`` and ``loop_coercivity`` are the SVD loop the fiber
 side's trace kernel replaced; ``fiber_identity`` is an input of the fiber
@@ -38,6 +39,22 @@ def assemble(model, blocks: np.ndarray) -> np.ndarray:
     for k in range(n):
         out[:, k] = np.tensordot(parts, model._t_outer[:, k], axes=(0, 0))
     return out.reshape(model.spec.size, model.spec.size)
+
+
+def expanded_field_rows(model, ell: int) -> tuple[tuple[np.ndarray, ...], ...]:
+    """The sector blocks of ``X_ell`` as dense arrays, in the layout of
+    ``_GridModel._gathered``: the stencil rows of ``_GridModel.field_rows``
+    scattered entry by entry."""
+    classes = model.sectors().classes
+    out = []
+    for k in range(4):
+        per_class = []
+        for (rows, cols), (columns, values) in zip(classes, model.field_rows(ell)):
+            block = np.zeros((rows.size, cols.size))
+            np.add.at(block, (np.arange(rows.size)[:, None], columns), values[k])
+            per_class.append(block)
+        out.append(tuple(per_class))
+    return tuple(out)
 
 
 def assembled_power(model, exponent: float) -> np.ndarray:

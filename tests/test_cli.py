@@ -589,9 +589,27 @@ class TestRunCommand:
         run_suite(load_config(write_config(tmp_path), {"suite": suite}))
         model = _model(GridSpec.cube(9))
         assert _model.cache_info().currsize == 1
-        assert model._sector_blocks
+        assert model._inverse_root is not None and model._field_rows
         sizes = [arr.size for arr in reachable_arrays(model)]
         assert max(sizes) < (9**3) ** 2
+
+    @pytest.mark.parametrize("suite", ["bound", "grid"])
+    def test_cold_run_leaves_one_sector_set_on_the_model(self, tmp_path, suite):
+        # after a run the model holds the inverse root's sector blocks and
+        # the t-block arrays, bounded by the terms of _peak_bytes: one set of
+        # (N + 3n + 4)^2 bytes and three of ceil(n/2) n^4 floats.  A field
+        # set kept dense, or a Riesz set, would add about one more set
+        count = 13
+        _model.cache_clear()
+        config = load_config(write_config(tmp_path, grid_size=count), {"suite": suite})
+        run_suite(config)
+        model = _model(GridSpec.cube(count))
+        assert _model.cache_info().currsize == 1
+        owned = sum(arr.nbytes for arr in reachable_arrays(model) if arr.base is None)
+        sector_set = (count**3 + 3 * count + 4) ** 2
+        t_blocks = 8 * ((count + 1) // 2) * count**4
+        assert owned <= sector_set + 3 * t_blocks
+        _model.cache_clear()
 
     def test_grid_artifact_reports_split_components(self, tmp_path):
         # every shipped split function is even: one component, character ++

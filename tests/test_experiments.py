@@ -555,7 +555,10 @@ class TestProductTrace:
     def test_factor_catalog_matches_components(self):
         model = _model(SPEC)
         blocks, fiber = product_factor(SPEC, BASIS, "riesz:2")
-        assert blocks is model.sector_blocks(2)
+        # gathered anew from the stencil rows, as the model's riesz_blocks
+        for per_sector, per_model in zip(blocks, model.riesz_blocks(2)):
+            for block, expected in zip(per_sector, per_model):
+                assert block is not expected and np.array_equal(block, expected)
         np.testing.assert_array_equal(fiber.minus, riesz_symbol(BASIS, 2).minus)
 
         # the sector blocks are compressions of the grid operator to

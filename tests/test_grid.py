@@ -241,11 +241,36 @@ class TestGridSpec:
     def test_byte_budget_enforced_at_model_build(self):
         # the spec of any size is a grid; the model refuses one whose
         # estimated peak is over the budget, naming both numbers
-        assert _peak_bytes(25) <= grid._BYTE_BUDGET < _peak_bytes(26)
+        assert _peak_bytes(27) <= grid._BYTE_BUDGET < _peak_bytes(28)
         spec = GridSpec.cube(41)
         with pytest.raises(ValueError, match=r"estimated \d+ MB, over the budget of 1500 MB"):
             _model(spec)
-        assert _GridModel(GridSpec.cube(25)).spec.count == 25
+        assert _GridModel(GridSpec.cube(27)).spec.count == 27
+
+    def test_model_cache_is_bounded_by_the_byte_budget(self, monkeypatch):
+        # two 9^3 grids coexist under the real budget; under one that fits
+        # two estimates, a third grid drops the least recently used, and a
+        # grid over the budget on its own drops none
+        first, second, third = GridSpec(9, 3.0), GridSpec(9, 2.5), GridSpec(9, 2.0)
+        _model.cache_clear()
+        try:
+            a, b = _model(first), _model(second)
+            assert _model.cache_info() == (2, 2 * _peak_bytes(9))
+            assert _model(first) is a and _model(second) is b
+            monkeypatch.setattr(grid, "_BYTE_BUDGET", 2 * _peak_bytes(9))
+            assert _model(first) is a
+            c = _model(third)
+            assert _model.cache_info().currsize == 2
+            assert _model(first) is a and _model(third) is c
+            with pytest.raises(ValueError, match="over the budget"):
+                _model(GridSpec.cube(13))
+            assert _model.cache_info().currsize == 2
+            assert _model(second) is not b
+            monkeypatch.setattr(grid, "_BYTE_BUDGET", _peak_bytes(9))
+            _model(first)
+            assert _model.cache_info().currsize == 1
+        finally:
+            _model.cache_clear()
 
 
 class TestVectorFields:
@@ -673,8 +698,8 @@ class TestColourGrading:
 
     @pytest.mark.parametrize("count", [9, 13])
     def test_riesz_sector_blocks_match_the_bases(self, count):
-        # the same-colour part of each sector block, which the cached blocks
-        # leave out, is rounding noise
+        # the same-colour part of each sector block, which the gathered
+        # blocks leave out, is rounding noise
         spec = GridSpec.cube(count)
         model = _model(spec)
         orbits = model.sectors()
@@ -689,17 +714,17 @@ class TestColourGrading:
                 full[live] = bases[target].T @ riesz @ bases[sigma]
                 scale = np.abs(full).max()
                 assert np.abs(full[same]).max() <= 1e-15 * scale
-                for (r, c), cached in zip(orbits.classes, model.sector_blocks(ell)[k]):
-                    assert np.abs(cached - full[np.ix_(r, c)]).max() <= 1e-15 * scale
+                for (r, c), gathered in zip(orbits.classes, model.riesz_blocks(ell)[k]):
+                    assert np.abs(gathered - full[np.ix_(r, c)]).max() <= 1e-15 * scale
 
     @pytest.mark.parametrize("count", [9, 13])
     def test_riesz_sector_block_routes_match_extended_precision(self, count):
         # both routes of the test above against Q^T X P Q summed in
         # np.longdouble from the same float64 factors: the parity t-blocks
         # of P and the t-vectors, the stencil of X and the sector bases Q;
-        # measured gaps at most 7.1e-16 (9^3) and 6.8e-16 (13^3) of the
-        # block's largest entry for the cached blocks, 4.5e-16 and 5.5e-16
-        # for the dense sandwich
+        # measured gaps at most 5.7e-16 (9^3) and 6.8e-16 (13^3) of the
+        # block's largest entry for the blocks gathered from the stencil
+        # rows, 4.5e-16 and 5.5e-16 for the dense sandwich
         spec = GridSpec.cube(count)
         model = _model(spec)
         orbits = model.sectors()
@@ -720,21 +745,19 @@ class TestColourGrading:
                 full = np.zeros(extended.shape)
                 full[live] = bases[target].T @ riesz @ bases[sigma]
                 assert np.abs(full - extended).max() <= 1e-15 * scale
-                for (r, c), cached in zip(orbits.classes, model.sector_blocks(ell)[k]):
-                    assert np.abs(cached - extended[np.ix_(r, c)]).max() <= 1e-15 * scale
+                for (r, c), gathered in zip(orbits.classes, model.riesz_blocks(ell)[k]):
+                    assert np.abs(gathered - extended[np.ix_(r, c)]).max() <= 1e-15 * scale
 
     def test_gather_reads_a_sparse_field_as_its_dense_matrix(self):
-        # the scatter of the stencil's nonzeros against the dense gather of
-        # the same field; entries several (g, h) pairs reach add up in
-        # another order
+        # the stencil rows scattered from the stencil's nonzeros, expanded,
+        # against the dense gather of the same field; entries several (g, h)
+        # pairs reach add up in another order
         model = _model(SPEC)
         for ell, field in _FIELD_CHARACTER.items():
-            scattered = model.field_blocks(ell)
-            assert model.field_blocks(ell) is scattered
             from_dense = gather(model, model_field(SPEC, ell), field, flip=True)
-            for sparse_blocks, dense_blocks in zip(scattered, from_dense):
+            expanded = oracles.expanded_field_rows(model, ell)
+            for sparse_blocks, dense_blocks in zip(expanded, from_dense):
                 for got, expected in zip(sparse_blocks, dense_blocks):
-                    assert not got.flags.writeable
                     assert np.abs(got - expected).max() <= 1e-15 * np.abs(expected).max()
 
     @pytest.mark.parametrize("shape", [(9, 3.0), (10, 2.5)])
@@ -758,11 +781,30 @@ class TestColourGrading:
                 assert np.abs(gathered - full[np.ix_(c, c)]).max() <= 1e-14 * scale
 
     def test_sector_blocks_are_cached_read_only(self):
+        # the fields' blocks are kept as read-only stencil rows of four
+        # entries; the Riesz blocks are gathered anew on each read, and a
+        # gather of some rows and the live columns is the full gather's
+        # cut, bit for bit
         model = _model(SPEC)
-        blocks = model.sector_blocks(1)
-        assert model.sector_blocks(1) is blocks
-        assert len(blocks) == 4 and all(len(per_sector) == 2 for per_sector in blocks)
-        assert not any(b.flags.writeable for per_sector in blocks for b in per_sector)
+        orbits = model.sectors()
+        for ell in (1, 2):
+            stencil = model.field_rows(ell)
+            assert model.field_rows(ell) is stencil
+            for (rows, _), (columns, values) in zip(orbits.classes, stencil):
+                assert columns.shape == (rows.size, 4)
+                assert values.shape == (len(SECTORS), rows.size, 4)
+                assert not columns.flags.writeable and not values.flags.writeable
+            blocks = model.riesz_blocks(ell)
+            assert len(blocks) == 4 and all(len(per_sector) == 2 for per_sector in blocks)
+            again = model.riesz_blocks(ell)
+            for k, (per_sector, per_again) in enumerate(zip(blocks, again)):
+                for c, (block, other) in enumerate(zip(per_sector, per_again)):
+                    assert block is not other and np.array_equal(block, other)
+                    rows, cols = orbits.classes[c]
+                    r = np.arange(0, rows.size, 2)
+                    s = np.flatnonzero(orbits.live[k, cols])
+                    cut = model.riesz_block(ell, k, c, r, s)
+                    assert np.array_equal(cut, block[np.ix_(r, s)])
 
 
 @pytest.fixture(scope="class", params=ORACLE_IDS)
@@ -982,10 +1024,12 @@ class TestStencilAgainstCSR:
 
     @pytest.mark.parametrize("ell", [1, 2])
     def test_field_blocks(self, csr_spec, ell):
+        # the stencil rows, expanded, against the gather of the CSR field
         model = _model(csr_spec)
         dense = sparse_fields(csr_spec)[ell - 1].toarray()
         expected = gather(model, dense, _FIELD_CHARACTER[ell], flip=True)
-        for got_blocks, want_blocks in zip(model.field_blocks(ell), expected):
+        got = oracles.expanded_field_rows(model, ell)
+        for got_blocks, want_blocks in zip(got, expected):
             for got, want in zip(got_blocks, want_blocks):
                 assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 

@@ -25,7 +25,6 @@ from .grid import (
     _join,
     _model,
     _reflection_components,
-    _sector_index,
     sobolev_seminorm,
 )
 from .oscillator import (
@@ -437,7 +436,7 @@ def product_factor(
     spec: GridSpec, basis: MultiIndexBasis, name: str
 ) -> tuple[tuple[tuple[np.ndarray, ...], ...], FiberOperator]:
     """Resolve a catalog name to the sector blocks of its grid operator (as
-    in ``_GridModel._gathered``) and its fiber counterpart.
+    laid out by ``_GridModel.read_blocks``) and its fiber counterpart.
 
     ``riesz:ell`` is gathered anew by the model's ``riesz_blocks``; every
     other factor hands the columns of its t-blocks at the planar
@@ -480,14 +479,14 @@ class ProductCase:
             raise ValueError("need one factor name per function")
 
 
-def _factor_structure(name: str) -> tuple[tuple[int, int], bool]:
-    """Reflection character of a catalog factor and whether it flips colour:
-    the Riesz and symbol factors carry those of their field, the flat factor
-    keeps sector and colour."""
+def _factor_structure(name: str) -> tuple[int, bool]:
+    """Reflection character of a catalog factor, as its position in
+    ``SECTORS``, and whether it flips colour: the Riesz and symbol factors
+    carry those of their field, the flat factor keeps sector and colour."""
     kind, _, index = name.partition(":")
     if kind in ("riesz", "a"):
         return _FIELD_CHARACTER[int(index)], True
-    return SECTORS[0], False
+    return 0, False
 
 
 def product_trace_check(
@@ -544,7 +543,7 @@ def product_trace_check(
         character, flip = structure[name]
         if flip:
             c = 1 - c
-        return c, _sector_index(SECTORS[k], character)
+        return c, k ^ character
 
     def term(name: str, components: Mapping[int, np.ndarray], cells) -> np.ndarray:
         """``F M_f`` from the live coordinates of ``cells`` onto its image."""
@@ -552,7 +551,7 @@ def product_trace_check(
         for c, k in cells:
             cols = live[c][k]
             for eps, f_rep in components.items():
-                shifted = _sector_index(SECTORS[k], SECTORS[eps])
+                shifted = k ^ eps
                 target = image((c, shifted), name)
                 rows = live[target[0]][target[1]]
                 block = blocks[name][shifted][c][np.ix_(rows, cols)]
@@ -569,13 +568,15 @@ def product_trace_check(
             # zero blocks
             components.append(_reflection_components(at_orbits) or {0: at_orbits[0]})
         steps = {eps for parts in components for eps in parts}
-        steps.add(_sector_index(*(structure[name][0] for name in case.factors)))
+        character = 0
+        for name in case.factors:
+            character ^= structure[name][0]
+        steps.add(character)
         subgroup = {0}
         for step in steps:
-            subgroup |= {_sector_index(SECTORS[h], SECTORS[step]) for h in subgroup}
+            subgroup |= {h ^ step for h in subgroup}
         cosets = sorted(
-            {tuple(sorted(_sector_index(SECTORS[k], SECTORS[h]) for h in subgroup))
-             for k in range(len(SECTORS))}
+            {tuple(sorted(k ^ h for h in subgroup)) for k in range(len(SECTORS))}
         )
         flips = sum(structure[name][1] for name in case.factors)
         groups = [(0, 1)] if flips % 2 else [(0,), (1,)]

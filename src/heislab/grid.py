@@ -78,33 +78,24 @@ _BYTE_BUDGET = 1_500_000_000
 
 # Characters (s1, s2) of the two grid reflections P1: (x, y, t) -> (x, -y, -t)
 # and P2: (x, y, t) -> (-x, y, -t): u lies in sector (s1, s2) when
-# P1 u = s1 u and P2 u = s2 u.
+# P1 u = s1 u and P2 u = s2 u.  The package names a character by its
+# position k = 2 [s1 < 0] + [s2 < 0] here, so the product of two characters
+# is the XOR of their positions.
 SECTORS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
 # P_k X_ell P_k = s_k X_ell; -Delta commutes with both reflections, so the
-# Riesz transform R_ell carries the character of its field.
-_FIELD_CHARACTER = {1: (1, -1), 2: (-1, 1)}
+# Riesz transform R_ell carries the character of its field: X_1 has (1, -1)
+# and X_2 has (-1, 1)
+_FIELD_CHARACTER = {1: 1, 2: 2}
 
 # _SIGNS[k, g]: the value of the character SECTORS[k] on the group element
 # g of (1, P1, P2, P1 P2)
 _SIGNS = np.array([[1, s1, s2, s1 * s2] for s1, s2 in SECTORS], dtype=float)
 
 
-def _sector_index(*characters: tuple[int, int]) -> int:
-    """Position in ``SECTORS`` of the product of the characters."""
-    return SECTORS.index(tuple(map(math.prod, zip(*characters))))
-
-
-def _character_label(character) -> str:
-    """A character as its signs, e.g. ``"+-"`` for (1, -1)."""
-    return "".join("+" if c > 0 else "-" for c in character)
-
-
-def _inverse_norms(orbits: "_Orbits") -> np.ndarray:
-    """``1 / norms`` where a sector is live on an orbit, 0 where it vanishes."""
-    return np.divide(
-        1.0, orbits.norms, out=np.zeros_like(orbits.norms), where=orbits.live
-    )
+def _character_label(k: int) -> str:
+    """The character ``SECTORS[k]`` as its signs, e.g. ``"+-"`` for (1, -1)."""
+    return "".join("+" if s > 0 else "-" for s in SECTORS[k])
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +159,7 @@ class GridSpec:
 
 @dataclass
 class GridFunction:
-    """Values over the grid, C-ordered as (x, y, t)."""
+    """Real values over the grid, C-ordered as (x, y, t), held as float64."""
 
     spec: GridSpec
     values: np.ndarray
@@ -177,6 +168,11 @@ class GridFunction:
         vals = np.asarray(self.values)
         if vals.shape != self.spec.shape:
             raise ValueError(f"values must have shape {self.spec.shape}")
+        # refused before the conversion, which would drop an imaginary part
+        if np.iscomplexobj(vals):
+            raise ValueError("grid functions are real; got complex values")
+        # integer and boolean values become float64; float64 stays as given
+        vals = np.asarray(vals, dtype=float)
         if not np.all(np.isfinite(vals)):
             raise ValueError("grid function values must be finite")
         self.values = vals
@@ -375,7 +371,8 @@ class _Orbits(NamedTuple):
     ``q = sum_g _SIGNS[k, g] e_{table[g, o]} / norms[k, o]``; a point the
     orbit visits twice adds up, and where the sum cancels the sector is not
     ``live`` and its norm is 0.  The live sectors of an orbit share one
-    norm, and the live counts of the four sectors sum to N.
+    norm, and the live counts of the four sectors sum to N.  ``inverse`` is
+    ``1 / norms`` where a sector is live and 0 where it vanishes.
 
     ``colour`` is the representative's ``(ix + iy + it) mod 2``.  On the
     cube the reflections keep colours, so every orbit has one colour, and
@@ -387,6 +384,7 @@ class _Orbits(NamedTuple):
     table: np.ndarray
     norms: np.ndarray
     live: np.ndarray
+    inverse: np.ndarray
     colour: np.ndarray
     classes: tuple[tuple[np.ndarray, np.ndarray], ...]
 
@@ -683,24 +681,32 @@ class _GridModel:
         return np.flatnonzero(np.bincount(table[0] // n, minlength=n * n))
 
     def read_blocks(
-        self, blocks: np.ndarray, character: tuple[int, int], flip: bool
+        self, blocks: np.ndarray, character: int, flip: bool
     ) -> tuple[tuple[np.ndarray, ...], ...]:
-        """The sector blocks ``Q_{sigma chi}^T T Q_sigma`` (see ``_gathered``)
-        of the real grid operator T whose kept t-blocks ``B_j`` have the
-        columns ``blocks`` (h x M x k) at ``planar_representatives``; T has
-        the reflection character chi = ``character`` and flips colour when
-        ``flip``.
+        """The sector blocks ``Q_{sigma chi}^T T Q_sigma`` of the real grid
+        operator T whose kept t-blocks ``B_j`` have the columns ``blocks``
+        (h x M x k) at ``planar_representatives``; T has the reflection
+        character chi = ``SECTORS[character]`` and flips colour when
+        ``flip``.  Kept read-only.
 
-        ``P_h T P_h = chi(h) T`` and ``tau = sigma chi`` give ``sum_{g,h}
-        tau(g) sigma(h) T[g a, h b] = 4 sum_g tau(g) T[g a, b]``, so when b
-        is an orbit representative only the columns of T at the
-        representatives are read.  Column ``(n, l)`` (planar point n,
-        t-index l) is ``sum_p parts[p][:, n] (x) _t_outer[p][:, l]`` with
-        ``parts = [Re B; Im B]``; a batch of columns is one batched matmul,
-        read by four row gathers.
+        Entry ``[k][c]`` belongs to ``sigma = SECTORS[k]``; its columns are
+        the orbits ``classes[c][1]`` (see ``_Orbits``) and its rows
+        ``classes[c][0]`` when T flips colour or the columns again when it
+        keeps colour; the parts of T that the cut leaves out are those its
+        colour structure makes 0.  Its entry (a, b) is ``sum_{g,h} tau(g)
+        sigma(h) T[g a, h b] / (|q_{tau,a}| |q_{sigma,b}|)`` with ``tau =
+        sigma chi``, so rows and columns of orbits where a sector vanishes
+        are exactly 0.  ``P_g T P_g = chi(g) T`` makes the four g-terms
+        equal, and the sum is ``4 sum_g tau(g) T[g a, b]`` at the
+        representative b: only the columns of T at the representatives are
+        read.  Column ``(n, l)`` (planar point n, t-index l) is ``sum_p
+        parts[p][:, n] (x) _t_outer[p][:, l]`` with ``parts = [Re B; Im
+        B]``; a batch of columns is one batched matmul, read by four row
+        gathers.
         """
         n = self.spec.count
-        table = self.sectors().table
+        orbits = self.sectors()
+        table = orbits.table
         # position[n]: where planar point n sits among the representatives
         position = np.zeros(self._odd_pairs.shape[0], dtype=int)
         position[self.planar_representatives()] = np.arange(blocks.shape[2])
@@ -711,9 +717,14 @@ class _GridModel:
         by_column[..., :half] = blocks.real.transpose(2, 1, 0)
         by_column[..., half:] = blocks.imag.transpose(2, 1, 0)
         by_step = self._t_outer.transpose(2, 0, 1)
-
-        def accumulate(out, weights, rows, cols):
-            signs = 4.0 * weights[:, :, 0]
+        # the row sectors tau = sigma chi of the four column sectors sigma
+        targets = np.arange(len(SECTORS)) ^ character
+        signs = 4.0 * _SIGNS[targets]
+        per_class = []
+        for rows, cols in orbits.classes:
+            if not flip:
+                rows = cols
+            out = np.empty((len(SECTORS), rows.size, cols.size))
             for start in range(0, cols.size, _COLUMN_BATCH):
                 batch = slice(start, start + _COLUMN_BATCH)
                 planar, vertical = np.divmod(table[0, cols[batch]], n)
@@ -723,15 +734,18 @@ class _GridModel:
                 # picked[b, g, a] = T[g a, b]
                 picked = columns[:, table[:, rows]]
                 out[:, :, batch] = np.matmul(signs, picked).transpose(1, 2, 0)
-
-        return self._gathered(character, flip, accumulate)
+            out *= orbits.inverse[targets][:, rows, None]
+            out *= orbits.inverse[:, None, cols]
+            out.flags.writeable = False
+            per_class.append(out)
+        return tuple(tuple(out[k] for out in per_class) for k in range(len(SECTORS)))
 
     def power_blocks(self, exponent: float) -> tuple[tuple[np.ndarray, ...], ...]:
         """The sector blocks ``Q_sigma^T (-Delta)^exponent Q_sigma`` of the
         power, which keeps sector and colour, read off the t-block
         eigenpairs (``read_blocks``)."""
         columns = self.planar_power(exponent, self.planar_representatives())
-        return self.read_blocks(columns, SECTORS[0], False)
+        return self.read_blocks(columns, 0, False)
 
     def kernel(self) -> np.ndarray:
         """Real orthonormal N x k basis of the numerical kernel."""
@@ -788,93 +802,55 @@ class _GridModel:
                 (np.flatnonzero(colour != c), np.flatnonzero(colour == c)) for c in (0, 1)
             )
             live = norms > 0.0
-            for arr in (table, norms, live, colour):
+            inverse = np.divide(1.0, norms, out=np.zeros_like(norms), where=live)
+            for arr in (table, norms, live, inverse, colour):
                 arr.flags.writeable = False
-            self._sectors = _Orbits(table, norms, live, colour, classes)
+            self._sectors = _Orbits(table, norms, live, inverse, colour, classes)
         return self._sectors
-
-    def _gathered(
-        self, character: tuple[int, int], flip: bool, accumulate: Callable
-    ) -> tuple[tuple[np.ndarray, ...], ...]:
-        """The sector blocks ``Q_{sigma chi}^T T Q_sigma`` of a grid operator
-        T of reflection character chi, cut by colour; the frame of
-        ``read_blocks``, whose layout ``field_rows`` keeps.
-
-        Entry ``[k][c]`` belongs to ``sigma = SECTORS[k]``; its columns are
-        the orbits ``classes[c][1]`` (see ``_Orbits``) and its rows
-        ``classes[c][0]`` when T flips colour (``flip``) or the columns
-        again when it keeps colour.  Each entry is ``sum_{g,h} tau(g)
-        sigma(h) T[g a, h b] / (|q_{tau,a}| |q_{sigma,b}|)`` with ``tau =
-        sigma chi``; the parts of T that the cut leaves out are those its
-        colour structure makes 0.  Per colour class, ``accumulate(out,
-        weights, rows, cols)`` adds the sum over (g, h) for the row orbits a
-        and the column orbits b into ``out[k]``, with ``weights[k, g, h] =
-        tau_k(g) sigma_k(h)``; the frame then divides by the sector norms,
-        so rows and columns of orbits where a sector vanishes are exactly 0.
-        """
-        orbits = self.sectors()
-        targets = [_sector_index(sigma, character) for sigma in SECTORS]
-        weights = _SIGNS[targets][:, :, None] * _SIGNS[:, None, :]
-        inverse = _inverse_norms(orbits)
-        per_class = []
-        for rows, cols in orbits.classes:
-            if not flip:
-                rows = cols
-            out = np.zeros((len(SECTORS), rows.size, cols.size))
-            accumulate(out, weights, rows, cols)
-            out *= inverse[targets][:, rows, None]
-            out *= inverse[:, None, cols]
-            out.flags.writeable = False
-            per_class.append(out)
-        return tuple(tuple(out[k] for out in per_class) for k in range(len(SECTORS)))
 
     def field_rows(self, ell: int) -> tuple[_FieldRows, ...]:
         """The colour-flipping sector blocks ``Xt_sigma = Q_{sigma s_ell}^T
         X_ell Q_sigma`` as stencil rows, one ``_FieldRows`` per colour class
-        (rows and columns as in ``_gathered``), built on first use and kept
-        read-only.
+        (rows and columns as in ``read_blocks``), built on first use and
+        kept read-only.
 
         Entry (a, b) is ``sum_{g,h} tau(g) sigma(h) X_ell[g a, h b]`` over
-        the norms.  The reflections map the neighbours of a onto those of
-        ``g a``, so the columns of row a are the orbits of a's at most four
-        neighbours, for every sector.  They are scattered from the
-        stencil's nonzeros: for each group element g and each term of
-        ``X_ell`` with value v from ``g a`` to its neighbour p, every h with
-        ``h b = p`` adds ``tau(g) sigma(h) v`` to the slot of b in row a.
-        For one (g, h) the pairs (a, b) are distinct, so each scatter is one
-        indexed add.
+        the norms, which ``P_g X_ell P_g = s_ell(g) X_ell`` turns, as in
+        ``read_blocks``, into ``4 sum_h sigma(h) X_ell[a, h b]`` at the
+        representative a: the row of X_ell at a alone.  So the columns of
+        row a are the orbits of a's at most four neighbours, for every
+        sector, and each term of ``X_ell`` with value v from a to its
+        neighbour p adds ``4 sigma(h) v`` to the slot of b in row a for
+        every h with ``h b = p``.  For one h the pairs (a, b) are distinct,
+        so each scatter is one indexed add.
         """
         if ell not in self._field_rows:
             orbits = self.sectors()
             table = orbits.table
             orbit_of = np.empty(self.spec.size, dtype=int)
             orbit_of[table] = np.arange(table.shape[1])
-            targets = [_sector_index(sigma, _FIELD_CHARACTER[ell]) for sigma in SECTORS]
-            weights = _SIGNS[targets][:, :, None] * _SIGNS[:, None, :]
-            inverse = _inverse_norms(orbits)
+            targets = np.arange(len(SECTORS)) ^ _FIELD_CHARACTER[ell]
             per_class = []
             for rows, cols in orbits.classes:
                 position = np.full(table.shape[1], -1)
                 position[cols] = np.arange(cols.size)
                 # the distinct column orbits of each row, ascending, then the
-                # free slots, which read column 0 with weight 0; the first
-                # slot of a row equal to a column is that column's own
-                r, neighbour, _ = self.field_nonzeros(ell, table[0, rows])
-                pairs = np.sort(r * cols.size + position[orbit_of[neighbour]])
+                # free slots, which read column 0 with weight 0
+                r, neighbour, value = self.field_nonzeros(ell, table[0, rows])
+                orbit = orbit_of[neighbour]
+                pairs = np.sort(r * cols.size + position[orbit])
                 pairs = pairs[np.diff(pairs, prepend=-1) > 0]
-                r, c = np.divmod(pairs, cols.size)
+                row, c = np.divmod(pairs, cols.size)
                 columns = np.zeros((rows.size, 4), dtype=int)
-                columns[r, np.arange(r.size) - np.searchsorted(r, r)] = c
+                columns[row, np.arange(row.size) - np.searchsorted(row, row)] = c
+                # the first slot of a row equal to a column is that column's own
+                slot = np.argmax(columns[r] == position[orbit][:, None], axis=1)
                 values = np.zeros((len(SECTORS),) + columns.shape)
-                for g in range(4):
-                    r, neighbour, value = self.field_nonzeros(ell, table[g, rows])
-                    orbit = orbit_of[neighbour]
-                    slot = np.argmax(columns[r] == position[orbit][:, None], axis=1)
-                    for h in range(4):
-                        hit = table[h, orbit] == neighbour
-                        values[:, r[hit], slot[hit]] += weights[:, g, h, None] * value[hit]
-                values *= inverse[targets][:, rows, None]
-                values *= inverse[:, cols[columns]]
+                for h in range(4):
+                    hit = table[h, orbit] == neighbour
+                    values[:, r[hit], slot[hit]] += 4.0 * _SIGNS[:, h, None] * value[hit]
+                values *= orbits.inverse[targets][:, rows, None]
+                values *= orbits.inverse[:, cols[columns]]
                 for arr in (columns, values):
                     arr.flags.writeable = False
                 per_class.append(_FieldRows(columns, values))
@@ -932,7 +908,7 @@ class _GridModel:
 
     def riesz_blocks(self, ell: int) -> tuple[tuple[np.ndarray, ...], ...]:
         """Every block ``Rt_sigma`` of ``riesz_block``, laid out as in
-        ``_gathered``; gathered anew on each call, never cached."""
+        ``read_blocks``; gathered anew on each call, never cached."""
         return tuple(
             tuple(
                 self.riesz_block(ell, k, c, np.arange(rows.size))
@@ -959,9 +935,9 @@ class _GridModel:
         """
         orbits = self.sectors()
         for eps, f_rep in components.items():
-            for k, sigma in enumerate(SECTORS):
-                shifted = _sector_index(sigma, SECTORS[eps])
-                rho = _sector_index(sigma, SECTORS[eps], _FIELD_CHARACTER[ell])
+            for k in range(len(SECTORS)):
+                shifted = k ^ eps
+                rho = shifted ^ _FIELD_CHARACTER[ell]
                 for c, (rows, cols) in enumerate(orbits.classes):
                     r = np.flatnonzero(orbits.live[rho, rows])
                     s = np.flatnonzero(orbits.live[k, cols])
@@ -1001,20 +977,18 @@ class _GridModel:
             # the zero function has no component; one zero component gives
             # N zeros
             components = _reflection_components(values) or {0: values[0]}
-            steps = {
-                _sector_index(SECTORS[a], SECTORS[b]) for a in components for b in components
-            }
+            steps = {a ^ b for a in components for b in components}
             pieces: dict[tuple[int, int], dict] = {}
             for block in self.commutator_blocks(ell, components):
-                coset = min(_sector_index(SECTORS[block.sigma], SECTORS[h]) for h in steps)
+                coset = min(block.sigma ^ h for h in steps)
                 piece = pieces.setdefault((block.colour, coset), {})
                 piece[block.rho, block.sigma] = block.matrix
             spectrum = singular_values(*map(_join, pieces.values()))
-            chi = [_sector_index(SECTORS[eps], _FIELD_CHARACTER[ell]) for eps in components]
+            chi = [eps ^ _FIELD_CHARACTER[ell] for eps in components]
             kept = int(np.count_nonzero(spectrum.values))
             smallest = spectrum.values[kept - 1] / spectrum.values[0] if kept else 0.0
             health = {
-                "sector": _character_label(SECTORS[chi[0]]) if len(chi) == 1 else "full",
+                "sector": _character_label(chi[0]) if len(chi) == 1 else "full",
                 "clamped": spectrum.clamped,
                 "min_kept_ratio": float(smallest),
             }
@@ -1178,9 +1152,9 @@ def riesz_decomposition_residual(
     Leibniz defect of centered differences) is reported separately,
     normalized by the derivative's own size.
 
-    Everything is computed in sector coordinates (``_GridModel._gathered``).
-    For f of character eps every term maps (sigma, c) into
-    (sigma eps s_ell, 1 - c), as ``[R, M_f]`` does
+    Everything is computed in sector coordinates, laid out as
+    ``_GridModel.read_blocks`` lays them out.  For f of character eps every
+    term maps (sigma, c) into (sigma eps s_ell, 1 - c), as ``[R, M_f]`` does
     (``_GridModel.commutator_blocks``), and the kernel projector, which
     commutes with both reflections and with colour, acts on each block by
     its own sector coordinates.  The reflection components of f land on
@@ -1203,7 +1177,7 @@ def riesz_decomposition_residual(
     kernel = model.kernel()
     # Q^T K: the kernel's coordinates in each sector, orbit by orbit
     kernel_coords = np.einsum("sg,gok->sok", _SIGNS, kernel[orbits.table])
-    kernel_coords *= _inverse_norms(orbits)[:, :, None]
+    kernel_coords *= orbits.inverse[:, :, None]
 
     def split(f: GridFunction) -> RieszSplitReport:
         fv = f.flat
@@ -1212,7 +1186,7 @@ def riesz_decomposition_residual(
         for block in model.commutator_blocks(ell, components):
             k, c, lhs = block.sigma, block.colour, block.matrix
             r, s = block.rows, block.cols
-            shifted = _sector_index(SECTORS[k], SECTORS[block.eps])
+            shifted = k ^ block.eps
             rows, cols = orbits.classes[c]
             f_rep = components[block.eps]
             f_cols = f_rep[cols]
@@ -1242,7 +1216,7 @@ def riesz_decomposition_residual(
             lhs_norm=lhs_norm,
             leibniz_defect=model.leibniz_defect(ell, fv),
             kernel_dimension=kernel.shape[1],
-            components=tuple(_character_label(SECTORS[eps]) for eps in components),
+            components=tuple(map(_character_label, components)),
         )
 
     return {label: split(f) for label, f in functions.items()}

@@ -43,7 +43,7 @@ def assemble(model, blocks: np.ndarray) -> np.ndarray:
 
 def expanded_field_rows(model, ell: int) -> tuple[tuple[np.ndarray, ...], ...]:
     """The sector blocks of ``X_ell`` as dense arrays, in the layout of
-    ``_GridModel._gathered``: the stencil rows of ``_GridModel.field_rows``
+    ``_GridModel.read_blocks``: the stencil rows of ``_GridModel.field_rows``
     scattered entry by entry."""
     classes = model.sectors().classes
     out = []

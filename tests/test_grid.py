@@ -590,10 +590,12 @@ def point_colours(spec):
 
 def gather(model, mat, character, flip):
     """Oracle: the sector blocks of a dense grid operator ``mat`` of
-    reflection character ``character``, in the model's layout (see
-    ``_GridModel._gathered``), by the full sum over the 16 group pairs:
-    ``sum_{g,h} tau(g) sigma(h) mat[g a, h b] / (|q_{tau,a}| |q_{sigma,b}|)``
-    with ``tau = sigma character``."""
+    reflection character ``character``, a sign pair, in the model's layout
+    (see ``_GridModel.read_blocks``), by the full sum over the 16 group
+    pairs: ``sum_{g,h} tau(g) sigma(h) mat[g a, h b] / (|q_{tau,a}|
+    |q_{sigma,b}|)`` with ``tau = sigma character``, multiplied sign by sign;
+    the model reads the same blocks from four terms and the XOR of sector
+    positions."""
     orbits = model.sectors()
     table = orbits.table
     signs = [(1, s1, s2, s1 * s2) for s1, s2 in SECTORS]
@@ -653,9 +655,17 @@ class TestReflectionSectors:
             for axis, sign in zip(coordinates, per_axis):
                 assert np.array_equal(axis[images], sign * axis[table[0]])
 
+    def test_sector_positions_multiply_by_xor(self):
+        # a character's position in SECTORS is 2 [s1 < 0] + [s2 < 0], so the
+        # model multiplies characters by the XOR of their positions
+        for a, (s1, s2) in enumerate(SECTORS):
+            for b, (t1, t2) in enumerate(SECTORS):
+                assert SECTORS[a ^ b] == (s1 * t1, s2 * t2)
+
     def test_fields_have_exact_character(self):
         p1, p2 = reflection_maps(SPEC)
-        for ell, (s1, s2) in _FIELD_CHARACTER.items():
+        for ell, k in _FIELD_CHARACTER.items():
+            s1, s2 = SECTORS[k]
             field_mat = model_field(SPEC, ell)
             assert np.array_equal(field_mat[np.ix_(p1, p1)], s1 * field_mat)
             assert np.array_equal(field_mat[np.ix_(p2, p2)], s2 * field_mat)
@@ -664,7 +674,8 @@ class TestReflectionSectors:
     def test_riesz_reflection_residual(self, count):
         spec = GridSpec.cube(count)
         p1, p2 = reflection_maps(spec)
-        for ell, (s1, s2) in _FIELD_CHARACTER.items():
+        for ell, k in _FIELD_CHARACTER.items():
+            s1, s2 = SECTORS[k]
             riesz = dense_riesz(spec, ell)
             scale = np.linalg.norm(riesz)
             for p, s in ((p1, s1), (p2, s2)):
@@ -705,7 +716,8 @@ class TestColourGrading:
         orbits = model.sectors()
         bases = sector_bases(spec)
         same = orbits.colour[:, None] == orbits.colour[None, :]
-        for ell, field in _FIELD_CHARACTER.items():
+        for ell, character in _FIELD_CHARACTER.items():
+            field = SECTORS[character]
             riesz = dense_riesz(spec, ell)
             for k, sigma in enumerate(SECTORS):
                 target = (sigma[0] * field[0], sigma[1] * field[1])
@@ -732,7 +744,8 @@ class TestColourGrading:
         root_times = {
             sigma: extended_inverse_root_times(model, q) for sigma, q in bases.items()
         }
-        for ell, field in _FIELD_CHARACTER.items():
+        for ell, character in _FIELD_CHARACTER.items():
+            field = SECTORS[character]
             riesz = dense_riesz(spec, ell)
             for k, sigma in enumerate(SECTORS):
                 target = (sigma[0] * field[0], sigma[1] * field[1])
@@ -753,7 +766,8 @@ class TestColourGrading:
         # against the dense gather of the same field; entries several (g, h)
         # pairs reach add up in another order
         model = _model(SPEC)
-        for ell, field in _FIELD_CHARACTER.items():
+        for ell, character in _FIELD_CHARACTER.items():
+            field = SECTORS[character]
             from_dense = gather(model, model_field(SPEC, ell), field, flip=True)
             expanded = oracles.expanded_field_rows(model, ell)
             for sparse_blocks, dense_blocks in zip(expanded, from_dense):
@@ -865,10 +879,10 @@ class TestSectorPowerBlocks:
 # colour
 PRODUCT_FACTORS = {
     "flat_factor": ((1, 1), False),
-    "riesz:1": (_FIELD_CHARACTER[1], True),
-    "riesz:2": (_FIELD_CHARACTER[2], True),
-    "a:1": (_FIELD_CHARACTER[1], True),
-    "a:2": (_FIELD_CHARACTER[2], True),
+    "riesz:1": (SECTORS[_FIELD_CHARACTER[1]], True),
+    "riesz:2": (SECTORS[_FIELD_CHARACTER[2]], True),
+    "a:1": (SECTORS[_FIELD_CHARACTER[1]], True),
+    "a:2": (SECTORS[_FIELD_CHARACTER[2]], True),
 }
 
 
@@ -1027,7 +1041,7 @@ class TestStencilAgainstCSR:
         # the stencil rows, expanded, against the gather of the CSR field
         model = _model(csr_spec)
         dense = sparse_fields(csr_spec)[ell - 1].toarray()
-        expected = gather(model, dense, _FIELD_CHARACTER[ell], flip=True)
+        expected = gather(model, dense, SECTORS[_FIELD_CHARACTER[ell]], flip=True)
         got = oracles.expanded_field_rows(model, ell)
         for got_blocks, want_blocks in zip(got, expected):
             for got, want in zip(got_blocks, want_blocks):
@@ -1242,3 +1256,23 @@ class TestGridFunctionBasics:
             GridFunction(SPEC, np.full(SPEC.shape, np.nan))
         with pytest.raises(ValueError, match="shape"):
             GridFunction(SPEC, np.zeros((2, 2, 2)))
+        # complex values are refused, not cast to their real parts
+        for values in (np.ones(SPEC.shape, dtype=complex), np.full(SPEC.shape, 1j)):
+            with pytest.raises(ValueError, match="real"):
+                GridFunction(SPEC, values)
+
+    def test_integer_and_boolean_values_become_float(self):
+        # the sector path divides and scales the values in place, which
+        # integer arrays refuse; float64 input is kept as given
+        ints = np.indices(SPEC.shape).sum(axis=0) % 3
+        for values in (ints, ints == 1):
+            f = GridFunction(SPEC, values)
+            assert f.values.dtype == np.float64
+            assert np.array_equal(f.values, values)
+            same = GridFunction(SPEC, values.astype(float))
+            split = riesz_decomposition_residual(SPEC, {"f": f, "same": same})
+            assert split["f"] == split["same"]
+            spectrum, _ = _model(SPEC).commutator_spectrum(1, f)
+            assert spectrum.values[0] > 0.0
+        values = np.ones(SPEC.shape)
+        assert GridFunction(SPEC, values).values is values

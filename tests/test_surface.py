@@ -1,10 +1,11 @@
 """Every public name and member of ``heislab`` is reached by the package itself.
 
 A name listed in a module's ``__all__`` must be used somewhere in
-``src/heislab`` outside its own definition, and every public field and
-public non-dunder method of a public class must be read there, or be
-allowlisted below with its reason; a name or member kept alive only by its
-own unit tests fails here.
+``src/heislab`` outside its own definition, every public field and public
+non-dunder method of a public class must be read there, and every public
+method of the grid model ``grid._GridModel`` must be called there, or be
+allowlisted below with its reason; a name, member or model method kept
+alive only by its own unit tests fails here.
 """
 
 import ast
@@ -21,6 +22,10 @@ ALLOWLIST = {
 
 # public class members no package code reads, each kept for the stated reason
 MEMBER_ALLOWLIST: dict[str, str] = {}
+
+# public methods of ``grid._GridModel`` no package code calls, each kept for
+# the stated reason
+MODEL_METHOD_ALLOWLIST: dict[str, str] = {}
 
 SOURCE = Path(heislab.__file__).parent
 
@@ -164,3 +169,37 @@ def test_every_public_member_is_read():
     )
     # an allowlisted member that the package starts to read leaves the list
     assert set(MEMBER_ALLOWLIST) <= unread
+
+
+def _uncalled_model_methods():
+    """Public methods of ``grid._GridModel`` that the package reaches only
+    inside their own definition.  A method is reached by a read of it
+    (``_reads``): a call, or a bound method passed on (``map(self.name,
+    ...)``)."""
+    trees = _trees()
+    reads = _reads(trees)
+    model = next(
+        node
+        for node in trees["grid.py"].body
+        if isinstance(node, ast.ClassDef) and node.name == "_GridModel"
+    )
+    uncalled = set()
+    for item in model.body:
+        if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+            own = range(item.lineno, item.end_lineno + 1)
+            if all(
+                file == "grid.py" and line in own
+                for file, line, _ in reads.get(item.name, [])
+            ):
+                uncalled.add(item.name)
+    return uncalled
+
+
+def test_every_model_method_is_called():
+    uncalled = _uncalled_model_methods()
+    assert not uncalled - set(MODEL_METHOD_ALLOWLIST), (
+        "model methods only their own tests call: "
+        f"{sorted(uncalled - set(MODEL_METHOD_ALLOWLIST))}"
+    )
+    # an allowlisted method that the package starts to call leaves the list
+    assert set(MODEL_METHOD_ALLOWLIST) <= uncalled

@@ -41,7 +41,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .schatten import SingularSpectrum, singular_values
+from .schatten import SingularSpectrum, _direct_sum_spectrum, singular_values
 
 __all__ = [
     "KERNEL_THRESHOLD",
@@ -424,18 +424,21 @@ def _peak_bytes(count: int) -> int:
     points of colour c, plus three times the points a reflection fixes, over
     the four group elements), so one set of sector blocks (4 sectors x 2
     classes of orbits against orbits, float64) takes at most ``(N + 3 count +
-    4)^2`` bytes.  The model keeps one set (``inverse_root_blocks``); a run
-    holds a second while it reads ``(-Delta)^{1/2}`` for the split or the
-    commutator blocks of one function before their SVDs, and the third
-    covers the read's accumulators and the products of a block.  The field
-    blocks are stencil rows of four entries and the Riesz blocks are
-    gathered per block, so neither adds a set.  The t-block columns of a
-    read (``planar_power``, ``read_blocks``) take a few arrays of
+    4)^2`` bytes.  The model keeps one set (``inverse_root_blocks``), and
+    a run holds a few blocks besides: the split forms each block of
+    ``(-Delta)^{1/2}`` from the stencils when it reads it
+    (``root_block``), and the commutator blocks of a function of exact
+    parity go to their SVDs one at a time.  The formula still counts three
+    sets, from when a run held a whole second set and the products of its
+    blocks, so it now stands up to twice above the peak (below).
+    The field blocks are stencil rows of four entries and the Riesz blocks
+    are gathered per block, so neither adds a set.  The t-block columns of
+    a read (``planar_power``, ``read_blocks``) take a few arrays of
     ``ceil(count/2)`` x M x M float64.  1.5 MB cover what the run allocates
     besides the model (the fiber side, the families, the artifacts).
     Against the ``tracemalloc`` peaks of runs on a cold model, with the
-    modules loaded, the estimate reads 1.17-1.70x at 9^3, 1.18-1.56x at
-    13^3 and 1.16-1.51x at 17^3.
+    modules loaded, the estimate reads 1.17-1.62x at 9^3, 1.49-1.63x at
+    13^3 and 1.75-1.98x at 17^3.
     """
     size = count**3
     sector_set = (size + 3 * count + 4) ** 2
@@ -463,7 +466,9 @@ class _GridModel:
     built on first use; that one set of sector blocks is the largest thing
     the model keeps, and it keeps no N x N array.  The Riesz blocks are
     gathered from the inverse root's rows where they are read
-    (``riesz_block``) and never kept.  The sector blocks of an operator
+    (``riesz_block``) and never kept, and so are the blocks of
+    ``(-Delta)^{1/2}``, two stencil passes per field over the inverse
+    root's block (``root_block``).  The sector blocks of an operator
     that the t-blocks carry are read straight off its t-block columns at
     the planar representatives (``read_blocks``), the powers
     (``power_blocks``) and the ``product`` factors alike; no N x N array is
@@ -892,6 +897,28 @@ class _GridModel:
             self._inverse_root = self.power_blocks(-0.5)
         return self._inverse_root
 
+    def root_block(self, k: int, c: int) -> np.ndarray:
+        """The sector block ``Q_sigma^T (-Delta)^{1/2} Q_sigma`` of
+        ``sigma = SECTORS[k]`` in colour class c, formed anew from the
+        inverse root's block and the stencil rows.
+
+        On the live modes ``(-Delta)^{1/2} = (-Delta)(-Delta)^{-1/2}``, and
+        ``-Delta = X_1^T X_1 + X_2^T X_2 = -(X_1 X_1 + X_2 X_2)`` because the
+        fields are skew.  ``X_ell`` maps sector sigma of colour c onto sector
+        ``sigma s_ell`` of colour 1 - c and back, so the block is ``-sum_ell
+        Xt_{sigma s_ell} Xt_sigma St_sigma``: two ``field_times`` passes per
+        ell, the outer one in class 1 - c, whose rows are the columns of
+        class c.
+        """
+        root = self.inverse_root_blocks()[k][c]
+        classes = self.sectors().classes
+        out = np.zeros_like(root)
+        for ell in (1, 2):
+            inner = self.field_times(ell, k, c, np.arange(classes[c][0].size), root)
+            back = k ^ _FIELD_CHARACTER[ell]
+            out -= self.field_times(ell, back, 1 - c, np.arange(root.shape[0]), inner)
+        return out
+
     def riesz_block(
         self, ell: int, k: int, c: int, rows: np.ndarray, cols: np.ndarray | None = None
     ) -> np.ndarray:
@@ -928,28 +955,40 @@ class _GridModel:
         diag(f_eps)``: f_eps gives the block of rows rho = sigma eps s_ell
         and columns sigma, ``Rt_{sigma eps} f_eps[cols] - f_eps[rows]
         Rt_sigma``, on the rows live in rho and the columns live in sigma;
-        one component's blocks hold N rows and N columns.  Only those rows
-        and columns of the Riesz blocks are gathered (``riesz_block``), once
-        when eps is trivial.  Both terms scale the same entries, so a
-        constant f gives exact zeros.
+        one component's blocks hold N rows and N columns.  The blocks come
+        in the order (eps, sigma, colour class), each from
+        ``commutator_block``.
         """
-        orbits = self.sectors()
+        classes = range(len(self.sectors().classes))
         for eps, f_rep in components.items():
             for k in range(len(SECTORS)):
-                shifted = k ^ eps
-                rho = shifted ^ _FIELD_CHARACTER[ell]
-                for c, (rows, cols) in enumerate(orbits.classes):
-                    r = np.flatnonzero(orbits.live[rho, rows])
-                    s = np.flatnonzero(orbits.live[k, cols])
-                    riesz = self.riesz_block(ell, k, c, r, s)
-                    if shifted == k:
-                        block = riesz * f_rep[cols[s]]
-                    else:
-                        block = self.riesz_block(ell, shifted, c, r, s)
-                        block *= f_rep[cols[s]]
-                    riesz *= f_rep[rows[r], None]
-                    block -= riesz
-                    yield _Block(eps, rho, k, c, r, s, block)
+                for c in classes:
+                    yield self.commutator_block(ell, eps, f_rep, k, c)
+
+    def commutator_block(
+        self, ell: int, eps: int, f_rep: np.ndarray, k: int, c: int
+    ) -> _Block:
+        """The block of ``[R_ell, M_f]`` that the component f_eps (at the
+        orbit representatives) gives in column sector ``SECTORS[k]`` and
+        colour class c (see ``commutator_blocks``).  Only its live rows and
+        columns of the Riesz blocks are gathered (``riesz_block``), once when
+        eps is trivial.  Both terms scale the same entries, so a constant f
+        gives exact zeros."""
+        orbits = self.sectors()
+        rows, cols = orbits.classes[c]
+        shifted = k ^ eps
+        rho = shifted ^ _FIELD_CHARACTER[ell]
+        r = np.flatnonzero(orbits.live[rho, rows])
+        s = np.flatnonzero(orbits.live[k, cols])
+        riesz = self.riesz_block(ell, k, c, r, s)
+        if shifted == k:
+            block = riesz * f_rep[cols[s]]
+        else:
+            block = self.riesz_block(ell, shifted, c, r, s)
+            block *= f_rep[cols[s]]
+        riesz *= f_rep[rows[r], None]
+        block -= riesz
+        return _Block(eps, rho, k, c, r, s, block)
 
     def commutator_spectrum(
         self, ell: int, f: GridFunction
@@ -964,7 +1003,11 @@ class _GridModel:
         of characters these products form a subgroup, whose cosets cut each
         colour class into independent pieces, one SVD each: single blocks
         for f of exact parity, one piece per class for four components.
-        The N x N matrix is never formed.  The health record names the
+        With one component each block is its own piece and is reduced to
+        its singular values as ``commutator_blocks`` yields it
+        (``_direct_sum_spectrum``), so the blocks are never held together;
+        pieces of several blocks are gathered and joined first.  The N x N
+        matrix is never formed.  The health record names the
         character the spectrum was split by (``"+-"``) for one component or
         ``"full"``, the clamp count and the smallest kept value over the
         largest.
@@ -977,13 +1020,17 @@ class _GridModel:
             # the zero function has no component; one zero component gives
             # N zeros
             components = _reflection_components(values) or {0: values[0]}
-            steps = {a ^ b for a in components for b in components}
-            pieces: dict[tuple[int, int], dict] = {}
-            for block in self.commutator_blocks(ell, components):
-                coset = min(block.sigma ^ h for h in steps)
-                piece = pieces.setdefault((block.colour, coset), {})
-                piece[block.rho, block.sigma] = block.matrix
-            spectrum = singular_values(*map(_join, pieces.values()))
+            blocks = self.commutator_blocks(ell, components)
+            if len(components) == 1:
+                spectrum = _direct_sum_spectrum(block.matrix for block in blocks)
+            else:
+                steps = {a ^ b for a in components for b in components}
+                pieces: dict[tuple[int, int], dict] = {}
+                for block in blocks:
+                    coset = min(block.sigma ^ h for h in steps)
+                    piece = pieces.setdefault((block.colour, coset), {})
+                    piece[block.rho, block.sigma] = block.matrix
+                spectrum = singular_values(*map(_join, pieces.values()))
             chi = [eps ^ _FIELD_CHARACTER[ell] for eps in components]
             kept = int(np.count_nonzero(spectrum.values))
             smallest = spectrum.values[kept - 1] / spectrum.values[0] if kept else 0.0
@@ -1155,68 +1202,94 @@ def riesz_decomposition_residual(
     Everything is computed in sector coordinates, laid out as
     ``_GridModel.read_blocks`` lays them out.  For f of character eps every
     term maps (sigma, c) into (sigma eps s_ell, 1 - c), as ``[R, M_f]`` does
-    (``_GridModel.commutator_blocks``), and the kernel projector, which
+    (``_GridModel.commutator_block``), and the kernel projector, which
     commutes with both reflections and with colour, acts on each block by
     its own sector coordinates.  The reflection components of f land on
     disjoint blocks, and the Frobenius norms are the roots of the sums of
-    squared block norms.  The sector blocks of each power are read straight
-    off the t-block eigenpairs (``_GridModel.power_blocks``), once per call.
-    The terms with ``X_ell`` on the left are row gathers of the stencil rows
-    (``_GridModel.field_times``), for each block alone; no N x N array is
-    formed.
+    squared block norms, summed in the order of ``commutator_blocks``.
+
+    The inverse root's blocks are the model's own.  The blocks of
+    ``(-Delta)^{1/2}`` are formed from them and the stencil rows
+    (``_GridModel.root_block``), never as a set: the loop runs over colour
+    class and sector outside and over the functions and their components
+    inside, so each root block is formed once per call and dropped after
+    the last sector that reads it.  A block of character eps at sector
+    sigma reads the root blocks of sigma and of sigma eps, so sigma itself
+    is always formed; for functions whose only component is ``++`` one
+    root block is alive at a time.  The terms with ``X_ell`` on the left
+    are row gathers of the stencil rows (``_GridModel.field_times``), for
+    each block alone; no N x N array is formed.
     """
     if any(f.spec != spec for f in functions.values()):
         raise ValueError("function lives on a different grid")
     model = _model(spec)
     orbits = model.sectors()
-    # the powers have the trivial character (1, 1); the blocks of the
-    # inverse root are the model's own, which the Riesz blocks are gathered
-    # from
+    # the powers have the trivial character (1, 1)
     inv_sqrt = model.inverse_root_blocks()
-    sqrt_mat = model.power_blocks(0.5)
     kernel = model.kernel()
     # Q^T K: the kernel's coordinates in each sector, orbit by orbit
     kernel_coords = np.einsum("sg,gok->sok", _SIGNS, kernel[orbits.table])
     kernel_coords *= orbits.inverse[:, :, None]
+    parts = {
+        label: _reflection_components(f.flat[orbits.table])
+        for label, f in functions.items()
+    }
+    # a block of character eps at sector k reads the root blocks of k and of
+    # k ^ eps, so sector k itself is a step even if no component is trivial
+    steps = sorted({0} | {eps for components in parts.values() for eps in components})
 
-    def split(f: GridFunction) -> RieszSplitReport:
-        fv = f.flat
-        components = _reflection_components(fv[orbits.table])
-        lhs_norms, gap_norms = [], []
-        for block in model.commutator_blocks(ell, components):
-            k, c, lhs = block.sigma, block.colour, block.matrix
-            r, s = block.rows, block.cols
-            shifted = k ^ block.eps
-            rows, cols = orbits.classes[c]
-            f_rep = components[block.eps]
-            f_cols = f_rep[cols]
-            # gap = lhs - [X, M_f] A^{-1/2} + R [A^{1/2}, M_f] A^{-1/2}
-            # with A = -Delta, on the live rows and columns of lhs:
-            # X_{sigma eps} (S^-_{sigma eps} C S^-_sigma - f S^-_sigma)
-            # + f R_sigma + lhs, the field and Riesz rows gathered for this
-            # block alone
-            comm_sqrt = sqrt_mat[shifted][c] * f_cols
-            comm_sqrt -= f_cols[:, None] * sqrt_mat[k][c]
-            right = inv_sqrt[shifted][c] @ (comm_sqrt @ inv_sqrt[k][c])
-            right -= f_cols[:, None] * inv_sqrt[k][c]
-            gap = model.field_times(ell, shifted, c, r, right, s)
-            gap += f_rep[rows[r], None] * model.riesz_block(ell, k, c, r, s)
-            gap += lhs
-            left = kernel_coords[block.rho, rows[block.rows]]
-            right = kernel_coords[k, cols[block.cols]]
-            for mat in (lhs, gap):
-                mat -= left @ (left.T @ mat)
-                mat -= (mat @ right) @ right.T
-            lhs_norms.append(np.linalg.norm(lhs))
-            gap_norms.append(np.linalg.norm(gap))
-        lhs_norm = float(np.linalg.norm(lhs_norms))
-        absolute = float(np.linalg.norm(gap_norms))
+    def block_norms(block: _Block, f_rep: np.ndarray, roots: Mapping[int, np.ndarray]):
+        """The Frobenius norms of the block's lhs and gap off the kernel."""
+        k, c, lhs = block.sigma, block.colour, block.matrix
+        r, s = block.rows, block.cols
+        shifted = k ^ block.eps
+        rows, cols = orbits.classes[c]
+        f_cols = f_rep[cols]
+        # gap = lhs - [X, M_f] A^{-1/2} + R [A^{1/2}, M_f] A^{-1/2}
+        # with A = -Delta, on the live rows and columns of lhs:
+        # X_{sigma eps} (S^-_{sigma eps} C S^-_sigma - f S^-_sigma)
+        # + f R_sigma + lhs with C = S_{sigma eps} f - f S_sigma from the
+        # root blocks, the field and Riesz rows gathered for this block
+        # alone
+        comm_sqrt = roots[shifted] * f_cols
+        comm_sqrt -= f_cols[:, None] * roots[k]
+        right = inv_sqrt[shifted][c] @ (comm_sqrt @ inv_sqrt[k][c])
+        right -= f_cols[:, None] * inv_sqrt[k][c]
+        gap = model.field_times(ell, shifted, c, r, right, s)
+        gap += f_rep[rows[r], None] * model.riesz_block(ell, k, c, r, s)
+        gap += lhs
+        left = kernel_coords[block.rho, rows[r]]
+        right = kernel_coords[k, cols[s]]
+        for mat in (lhs, gap):
+            mat -= left @ (left.T @ mat)
+            mat -= (mat @ right) @ right.T
+        return np.linalg.norm(lhs), np.linalg.norm(gap)
+
+    # per function, the norms of each block keyed (eps, sigma, c)
+    by_block: dict[str, dict[tuple[int, int, int], tuple]] = {label: {} for label in parts}
+    for c in range(len(orbits.classes)):
+        # the root blocks of class c in use, keyed by sector
+        roots: dict[int, np.ndarray] = {}
+        for k in range(len(SECTORS)):
+            for j in (k ^ eps for eps in steps):
+                if j not in roots:
+                    roots[j] = model.root_block(j, c)
+            for label, components in parts.items():
+                for eps, f_rep in components.items():
+                    block = model.commutator_block(ell, eps, f_rep, k, c)
+                    by_block[label][eps, k, c] = block_norms(block, f_rep, roots)
+            roots = {j: root for j, root in roots.items() if any(j ^ e > k for e in steps)}
+
+    def report(label: str) -> RieszSplitReport:
+        blocks = [by_block[label][key] for key in sorted(by_block[label])]
+        lhs_norm = float(np.linalg.norm([lhs for lhs, _ in blocks]))
+        absolute = float(np.linalg.norm([gap for _, gap in blocks]))
         return RieszSplitReport(
             relative_residual=absolute / max(lhs_norm, 1e-30),
             lhs_norm=lhs_norm,
-            leibniz_defect=model.leibniz_defect(ell, fv),
+            leibniz_defect=model.leibniz_defect(ell, functions[label].flat),
             kernel_dimension=kernel.shape[1],
-            components=tuple(map(_character_label, components)),
+            components=tuple(map(_character_label, parts[label])),
         )
 
-    return {label: split(f) for label, f in functions.items()}
+    return {label: report(label) for label in functions}

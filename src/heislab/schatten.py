@@ -86,15 +86,26 @@ def singular_values(a, *blocks) -> SingularSpectrum:
     nonincreasing; a sum is padded with exact zeros up to that length.
     Values below ``CLAMP_RATIO`` times the largest one are clamped to zero.
     """
-    mats = [np.asarray(m) for m in (a, *blocks)]
-    if any(m.ndim != 2 for m in mats):
-        raise ValueError("expected 2-d matrices")
-    length = min(sum(m.shape[0] for m in mats), sum(m.shape[1] for m in mats))
+    return _direct_sum_spectrum((a, *blocks))
+
+
+def _direct_sum_spectrum(blocks) -> SingularSpectrum:
+    """``singular_values`` of the direct sum of the matrices ``blocks``
+    yields, each checked and reduced to its singular values as it comes, so
+    a generator's blocks need never be held together."""
+    parts, rows, cols = [], 0, 0
+    for block in blocks:
+        m = np.asarray(block)
+        if m.ndim != 2:
+            raise ValueError("expected 2-d matrices")
+        if not np.all(np.isfinite(m)):
+            raise ValueError("matrix entries must be finite")
+        rows, cols = rows + m.shape[0], cols + m.shape[1]
+        if m.size:
+            parts.append(np.linalg.svd(m, compute_uv=False))
+    length = min(rows, cols)
     if length == 0:
         raise ValueError("expected a nonempty 2-d matrix")
-    if not all(np.all(np.isfinite(m)) for m in mats):
-        raise ValueError("matrix entries must be finite")
-    parts = [np.linalg.svd(m, compute_uv=False) for m in mats if m.size]
     vals = np.zeros(length)
     found = np.sort(np.concatenate([np.zeros(0), *parts]))[::-1]
     vals[: found.size] = found

@@ -471,11 +471,12 @@ class TestRunCommand:
         assert eigh_sizes and 9**3 not in eigh_sizes
 
     def test_grid_suite_takes_each_power_once(self, tmp_path, power_exponents):
-        # on a cold model the split residuals of the whole family share one
-        # set of powers: the inverse root's blocks also build the Riesz
-        # blocks, and the kernel projection needs none
+        # on a cold model the split residuals of the whole family read one
+        # power: the inverse root's blocks build the Riesz blocks and, with
+        # the stencil rows, the blocks of (-Delta)^{1/2}; the kernel
+        # projection needs none
         cli._run_grid(load_config(write_config(tmp_path), {"suite": "grid"}))
-        assert power_exponents == [-0.5, 0.5]
+        assert power_exponents == [-0.5]
 
     def test_bound_suite_takes_one_inverse_root(self, tmp_path, power_exponents):
         run_suite(load_config(write_config(tmp_path), {"suite": "bound"}))

@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -1179,27 +1180,28 @@ class TestSectorSplit:
             assert sector["no_parity"].components == ("++", "+-", "-+")
 
     def test_perturbed_root_fails_on_both_paths(self, monkeypatch):
-        # one live eigenvalue of a paired kept block of (-Delta)^{1/2},
+        # one live eigenvalue of a paired kept block of (-Delta)^{-1/2},
         # scaled by 1 + 1e-6, must show on the sector blocks as on the
-        # dense products: the same perturbation enters the sector path's
-        # S~+ and the dense oracle's power
+        # dense products: the sector path reads the perturbed inverse root
+        # in its Riesz blocks and in the stencil S~+, the dense oracle in
+        # both of its powers' places
         model = _model(SPEC)
         w, v, live = model.eig()
         assert model.weight[0] == 2
         mode = np.flatnonzero(live[0])[0]
         z = np.kron(v[0, :, mode], model._t_vectors[:, 0])
         # the mode and its conjugate in block nt, as a real operator
-        shift = 1e-6 * math.sqrt(w[0, mode]) * 2.0 * np.outer(z, z.conj()).real
+        shift = 1e-6 / math.sqrt(w[0, mode]) * 2.0 * np.outer(z, z.conj()).real
         shift_blocks = gather(model, shift, (1, 1), flip=False)
         power, power_blocks = oracles.assembled_power, _GridModel.power_blocks
 
         def perturbed_power(model, exponent):
             out = power(model, exponent)
-            return out + shift if exponent == 0.5 else out
+            return out + shift if exponent == -0.5 else out
 
         def perturbed_power_blocks(self, exponent):
             out = power_blocks(self, exponent)
-            if exponent != 0.5:
+            if exponent != -0.5:
                 return out
             return tuple(
                 tuple(block + extra for block, extra in zip(per_sector, per_shift))
@@ -1208,11 +1210,68 @@ class TestSectorSplit:
 
         monkeypatch.setattr(oracles, "assembled_power", perturbed_power)
         monkeypatch.setattr(_GridModel, "power_blocks", perturbed_power_blocks)
+        # the cached model reads its inverse root anew, and gets the
+        # unperturbed blocks back after the test
+        monkeypatch.setattr(model, "_inverse_root", None)
         family = {"bump": bump(SPEC)}
         sector = riesz_decomposition_residual(SPEC, family, 1)["bump"]
         dense = dense_split(SPEC, family, 1)["bump"]
         assert sector.relative_residual > 1e-9
         assert dense["relative_residual"] > 1e-9
+
+    @pytest.mark.parametrize("count", [9, 10, 13])
+    def test_stencil_root_blocks_match_the_power(self, count):
+        # (-Delta)^{1/2} = -(X_1 X_1 + X_2 X_2)(-Delta)^{-1/2} on the live
+        # modes: two stencil passes per field over the inverse root's block
+        # give the square root's block read off the t-block eigenpairs
+        model = _model(GridSpec.cube(count))
+        expected = model.power_blocks(0.5)
+        for k in range(len(SECTORS)):
+            for c, want in enumerate(expected[k]):
+                got = model.root_block(k, c)
+                assert got.shape == want.shape
+                assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_split_holds_no_root_set(self):
+        # on a warm 13^3 model (inverse root, kernel and field rows built),
+        # the split of the trace family forms its square-root blocks one at
+        # a time: it peaks less than 1.5 sector sets of (N + 3n + 4)^2
+        # bytes above the model, where a set of S~+ blocks read whole would
+        # add one more set
+        count = 13
+        spec = GridSpec.cube(count)
+        model = _model(spec)
+        model.inverse_root_blocks()
+        model.kernel()
+        for ell in (1, 2):
+            model.field_rows(ell)
+        family = named_family("trace", spec)
+        tracemalloc.start()
+        try:
+            riesz_decomposition_residual(spec, family, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        sector_set = (count**3 + 3 * count + 4) ** 2
+        assert peak < 1.5 * sector_set
+
+    @pytest.mark.parametrize("ell", [1, 2])
+    def test_family_without_a_trivial_component(self, ell):
+        # no function has a ++ part, yet each block at sector sigma reads
+        # the root block of sigma itself as well as that of sigma eps
+        odd_x = split_family(SPEC)["odd_x"]
+        odd_xy = GridFunction(SPEC, SPEC.axis[None, :, None] * odd_x.values)
+        family = {"odd_x": odd_x, "odd_xy": odd_xy}
+        sector = riesz_decomposition_residual(SPEC, family, ell)
+        dense = dense_split(SPEC, family, ell)
+        assert sector["odd_x"].components == ("+-",)
+        assert sector["odd_xy"].components == ("--",)
+        for label, report in sector.items():
+            expected = dense[label]["lhs_norm"]
+            assert abs(report.lhs_norm - expected) <= 1e-13 * expected
+            assert report.relative_residual <= 1e-9
+        alone = riesz_decomposition_residual(SPEC, {"odd_x": odd_x}, ell)["odd_x"]
+        assert alone == sector["odd_x"]
 
     def test_zero_function(self):
         report = riesz_decomposition_residual(

@@ -333,6 +333,7 @@ def bound_experiment(
 ) -> ExperimentReport:
     """Weak-norm of the commutator against the horizontal Sobolev seminorm."""
     power = GRID_HOMOGENEOUS_DIMENSION
+    _model(spec).commutator_spectra(ell, family)
 
     def row(label: str, f: GridFunction) -> ExperimentRow | None:
         spectrum, health = _model(spec).commutator_spectrum(ell, f)
@@ -364,6 +365,7 @@ def trace_formula_experiment(
     if len(family) < 3:
         raise ValueError("trace-formula families need at least 3 functions")
     fibers = build_y_fibers(basis, ell)
+    _model(spec).commutator_spectra(ell, family)
 
     def row(label: str, f: GridFunction) -> ExperimentRow | None:
         estimate = dixmier_lhs(f, ell, spec)

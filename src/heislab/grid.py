@@ -41,7 +41,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .schatten import SingularSpectrum, _direct_sum_spectrum, singular_values
+from .schatten import SingularSpectrum, _DirectSum
 
 __all__ = [
     "KERNEL_THRESHOLD",
@@ -62,17 +62,17 @@ KERNEL_THRESHOLD = 1e-10
 
 _ASYMMETRY_LIMIT = 1e-8
 
-# columns of a grid operator read per batched matmul in ``read_blocks``; the
-# batch holds this many grid columns of N entries
-_COLUMN_BATCH = 64
+# bytes of the grid columns (N entries each) that one batched matmul of
+# ``read_class`` forms; the batch's other arrays are about as large again
+_COLUMN_BYTES = 524_288
 
 # bytes of the right factor's rows that one einsum of ``field_times`` reads
 # (four rows per row of the product), a few times L1 and well inside L2
 _GATHER_BYTES = 262_144
 
 # The most bytes one model may estimate for a run (``_peak_bytes``), checked
-# before it allocates anything.  27^3 estimates 1.35 GB and fits; 28^3
-# estimates 1.67 GB and does not.  ``_model`` keeps models while the sum of
+# before it allocates anything.  30^3 estimates 1.30 GB and fits; 31^3
+# estimates 1.59 GB and does not.  ``_model`` keeps models while the sum of
 # their estimates fits.
 _BYTE_BUDGET = 1_500_000_000
 
@@ -361,6 +361,18 @@ def _in_grid(half: _ParityHalf, u: np.ndarray) -> np.ndarray:
     return real + 1j * (half.imag_value[:, None] * u[..., half.imag_column, :])
 
 
+def _by_column(blocks: np.ndarray) -> np.ndarray:
+    """The t-block columns ``blocks`` (h x M x k) in the real layout that
+    ``_GridModel.read_class`` reads: ``out[r, m, p] = parts[p][m, r]`` for
+    the r-th column, with ``parts = [Re B; Im B]``, so the gather of one
+    column is contiguous."""
+    half = blocks.shape[0]
+    out = np.empty(blocks.shape[2:0:-1] + (2 * half,))
+    out[..., :half] = blocks.real.transpose(2, 1, 0)
+    out[..., half:] = blocks.imag.transpose(2, 1, 0)
+    return out
+
+
 class _Orbits(NamedTuple):
     """The orbits of the reflection group ``{1, P1, P2, P1 P2}`` on the grid.
 
@@ -422,28 +434,27 @@ def _peak_bytes(count: int) -> int:
 
     A class of colour c holds at most ``(N + 3 count + 4) / 8`` orbits (the
     points of colour c, plus three times the points a reflection fixes, over
-    the four group elements), so one set of sector blocks (4 sectors x 2
-    classes of orbits against orbits, float64) takes at most ``(N + 3 count +
-    4)^2`` bytes.  The model keeps one set (``inverse_root_blocks``), and
-    a run holds a few blocks besides: the split forms each block of
-    ``(-Delta)^{1/2}`` from the stencils when it reads it
-    (``root_block``), and the commutator blocks of a function of exact
-    parity go to their SVDs one at a time.  The formula still counts three
-    sets, from when a run held a whole second set and the products of its
-    blocks, so it now stands up to twice above the peak (below).
-    The field blocks are stencil rows of four entries and the Riesz blocks
-    are gathered per block, so neither adds a set.  The t-block columns of
-    a read (``planar_power``, ``read_blocks``) take a few arrays of
-    ``ceil(count/2)`` x M x M float64.  1.5 MB cover what the run allocates
-    besides the model (the fiber side, the families, the artifacts).
-    Against the ``tracemalloc`` peaks of runs on a cold model, with the
-    modules loaded, the estimate reads 1.17-1.62x at 9^3, 1.49-1.63x at
-    13^3 and 1.75-1.98x at 17^3.
+    the four group elements), so one sector block takes at most ``(N + 3
+    count + 4)^2 / 8`` bytes and one colour class of four of them half of
+    ``(N + 3 count + 4)^2``.  The model keeps the inverse root only as its
+    t-block columns and reads its blocks one class at a time
+    (``inverse_root_blocks``), and a run holds a few blocks besides: the
+    split's two buffers, a root block, the commutator block, its gap and a
+    Riesz gather with its column cut, seven in all, while a block SVD holds
+    fewer.  So the sector term is 11/8 of ``(N + 3 count + 4)^2``.  The
+    t-block arrays (the parity eigenvectors, the kept columns and the
+    transients of ``planar_power``) take three arrays of ``ceil(count/2)``
+    x M x M float64, a class read's batch about three times
+    ``_COLUMN_BYTES``, and 1.5 MB cover the rest of the run (the fiber
+    side, the families, the artifacts and the modules a run loads).
+    Against the ``tracemalloc`` peaks of runs in fresh interpreters, from
+    ``heislab.cli`` loaded, the estimate reads 1.20-1.52x at 9^3,
+    1.32-1.57x at 13^3 and 1.22-1.67x at 17^3.
     """
     size = count**3
     sector_set = (size + 3 * count + 4) ** 2
     t_blocks = 8 * ((count + 1) // 2) * count**4
-    return 3 * sector_set + 3 * t_blocks + 1_500_000
+    return 11 * sector_set // 8 + 3 * t_blocks + 3 * _COLUMN_BYTES + 1_500_000
 
 
 class _GridModel:
@@ -461,20 +472,21 @@ class _GridModel:
 
     Powers of the sub-Laplacian vanish on its numerical kernel (the
     pseudo-inverse policy).  The block eigendecomposition, the reflection
-    orbits, the sector blocks of the inverse root and the fields' sector
+    orbits, the inverse root as the columns of its t-blocks at the planar
+    representatives (``inverse_root_columns``) and the fields' sector
     blocks as stencil rows of at most four entries (``field_rows``) are
-    built on first use; that one set of sector blocks is the largest thing
-    the model keeps, and it keeps no N x N array.  The Riesz blocks are
+    built on first use and kept; the model keeps no sector set and no
+    N x N array.  The sector blocks of an operator that the t-blocks carry
+    are read straight off its t-block columns, one colour class at a time
+    (``read_class``): the inverse root's blocks of a class
+    (``inverse_root_blocks``) whenever a caller reaches that class, and
+    the ``product`` factors (``read_blocks``).  The Riesz blocks are
     gathered from the inverse root's rows where they are read
     (``riesz_block``) and never kept, and so are the blocks of
     ``(-Delta)^{1/2}``, two stencil passes per field over the inverse
-    root's block (``root_block``).  The sector blocks of an operator
-    that the t-blocks carry are read straight off its t-block columns at
-    the planar representatives (``read_blocks``), the powers
-    (``power_blocks``) and the ``product`` factors alike; no N x N array is
-    formed.  The model also splits each
+    root's block (``root_block``).  The model also splits each
     commutator ``[R_ell, M_f]`` into its independent SVD pieces and keeps
-    one spectrum per (ell, f) (``commutator_spectrum``), which the bound
+    one spectrum per (ell, f) (``commutator_spectra``), which the bound
     and trace experiments and every sweep step on this grid share.
     """
 
@@ -521,7 +533,7 @@ class _GridModel:
         self._parity_eig: tuple[tuple[np.ndarray, ...], ...] | None = None
         self._eig: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._sectors: _Orbits | None = None
-        self._inverse_root: tuple[tuple[np.ndarray, ...], ...] | None = None
+        self._inverse_root: np.ndarray | None = None
         self._field_rows: dict[int, tuple[_FieldRows, ...]] = {}
         # (ell, bytes of f) -> (spectrum, health) of [R_ell, M_f]
         self._spectra: dict[tuple[int, bytes], tuple[SingularSpectrum, Mapping]] = {}
@@ -667,12 +679,20 @@ class _GridModel:
             values = np.zeros_like(w)
             values[live] = w[live] ** exponent
             core = (u * values[:, None, :]) @ u.transpose(0, 2, 1)
-            at_real, at_imag = core[:, half.real_column], core[:, half.imag_column]
             cr, ci = half.real_column[columns], half.imag_column[columns]
             vr, vi = half.real_value[columns], half.imag_value[columns]
             row_real, row_imag = half.real_value[:, None], half.imag_value[:, None]
-            real += row_real * at_real[:, :, cr] * vr + row_imag * at_imag[:, :, ci] * vi
-            imag += row_imag * at_imag[:, :, cr] * vr - row_real * at_real[:, :, ci] * vi
+            # the k columns first, then the M rows: no gather holds all d
+            # columns of the core
+            at_cr, at_ci = core[:, :, cr], core[:, :, ci]
+            real += (
+                row_real * at_cr[:, half.real_column] * vr
+                + row_imag * at_ci[:, half.imag_column] * vi
+            )
+            imag += (
+                row_imag * at_cr[:, half.imag_column] * vr
+                - row_real * at_ci[:, half.real_column] * vi
+            )
         odd = self._odd_pairs[:, columns]
         real[:, odd] = 0.0
         imag[:, ~odd] = 0.0
@@ -692,65 +712,63 @@ class _GridModel:
         operator T whose kept t-blocks ``B_j`` have the columns ``blocks``
         (h x M x k) at ``planar_representatives``; T has the reflection
         character chi = ``SECTORS[character]`` and flips colour when
-        ``flip``.  Kept read-only.
+        ``flip``.  Entry ``[k][c]`` belongs to ``sigma = SECTORS[k]`` and
+        colour class c: ``read_class`` over both classes.
+        """
+        by_column = _by_column(blocks)
+        classes = range(len(self.sectors().classes))
+        per_class = [self.read_class(by_column, c, character, flip) for c in classes]
+        return tuple(zip(*per_class))
 
-        Entry ``[k][c]`` belongs to ``sigma = SECTORS[k]``; its columns are
-        the orbits ``classes[c][1]`` (see ``_Orbits``) and its rows
-        ``classes[c][0]`` when T flips colour or the columns again when it
-        keeps colour; the parts of T that the cut leaves out are those its
-        colour structure makes 0.  Its entry (a, b) is ``sum_{g,h} tau(g)
-        sigma(h) T[g a, h b] / (|q_{tau,a}| |q_{sigma,b}|)`` with ``tau =
-        sigma chi``, so rows and columns of orbits where a sector vanishes
-        are exactly 0.  ``P_g T P_g = chi(g) T`` makes the four g-terms
-        equal, and the sum is ``4 sum_g tau(g) T[g a, b]`` at the
-        representative b: only the columns of T at the representatives are
-        read.  Column ``(n, l)`` (planar point n, t-index l) is ``sum_p
-        parts[p][:, n] (x) _t_outer[p][:, l]`` with ``parts = [Re B; Im
-        B]``; a batch of columns is one batched matmul, read by four row
-        gathers.
+    def read_class(
+        self, by_column: np.ndarray, c: int, character: int, flip: bool
+    ) -> tuple[np.ndarray, ...]:
+        """The four sector blocks, ``sigma = SECTORS[k]`` for k = 0..3, of
+        colour class c of the operator T of ``read_blocks``, whose t-block
+        columns come in the real layout of ``_by_column``.  Read-only.
+
+        The columns of a block are the orbits ``classes[c][1]`` (see
+        ``_Orbits``) and its rows ``classes[c][0]`` when T flips colour or
+        the columns again when it keeps colour; the parts of T that the cut
+        leaves out are those its colour structure makes 0.  Its entry
+        (a, b) is ``sum_{g,h} tau(g) sigma(h) T[g a, h b] / (|q_{tau,a}|
+        |q_{sigma,b}|)`` with ``tau = sigma chi``, so rows and columns of
+        orbits where a sector vanishes are exactly 0.  ``P_g T P_g = chi(g)
+        T`` makes the four g-terms equal, and the sum is ``4 sum_g tau(g)
+        T[g a, b]`` at the representative b: only the columns of T at the
+        representatives are read.  Column ``(n, l)`` (planar point n,
+        t-index l) is ``sum_p parts[p][:, n] (x) _t_outer[p][:, l]``; a
+        batch of columns, at most ``_COLUMN_BYTES`` of them, is one batched
+        matmul, read by four row gathers.
         """
         n = self.spec.count
         orbits = self.sectors()
         table = orbits.table
         # position[n]: where planar point n sits among the representatives
         position = np.zeros(self._odd_pairs.shape[0], dtype=int)
-        position[self.planar_representatives()] = np.arange(blocks.shape[2])
-        half = blocks.shape[0]
-        # by_column[c, m, p] = parts[p][m, n] for the c-th representative n,
-        # so a gather of columns is contiguous
-        by_column = np.empty(blocks.shape[2:0:-1] + (2 * half,))
-        by_column[..., :half] = blocks.real.transpose(2, 1, 0)
-        by_column[..., half:] = blocks.imag.transpose(2, 1, 0)
+        position[self.planar_representatives()] = np.arange(by_column.shape[0])
         by_step = self._t_outer.transpose(2, 0, 1)
         # the row sectors tau = sigma chi of the four column sectors sigma
         targets = np.arange(len(SECTORS)) ^ character
         signs = 4.0 * _SIGNS[targets]
-        per_class = []
-        for rows, cols in orbits.classes:
-            if not flip:
-                rows = cols
-            out = np.empty((len(SECTORS), rows.size, cols.size))
-            for start in range(0, cols.size, _COLUMN_BATCH):
-                batch = slice(start, start + _COLUMN_BATCH)
-                planar, vertical = np.divmod(table[0, cols[batch]], n)
-                # columns[b] = T[:, table[0, b]], over the grid's flat index
-                columns = np.matmul(by_column[position[planar]], by_step[vertical])
-                columns = columns.reshape(planar.size, -1)
-                # picked[b, g, a] = T[g a, b]
-                picked = columns[:, table[:, rows]]
-                out[:, :, batch] = np.matmul(signs, picked).transpose(1, 2, 0)
-            out *= orbits.inverse[targets][:, rows, None]
-            out *= orbits.inverse[:, None, cols]
-            out.flags.writeable = False
-            per_class.append(out)
-        return tuple(tuple(out[k] for out in per_class) for k in range(len(SECTORS)))
-
-    def power_blocks(self, exponent: float) -> tuple[tuple[np.ndarray, ...], ...]:
-        """The sector blocks ``Q_sigma^T (-Delta)^exponent Q_sigma`` of the
-        power, which keeps sector and colour, read off the t-block
-        eigenpairs (``read_blocks``)."""
-        columns = self.planar_power(exponent, self.planar_representatives())
-        return self.read_blocks(columns, 0, False)
+        rows, cols = orbits.classes[c]
+        if not flip:
+            rows = cols
+        out = np.empty((len(SECTORS), rows.size, cols.size))
+        step = max(1, _COLUMN_BYTES // (self.spec.size * out.itemsize))
+        for start in range(0, cols.size, step):
+            batch = slice(start, start + step)
+            planar, vertical = np.divmod(table[0, cols[batch]], n)
+            # columns[b] = T[:, table[0, b]], over the grid's flat index
+            columns = np.matmul(by_column[position[planar]], by_step[vertical])
+            columns = columns.reshape(planar.size, -1)
+            # picked[b, g, a] = T[g a, b]
+            picked = columns[:, table[:, rows]]
+            out[:, :, batch] = np.matmul(signs, picked).transpose(1, 2, 0)
+        out *= orbits.inverse[targets][:, rows, None]
+        out *= orbits.inverse[:, None, cols]
+        out.flags.writeable = False
+        return tuple(out)
 
     def kernel(self) -> np.ndarray:
         """Real orthonormal N x k basis of the numerical kernel."""
@@ -889,18 +907,32 @@ class _GridModel:
             np.einsum("rj,rjs->rs", values[batch], right[columns[batch]], out=out[batch])
         return out
 
-    def inverse_root_blocks(self) -> tuple[tuple[np.ndarray, ...], ...]:
-        """The sector blocks ``Q_sigma^T (-Delta)^{-1/2} Q_sigma`` (see
-        ``power_blocks``), built on first use and kept read-only; the power
-        keeps sector and colour, and no dense power is formed."""
+    def inverse_root_columns(self) -> np.ndarray:
+        """The columns of the kept t-blocks of ``(-Delta)^{-1/2}`` at the
+        planar representatives (``planar_power``), in the layout of
+        ``_by_column``, built on first use and kept read-only: the one form
+        in which the model keeps the inverse root."""
         if self._inverse_root is None:
-            self._inverse_root = self.power_blocks(-0.5)
+            columns = self.planar_power(-0.5, self.planar_representatives())
+            by_column = _by_column(columns)
+            by_column.flags.writeable = False
+            self._inverse_root = by_column
         return self._inverse_root
 
-    def root_block(self, k: int, c: int) -> np.ndarray:
+    def inverse_root_blocks(self, c: int) -> tuple[np.ndarray, ...]:
+        """The sector blocks ``St_sigma = Q_sigma^T (-Delta)^{-1/2} Q_sigma``
+        of colour class c, indexed by the position of sigma in ``SECTORS``,
+        read anew on each call from the kept t-block columns
+        (``inverse_root_columns``, ``read_class``); the power keeps sector
+        and colour.  A caller reads one class at a time and drops it before
+        the next, so no more than one class of them is alive."""
+        return self.read_class(self.inverse_root_columns(), c, 0, False)
+
+    def root_block(self, k: int, c: int, inverse: tuple[np.ndarray, ...]) -> np.ndarray:
         """The sector block ``Q_sigma^T (-Delta)^{1/2} Q_sigma`` of
         ``sigma = SECTORS[k]`` in colour class c, formed anew from the
-        inverse root's block and the stencil rows.
+        inverse root's blocks ``inverse`` of class c
+        (``inverse_root_blocks``) and the stencil rows.
 
         On the live modes ``(-Delta)^{1/2} = (-Delta)(-Delta)^{-1/2}``, and
         ``-Delta = X_1^T X_1 + X_2^T X_2 = -(X_1 X_1 + X_2 X_2)`` because the
@@ -910,7 +942,7 @@ class _GridModel:
         ell, the outer one in class 1 - c, whose rows are the columns of
         class c.
         """
-        root = self.inverse_root_blocks()[k][c]
+        root = inverse[k]
         classes = self.sectors().classes
         out = np.zeros_like(root)
         for ell in (1, 2):
@@ -920,34 +952,48 @@ class _GridModel:
         return out
 
     def riesz_block(
-        self, ell: int, k: int, c: int, rows: np.ndarray, cols: np.ndarray | None = None
+        self,
+        ell: int,
+        k: int,
+        c: int,
+        inverse: tuple[np.ndarray, ...],
+        rows: np.ndarray,
+        cols: np.ndarray | None = None,
     ) -> np.ndarray:
         """The rows ``rows`` (and the columns ``cols``, or all) of the
         colour-flipping sector block ``Rt_sigma = Q_{sigma s_ell}^T R_ell
         Q_sigma`` of the Riesz transform, ``sigma = SECTORS[k]``, in colour
-        class c, gathered anew on each call.  ``(-Delta)^{-1/2}`` keeps
-        sector and colour and ``sum_rho Q_rho Q_rho^T = I``, so ``Rt_sigma =
-        Xt_sigma St_sigma`` with the inverse root's blocks ``St_sigma``: a
-        row of ``Rt_sigma`` is a sum of at most four rows of ``St_sigma``
-        (``field_times``)."""
-        root = self.inverse_root_blocks()[k][c]
-        return self.field_times(ell, k, c, rows, root, cols)
+        class c, gathered anew on each call from the inverse root's blocks
+        ``inverse`` of class c.  ``(-Delta)^{-1/2}`` keeps sector and colour
+        and ``sum_rho Q_rho Q_rho^T = I``, so ``Rt_sigma = Xt_sigma
+        St_sigma``: a row of ``Rt_sigma`` is a sum of at most four rows of
+        ``St_sigma`` (``field_times``)."""
+        return self.field_times(ell, k, c, rows, inverse[k], cols)
 
     def riesz_blocks(self, ell: int) -> tuple[tuple[np.ndarray, ...], ...]:
         """Every block ``Rt_sigma`` of ``riesz_block``, laid out as in
-        ``read_blocks``; gathered anew on each call, never cached."""
-        return tuple(
-            tuple(
-                self.riesz_block(ell, k, c, np.arange(rows.size))
-                for c, (rows, _) in enumerate(self.sectors().classes)
+        ``read_blocks``; gathered anew on each call, never cached, one
+        colour class of the inverse root at a time."""
+        per_class = []
+        for c, (rows, _) in enumerate(self.sectors().classes):
+            inverse = self.inverse_root_blocks(c)
+            every = np.arange(rows.size)
+            per_class.append(
+                [self.riesz_block(ell, k, c, inverse, every) for k in range(len(SECTORS))]
             )
-            for k in range(len(SECTORS))
-        )
+            # dropped before the next class is read
+            del inverse
+        return tuple(zip(*per_class))
 
     def commutator_blocks(
-        self, ell: int, components: Mapping[int, np.ndarray]
+        self,
+        ell: int,
+        components: Mapping[int, np.ndarray],
+        c: int,
+        inverse: tuple[np.ndarray, ...],
     ) -> Iterator[_Block]:
-        """The blocks of ``[R_ell, M_f]`` in sector coordinates, by colour class.
+        """The blocks of ``[R_ell, M_f]`` in sector coordinates in colour
+        class c, from the inverse root's blocks ``inverse`` of that class.
 
         ``components`` maps eps to the reflection component f_eps of f at the
         orbit representatives (``_reflection_components``).  The live sectors
@@ -955,18 +1001,22 @@ class _GridModel:
         diag(f_eps)``: f_eps gives the block of rows rho = sigma eps s_ell
         and columns sigma, ``Rt_{sigma eps} f_eps[cols] - f_eps[rows]
         Rt_sigma``, on the rows live in rho and the columns live in sigma;
-        one component's blocks hold N rows and N columns.  The blocks come
-        in the order (eps, sigma, colour class), each from
+        one component's blocks of both classes hold N rows and N columns.
+        The blocks come in the order (eps, sigma), each from
         ``commutator_block``.
         """
-        classes = range(len(self.sectors().classes))
         for eps, f_rep in components.items():
             for k in range(len(SECTORS)):
-                for c in classes:
-                    yield self.commutator_block(ell, eps, f_rep, k, c)
+                yield self.commutator_block(ell, eps, f_rep, k, c, inverse)
 
     def commutator_block(
-        self, ell: int, eps: int, f_rep: np.ndarray, k: int, c: int
+        self,
+        ell: int,
+        eps: int,
+        f_rep: np.ndarray,
+        k: int,
+        c: int,
+        inverse: tuple[np.ndarray, ...],
     ) -> _Block:
         """The block of ``[R_ell, M_f]`` that the component f_eps (at the
         orbit representatives) gives in column sector ``SECTORS[k]`` and
@@ -980,11 +1030,11 @@ class _GridModel:
         rho = shifted ^ _FIELD_CHARACTER[ell]
         r = np.flatnonzero(orbits.live[rho, rows])
         s = np.flatnonzero(orbits.live[k, cols])
-        riesz = self.riesz_block(ell, k, c, r, s)
+        riesz = self.riesz_block(ell, k, c, inverse, r, s)
         if shifted == k:
             block = riesz * f_rep[cols[s]]
         else:
-            block = self.riesz_block(ell, shifted, c, r, s)
+            block = self.riesz_block(ell, shifted, c, inverse, r, s)
             block *= f_rep[cols[s]]
         riesz *= f_rep[rows[r], None]
         block -= riesz
@@ -993,44 +1043,62 @@ class _GridModel:
     def commutator_spectrum(
         self, ell: int, f: GridFunction
     ) -> tuple[SingularSpectrum, Mapping]:
-        """Singular values of ``[R_ell, M_f]`` and their numerical health,
-        computed once per (ell, f) and kept read-only.
+        """``commutator_spectra`` of the one function f."""
+        return self.commutator_spectra(ell, {"f": f})["f"]
+
+    def commutator_spectra(
+        self, ell: int, functions: Mapping[str, GridFunction]
+    ) -> dict[str, tuple[SingularSpectrum, Mapping]]:
+        """Singular values of ``[R_ell, M_f]`` and their numerical health for
+        each f of ``functions``, under its label, computed once per (ell, f)
+        and kept read-only.
 
         ``commutator_blocks`` gives one block per reflection component eps
         of f, column sector sigma and colour class, with rows in rho =
         sigma eps s_ell.  So two column sectors share a row sector exactly
         when sigma sigma' = eps eps' for two components; in the Klein group
-        of characters these products form a subgroup, whose cosets cut each
-        colour class into independent pieces, one SVD each: single blocks
-        for f of exact parity, one piece per class for four components.
-        With one component each block is its own piece and is reduced to
-        its singular values as ``commutator_blocks`` yields it
-        (``_direct_sum_spectrum``), so the blocks are never held together;
-        pieces of several blocks are gathered and joined first.  The N x N
-        matrix is never formed.  The health record names the
-        character the spectrum was split by (``"+-"``) for one component or
-        ``"full"``, the clamp count and the smallest kept value over the
-        largest.
+        of characters these products form a subgroup H, whose cosets cut
+        each colour class into independent pieces of ``|H|`` sectors times
+        the components, one SVD each: single blocks for f of exact parity,
+        one piece per class for four components.  The loop runs over colour
+        class outside and over the functions not yet kept inside, so one
+        class of the inverse root's blocks is read per class
+        (``inverse_root_blocks``) for the whole family.  A piece is joined
+        and reduced to its singular values as soon as its last block is
+        formed (``schatten._DirectSum``), so a single-block piece goes to
+        its SVD as it comes and the blocks of a function are never held
+        together.  The N x N matrix is never formed.  The health record
+        names the character the spectrum was split by (``"+-"``) for one
+        component or ``"full"``, the clamp count and the smallest kept
+        value over the largest.
         """
-        if f.spec != self.spec:
-            raise ValueError("function lives on a different grid")
-        key = (ell, f.values.tobytes())
-        if key not in self._spectra:
-            values = f.flat[self.sectors().table]
-            # the zero function has no component; one zero component gives
-            # N zeros
-            components = _reflection_components(values) or {0: values[0]}
-            blocks = self.commutator_blocks(ell, components)
-            if len(components) == 1:
-                spectrum = _direct_sum_spectrum(block.matrix for block in blocks)
-            else:
+        keys, pending = {}, {}
+        for label, f in functions.items():
+            if f.spec != self.spec:
+                raise ValueError("function lives on a different grid")
+            key = keys[label] = (ell, f.values.tobytes())
+            if key not in self._spectra and key not in pending:
+                values = f.flat[self.sectors().table]
+                # the zero function has no component; one zero component
+                # gives N zeros
+                pending[key] = _reflection_components(values) or {0: values[0]}
+        sums = {key: _DirectSum() for key in pending}
+        for c in range(len(self.sectors().classes)) if pending else ():
+            inverse = self.inverse_root_blocks(c)
+            for key, components in pending.items():
                 steps = {a ^ b for a in components for b in components}
-                pieces: dict[tuple[int, int], dict] = {}
-                for block in blocks:
+                size = len(steps) * len(components)
+                pieces: dict[int, dict[tuple[int, int], np.ndarray]] = {}
+                for block in self.commutator_blocks(ell, components, c, inverse):
                     coset = min(block.sigma ^ h for h in steps)
-                    piece = pieces.setdefault((block.colour, coset), {})
+                    piece = pieces.setdefault(coset, {})
                     piece[block.rho, block.sigma] = block.matrix
-                spectrum = singular_values(*map(_join, pieces.values()))
+                    if len(piece) == size:
+                        sums[key].add(_join(pieces.pop(coset)))
+            # dropped before the next class is read
+            del inverse
+        for key, components in pending.items():
+            spectrum = sums[key].spectrum()
             chi = [eps ^ _FIELD_CHARACTER[ell] for eps in components]
             kept = int(np.count_nonzero(spectrum.values))
             smallest = spectrum.values[kept - 1] / spectrum.values[0] if kept else 0.0
@@ -1040,7 +1108,7 @@ class _GridModel:
                 "min_kept_ratio": float(smallest),
             }
             self._spectra[key] = (spectrum, types.MappingProxyType(health))
-        return self._spectra[key]
+        return {label: self._spectra[key] for label, key in keys.items()}
 
     def vertical_quarter_root(self) -> np.ndarray:
         """The n x n fourth root of ``D_t^T D_t`` on one vertical line;
@@ -1206,26 +1274,27 @@ def riesz_decomposition_residual(
     commutes with both reflections and with colour, acts on each block by
     its own sector coordinates.  The reflection components of f land on
     disjoint blocks, and the Frobenius norms are the roots of the sums of
-    squared block norms, summed in the order of ``commutator_blocks``.
+    squared block norms, summed in the order (eps, sigma, colour class).
 
-    The inverse root's blocks are the model's own.  The blocks of
-    ``(-Delta)^{1/2}`` are formed from them and the stencil rows
-    (``_GridModel.root_block``), never as a set: the loop runs over colour
-    class and sector outside and over the functions and their components
-    inside, so each root block is formed once per call and dropped after
-    the last sector that reads it.  A block of character eps at sector
-    sigma reads the root blocks of sigma and of sigma eps, so sigma itself
-    is always formed; for functions whose only component is ``++`` one
-    root block is alive at a time.  The terms with ``X_ell`` on the left
-    are row gathers of the stencil rows (``_GridModel.field_times``), for
-    each block alone; no N x N array is formed.
+    The loop runs over colour class and sector outside and over the
+    functions and their components inside.  Each class reads its four
+    blocks of the inverse root once (``_GridModel.inverse_root_blocks``)
+    and hands them to every block it forms, so one class of them is alive
+    at a time.  The blocks of ``(-Delta)^{1/2}`` are formed from them and
+    the stencil rows (``_GridModel.root_block``), never as a set: each is
+    formed once per call and dropped after the last sector that reads it.
+    A block of character eps at sector sigma reads the root blocks of sigma
+    and of sigma eps, so sigma itself is always formed; for functions whose
+    only component is ``++`` one root block is alive at a time.  The terms
+    with ``X_ell`` on the left are row gathers of the stencil rows
+    (``_GridModel.field_times``), for each block alone; the products and
+    the kernel projections of a block are written into two buffers,
+    allocated once per class.  No N x N array is formed.
     """
     if any(f.spec != spec for f in functions.values()):
         raise ValueError("function lives on a different grid")
     model = _model(spec)
     orbits = model.sectors()
-    # the powers have the trivial character (1, 1)
-    inv_sqrt = model.inverse_root_blocks()
     kernel = model.kernel()
     # Q^T K: the kernel's coordinates in each sector, orbit by orbit
     kernel_coords = np.einsum("sg,gok->sok", _SIGNS, kernel[orbits.table])
@@ -1238,47 +1307,66 @@ def riesz_decomposition_residual(
     # k ^ eps, so sector k itself is a step even if no component is trivial
     steps = sorted({0} | {eps for components in parts.values() for eps in components})
 
-    def block_norms(block: _Block, f_rep: np.ndarray, roots: Mapping[int, np.ndarray]):
+    def block_norms(
+        block: _Block,
+        f_rep: np.ndarray,
+        roots: Mapping[int, np.ndarray],
+        inverse: tuple[np.ndarray, ...],
+        buffers: np.ndarray,
+    ):
         """The Frobenius norms of the block's lhs and gap off the kernel."""
         k, c, lhs = block.sigma, block.colour, block.matrix
         r, s = block.rows, block.cols
         shifted = k ^ block.eps
         rows, cols = orbits.classes[c]
         f_cols = f_rep[cols]
+        square = (cols.size, cols.size)
+        comm, product = (buffer[: cols.size**2].reshape(square) for buffer in buffers)
         # gap = lhs - [X, M_f] A^{-1/2} + R [A^{1/2}, M_f] A^{-1/2}
         # with A = -Delta, on the live rows and columns of lhs:
         # X_{sigma eps} (S^-_{sigma eps} C S^-_sigma - f S^-_sigma)
         # + f R_sigma + lhs with C = S_{sigma eps} f - f S_sigma from the
         # root blocks, the field and Riesz rows gathered for this block
         # alone
-        comm_sqrt = roots[shifted] * f_cols
-        comm_sqrt -= f_cols[:, None] * roots[k]
-        right = inv_sqrt[shifted][c] @ (comm_sqrt @ inv_sqrt[k][c])
-        right -= f_cols[:, None] * inv_sqrt[k][c]
+        np.multiply(roots[shifted], f_cols, out=comm)
+        comm -= np.multiply(f_cols[:, None], roots[k], out=product)
+        np.matmul(comm, inverse[k], out=product)
+        # written over comm, which the first product has read
+        right = np.matmul(inverse[shifted], product, out=comm)
+        right -= np.multiply(f_cols[:, None], inverse[k], out=product)
         gap = model.field_times(ell, shifted, c, r, right, s)
-        gap += f_rep[rows[r], None] * model.riesz_block(ell, k, c, r, s)
+        riesz = model.riesz_block(ell, k, c, inverse, r, s)
+        riesz *= f_rep[rows[r], None]
+        gap += riesz
         gap += lhs
         left = kernel_coords[block.rho, rows[r]]
         right = kernel_coords[k, cols[s]]
+        projection = buffers[1, : r.size * s.size].reshape(r.size, s.size)
         for mat in (lhs, gap):
-            mat -= left @ (left.T @ mat)
-            mat -= (mat @ right) @ right.T
+            mat -= np.matmul(left, left.T @ mat, out=projection)
+            mat -= np.matmul(mat @ right, right.T, out=projection)
         return np.linalg.norm(lhs), np.linalg.norm(gap)
 
     # per function, the norms of each block keyed (eps, sigma, c)
     by_block: dict[str, dict[tuple[int, int, int], tuple]] = {label: {} for label in parts}
-    for c in range(len(orbits.classes)):
+    for c, (rows, cols) in enumerate(orbits.classes):
+        inverse = model.inverse_root_blocks(c)
+        buffers = np.empty((2, max(rows.size, cols.size) * cols.size))
         # the root blocks of class c in use, keyed by sector
         roots: dict[int, np.ndarray] = {}
         for k in range(len(SECTORS)):
             for j in (k ^ eps for eps in steps):
                 if j not in roots:
-                    roots[j] = model.root_block(j, c)
+                    roots[j] = model.root_block(j, c, inverse)
             for label, components in parts.items():
                 for eps, f_rep in components.items():
-                    block = model.commutator_block(ell, eps, f_rep, k, c)
-                    by_block[label][eps, k, c] = block_norms(block, f_rep, roots)
+                    block = model.commutator_block(ell, eps, f_rep, k, c, inverse)
+                    by_block[label][eps, k, c] = block_norms(
+                        block, f_rep, roots, inverse, buffers
+                    )
             roots = {j: root for j, root in roots.items() if any(j ^ e > k for e in steps)}
+        # dropped before the next class is read
+        del inverse, buffers
 
     def report(label: str) -> RieszSplitReport:
         blocks = [by_block[label][key] for key in sorted(by_block[label])]

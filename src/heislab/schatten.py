@@ -86,35 +86,45 @@ def singular_values(a, *blocks) -> SingularSpectrum:
     nonincreasing; a sum is padded with exact zeros up to that length.
     Values below ``CLAMP_RATIO`` times the largest one are clamped to zero.
     """
-    return _direct_sum_spectrum((a, *blocks))
+    total = _DirectSum()
+    for block in (a, *blocks):
+        total.add(block)
+    return total.spectrum()
 
 
-def _direct_sum_spectrum(blocks) -> SingularSpectrum:
-    """``singular_values`` of the direct sum of the matrices ``blocks``
-    yields, each checked and reduced to its singular values as it comes, so
-    a generator's blocks need never be held together."""
-    parts, rows, cols = [], 0, 0
-    for block in blocks:
+class _DirectSum:
+    """``singular_values`` of a direct sum whose blocks come one at a time:
+    each block is checked and reduced to its singular values when it is
+    added, so the blocks need never be held together."""
+
+    def __init__(self):
+        self.parts: list[np.ndarray] = []
+        self.rows = self.cols = 0
+
+    def add(self, block) -> None:
         m = np.asarray(block)
         if m.ndim != 2:
             raise ValueError("expected 2-d matrices")
         if not np.all(np.isfinite(m)):
             raise ValueError("matrix entries must be finite")
-        rows, cols = rows + m.shape[0], cols + m.shape[1]
+        self.rows, self.cols = self.rows + m.shape[0], self.cols + m.shape[1]
         if m.size:
-            parts.append(np.linalg.svd(m, compute_uv=False))
-    length = min(rows, cols)
-    if length == 0:
-        raise ValueError("expected a nonempty 2-d matrix")
-    vals = np.zeros(length)
-    found = np.sort(np.concatenate([np.zeros(0), *parts]))[::-1]
-    vals[: found.size] = found
-    clamped = 0
-    if vals[0] > 0.0:
-        noise = vals < CLAMP_RATIO * vals[0]
-        clamped = int(np.count_nonzero(noise & (vals > 0.0)))
-        vals = np.where(noise, 0.0, vals)
-    return SingularSpectrum(vals, clamped)
+            self.parts.append(np.linalg.svd(m, compute_uv=False))
+
+    def spectrum(self) -> SingularSpectrum:
+        """The values added so far, sorted, padded and clamped."""
+        length = min(self.rows, self.cols)
+        if length == 0:
+            raise ValueError("expected a nonempty 2-d matrix")
+        vals = np.zeros(length)
+        found = np.sort(np.concatenate([np.zeros(0), *self.parts]))[::-1]
+        vals[: found.size] = found
+        clamped = 0
+        if vals[0] > 0.0:
+            noise = vals < CLAMP_RATIO * vals[0]
+            clamped = int(np.count_nonzero(noise & (vals > 0.0)))
+            vals = np.where(noise, 0.0, vals)
+        return SingularSpectrum(vals, clamped)
 
 
 def weak_quasinorm(spectrum: SingularSpectrum, p: float) -> float:

@@ -2,7 +2,8 @@
 
 The package reads every grid operator through its t-blocks and sector
 blocks; these build the dense N x N matrices the tests compare against (the
-powers and the ``product`` factors assembled from the t-blocks), the dense
+powers and the ``product`` factors assembled from the t-blocks), the sector
+blocks of any power (``power_blocks``), the dense
 sector blocks of the fields expanded from their stencil rows, the dense
 eigenvalues of the ``product`` table and the grid ``L_p`` norm.
 ``fiber_schatten_norm`` and ``loop_coercivity`` are the SVD loop the fiber
@@ -61,6 +62,15 @@ def assembled_power(model, exponent: float) -> np.ndarray:
     """Dense ``(-Delta)^exponent`` on the live modes, zero on the kernel."""
     every = np.arange(model.spec.count**2)
     return assemble(model, model.planar_power(exponent, every))
+
+
+def power_blocks(model, exponent: float) -> tuple[tuple[np.ndarray, ...], ...]:
+    """The sector blocks ``Q_sigma^T (-Delta)^exponent Q_sigma`` of both
+    colour classes, read off the columns of the kept t-blocks at the planar
+    representatives as the model reads its inverse root's blocks, one class
+    at a time."""
+    columns = model.planar_power(exponent, model.planar_representatives())
+    return model.read_blocks(columns, 0, False)
 
 
 def assembled_symbol_realization(spec: GridSpec, k: int) -> np.ndarray:

@@ -282,31 +282,36 @@ def eigh_sizes(monkeypatch):
 
 @pytest.fixture
 def power_exponents(monkeypatch):
-    """Exponents of the ``_GridModel.power_blocks`` calls made after a cold
-    model cache."""
-    power_blocks = _GridModel.power_blocks
+    """Exponents of the ``_GridModel.planar_power`` calls, each the t-block
+    columns of one power, made after a cold model cache."""
+    planar_power = _GridModel.planar_power
     exponents = []
 
-    def counting_power_blocks(self, exponent):
+    def counting_planar_power(self, exponent, columns):
         exponents.append(exponent)
-        return power_blocks(self, exponent)
+        return planar_power(self, exponent, columns)
 
-    monkeypatch.setattr(_GridModel, "power_blocks", counting_power_blocks)
+    monkeypatch.setattr(_GridModel, "planar_power", counting_planar_power)
     _model.cache_clear()
     return exponents
 
 
 def cold_run_peak(tmp_path, suite, count):
-    """The ``tracemalloc`` peak of one run that starts on a cold model cache."""
-    _model.cache_clear()
-    config = load_config(write_config(tmp_path, grid_size=count), {"suite": suite})
-    tracemalloc.start()
-    try:
-        run_suite(config)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-        _model.cache_clear()
+    """The ``tracemalloc`` peak of one run in a fresh interpreter, from
+    ``heislab.cli`` loaded to the end of the run, so the modules the run
+    loads on its way count as they do for ``lab run``."""
+    path = write_config(tmp_path, grid_size=count)
+    script = f"""
+import tracemalloc
+from heislab.cli import load_config, run_suite
+config = load_config({str(path)!r}, {{"suite": {suite!r}}})
+tracemalloc.start()
+run_suite(config)
+print(tracemalloc.get_traced_memory()[1])
+"""
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    return int(result.stdout.splitlines()[-1])
 
 
 def reachable_arrays(obj, seen=None):
@@ -472,13 +477,17 @@ class TestRunCommand:
 
     def test_grid_suite_takes_each_power_once(self, tmp_path, power_exponents):
         # on a cold model the split residuals of the whole family read one
-        # power: the inverse root's blocks build the Riesz blocks and, with
-        # the stencil rows, the blocks of (-Delta)^{1/2}; the kernel
+        # power: the inverse root's t-block columns, computed once and kept,
+        # give each colour class's blocks, which build the Riesz blocks and,
+        # with the stencil rows, the blocks of (-Delta)^{1/2}; the kernel
         # projection needs none
         cli._run_grid(load_config(write_config(tmp_path), {"suite": "grid"}))
         assert power_exponents == [-0.5]
+        assert _model(GridSpec.cube(9))._inverse_root is not None
 
     def test_bound_suite_takes_one_inverse_root(self, tmp_path, power_exponents):
+        # both families of the suite read the class blocks off the one set
+        # of t-block columns the model keeps
         run_suite(load_config(write_config(tmp_path), {"suite": "bound"}))
         assert power_exponents == [-0.5]
 
@@ -593,6 +602,24 @@ class TestRunCommand:
         assert model._inverse_root is not None and model._field_rows
         sizes = [arr.size for arr in reachable_arrays(model)]
         assert max(sizes) < (9**3) ** 2
+
+    @pytest.mark.parametrize("suite", ["bound", "grid"])
+    def test_cold_run_leaves_no_sector_set_on_the_model(self, tmp_path, suite):
+        # the model keeps the inverse root only as its t-block columns at
+        # the planar representatives, and reads its sector blocks one
+        # colour class at a time: after a run it owns no more than three
+        # t-block arrays of ceil(n/2) n^4 floats, with no sector set, which
+        # alone would take (N + 3n + 4)^2 bytes
+        count = 13
+        _model.cache_clear()
+        config = load_config(write_config(tmp_path, grid_size=count), {"suite": suite})
+        run_suite(config)
+        model = _model(GridSpec.cube(count))
+        assert _model.cache_info().currsize == 1
+        owned = sum(arr.nbytes for arr in reachable_arrays(model) if arr.base is None)
+        t_blocks = 8 * ((count + 1) // 2) * count**4
+        assert owned <= 3 * t_blocks
+        _model.cache_clear()
 
     @pytest.mark.parametrize("suite", ["bound", "grid"])
     def test_cold_run_leaves_one_sector_set_on_the_model(self, tmp_path, suite):

@@ -361,7 +361,13 @@ class TestCommutatorSpectrum:
         for label, f in functions.items():
             components = components_of(spec, f)
             for ell in (1, 2):
-                blocks = list(model.commutator_blocks(ell, components))
+                blocks = [
+                    block
+                    for c in range(len(model.sectors().classes))
+                    for block in model.commutator_blocks(
+                        ell, components, c, model.inverse_root_blocks(c)
+                    )
+                ]
                 for eps in components:
                     own = [block.matrix for block in blocks if block.eps == eps]
                     assert len(own) == 8, label
@@ -433,6 +439,36 @@ class TestCommutatorSpectrum:
 
     def test_four_components_take_one_piece_per_class(self, monkeypatch):
         assert_pieces(monkeypatch, "four", 4, 2)
+
+    def test_family_call_equals_one_function_calls(self, monkeypatch):
+        # a family call reads each colour class of the inverse root once for
+        # all its functions; its spectra and health records equal those of
+        # one call per function, bit for bit, for functions of exact parity
+        # and one with four reflection components
+        family = {**oracle_functions(SPEC), "four": mixed_functions(SPEC)["four"]}
+        assert len(components_of(SPEC, family["four"])) == 4
+        model = _GridModel(SPEC)
+        read = model.inverse_root_blocks
+        classes = []
+
+        def counting_read(c):
+            classes.append(c)
+            return read(c)
+
+        monkeypatch.setattr(model, "inverse_root_blocks", counting_read)
+        together = model.commutator_spectra(1, family)
+        assert classes == [0, 1]
+        single = _GridModel(SPEC)
+        assert list(together) == list(family)
+        for label, f in family.items():
+            spectrum, health = together[label]
+            expected, expected_health = single.commutator_spectrum(1, f)
+            assert np.array_equal(spectrum.values, expected.values), label
+            assert spectrum.clamped == expected.clamped, label
+            assert dict(health) == dict(expected_health), label
+        # a second family call finds every spectrum kept and reads no class
+        assert model.commutator_spectra(1, family) == together
+        assert classes == [0, 1]
 
     def test_grid_11_rows_take_the_sector_path(self):
         # 11 is a size where np.linspace axes are not exactly antisymmetric

@@ -36,6 +36,7 @@ from oracles import (
     dense_riesz,
     dense_sublaplacian,
     norm_lp,
+    power_blocks,
 )
 
 SPEC = GridSpec.cube(9)
@@ -242,11 +243,11 @@ class TestGridSpec:
     def test_byte_budget_enforced_at_model_build(self):
         # the spec of any size is a grid; the model refuses one whose
         # estimated peak is over the budget, naming both numbers
-        assert _peak_bytes(27) <= grid._BYTE_BUDGET < _peak_bytes(28)
+        assert _peak_bytes(30) <= grid._BYTE_BUDGET < _peak_bytes(31)
         spec = GridSpec.cube(41)
         with pytest.raises(ValueError, match=r"estimated \d+ MB, over the budget of 1500 MB"):
             _model(spec)
-        assert _GridModel(GridSpec.cube(27)).spec.count == 27
+        assert _GridModel(GridSpec.cube(30)).spec.count == 30
 
     def test_model_cache_is_bounded_by_the_byte_budget(self, monkeypatch):
         # two 9^3 grids coexist under the real budget; under one that fits
@@ -785,7 +786,7 @@ class TestColourGrading:
         bases = sector_bases(spec)
         same = orbits.colour[:, None] == orbits.colour[None, :]
         root = assembled_power(model, 0.5)
-        blocks = model.power_blocks(0.5)
+        blocks = power_blocks(model, 0.5)
         for k, sigma in enumerate(SECTORS):
             live = np.ix_(orbits.live[k], orbits.live[k])
             full = np.zeros(same.shape)
@@ -818,7 +819,7 @@ class TestColourGrading:
                     rows, cols = orbits.classes[c]
                     r = np.arange(0, rows.size, 2)
                     s = np.flatnonzero(orbits.live[k, cols])
-                    cut = model.riesz_block(ell, k, c, r, s)
+                    cut = model.riesz_block(ell, k, c, model.inverse_root_blocks(c), r, s)
                     assert np.array_equal(cut, block[np.ix_(r, s)])
 
 
@@ -859,7 +860,7 @@ class TestSectorPowerBlocks:
     def test_power_blocks_match_dense_gather(self, oracle_model, exponent):
         model = oracle_model
         expected = gather(model, assembled_power(model, exponent), (1, 1), flip=False)
-        for got_blocks, want_blocks in zip(model.power_blocks(exponent), expected):
+        for got_blocks, want_blocks in zip(power_blocks(model, exponent), expected):
             scale = max(np.abs(want).max() for want in want_blocks)
             for got, want in zip(got_blocks, want_blocks):
                 assert not got.flags.writeable
@@ -914,7 +915,13 @@ class TestMultiplicationAndCommutator:
         components = _reflection_components(c.flat[model.sectors().table])
         assert list(components) == [0]
         for ell in (1, 2):
-            blocks = list(model.commutator_blocks(ell, components))
+            blocks = [
+                block
+                for c in range(len(model.sectors().classes))
+                for block in model.commutator_blocks(
+                    ell, components, c, model.inverse_root_blocks(c)
+                )
+            ]
             assert len(blocks) == 8
             assert all(np.all(block.matrix == 0.0) for block in blocks)
 
@@ -1183,36 +1190,33 @@ class TestSectorSplit:
         # one live eigenvalue of a paired kept block of (-Delta)^{-1/2},
         # scaled by 1 + 1e-6, must show on the sector blocks as on the
         # dense products: the sector path reads the perturbed inverse root
-        # in its Riesz blocks and in the stencil S~+, the dense oracle in
-        # both of its powers' places
+        # off its kept t-block columns, in its Riesz blocks and in the
+        # stencil S~+, the dense oracle in both of its powers' places
         model = _model(SPEC)
         w, v, live = model.eig()
         assert model.weight[0] == 2
         mode = np.flatnonzero(live[0])[0]
+        scale = 1e-6 / math.sqrt(w[0, mode])
         z = np.kron(v[0, :, mode], model._t_vectors[:, 0])
         # the mode and its conjugate in block nt, as a real operator
-        shift = 1e-6 / math.sqrt(w[0, mode]) * 2.0 * np.outer(z, z.conj()).real
-        shift_blocks = gather(model, shift, (1, 1), flip=False)
-        power, power_blocks = oracles.assembled_power, _GridModel.power_blocks
+        shift = scale * 2.0 * np.outer(z, z.conj()).real
+        # the same shift on the kept form: t-block 0 gains scale v v^H, whose
+        # columns at the planar representatives go to the real and
+        # imaginary slots of block 0
+        reps = model.planar_representatives()
+        column_shift = scale * np.outer(v[0, :, mode], v[0, reps, mode].conj())
+        kept = model.inverse_root_columns().copy()
+        kept[:, :, 0] += column_shift.real.T
+        kept[:, :, model.mu.size] += column_shift.imag.T
+        power = oracles.assembled_power
 
         def perturbed_power(model, exponent):
             out = power(model, exponent)
             return out + shift if exponent == -0.5 else out
 
-        def perturbed_power_blocks(self, exponent):
-            out = power_blocks(self, exponent)
-            if exponent != -0.5:
-                return out
-            return tuple(
-                tuple(block + extra for block, extra in zip(per_sector, per_shift))
-                for per_sector, per_shift in zip(out, shift_blocks)
-            )
-
         monkeypatch.setattr(oracles, "assembled_power", perturbed_power)
-        monkeypatch.setattr(_GridModel, "power_blocks", perturbed_power_blocks)
-        # the cached model reads its inverse root anew, and gets the
-        # unperturbed blocks back after the test
-        monkeypatch.setattr(model, "_inverse_root", None)
+        # the cached model gets its unperturbed columns back after the test
+        monkeypatch.setattr(model, "_inverse_root", kept)
         family = {"bump": bump(SPEC)}
         sector = riesz_decomposition_residual(SPEC, family, 1)["bump"]
         dense = dense_split(SPEC, family, 1)["bump"]
@@ -1225,23 +1229,24 @@ class TestSectorSplit:
         # modes: two stencil passes per field over the inverse root's block
         # give the square root's block read off the t-block eigenpairs
         model = _model(GridSpec.cube(count))
-        expected = model.power_blocks(0.5)
+        expected = power_blocks(model, 0.5)
         for k in range(len(SECTORS)):
             for c, want in enumerate(expected[k]):
-                got = model.root_block(k, c)
+                got = model.root_block(k, c, model.inverse_root_blocks(c))
                 assert got.shape == want.shape
                 assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     def test_split_holds_no_root_set(self):
-        # on a warm 13^3 model (inverse root, kernel and field rows built),
-        # the split of the trace family forms its square-root blocks one at
-        # a time: it peaks less than 1.5 sector sets of (N + 3n + 4)^2
-        # bytes above the model, where a set of S~+ blocks read whole would
-        # add one more set
+        # on a warm 13^3 model (the inverse root's t-block columns, the
+        # kernel and the field rows built), the split of the trace family
+        # reads one colour class of S~- at a time and forms its square-root
+        # blocks one at a time: it peaks less than 1.5 sector sets of
+        # (N + 3n + 4)^2 bytes above the model, where a set of S~+ blocks
+        # read whole would add one more set
         count = 13
         spec = GridSpec.cube(count)
         model = _model(spec)
-        model.inverse_root_blocks()
+        model.inverse_root_columns()
         model.kernel()
         for ell in (1, 2):
             model.field_rows(ell)

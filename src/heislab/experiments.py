@@ -8,13 +8,22 @@ Hermite cutoff.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
+
+try:
+    # CPython's builtin SHA-256 (_sha2 from 3.12, _sha256 before) maps no
+    # OpenSSL; the standard hashing module loads libcrypto on import
+    from _sha2 import sha256 as _sha256
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 from .doi import build_a_fiber
 from .grid import (
@@ -86,7 +95,7 @@ GRID_HOMOGENEOUS_DIMENSION = 4
 def config_digest(payload: Mapping) -> str:
     """Short stable digest of a JSON-serialisable configuration mapping."""
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=str)
-    return hashlib.sha256(text.encode()).hexdigest()[:12]
+    return _sha256(text.encode()).hexdigest()[:12]
 
 
 @dataclass(frozen=True)

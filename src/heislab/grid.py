@@ -448,8 +448,8 @@ def _peak_bytes(count: int) -> int:
     ``_COLUMN_BYTES``, and 1.5 MB cover the rest of the run (the fiber
     side, the families, the artifacts and the modules a run loads).
     Against the ``tracemalloc`` peaks of runs in fresh interpreters, from
-    ``heislab.cli`` loaded, the estimate reads 1.20-1.52x at 9^3,
-    1.32-1.57x at 13^3 and 1.22-1.67x at 17^3.
+    ``heislab.cli`` loaded, the estimate reads 1.25-1.51x at 9^3,
+    1.32-1.63x at 13^3 and 1.22-1.67x at 17^3.
     """
     size = count**3
     sector_set = (size + 3 * count + 4) ** 2

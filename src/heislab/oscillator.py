@@ -47,6 +47,11 @@ MAX_BASIS_DIM = 4096
 
 _WEIGHTS = {"one": (1.0, 1.0), "z": (-1.0, 1.0)}
 
+# bytes of the fiber mixes (one D x D complex block per row) that one chunk
+# of ``pooled_schatten_powers`` forms; its Gram matrices and their powers
+# are a few times as large again
+_MIX_BYTES = 524_288
+
 
 def _graded_lex(n: int, grade: int):
     """Multi-indices of total degree ``grade``, lexicographically ascending."""
@@ -235,7 +240,9 @@ def pooled_schatten_powers(coefficients, symbols, p: float) -> np.ndarray:
     Only an even integer ``p = 2m >= 2`` is accepted: then
     ``sum mu^{2m} = tr(G^m)`` with ``G = A^* A``, read as
     ``sum_ij (G^a)_ij (G^b)_ji`` with ``a = floor(m/2)``, ``b = ceil(m/2)``,
-    so the whole stack takes a few batched matmuls and no SVD.
+    so the whole stack takes a few batched matmuls and no SVD.  The rows
+    run in chunks of about ``_MIX_BYTES`` of mixes; a row's value does not
+    depend on the chunk it falls in.
     """
     m = p / 2.0
     if not (m >= 1.0 and m.is_integer()):
@@ -249,13 +256,21 @@ def pooled_schatten_powers(coefficients, symbols, p: float) -> np.ndarray:
         raise ValueError(
             f"coefficient array must be (rows, {len(symbols)}); got {coeff.shape}"
         )
-    total = np.zeros(coeff.shape[0])
-    for blocks in ([s.minus for s in symbols], [s.plus for s in symbols]):
-        mix = np.tensordot(coeff, np.stack(blocks), axes=1)
-        gram = mix.conj().transpose(0, 2, 1) @ mix
-        low = gram if m > 1 else np.eye(basis.dim)
-        for _ in range(m // 2 - 1):
-            low = low @ gram
-        high = low @ gram if m % 2 else low
-        total += np.einsum("...ij,...ji->...", low, high).real
+    stacks = [np.stack([s.minus for s in symbols]), np.stack([s.plus for s in symbols])]
+    # two rows a chunk at least, and a last row joins the chunk before it:
+    # numpy mixes a single row through gemv, which rounds unlike gemm
+    count = coeff.shape[0]
+    step = max(2, _MIX_BYTES // (16 * basis.dim**2))
+    stops = [*range(step, count - 1, step), count]
+    total = np.zeros(count)
+    for start, stop in zip([0, *stops], stops):
+        rows = slice(start, stop)
+        for stack in stacks:
+            mix = np.tensordot(coeff[rows], stack, axes=1)
+            gram = mix.conj().transpose(0, 2, 1) @ mix
+            low = gram if m > 1 else np.eye(basis.dim)
+            for _ in range(m // 2 - 1):
+                low = low @ gram
+            high = low @ gram if m % 2 else low
+            total[rows] += np.einsum("...ij,...ji->...", low, high).real
     return total

@@ -791,6 +791,29 @@ print(json.dumps(state))
             "all": [3, []],
         }
 
+    def test_grid_suites_map_no_openssl(self, tmp_path):
+        # the config digest takes CPython's builtin SHA-256, so a grid or
+        # bound process never loads the hashing module that maps OpenSSL;
+        # trace and all seed numpy generators, whose import chain loads it
+        script = f"""
+import json, sys
+loaded = lambda: [m for m in ("hashlib", "_hashlib") if m in sys.modules]
+import heislab.cli
+state = {{"import": [0, loaded()]}}
+for suite in ("grid", "bound"):
+    code = heislab.cli.main(
+        ["run", "--suite", suite, "--grid", "9", "--out", {str(tmp_path / "out")!r}]
+    )
+    state[suite] = [code, loaded()]
+print(json.dumps(state))
+"""
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
+        state = json.loads(result.stdout.splitlines()[-1])
+        assert state == {"import": [0, []], "grid": [0, []], "bound": [3, []]}
+
 
 class TestSweepCommand:
     def test_doi_flat_in_cutoff(self, tmp_path):

@@ -1,9 +1,14 @@
+import hashlib
+import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from heislab import experiments
+from heislab.cli import RunConfig
 from heislab.experiments import (
     ExperimentReport,
     ExperimentRow,
@@ -781,6 +786,45 @@ class TestReportPlumbing:
             {"b": [2, 3], "a": 1}
         )
         assert len(config_digest({})) == 12
+
+    DIGEST_PAYLOADS = (
+        {"a": {"b": [1, {"c": None}]}, "d": [[2, 3], []]},
+        {"x": 1.5, "tiny": 2e-300, "big": float("inf"), "neg": -0.0},
+        {"σ": "Ẇ^{1,4}", "Ẇ": ["σ", 4]},
+    )
+
+    def test_digest_is_sha256_of_the_canonical_text(self):
+        for payload in self.DIGEST_PAYLOADS:
+            text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+            expected = hashlib.sha256(text.encode()).hexdigest()[:12]
+            assert config_digest(payload) == expected
+
+    def test_default_bound_digest_is_pinned(self):
+        # the artifact name of a default bound run, bound_<digest>.json
+        assert config_digest(RunConfig().canonical("bound")) == "43dbed00a98e"
+
+    def test_digest_falls_back_without_the_builtin_module(self):
+        # an interpreter without _sha2 and _sha256 takes hashlib's sha256
+        script = f"""
+import json, sys
+sys.modules["_sha2"] = sys.modules["_sha256"] = None
+from heislab import experiments
+from heislab.cli import RunConfig
+payloads = json.loads({json.dumps(self.DIGEST_PAYLOADS)!r})
+print(json.dumps([
+    "hashlib" in sys.modules,
+    [experiments.config_digest(p) for p in payloads],
+    experiments.config_digest(RunConfig().canonical("bound")),
+]))
+"""
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
+        fallback, digests, bound = json.loads(result.stdout.splitlines()[-1])
+        assert fallback
+        assert digests == [config_digest(p) for p in self.DIGEST_PAYLOADS]
+        assert bound == "43dbed00a98e"
 
     def test_round_trip_dict(self):
         rows = (ExperimentRow("a", 1.0, 2.0, 0.5, -0.25),)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from heislab import oscillator
 from heislab.oscillator import (
     FiberOperator,
     enumerate_basis,
@@ -364,3 +365,19 @@ class TestPooledSchattenPowers:
         basis = enumerate_basis(1, 2)
         with pytest.raises(ValueError, match="even integer"):
             pooled_schatten_powers(np.ones((1, 1)), [fiber_identity(basis)], p)
+
+    @pytest.mark.parametrize("p", [2, 4, 6])
+    def test_rows_do_not_depend_on_the_chunking(self, monkeypatch, p):
+        # chunks of two rows (the least), of seven with one row left over,
+        # and one chunk for all: the same bytes, so bochner_norm's sum over
+        # the rows cannot move
+        rng = np.random.default_rng(5)
+        basis = enumerate_basis(1, 6)
+        symbols = [random_fiber(rng, basis) for _ in range(3)]
+        coeff = rng.standard_normal((50, 3)) + 1j * rng.standard_normal((50, 3))
+        row_bytes = 16 * basis.dim**2
+        whole = pooled_schatten_powers(coeff, symbols, p)
+        for rows in (1, 2, 7, 49, 50):
+            monkeypatch.setattr(oscillator, "_MIX_BYTES", rows * row_bytes)
+            chunked = pooled_schatten_powers(coeff, symbols, p)
+            np.testing.assert_array_equal(chunked, whole)

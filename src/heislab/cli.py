@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import importlib.util
 import json
 import math
 import os
@@ -40,13 +41,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .doi import (
-    SpectralDecomposition,
-    doi_apply,
-    make_symbol,
-    phi_n_symbol,
-    resolvent_quadrature_A,
-)
+# the fiber modules, doi, oscillator and plancherel, are imported in the
+# functions that call them, so a grid or bound run never compiles them
 from .experiments import (
     ProductCase,
     bound_experiment,
@@ -60,22 +56,6 @@ from .experiments import (
     trace_formula_experiment,
 )
 from .grid import GridSpec, _model, quarter_rotation, riesz_decomposition_residual
-from .oscillator import (
-    FiberOperator,
-    enumerate_basis,
-    matrix_unit,
-    momentum_matrix,
-    oscillator_matrix,
-    position_matrix,
-)
-from .plancherel import (
-    PlancherelQuadrature,
-    incursion_distribution,
-    incursion_profile,
-    tau_radial,
-    weak_distribution_brute,
-    weak_norm_lift,
-)
 from .schatten import SingularSpectrum, dixmier_approximant
 
 SUITES = ("hermite", "doi", "plancherel", "grid", "bound", "trace", "product")
@@ -321,6 +301,14 @@ def _interior_mask(basis) -> np.ndarray:
 
 def hermite_checks(pairs: Sequence[tuple[int, int]]) -> list[dict]:
     """Ladder, diagonal, oscillator-sum and interior CCR identities per (n, K)."""
+    from .oscillator import (
+        enumerate_basis,
+        matrix_unit,
+        momentum_matrix,
+        oscillator_matrix,
+        position_matrix,
+    )
+
     checks: list[dict] = []
     for n, K in pairs:
         basis = enumerate_basis(n, K)
@@ -376,6 +364,8 @@ def _random_hermitian(rng: np.random.Generator, dim: int, lo: float, hi: float) 
 
 def doi_identity_checks(rng: np.random.Generator) -> list[dict]:
     """Fraction-symbol commutator identity, symbol multiplicativity, linearity."""
+    from .doi import SpectralDecomposition, doi_apply, make_symbol
+
     # the fraction symbol turns the conjugated double commutator back into
     # the plain one; exactness here is the whole point of the transform
     identity_res = 0.0
@@ -439,6 +429,13 @@ def closed_form_checks(rng: np.random.Generator) -> list[dict]:
 
     Each check runs on the all-ones matrix and on one random complex matrix.
     """
+    from .doi import (
+        SpectralDecomposition,
+        make_symbol,
+        phi_n_symbol,
+        resolvent_quadrature_A,
+    )
+
     spectrum = np.array([1.0, 2.0, 7.5, 20.0, 50.0])
     dec = SpectralDecomposition.from_diagonal(spectrum)
     psi_table = make_symbol("psi").table(spectrum, spectrum)
@@ -470,6 +467,8 @@ def closed_form_checks(rng: np.random.Generator) -> list[dict]:
 
 def radial_checks() -> list[dict]:
     """Radial trace integrals and the incursion distribution with its decay law."""
+    from .plancherel import incursion_distribution, incursion_profile, tau_radial
+
     gap_exp = abs(tau_radial(lambda s: math.exp(-s), 1) - 1.0)
     gap_scaled = abs(tau_radial(lambda s: math.exp(-2.0 * s), 1) - 0.25)
     level = 1.0 - 2.0 ** -0.25
@@ -486,6 +485,9 @@ def radial_checks() -> list[dict]:
 
 def weak_norm_checks(rng: np.random.Generator) -> list[dict]:
     """Analytic weak-norm distribution against quadrature, and a rank-one value."""
+    from .oscillator import FiberOperator, enumerate_basis, matrix_unit
+    from .plancherel import weak_distribution_brute, weak_norm_lift
+
     brute_rel = 0.0
     for _ in range(20):
         basis = enumerate_basis(1, int(rng.integers(1, 10)))
@@ -554,6 +556,8 @@ def _run_doi(config: RunConfig) -> SuiteOutcome:
 
 
 def _run_plancherel(config: RunConfig) -> SuiteOutcome:
+    from .plancherel import PlancherelQuadrature
+
     quadrature = PlancherelQuadrature.geometric(
         1,
         s_min=config.quad_s_min,
@@ -643,6 +647,8 @@ def _run_bound(config: RunConfig) -> SuiteOutcome:
 
 
 def _run_trace(config: RunConfig) -> SuiteOutcome:
+    from .oscillator import enumerate_basis
+
     spec = _grid_spec(config)
     basis = enumerate_basis(1, config.hermite_K)
     family = named_family(config.family or "trace", spec)
@@ -698,6 +704,8 @@ def _run_trace(config: RunConfig) -> SuiteOutcome:
 
 
 def _run_product(config: RunConfig) -> SuiteOutcome:
+    from .oscillator import enumerate_basis
+
     spec = _grid_spec(config)
     checks = dixmier_checks()
     basis = enumerate_basis(1, config.hermite_K)
@@ -813,16 +821,23 @@ def _run_and_record(directory: Path, suite: str, config: RunConfig) -> dict:
     return payload
 
 
+def _scipy_version() -> str:
+    """The installed scipy's version, read from the ``version.py`` beside
+    its ``__init__.py`` without importing scipy: no suite needs scipy, and
+    the import would lengthen every run."""
+    path = Path(importlib.util.find_spec("scipy").origin).with_name("version.py")
+    spec = importlib.util.spec_from_file_location("_scipy_version", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.version
+
+
 def _provenance_line() -> str:
     """Library versions, BLAS build and BLAS thread count of this process."""
-    # imported here, not at the top: no suite needs scipy, and the import
-    # would lengthen every start-up
-    import scipy
-
     config = getattr(np.__config__, "CONFIG", {})  # absent before numpy 1.26
     blas = config.get("Build Dependencies", {}).get("blas", {})
     return (
-        f"[lab] numpy {np.__version__}, scipy {scipy.__version__}, "
+        f"[lab] numpy {np.__version__}, scipy {_scipy_version()}, "
         f"blas {blas.get('name', '?')} {blas.get('version', '?')}, "
         f"OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS', 'unset')}"
     )

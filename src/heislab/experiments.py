@@ -12,6 +12,7 @@ import json
 import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -25,7 +26,6 @@ except ImportError:
     except ImportError:
         from hashlib import sha256 as _sha256
 
-from .doi import build_a_fiber
 from .grid import (
     _FIELD_CHARACTER,
     SECTORS,
@@ -36,17 +36,6 @@ from .grid import (
     _reflection_components,
     sobolev_seminorm,
 )
-from .oscillator import (
-    FiberOperator,
-    MultiIndexBasis,
-    fiber_adjoint,
-    fiber_mul,
-    oscillator_matrix,
-    pooled_schatten_powers,
-    riesz_symbol,
-    tensor_scalar,
-    tr_sigma,
-)
 from .schatten import (
     CLAMP_RATIO,
     SingularSpectrum,
@@ -55,6 +44,11 @@ from .schatten import (
     shadow_fit_range,
     weak_quasinorm,
 )
+
+# the fiber modules, doi and oscillator, are imported in the functions that
+# call them, so a grid or bound run never compiles them
+if TYPE_CHECKING:
+    from .oscillator import FiberOperator, MultiIndexBasis
 
 __all__ = [
     "DixmierEstimate",
@@ -209,6 +203,15 @@ class YSymbolSet:
 
 def build_y_fibers(basis: MultiIndexBasis, ell: int) -> YSymbolSet:
     """Assemble the 2n+1 fiber symbols entering the trace formula."""
+    from .doi import build_a_fiber
+    from .oscillator import (
+        fiber_adjoint,
+        fiber_mul,
+        oscillator_matrix,
+        riesz_symbol,
+        tensor_scalar,
+    )
+
     if basis.K < 4:
         raise ValueError(
             "degree cutoff must be at least 4 to resolve the symbol band structure"
@@ -240,6 +243,8 @@ def bochner_norm(
     with the norm pooled over both frequency-sign blocks; ``power`` must be
     an even integer.
     """
+    from .oscillator import pooled_schatten_powers
+
     coeff = np.asarray(coefficients, dtype=complex)
     if coeff.ndim == 2:
         # a zero row adds nothing; the kernel checks the shape
@@ -285,6 +290,8 @@ def gram_min_eigenvalue(
     coercivity constant is the worst ratio of the mixed Schatten norm against
     the l1 mass of the coefficients over seeded random complex directions.
     """
+    from .oscillator import fiber_adjoint, fiber_mul, pooled_schatten_powers, tr_sigma
+
     if samples < 1:
         raise ValueError(f"coercivity needs at least one sample; got {samples}")
     symbols = family.symbols
@@ -455,6 +462,9 @@ def product_factor(
     acts on the t-index alone, so it scales t-block j of
     ``(-Delta)^{-1/2}`` by ``u_j^H V u_j``.  No N x N array is formed.
     """
+    from .doi import build_a_fiber
+    from .oscillator import oscillator_matrix, riesz_symbol, tensor_scalar
+
     kind, _, index = name.partition(":")
     k = int(index) if kind in ("riesz", "a") and index.isdigit() else None
     if k is not None and k not in (1, 2):
@@ -526,6 +536,8 @@ def product_trace_check(
     the piece sizes, the eigenvalue count above ``CLAMP_RATIO`` times the
     largest modulus and the smallest kept modulus over the largest.
     """
+    from .oscillator import fiber_adjoint, fiber_mul, tr_sigma
+
     if len({case.label for case in cases}) != len(cases):
         raise ValueError("product case labels must be distinct")
     for case in cases:

@@ -71,8 +71,8 @@ _COLUMN_BYTES = 524_288
 _GATHER_BYTES = 262_144
 
 # The most bytes one model may estimate for a run (``_peak_bytes``), checked
-# before it allocates anything.  30^3 estimates 1.30 GB and fits; 31^3
-# estimates 1.59 GB and does not.  ``_model`` keeps models while the sum of
+# before it allocates anything.  31^3 estimates 1.47 GB and fits; 32^3
+# estimates 1.76 GB and does not.  ``_model`` keeps models while the sum of
 # their estimates fits.
 _BYTE_BUDGET = 1_500_000_000
 
@@ -439,22 +439,23 @@ def _peak_bytes(count: int) -> int:
     ``(N + 3 count + 4)^2``.  The model keeps the inverse root only as its
     t-block columns and reads its blocks one class at a time
     (``inverse_root_blocks``), and a run holds a few blocks besides: the
-    split's two buffers, a root block, the commutator block, its gap and a
-    Riesz gather with its column cut, seven in all, while a block SVD holds
-    fewer.  So the sector term is 11/8 of ``(N + 3 count + 4)^2``.  The
-    t-block arrays (the parity eigenvectors, the kept columns and the
-    transients of ``planar_power``) take three arrays of ``ceil(count/2)``
-    x M x M float64, a class read's batch about three times
-    ``_COLUMN_BYTES``, and 1.5 MB cover the rest of the run (the fiber
-    side, the families, the artifacts and the modules a run loads).
-    Against the ``tracemalloc`` peaks of runs in fresh interpreters, from
-    ``heislab.cli`` loaded, the estimate reads 1.25-1.51x at 9^3,
-    1.32-1.63x at 13^3 and 1.22-1.67x at 17^3.
+    split's two buffers, a root block, the gap and, while a Riesz block is
+    gathered, the gather with its column cut or the commutator block with
+    its term ``f Rt_sigma``, six in all, while a block SVD holds fewer.  So
+    the sector term is 10/8 of ``(N + 3 count + 4)^2``.  The t-block arrays
+    (the parity eigenvectors, the kept columns and the transients of
+    ``planar_power``) take three arrays of ``ceil(count/2)`` x M x M
+    float64, a class read's batch about three times ``_COLUMN_BYTES``, and
+    0.5 MB cover the rest of the run (the fiber side, the families, the
+    artifacts and the modules a run loads).  Against the ``tracemalloc``
+    peaks of runs in fresh interpreters, from ``heislab.cli`` loaded, the
+    estimate reads 1.20-1.65x at 9^3, 1.35-1.58x at 13^3 and 1.23-1.58x at
+    17^3.
     """
     size = count**3
     sector_set = (size + 3 * count + 4) ** 2
     t_blocks = 8 * ((count + 1) // 2) * count**4
-    return 11 * sector_set // 8 + 3 * t_blocks + 3 * _COLUMN_BYTES + 1_500_000
+    return 10 * sector_set // 8 + 3 * t_blocks + 3 * _COLUMN_BYTES + 500_000
 
 
 class _GridModel:
@@ -1002,14 +1003,34 @@ class _GridModel:
         and columns sigma, ``Rt_{sigma eps} f_eps[cols] - f_eps[rows]
         Rt_sigma``, on the rows live in rho and the columns live in sigma;
         one component's blocks of both classes hold N rows and N columns.
-        The blocks come in the order (eps, sigma), each from
-        ``commutator_block``.
+        The blocks come in the order (eps, sigma), each on its live rows
+        and columns (``block_support``, ``commutator_terms``).
         """
         for eps, f_rep in components.items():
             for k in range(len(SECTORS)):
-                yield self.commutator_block(ell, eps, f_rep, k, c, inverse)
+                rho, r, s = self.block_support(ell, eps, k, c)
+                # the term f Rt_sigma is dropped here, not kept while the
+                # caller holds the block
+                block = self.commutator_terms(ell, eps, f_rep, k, c, inverse, r, s)[0]
+                yield _Block(eps, rho, k, c, r, s, block)
 
-    def commutator_block(
+    def block_support(
+        self, ell: int, eps: int, k: int, c: int
+    ) -> tuple[int, np.ndarray, np.ndarray]:
+        """The row sector ``rho = sigma eps s_ell`` of the block of
+        ``[R_ell, M_f]`` that a component of character eps gives in column
+        sector ``sigma = SECTORS[k]`` and colour class c (see
+        ``commutator_blocks``), and the positions r and s, in the class's
+        row and column orbits, of its rows live in rho and its columns live
+        in sigma."""
+        orbits = self.sectors()
+        rows, cols = orbits.classes[c]
+        rho = k ^ eps ^ _FIELD_CHARACTER[ell]
+        r = np.flatnonzero(orbits.live[rho, rows])
+        s = np.flatnonzero(orbits.live[k, cols])
+        return rho, r, s
+
+    def commutator_terms(
         self,
         ell: int,
         eps: int,
@@ -1017,19 +1038,19 @@ class _GridModel:
         k: int,
         c: int,
         inverse: tuple[np.ndarray, ...],
-    ) -> _Block:
+        r: np.ndarray,
+        s: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray]:
         """The block of ``[R_ell, M_f]`` that the component f_eps (at the
-        orbit representatives) gives in column sector ``SECTORS[k]`` and
-        colour class c (see ``commutator_blocks``).  Only its live rows and
-        columns of the Riesz blocks are gathered (``riesz_block``), once when
-        eps is trivial.  Both terms scale the same entries, so a constant f
-        gives exact zeros."""
-        orbits = self.sectors()
-        rows, cols = orbits.classes[c]
+        orbit representatives) gives in column sector ``sigma = SECTORS[k]``
+        and colour class c, on the rows r and columns s of
+        ``block_support``, and its term ``f_eps[rows] Rt_sigma``: the block
+        is ``Rt_{sigma eps} f_eps[cols]`` minus that term.  ``Rt_sigma`` is
+        gathered once (``riesz_block``) for both, and ``Rt_{sigma eps}``
+        once more when eps is not trivial.  Both terms scale the same
+        entries, so a constant f gives exact zeros."""
+        rows, cols = self.sectors().classes[c]
         shifted = k ^ eps
-        rho = shifted ^ _FIELD_CHARACTER[ell]
-        r = np.flatnonzero(orbits.live[rho, rows])
-        s = np.flatnonzero(orbits.live[k, cols])
         riesz = self.riesz_block(ell, k, c, inverse, r, s)
         if shifted == k:
             block = riesz * f_rep[cols[s]]
@@ -1038,7 +1059,7 @@ class _GridModel:
             block *= f_rep[cols[s]]
         riesz *= f_rep[rows[r], None]
         block -= riesz
-        return _Block(eps, rho, k, c, r, s, block)
+        return block, riesz
 
     def commutator_spectrum(
         self, ell: int, f: GridFunction
@@ -1254,6 +1275,16 @@ def _reflection_components(at_orbits: np.ndarray) -> dict[int, np.ndarray]:
     return out
 
 
+def _project_off(mat: np.ndarray, basis: np.ndarray, side: int, out: np.ndarray) -> None:
+    """Take from ``mat``, in place, its part on the orthonormal columns of
+    ``basis``: on its rows for side 0, on its columns for side 1; ``out``
+    is a buffer of ``mat``'s shape."""
+    if side == 0:
+        mat -= np.matmul(basis, basis.T @ mat, out=out)
+    else:
+        mat -= np.matmul(mat @ basis, basis.T, out=out)
+
+
 def riesz_decomposition_residual(
     spec: GridSpec, functions: Mapping[str, GridFunction], ell: int = 1
 ) -> dict[str, RieszSplitReport]:
@@ -1270,7 +1301,7 @@ def riesz_decomposition_residual(
     Everything is computed in sector coordinates, laid out as
     ``_GridModel.read_blocks`` lays them out.  For f of character eps every
     term maps (sigma, c) into (sigma eps s_ell, 1 - c), as ``[R, M_f]`` does
-    (``_GridModel.commutator_block``), and the kernel projector, which
+    (``_GridModel.commutator_blocks``), and the kernel projector, which
     commutes with both reflections and with colour, acts on each block by
     its own sector coordinates.  The reflection components of f land on
     disjoint blocks, and the Frobenius norms are the roots of the sums of
@@ -1289,7 +1320,13 @@ def riesz_decomposition_residual(
     with ``X_ell`` on the left are row gathers of the stencil rows
     (``_GridModel.field_times``), for each block alone; the products and
     the kernel projections of a block are written into two buffers,
-    allocated once per class.  No N x N array is formed.
+    allocated once per class.  A block's lhs and its term ``f Rt_sigma``
+    come from one gather of ``Rt_sigma`` (``_GridModel.commutator_terms``),
+    made after the products.  A block is projected off the kernel only on
+    the kernel columns with a coordinate on the orbits of its row sector
+    (on the left) or of its column sector (on the right): the other
+    columns' terms are exact zeros, so leaving them out keeps the bits.
+    No N x N array is formed.
     """
     if any(f.spec != spec for f in functions.values()):
         raise ValueError("function lives on a different grid")
@@ -1307,17 +1344,29 @@ def riesz_decomposition_residual(
     # k ^ eps, so sector k itself is a step even if no component is trivial
     steps = sorted({0} | {eps for components in parts.values() for eps in components})
 
+    # per colour class, the kernel columns with a coordinate on its row
+    # orbits and those with one on its column orbits, by sector
+    held = [
+        tuple(
+            [np.flatnonzero(np.any(coords[side] != 0.0, axis=0)) for coords in kernel_coords]
+            for side in (rows, cols)
+        )
+        for rows, cols in orbits.classes
+    ]
+
     def block_norms(
-        block: _Block,
+        eps: int,
         f_rep: np.ndarray,
+        k: int,
+        c: int,
         roots: Mapping[int, np.ndarray],
         inverse: tuple[np.ndarray, ...],
         buffers: np.ndarray,
     ):
-        """The Frobenius norms of the block's lhs and gap off the kernel."""
-        k, c, lhs = block.sigma, block.colour, block.matrix
-        r, s = block.rows, block.cols
-        shifted = k ^ block.eps
+        """The Frobenius norms off the kernel of the lhs and the gap of the
+        block that the component f_eps gives at sector k in class c."""
+        rho, r, s = model.block_support(ell, eps, k, c)
+        shifted = k ^ eps
         rows, cols = orbits.classes[c]
         f_cols = f_rep[cols]
         square = (cols.size, cols.size)
@@ -1335,16 +1384,20 @@ def riesz_decomposition_residual(
         right = np.matmul(inverse[shifted], product, out=comm)
         right -= np.multiply(f_cols[:, None], inverse[k], out=product)
         gap = model.field_times(ell, shifted, c, r, right, s)
-        riesz = model.riesz_block(ell, k, c, inverse, r, s)
-        riesz *= f_rep[rows[r], None]
-        gap += riesz
+        # formed after the products, so lhs is not alive across them
+        lhs, scaled = model.commutator_terms(ell, eps, f_rep, k, c, inverse, r, s)
+        gap += scaled
         gap += lhs
-        left = kernel_coords[block.rho, rows[r]]
-        right = kernel_coords[k, cols[s]]
+        row_held, col_held = held[c]
+        bases = (
+            kernel_coords[rho][np.ix_(rows[r], row_held[rho])],
+            kernel_coords[k][np.ix_(cols[s], col_held[k])],
+        )
         projection = buffers[1, : r.size * s.size].reshape(r.size, s.size)
         for mat in (lhs, gap):
-            mat -= np.matmul(left, left.T @ mat, out=projection)
-            mat -= np.matmul(mat @ right, right.T, out=projection)
+            for side, basis in enumerate(bases):
+                if basis.shape[1]:
+                    _project_off(mat, basis, side, projection)
         return np.linalg.norm(lhs), np.linalg.norm(gap)
 
     # per function, the norms of each block keyed (eps, sigma, c)
@@ -1360,9 +1413,8 @@ def riesz_decomposition_residual(
                     roots[j] = model.root_block(j, c, inverse)
             for label, components in parts.items():
                 for eps, f_rep in components.items():
-                    block = model.commutator_block(ell, eps, f_rep, k, c, inverse)
                     by_block[label][eps, k, c] = block_norms(
-                        block, f_rep, roots, inverse, buffers
+                        eps, f_rep, k, c, roots, inverse, buffers
                     )
             roots = {j: root for j, root in roots.items() if any(j ^ e > k for e in steps)}
         # dropped before the next class is read

@@ -782,7 +782,8 @@ print(json.dumps(state))
         state = json.loads(result.stdout.splitlines()[-1])
         # bound fails its slope band at grid 9, the expected verdict there
         assert state == {
-            # the provenance line imports scipy on the first run only
+            # no step imports scipy: the provenance line reads its version
+            # off scipy's version.py
             "import": [0, [], False],
             "grid": [0, []],
             "bound": [3, []],
@@ -790,6 +791,41 @@ print(json.dumps(state))
             "plancherel": [0, []],
             "all": [3, []],
         }
+
+    def test_grid_and_bound_runs_load_no_fiber_module_nor_scipy(self, tmp_path):
+        # the fiber modules are imported in the functions that call them and
+        # scipy's version is read off its version.py, so grid and bound runs
+        # load none of them, while a trace run loads the fiber model
+        script = f"""
+import json, sys
+names = ("heislab.doi", "heislab.oscillator", "heislab.plancherel", "scipy")
+loaded = lambda: [m for m in names if m in sys.modules]
+import heislab.cli
+state = {{"import": [0, loaded()]}}
+for suite in ("grid", "bound", "trace"):
+    code = heislab.cli.main(
+        ["run", "--suite", suite, "--grid", "9", "--out", {str(tmp_path / "out")!r}]
+    )
+    state[suite] = [code, loaded()]
+print(json.dumps(state))
+"""
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
+        state = json.loads(result.stdout.splitlines()[-1])
+        assert state == {
+            "import": [0, []],
+            "grid": [0, []],
+            "bound": [3, []],
+            "trace": [0, ["heislab.doi", "heislab.oscillator"]],
+        }
+        import scipy
+
+        provenance = [line for line in result.stderr.splitlines() if line.startswith("[lab]")]
+        assert len(provenance) == 3
+        for line in provenance:
+            assert f"numpy {np.__version__}, scipy {scipy.__version__}, " in line
 
     def test_grid_suites_map_no_openssl(self, tmp_path):
         # the config digest takes CPython's builtin SHA-256, so a grid or

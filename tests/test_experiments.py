@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from heislab import experiments
+from heislab import experiments, oscillator
 from heislab.cli import RunConfig
 from heislab.experiments import (
     ExperimentReport,
@@ -641,8 +641,9 @@ class TestProductTrace:
 
     def test_vanishing_fiber_mass_with_a_live_estimate_is_rejected(self, monkeypatch):
         # a trace factor of 0 makes the right side vanish while the
-        # eigenvalue sum of the product stays at the scale of its terms
-        monkeypatch.setattr(experiments, "tr_sigma", lambda op: 0j)
+        # eigenvalue sum of the product stays at the scale of its terms;
+        # the check imports tr_sigma from the oscillator module when it runs
+        monkeypatch.setattr(oscillator, "tr_sigma", lambda op: 0j)
         f = wide_bump()
         case = ProductCase("forced", (f, f, f, f), ("flat_factor",) * 4)
         with pytest.raises(ValueError, match="inconsistent row 'forced'"):

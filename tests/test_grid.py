@@ -1,6 +1,7 @@
 import functools
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from heislab.grid import (
     GridFunction,
     GridSpec,
     _GridModel,
+    _character_label,
     _model,
     _parity_block,
     _peak_bytes,
@@ -243,11 +245,11 @@ class TestGridSpec:
     def test_byte_budget_enforced_at_model_build(self):
         # the spec of any size is a grid; the model refuses one whose
         # estimated peak is over the budget, naming both numbers
-        assert _peak_bytes(30) <= grid._BYTE_BUDGET < _peak_bytes(31)
+        assert _peak_bytes(31) <= grid._BYTE_BUDGET < _peak_bytes(32)
         spec = GridSpec.cube(41)
         with pytest.raises(ValueError, match=r"estimated \d+ MB, over the budget of 1500 MB"):
             _model(spec)
-        assert _GridModel(GridSpec.cube(30)).spec.count == 30
+        assert _GridModel(GridSpec.cube(31)).spec.count == 31
 
     def test_model_cache_is_bounded_by_the_byte_budget(self, monkeypatch):
         # two 9^3 grids coexist under the real budget; under one that fits
@@ -1259,6 +1261,67 @@ class TestSectorSplit:
             tracemalloc.stop()
         sector_set = (count**3 + 3 * count + 4) ** 2
         assert peak < 1.5 * sector_set
+
+    @pytest.mark.parametrize("ell", [1, 2])
+    def test_split_gathers_once_and_projects_where_the_kernel_lives(
+        self, ell, monkeypatch
+    ):
+        # on a warm 9^3 model each block of the split gathers R~_sigma once,
+        # for its commutator and its f R~_sigma term together, and
+        # R~_{sigma eps} once more for a component eps other than ++; a side
+        # of a block is projected off the kernel, once for the lhs and once
+        # for the gap, only where its sector holds kernel coordinates
+        family = split_family(SPEC)
+        riesz_decomposition_residual(SPEC, family, ell)
+        gathers, projections = Counter(), Counter()
+        riesz_block, project_off = _GridModel.riesz_block, grid._project_off
+
+        def counting_riesz_block(self, ell, k, c, inverse, rows, cols=None):
+            gathers[k, c] += 1
+            return riesz_block(self, ell, k, c, inverse, rows, cols)
+
+        def counting_project_off(mat, basis, side, out):
+            projections[side, mat.shape] += 1
+            project_off(mat, basis, side, out)
+
+        monkeypatch.setattr(_GridModel, "riesz_block", counting_riesz_block)
+        monkeypatch.setattr(grid, "_project_off", counting_project_off)
+        reports = riesz_decomposition_residual(SPEC, family, ell)
+        # the oracle: the sectors on which the kernel has coordinates in the
+        # dense sector bases, and the colour of each sector's live orbits
+        model = _model(SPEC)
+        orbits = model.sectors()
+        kernel = model.kernel()
+        colours = point_colours(SPEC)[orbits.table[0]]
+        held = [
+            np.abs(sector_bases(SPEC)[character].T @ kernel).max() > 1e-8
+            for character in SECTORS
+        ]
+        assert held == [True, False, False, False]
+        colour = [colours[orbits.live[k]] for k in range(len(SECTORS))]
+        labels = [_character_label(k) for k in range(len(SECTORS))]
+        expected_gathers, expected_projections = Counter(), Counter()
+        for report in reports.values():
+            for eps in map(labels.index, report.components):
+                for k in range(len(SECTORS)):
+                    for c in (0, 1):
+                        expected_gathers[k, c] += 1
+                        if eps:
+                            expected_gathers[k ^ eps, c] += 1
+                        rho = k ^ eps ^ _FIELD_CHARACTER[ell]
+                        shape = (int(np.sum(colour[rho] != c)), int(np.sum(colour[k] == c)))
+                        for side, sector in enumerate((rho, k)):
+                            if held[sector]:
+                                expected_projections[side, shape] += 2
+        assert gathers == expected_gathers
+        assert projections == expected_projections
+        # an even function has 8 blocks, gathered once each; the kernel
+        # lies in sector ++, so of their 16 sides 4 are projected
+        gathers.clear()
+        projections.clear()
+        riesz_decomposition_residual(SPEC, {"even": family["even"]}, ell)
+        assert sum(gathers.values()) == 8
+        assert sum(projections.values()) == 2 * 4
 
     @pytest.mark.parametrize("ell", [1, 2])
     def test_family_without_a_trivial_component(self, ell):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import random
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -57,6 +58,7 @@ __all__ = [
     "ExperimentSummary",
     "GramReport",
     "ProductCase",
+    "SeededDraws",
     "YSymbolSet",
     "bochner_norm",
     "bochner_rhs",
@@ -90,6 +92,49 @@ def config_digest(payload: Mapping) -> str:
     """Short stable digest of a JSON-serialisable configuration mapping."""
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=str)
     return _sha256(text.encode()).hexdigest()[:12]
+
+
+class SeededDraws:
+    """Seeded random draws from CPython's Mersenne Twister (``random.Random``).
+
+    It offers the three draws the checks take, with numpy's signatures, and
+    maps no OpenSSL: importing ``numpy.random`` loads ``secrets`` and with it
+    the standard hashing module.  Every draw is made from the uniforms
+    ``random()`` returns for the seed, the stream CPython keeps stable
+    across versions: each is ``(a 2^26 + b) / 2^53`` from two 32-bit words,
+    read in one ``randbytes`` call, so no draw takes a Python loop.
+    """
+
+    def __init__(self, seed: int):
+        self._random = random.Random(seed)
+
+    def _unit(self, count: int) -> np.ndarray:
+        # randbytes lays the 32-bit words out little-endian in draw order
+        words = np.frombuffer(self._random.randbytes(8 * count), dtype="<u4")
+        high = (words[0::2] >> 5).astype(np.float64)
+        low = (words[1::2] >> 6).astype(np.float64)
+        return (high * 67108864.0 + low) * 2.0**-53
+
+    def integers(self, lo: int, hi: int) -> int:
+        """One integer of [lo, hi), from one uniform u as ``lo + floor((hi -
+        lo) u)``; for hi - lo below 2^53 the product stays below hi - lo."""
+        return lo + int((hi - lo) * self._unit(1)[0])
+
+    def uniform(self, lo: float, hi: float, size: int) -> np.ndarray:
+        """``size`` uniforms of [lo, hi) as ``lo + (hi - lo) u``; as with
+        numpy's, rounding can give hi itself, with odds of about 2^-53."""
+        return lo + (hi - lo) * self._unit(size)
+
+    def standard_normal(self, shape: int | tuple[int, ...]) -> np.ndarray:
+        """Standard normals of the given shape, by Box-Muller: each pair of
+        uniforms (u, v) gives ``sqrt(-2 log(1 - u))`` times ``cos 2 pi v``
+        and ``sin 2 pi v``; 1 - u lies in (0, 1], so the log is finite."""
+        count = int(np.prod(shape))
+        u, v = self._unit(2 * ((count + 1) // 2)).reshape(2, -1)
+        radius = np.sqrt(-2.0 * np.log1p(-u))
+        angle = 2.0 * math.pi * v
+        pairs = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])
+        return pairs[:count].reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -305,7 +350,7 @@ def gram_min_eigenvalue(
     smallest = float(np.linalg.eigvalsh(gram)[0])
     power = 2 * family.basis.n + 2
     # direction s has real parts draws[s, 0] and imaginary parts draws[s, 1]
-    draws = np.random.default_rng(seed).standard_normal((samples, 2, m))
+    draws = SeededDraws(seed).standard_normal((samples, 2, m))
     directions = draws[:, 0] + 1j * draws[:, 1]
     directions /= np.sum(np.abs(directions), axis=1, keepdims=True)
     mass = pooled_schatten_powers(directions, symbols, power)

@@ -18,6 +18,7 @@ import math
 import numpy as np
 
 from heislab.doi import build_a_fiber
+from heislab.experiments import SeededDraws
 from heislab.grid import _ASYMMETRY_LIMIT, GridFunction, GridSpec, _model
 from heislab.oscillator import (
     FiberOperator,
@@ -169,14 +170,16 @@ def fiber_schatten_norm(x: FiberOperator, p: float) -> float:
 
 def loop_coercivity(family, samples: int = 200, seed: int = 42) -> float:
     """The coercivity of ``gram_min_eigenvalue`` one direction at a time:
-    each draw mixed term by term and its pooled norm taken by SVD."""
+    each draw mixed term by term and its pooled norm taken by SVD.  The
+    draws are the package's, taken at once: Box-Muller pairs them, so
+    drawing them row by row would give other numbers."""
     symbols = family.symbols
     m = len(symbols)
     power = 2.0 * family.basis.n + 2.0
-    rng = np.random.default_rng(seed)
+    draws = SeededDraws(seed).standard_normal((samples, 2, m))
     worst = math.inf
-    for _ in range(samples):
-        c = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    for real, imag in draws:
+        c = real + 1j * imag
         c /= np.sum(np.abs(c))
         minus = sum(complex(ck) * s.minus for ck, s in zip(c, symbols))
         plus = sum(complex(ck) * s.plus for ck, s in zip(c, symbols))

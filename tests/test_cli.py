@@ -296,6 +296,23 @@ def power_exponents(monkeypatch):
     return exponents
 
 
+@pytest.fixture
+def class_reads(monkeypatch):
+    """Colour classes of the ``_GridModel.read_class`` calls, each one class
+    of sector blocks read off t-block columns, made after a cold model
+    cache."""
+    read_class = _GridModel.read_class
+    classes = []
+
+    def counting_read_class(self, by_column, c, character, flip):
+        classes.append(c)
+        return read_class(self, by_column, c, character, flip)
+
+    monkeypatch.setattr(_GridModel, "read_class", counting_read_class)
+    _model.cache_clear()
+    return classes
+
+
 def cold_run_peak(tmp_path, suite, count):
     """The ``tracemalloc`` peak of one run in a fresh interpreter, from
     ``heislab.cli`` loaded to the end of the run, so the modules the run
@@ -490,6 +507,11 @@ class TestRunCommand:
         # of t-block columns the model keeps
         run_suite(load_config(write_config(tmp_path), {"suite": "bound"}))
         assert power_exponents == [-0.5]
+
+    def test_bound_suite_reads_each_colour_class_once(self, tmp_path, class_reads):
+        # the spectra of both families are taken in one pass, class by class
+        run_suite(load_config(write_config(tmp_path), {"suite": "bound"}))
+        assert class_reads == [0, 1]
 
     def test_cancelling_product_row_is_excluded(self, tmp_path):
         # on bumps at 10^3 the riesz_mix case carries the odd function
@@ -828,15 +850,17 @@ print(json.dumps(state))
             assert f"numpy {np.__version__}, scipy {scipy.__version__}, " in line
 
     def test_grid_suites_map_no_openssl(self, tmp_path):
-        # the config digest takes CPython's builtin SHA-256, so a grid or
-        # bound process never loads the hashing module that maps OpenSSL;
-        # trace and all seed numpy generators, whose import chain loads it
+        # the config digest takes CPython's builtin SHA-256 and the seeded
+        # checks draw from CPython's Mersenne Twister, so no suite loads the
+        # hashing module that maps OpenSSL, nor numpy.random, whose import
+        # of secrets loads it
         script = f"""
 import json, sys
-loaded = lambda: [m for m in ("hashlib", "_hashlib") if m in sys.modules]
+names = ("hashlib", "_hashlib", "secrets", "numpy.random")
+loaded = lambda: [m for m in names if m in sys.modules]
 import heislab.cli
 state = {{"import": [0, loaded()]}}
-for suite in ("grid", "bound"):
+for suite in ("grid", "bound", "doi", "plancherel", "trace", "all"):
     code = heislab.cli.main(
         ["run", "--suite", suite, "--grid", "9", "--out", {str(tmp_path / "out")!r}]
     )
@@ -848,7 +872,16 @@ print(json.dumps(state))
         )
         assert result.returncode == 0, result.stderr
         state = json.loads(result.stdout.splitlines()[-1])
-        assert state == {"import": [0, []], "grid": [0, []], "bound": [3, []]}
+        # bound fails its slope band at grid 9, the expected verdict there
+        assert state == {
+            "import": [0, []],
+            "grid": [0, []],
+            "bound": [3, []],
+            "doi": [0, []],
+            "plancherel": [0, []],
+            "trace": [0, []],
+            "all": [3, []],
+        }
 
 
 class TestSweepCommand:

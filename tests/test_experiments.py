@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import random
 import subprocess
 import sys
 
@@ -14,6 +15,7 @@ from heislab.experiments import (
     ExperimentRow,
     ExperimentSummary,
     ProductCase,
+    SeededDraws,
     YSymbolSet,
     bochner_norm,
     bochner_rhs,
@@ -832,6 +834,45 @@ print(json.dumps([
         report = ExperimentReport("abc", rows, ExperimentSummary.from_rows(rows))
         payload = report_as_dict(report)
         assert payload["rows"][0]["slope"] == -0.25
+
+
+class TestSeededDraws:
+    def test_same_seed_same_bits_other_seed_other_draws(self):
+        a, b = SeededDraws(7), SeededDraws(7)
+        assert a.integers(0, 10**9) == b.integers(0, 10**9)
+        assert a.uniform(1.0, 2.0, 9).tobytes() == b.uniform(1.0, 2.0, 9).tobytes()
+        assert a.standard_normal((4, 3)).tobytes() == b.standard_normal((4, 3)).tobytes()
+        assert not np.array_equal(
+            SeededDraws(7).standard_normal(8), SeededDraws(8).standard_normal(8)
+        )
+
+    def test_draws_are_the_random_method_stream(self):
+        # random() is the stream CPython keeps for a seed across versions
+        stream, draws = random.Random(7), SeededDraws(7)
+        assert draws.integers(2, 13) == 2 + int(11 * stream.random())
+        expected = [stream.random() for _ in range(1000)]
+        assert draws.uniform(0.0, 1.0, 1000).tolist() == expected
+
+    def test_integers_are_half_open_and_reach_both_ends(self):
+        draws = SeededDraws(7)
+        values = {draws.integers(2, 13) for _ in range(2000)}
+        assert values == set(range(2, 13))
+
+    def test_uniform_stays_in_range(self):
+        values = SeededDraws(7).uniform(1.0, 3.0, 10**5)
+        assert values.shape == (10**5,)
+        assert values.min() >= 1.0 and values.max() < 3.0
+
+    @pytest.mark.parametrize("shape", [1, 7, (5, 6), (3, 3, 5)])
+    def test_standard_normal_shapes_are_finite(self, shape):
+        values = SeededDraws(7).standard_normal(shape)
+        assert values.shape == np.empty(shape).shape
+        assert np.all(np.isfinite(values))
+
+    def test_standard_normal_moments(self):
+        values = SeededDraws(7).standard_normal(10**5)
+        assert abs(values.mean()) < 0.02
+        assert abs(values.var() - 1.0) < 0.02
 
 
 class TestNamedFamilies:

@@ -356,8 +356,6 @@ def hermite_checks(pairs: Sequence[tuple[int, int]]) -> list[dict]:
     return checks
 
 
-# the seeded checks call only integers, uniform and standard_normal, which a
-# numpy Generator offers with the same signatures
 def _random_hermitian(rng: SeededDraws, dim: int, lo: float, hi: float) -> np.ndarray:
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, _ = np.linalg.qr(g)

@@ -28,6 +28,8 @@ except ImportError:
         from hashlib import sha256 as _sha256
 
 from .grid import (
+    _BYTE_BUDGET,
+    _COLUMN_BYTES,
     _FIELD_CHARACTER,
     SECTORS,
     GridFunction,
@@ -555,6 +557,27 @@ def _factor_structure(name: str) -> tuple[int, bool]:
     return 0, False
 
 
+def _product_peak_bytes(count: int) -> int:
+    """Estimated peak bytes of a ``product`` run on the cube of ``count``
+    points per axis, the counterpart of ``grid._peak_bytes``.
+
+    The run keeps the sector blocks of its three factors, at most ``(N + 3
+    count + 4)^2`` bytes a set, and peaks while ``_grid_symbol_columns``
+    forms the ``a:ell`` factor: its complex t-block arrays (the merged
+    eigenvectors of ``eig``, their adjoint, the field blocks, the core and
+    the products between them) and its real tables take about thirteen
+    arrays of ``ceil(count/2)`` x M x M float64, on top of the model's
+    three.  A class read's batch and 0.5 MB for the rest of the run
+    complete the estimate.  Against the ``tracemalloc`` peaks of runs in
+    fresh interpreters, from ``heislab.cli`` loaded, it reads 1.49x at
+    9^3, 1.41x at 10^3 and 1.25-1.30x from 11^3 to 19^3; 25^3 estimates
+    1.39 GB and fits, 26^3 estimates 1.70 GB and does not.
+    """
+    sector_set = (count**3 + 3 * count + 4) ** 2
+    t_blocks = 8 * ((count + 1) // 2) * count**4
+    return 3 * sector_set + 16 * t_blocks + 3 * _COLUMN_BYTES + 500_000
+
+
 def product_trace_check(
     cases: Sequence[ProductCase], spec: GridSpec, basis: MultiIndexBasis
 ) -> ExperimentReport:
@@ -591,6 +614,14 @@ def product_trace_check(
                 f"case {case.label!r} needs {GRID_HOMOGENEOUS_DIMENSION} functions, "
                 f"got {len(case.functions)}"
             )
+    # checked before the model or any factor is built, as the model checks
+    # its own estimate
+    estimate = _product_peak_bytes(spec.count)
+    if estimate > _BYTE_BUDGET:
+        raise ValueError(
+            f"product table on grid {spec.count}^3 needs an estimated "
+            f"{estimate / 1e6:.0f} MB, over the budget of {_BYTE_BUDGET / 1e6:.0f} MB"
+        )
     model = _model(spec)
     orbits = model.sectors()
     # colours[c]: the orbits of colour class c; live[c][k]: the positions

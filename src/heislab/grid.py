@@ -772,21 +772,26 @@ class _GridModel:
         return tuple(out)
 
     def kernel(self) -> np.ndarray:
-        """Real orthonormal N x k basis of the numerical kernel."""
-        columns = []
-        for half, (_, u, live) in zip(self._parity, self.parity_eig()):
-            for j, mode in zip(*np.nonzero(~live)):
-                planar = _in_grid(half, u[j][:, [mode]])[:, 0]
-                z = np.kron(planar, self._t_vectors[:, j])
-                if self.weight[j] == 2:
-                    # z and its conjugate, from block n+1-j, span a real plane
-                    columns += [math.sqrt(2.0) * z.real, math.sqrt(2.0) * z.imag]
-                else:
-                    top = z[np.argmax(np.abs(z))]
-                    columns.append((z * (abs(top) / top)).real)
-        if not columns:
-            return np.zeros((self.spec.size, 0))
-        return np.stack(columns, axis=1)
+        """The kernel in closed form, checked against the live masks.
+
+        Only the middle t-block of an odd count (``mu = 0``) has a kernel:
+        there ``X_1`` and ``X_2`` are the centered differences in x and y,
+        whose zero-exterior kernel is 1 on the even indices and 0 on the odd
+        ones, and the middle vertical vector has that pattern in t.  So the
+        kernel is the N x 1 mode ``1[ix, iy, it all even] / ((n+1)/2)^{3/2}``
+        for odd n and N x 0 for even n.  Raises ``ValueError`` unless the
+        live masks of ``parity_eig`` mark exactly it: the lowest mode of the
+        middle block's ``r_xy``-even half.
+        """
+        n = self.spec.count
+        (_, _, even), (_, _, odd) = self.parity_eig()
+        expected = np.zeros(even.shape, dtype=bool)
+        expected[-1, 0] = n % 2
+        if not (np.array_equal(~even, expected) and odd.all()):
+            raise ValueError(f"the numerical kernel of {self.spec} is not the closed-form mode")
+        parity = np.arange(n) % 2 == 0
+        mode = parity[:, None, None] & parity[:, None] & parity
+        return mode.reshape(-1, 1)[:, : n % 2] / math.sqrt(((n + 1) // 2) ** 3)
 
     def levels(self) -> list[dict]:
         """Lowest live eigenvalue over ``|mu_j|`` of every kept block with
@@ -1322,11 +1327,11 @@ def riesz_decomposition_residual(
     the kernel projections of a block are written into two buffers,
     allocated once per class.  A block's lhs and its term ``f Rt_sigma``
     come from one gather of ``Rt_sigma`` (``_GridModel.commutator_terms``),
-    made after the products.  A block is projected off the kernel only on
-    the kernel columns with a coordinate on the orbits of its row sector
-    (on the left) or of its column sector (on the right): the other
-    columns' terms are exact zeros, so leaving them out keeps the bits.
-    No N x N array is formed.
+    made after the products.  A block is projected off the closed-form
+    kernel (``_GridModel.kernel``) only on a side where the mode has a
+    coordinate on the orbits of its row sector (on the left) or of its
+    column sector (on the right): elsewhere the projection is exact zeros,
+    so leaving it out keeps the bits.  No N x N array is formed.
     """
     if any(f.spec != spec for f in functions.values()):
         raise ValueError("function lives on a different grid")
@@ -1343,16 +1348,6 @@ def riesz_decomposition_residual(
     # a block of character eps at sector k reads the root blocks of k and of
     # k ^ eps, so sector k itself is a step even if no component is trivial
     steps = sorted({0} | {eps for components in parts.values() for eps in components})
-
-    # per colour class, the kernel columns with a coordinate on its row
-    # orbits and those with one on its column orbits, by sector
-    held = [
-        tuple(
-            [np.flatnonzero(np.any(coords[side] != 0.0, axis=0)) for coords in kernel_coords]
-            for side in (rows, cols)
-        )
-        for rows, cols in orbits.classes
-    ]
 
     def block_norms(
         eps: int,
@@ -1388,15 +1383,10 @@ def riesz_decomposition_residual(
         lhs, scaled = model.commutator_terms(ell, eps, f_rep, k, c, inverse, r, s)
         gap += scaled
         gap += lhs
-        row_held, col_held = held[c]
-        bases = (
-            kernel_coords[rho][np.ix_(rows[r], row_held[rho])],
-            kernel_coords[k][np.ix_(cols[s], col_held[k])],
-        )
         projection = buffers[1, : r.size * s.size].reshape(r.size, s.size)
-        for mat in (lhs, gap):
-            for side, basis in enumerate(bases):
-                if basis.shape[1]:
+        for side, basis in enumerate((kernel_coords[rho, rows[r]], kernel_coords[k, cols[s]])):
+            if np.any(basis):
+                for mat in (lhs, gap):
                     _project_off(mat, basis, side, projection)
         return np.linalg.norm(lhs), np.linalg.norm(gap)
 

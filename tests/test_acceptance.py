@@ -17,7 +17,6 @@ and ``trace_outcomes`` the ``trace`` suite at (13, K=6) and (17, K=8)
 
 import time
 
-import numpy as np
 import pytest
 
 from heislab.cli import (
@@ -31,7 +30,13 @@ from heislab.cli import (
     radial_checks,
     weak_norm_checks,
 )
-from heislab.experiments import bochner_rhs, build_y_fibers, dixmier_lhs, named_family
+from heislab.experiments import (
+    SeededDraws,
+    bochner_rhs,
+    build_y_fibers,
+    dixmier_lhs,
+    named_family,
+)
 from heislab.grid import GridFunction, GridSpec
 from heislab.oscillator import enumerate_basis
 
@@ -90,11 +95,11 @@ def test_criterion_01_hermite_exactness():
 
 
 def test_criterion_02_doi_exactness():
-    _timed(2, lambda: doi_identity_checks(np.random.default_rng(42)), 5.0)
+    _timed(2, lambda: doi_identity_checks(SeededDraws(42)), 5.0)
 
 
 def test_criterion_03_closed_form_vs_quadrature():
-    _verdict(3, closed_form_checks(np.random.default_rng(3)))
+    _verdict(3, closed_form_checks(SeededDraws(3)))
 
 
 def test_criterion_04_radial_trace_and_incursion():
@@ -102,7 +107,7 @@ def test_criterion_04_radial_trace_and_incursion():
 
 
 def test_criterion_05_weak_norm_identity():
-    _verdict(5, weak_norm_checks(np.random.default_rng(5)))
+    _verdict(5, weak_norm_checks(SeededDraws(5)))
 
 
 def test_criterion_06_grid_decomposition_identity():

@@ -29,6 +29,7 @@ from heislab.cli import (
     run_suite,
     sweep,
 )
+from heislab.experiments import _product_peak_bytes
 from heislab.grid import GridSpec, _GridModel, _model, _peak_bytes
 
 from oracles import recorded_eigenvalues, recorded_svd_shapes
@@ -331,6 +332,12 @@ print(tracemalloc.get_traced_memory()[1])
     return int(result.stdout.splitlines()[-1])
 
 
+def run_estimate(suite, count):
+    """The byte estimate that covers a run of ``suite``: the product table's
+    own, or the model's for the other grid suites."""
+    return (_product_peak_bytes if suite == "product" else _peak_bytes)(count)
+
+
 def reachable_arrays(obj, seen=None):
     """Every array reachable from ``obj`` through attributes, containers
     and the bases of views."""
@@ -566,19 +573,19 @@ class TestRunCommand:
         assert code == 2
         assert "asymmetry" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("suite", ["grid", "bound", "trace"])
+    @pytest.mark.parametrize("suite", ["grid", "bound", "trace", "product"])
     def test_cold_run_peaks_below_one_dense_matrix(self, tmp_path, suite):
         # at 13^3 every array the run allocates, cached or transient, fits
-        # together in less than one N x N float64 array, and the model's
-        # byte estimate covers the run within a factor 2
+        # together in less than one N x N float64 array, and the byte
+        # estimate of the run covers it within a factor 2
         peak = cold_run_peak(tmp_path, suite, 13)
         assert peak < (13**3) ** 2 * 8
-        assert peak <= _peak_bytes(13) <= 2 * peak
+        assert peak <= run_estimate(suite, 13) <= 2 * peak
 
-    @pytest.mark.parametrize("suite", ["grid", "bound", "trace"])
+    @pytest.mark.parametrize("suite", ["grid", "bound", "trace", "product"])
     def test_byte_estimate_covers_a_cold_9_run(self, tmp_path, suite):
         peak = cold_run_peak(tmp_path, suite, 9)
-        assert peak <= _peak_bytes(9) <= 2 * peak
+        assert peak <= run_estimate(suite, 9) <= 2 * peak
 
     def test_over_budget_grid_exits_before_building_a_model(self, tmp_path, capsys):
         # 41^3 estimates 25 GB: the run names the estimate and the budget
@@ -597,6 +604,27 @@ class TestRunCommand:
         assert "over the budget of 1500 MB" in err
         assert _model.cache_info().currsize == 0
         assert peak < (41**3) ** 2 * 8 / 1000
+
+    def test_over_budget_product_exits_before_building_a_model(self, tmp_path, capsys):
+        # the model alone admits 27^3 (669 MB), the product table's own
+        # estimate does not: the run exits 2 before the model or a factor is
+        # built
+        count = 27
+        assert _peak_bytes(count) <= grid._BYTE_BUDGET < _product_peak_bytes(count)
+        _model.cache_clear()
+        args = ["run", "--suite", "product", "--grid", str(count), "--out", str(tmp_path)]
+        tracemalloc.start()
+        try:
+            code = main(args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"estimated {_product_peak_bytes(count) / 1e6:.0f} MB" in err
+        assert "over the budget of 1500 MB" in err
+        assert _model.cache_info().currsize == 0
+        assert peak < (count**3) ** 2 * 8 / 1000
 
     def test_cold_product_run_peaks_below_two_dense_matrices(self, tmp_path):
         # every product factor is read off the t-blocks as sector blocks:

@@ -405,6 +405,43 @@ def oracle(request):
     return spec, dense_eig(dense_sublaplacian(spec))
 
 
+class TestClosedFormKernel:
+    """``kernel()`` builds the mode from index parity and checks the live
+    masks of the t-block ``eigh`` against it."""
+
+    @pytest.mark.parametrize("count", [9, 10, 13])
+    def test_kernel_is_orthonormal_and_annihilated(self, count):
+        spec = GridSpec.cube(count)
+        model = _model(spec)
+        kernel = model.kernel()
+        dim = count % 2
+        assert kernel.shape == (spec.size, dim) and kernel.dtype == float
+        np.testing.assert_allclose(kernel.T @ kernel, np.eye(dim), atol=1e-15)
+        for ell in (1, 2):
+            assert not np.any(model.apply_field(ell, kernel))
+        if dim:
+            # one value on the points with every index even, 0 elsewhere
+            even = (np.indices(spec.shape) % 2 == 0).all(axis=0).reshape(-1)
+            assert np.unique(kernel[even]).size == 1
+            assert not np.any(kernel[~even])
+
+    def test_threshold_rule_agrees_at_every_lab_count(self):
+        # lab run builds only half-width 3: there the masks mark exactly the
+        # closed-form mode at every count from 3 to 21
+        for count in range(3, 22):
+            model = _GridModel(GridSpec(count))
+            assert model.kernel().shape == (count**3, count % 2)
+
+    def test_a_true_block_kernel_fails_loudly(self):
+        # on (3, 1.0) the block of mu_1 has a kernel mode as well (its
+        # eigenvalue reads about -5e-16), which the closed form does not have
+        model = _GridModel(GridSpec(3, 1.0))
+        (_, _, even), (_, _, odd) = model.parity_eig()
+        assert np.count_nonzero(~even) + np.count_nonzero(~odd) > 1
+        with pytest.raises(ValueError, match="not the closed-form mode"):
+            model.kernel()
+
+
 class TestTBlockCalculus:
     """The t-block spectral calculus against the dense ``eigh`` oracle."""
 
@@ -453,25 +490,6 @@ class TestTBlockCalculus:
         np.testing.assert_allclose(kernel.T @ kernel, np.eye(dim), atol=1e-14)
         dense = v[:, ~live]
         np.testing.assert_allclose(kernel @ kernel.T, dense @ dense.T, atol=1e-13)
-
-    def test_kernel_mode_of_a_conjugate_pair(self):
-        # no shipped grid has one; mark a mode of block 1 as kernel on a
-        # fresh model and check the real plane of it and its conjugate
-        model = _GridModel(SPEC)
-        halves = list(model.parity_eig())
-        w, u, live = halves[0]
-        live = live.copy()
-        live[0, 0] = False
-        halves[0] = (w, u, live)
-        model._parity_eig = tuple(halves)
-        kernel = model.kernel()
-        assert kernel.shape == (SPEC.size, 3) and kernel.dtype == float
-        np.testing.assert_allclose(kernel.T @ kernel, np.eye(3), atol=1e-14)
-        _, v, live = model.eig()
-        (mode,) = np.flatnonzero(~live[0])
-        z = np.kron(v[0, :, mode], model._t_vectors[:, 0])
-        pair = 2.0 * np.outer(z, z.conj()).real
-        np.testing.assert_allclose(kernel[:, :2] @ kernel[:, :2].T, pair, atol=1e-14)
 
     @pytest.mark.parametrize("exponent", [-0.5, 0.5])
     def test_power(self, oracle, exponent):
@@ -1287,18 +1305,20 @@ class TestSectorSplit:
         monkeypatch.setattr(_GridModel, "riesz_block", counting_riesz_block)
         monkeypatch.setattr(grid, "_project_off", counting_project_off)
         reports = riesz_decomposition_residual(SPEC, family, ell)
-        # the oracle: the sectors on which the kernel has coordinates in the
-        # dense sector bases, and the colour of each sector's live orbits
+        # the oracle: the colour of each sector's live orbits, and the
+        # (sector, colour) cells on which the kernel has coordinates in the
+        # dense sector bases
         model = _model(SPEC)
         orbits = model.sectors()
         kernel = model.kernel()
         colours = point_colours(SPEC)[orbits.table[0]]
-        held = [
-            np.abs(sector_bases(SPEC)[character].T @ kernel).max() > 1e-8
-            for character in SECTORS
-        ]
-        assert held == [True, False, False, False]
         colour = [colours[orbits.live[k]] for k in range(len(SECTORS))]
+        held = []
+        for k, character in enumerate(SECTORS):
+            coords = np.abs(sector_bases(SPEC)[character].T @ kernel)[:, 0]
+            held.append([bool(np.any(coords[colour[k] == c] > 1e-8)) for c in (0, 1)])
+        # the mode vanishes on every point of odd colour
+        assert held == [[True, False], [False, False], [False, False], [False, False]]
         labels = [_character_label(k) for k in range(len(SECTORS))]
         expected_gathers, expected_projections = Counter(), Counter()
         for report in reports.values():
@@ -1310,18 +1330,20 @@ class TestSectorSplit:
                             expected_gathers[k ^ eps, c] += 1
                         rho = k ^ eps ^ _FIELD_CHARACTER[ell]
                         shape = (int(np.sum(colour[rho] != c)), int(np.sum(colour[k] == c)))
-                        for side, sector in enumerate((rho, k)):
-                            if held[sector]:
+                        # the rows have colour 1 - c, the columns colour c
+                        for side, (sector, shade) in enumerate(((rho, 1 - c), (k, c))):
+                            if held[sector][shade]:
                                 expected_projections[side, shape] += 2
         assert gathers == expected_gathers
         assert projections == expected_projections
         # an even function has 8 blocks, gathered once each; the kernel
-        # lies in sector ++, so of their 16 sides 4 are projected
+        # lies in sector ++ on the even colour, so of their 16 sides 2 are
+        # projected
         gathers.clear()
         projections.clear()
         riesz_decomposition_residual(SPEC, {"even": family["even"]}, ell)
         assert sum(gathers.values()) == 8
-        assert sum(projections.values()) == 2 * 4
+        assert sum(projections.values()) == 2 * 2
 
     @pytest.mark.parametrize("ell", [1, 2])
     def test_family_without_a_trivial_component(self, ell):

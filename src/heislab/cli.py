@@ -46,6 +46,7 @@ import numpy as np
 from .experiments import (
     ProductCase,
     SeededDraws,
+    _check_product_budget,
     bound_experiment,
     build_y_fibers,
     config_digest,
@@ -56,7 +57,13 @@ from .experiments import (
     report_as_dict,
     trace_formula_experiment,
 )
-from .grid import GridSpec, _model, quarter_rotation, riesz_decomposition_residual
+from .grid import (
+    GridSpec,
+    _check_model_budget,
+    _model,
+    quarter_rotation,
+    riesz_decomposition_residual,
+)
 from .schatten import SingularSpectrum, dixmier_approximant
 
 SUITES = ("hermite", "doi", "plancherel", "grid", "bound", "trace", "product")
@@ -756,6 +763,28 @@ _DRIVERS = {
 }
 
 
+# the byte-budget check of each suite that builds the grid model; the
+# product table's estimate exceeds the model's, so it stands for both
+_BUDGET_CHECKS = {
+    "grid": _check_model_budget,
+    "bound": _check_model_budget,
+    "trace": _check_model_budget,
+    "product": _check_product_budget,
+}
+
+
+def _check_budgets(config: RunConfig) -> None:
+    """Refuse, as a usage error, a configuration in which any requested
+    suite is estimated over the byte budget, before the first suite runs:
+    ``all`` would otherwise run and record its other suites first."""
+    for suite in config.requested_suites():
+        if suite in _BUDGET_CHECKS:
+            try:
+                _BUDGET_CHECKS[suite](config.grid_size)
+            except ValueError as exc:
+                raise UsageError(str(exc)) from exc
+
+
 def _execute(suite: str, config: RunConfig) -> SuiteOutcome:
     # the numerical layer signals violated preconditions (degenerate
     # families, grids over the byte budget, short cutoffs) with ValueError
@@ -861,6 +890,7 @@ def run_suite(config: RunConfig) -> int:
     so that the artifacts in the output directory stay byte-identical
     across re-runs.
     """
+    _check_budgets(config)
     directory = Path(config.output_dir)
     directory.mkdir(parents=True, exist_ok=True)
     print(_provenance_line(), file=sys.stderr)
@@ -896,13 +926,15 @@ def sweep(config: RunConfig, axis: str, values: Sequence[int]) -> int:
         f"applicable suites: {', '.join(suites)}",
     )
     _require(bool(values), "sweep needs at least one value")
+    steps = [dataclasses.replace(config, **{setting: int(value)}) for value in values]
+    for step in steps:
+        _check_budgets(step)
     directory = Path(config.output_dir)
     directory.mkdir(parents=True, exist_ok=True)
     rows = []
     metric_name = None
     previous = None
-    for value in values:
-        step = dataclasses.replace(config, **{setting: int(value)})
+    for value, step in zip(values, steps):
         payload = _run_and_record(directory, step.suite, step)
         metric_name = payload["sweep_metric"]["name"]
         metric_value = payload["sweep_metric"]["value"]

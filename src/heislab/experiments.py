@@ -28,12 +28,13 @@ except ImportError:
         from hashlib import sha256 as _sha256
 
 from .grid import (
-    _BYTE_BUDGET,
     _COLUMN_BYTES,
     _FIELD_CHARACTER,
     SECTORS,
     GridFunction,
     GridSpec,
+    _by_column,
+    _check_budget,
     _join,
     _model,
     _reflection_components,
@@ -476,7 +477,8 @@ def eigenvalue_trace_approximant(eigenvalues: np.ndarray) -> float:
 def _grid_symbol_columns(model, k: int) -> np.ndarray:
     """Grid counterpart of the k-th commutator symbol via the entrywise
     kernel, as the columns of its kept t-blocks at the planar
-    representatives (``_GridModel.planar_representatives``).
+    representatives (``_GridModel.planar_representatives``), in the layout
+    of ``grid._by_column``.
 
     ``X_k`` and ``-Delta`` share the t-block structure, so the double
     operator integral is taken block by block, each block with its own table.
@@ -493,8 +495,16 @@ def _grid_symbol_columns(model, k: int) -> np.ndarray:
     table *= live[:, :, None] & live[:, None, :]
     v_adj = v.conj().transpose(0, 2, 1)
     fields = np.stack([model.planar_field(k, mu) for mu in model.mu])
-    core = quarter[:, :, None] * (v_adj @ fields @ v) * quarter[:, None, :]
-    return v @ (table * core) @ v_adj[:, :, model.planar_representatives()]
+    # this factor sets the peak of a product run, so the core is scaled in
+    # place and each operand is dropped after its last use
+    core = v_adj @ fields
+    del fields
+    core = core @ v
+    core *= quarter[:, :, None]
+    core *= quarter[:, None, :]
+    core *= table
+    del table
+    return _by_column(v @ core @ v_adj[:, :, model.planar_representatives()])
 
 
 def product_factor(
@@ -505,9 +515,12 @@ def product_factor(
 
     ``riesz:ell`` is gathered anew by the model's ``riesz_blocks``; every
     other factor hands the columns of its t-blocks at the planar
-    representatives to ``_GridModel.read_blocks``.  The vertical root V of the flat factor
-    acts on the t-index alone, so it scales t-block j of
-    ``(-Delta)^{-1/2}`` by ``u_j^H V u_j``.  No N x N array is formed.
+    representatives to ``_GridModel.read_blocks``.  The vertical root V of
+    the flat factor acts on the t-index alone, so it scales t-block j of
+    ``(-Delta)^{-1/2}`` by ``u_j^H V u_j``: the flat factor is the model's
+    kept inverse root columns (``inverse_root_columns``) with the real and
+    the imaginary slot of block j scaled by that weight.  No N x N array is
+    formed.
     """
     from .doi import build_a_fiber
     from .oscillator import oscillator_matrix, riesz_symbol, tensor_scalar
@@ -519,11 +532,10 @@ def product_factor(
     model = _model(spec)
     if kind == "riesz" and k:
         return model.riesz_blocks(k), riesz_symbol(basis, k)
-    reps = model.planar_representatives()
     if name == "flat_factor":
         u = model._t_vectors
-        weights = np.einsum("kj,kl,lj->j", u.conj(), model.vertical_quarter_root(), u)
-        columns = model.planar_power(-0.5, reps) * weights.real[:, None, None]
+        weights = np.einsum("kj,kl,lj->j", u.conj(), model.vertical_quarter_root(), u).real
+        columns = model.inverse_root_columns() * np.concatenate([weights, weights])
         energies = np.diag(oscillator_matrix(basis)).real
         fiber = tensor_scalar(basis, np.diag(energies**-0.5), "one")
     elif kind == "a" and k:
@@ -563,19 +575,25 @@ def _product_peak_bytes(count: int) -> int:
 
     The run keeps the sector blocks of its three factors, at most ``(N + 3
     count + 4)^2`` bytes a set, and peaks while ``_grid_symbol_columns``
-    forms the ``a:ell`` factor: its complex t-block arrays (the merged
-    eigenvectors of ``eig``, their adjoint, the field blocks, the core and
-    the products between them) and its real tables take about thirteen
-    arrays of ``ceil(count/2)`` x M x M float64, on top of the model's
-    three.  A class read's batch and 0.5 MB for the rest of the run
-    complete the estimate.  Against the ``tracemalloc`` peaks of runs in
-    fresh interpreters, from ``heislab.cli`` loaded, it reads 1.49x at
-    9^3, 1.41x at 10^3 and 1.25-1.30x from 11^3 to 19^3; 25^3 estimates
-    1.39 GB and fits, 26^3 estimates 1.70 GB and does not.
+    forms the ``a:ell`` factor: the merged eigenvectors of ``eig``, the
+    field blocks and the products between them, complex t-block arrays of
+    two ``ceil(count/2)`` x M x M float64 arrays each, with the real table,
+    take about eight arrays, on top of the model's kept inverse root
+    columns, about half of one.  A class read's batch and 0.5 MB for the
+    rest of the run complete the estimate.  Against the ``tracemalloc``
+    peaks of runs in fresh interpreters, from ``heislab.cli`` loaded, it
+    reads 1.53x at 9^3 and 1.20x at 13^3 and 17^3; 26^3 estimates 1.37 GB
+    and fits, 27^3 estimates 1.71 GB and does not.
     """
     sector_set = (count**3 + 3 * count + 4) ** 2
     t_blocks = 8 * ((count + 1) // 2) * count**4
-    return 3 * sector_set + 16 * t_blocks + 3 * _COLUMN_BYTES + 500_000
+    return 3 * sector_set + 9 * t_blocks + 3 * _COLUMN_BYTES + 500_000
+
+
+def _check_product_budget(count: int) -> None:
+    """Raise ``ValueError`` when a ``product`` run on the cube of ``count``
+    points per axis is estimated over the byte budget."""
+    _check_budget(f"product table on grid {count}^3", _product_peak_bytes(count))
 
 
 def product_trace_check(
@@ -616,12 +634,7 @@ def product_trace_check(
             )
     # checked before the model or any factor is built, as the model checks
     # its own estimate
-    estimate = _product_peak_bytes(spec.count)
-    if estimate > _BYTE_BUDGET:
-        raise ValueError(
-            f"product table on grid {spec.count}^3 needs an estimated "
-            f"{estimate / 1e6:.0f} MB, over the budget of {_BYTE_BUDGET / 1e6:.0f} MB"
-        )
+    _check_product_budget(spec.count)
     model = _model(spec)
     orbits = model.sectors()
     # colours[c]: the orbits of colour class c; live[c][k]: the positions

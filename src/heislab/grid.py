@@ -12,8 +12,8 @@ diagonal: one block of size n*n per vertical eigenvalue ``i mu_j`` of the
 cube of n points per axis, the grid counterpart of the Schroedinger fibre
 at ``lambda = mu_j``.  Blocks j and n+1-j are complex conjugates, and each
 kept block splits into two real symmetric halves under the planar
-reflections, so ``2 ceil(n/2)`` small real ``eigh`` calls (cached per grid)
-drive the fractional calculus.
+reflections, so ``2 ceil(n/2)`` small real ``eigh`` calls, made once per
+grid, drive the fractional calculus.
 The grid reflections and the colour ``(ix+iy+it) mod 2`` grade the
 operators exactly, so the powers, the Riesz transforms and the commutators
 the experiments check are read block by block in sector coordinates; no
@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 import types
 from collections import namedtuple
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -71,8 +71,8 @@ _COLUMN_BYTES = 524_288
 _GATHER_BYTES = 262_144
 
 # The most bytes one model may estimate for a run (``_peak_bytes``), checked
-# before it allocates anything.  31^3 estimates 1.47 GB and fits; 32^3
-# estimates 1.76 GB and does not.  ``_model`` keeps models while the sum of
+# before it allocates anything.  31^3 estimates 1.30 GB and fits; 32^3
+# estimates 1.55 GB and does not.  ``_model`` keeps models while the sum of
 # their estimates fits.
 _BYTE_BUDGET = 1_500_000_000
 
@@ -237,6 +237,17 @@ def _field_stencil(spec: GridSpec, ell: int) -> tuple[_Term, ...]:
     for term in terms:
         term.coefficient.flags.writeable = False
     return tuple(terms)
+
+
+def _planar_parts(spec: GridSpec, ell: int) -> tuple[np.ndarray, np.ndarray]:
+    """``X_ell`` on a t-block as ``base + i mu diag(coefficient)`` on the
+    plane: the dense M x M ``base`` and the ``coefficient`` of ``D_t``,
+    formed anew on each call."""
+    n, axis = spec.count, spec.axis
+    d1 = _centered_difference(n, spec.spacing)
+    if ell == 1:
+        return np.kron(d1, np.eye(n)), -np.tile(axis, n)
+    return np.kron(np.eye(n), d1), np.repeat(axis, n)
 
 
 def _vertical_basis(count: int, h: float) -> tuple[np.ndarray, np.ndarray]:
@@ -443,19 +454,37 @@ def _peak_bytes(count: int) -> int:
     gathered, the gather with its column cut or the commutator block with
     its term ``f Rt_sigma``, six in all, while a block SVD holds fewer.  So
     the sector term is 10/8 of ``(N + 3 count + 4)^2``.  The t-block arrays
-    (the parity eigenvectors, the kept columns and the transients of
-    ``planar_power``) take three arrays of ``ceil(count/2)`` x M x M
-    float64, a class read's batch about three times ``_COLUMN_BYTES``, and
-    0.5 MB cover the rest of the run (the fiber side, the families, the
-    artifacts and the modules a run loads).  Against the ``tracemalloc``
-    peaks of runs in fresh interpreters, from ``heislab.cli`` loaded, the
-    estimate reads 1.20-1.65x at 9^3, 1.35-1.58x at 13^3 and 1.23-1.58x at
-    17^3.
+    of ``ceil(count/2)`` x M x M float64 take one and a half: the kept
+    inverse root's columns, about half of one, and, while the model is
+    built, the eigensolve's eigenvectors (about half of one) and the
+    transients of ``_power``.  A class read's batch takes about three
+    times ``_COLUMN_BYTES``, and 0.5 MB cover the rest of the run (the
+    fiber side, the families, the artifacts and the modules a run loads).
+    Against the ``tracemalloc`` peaks of runs in fresh interpreters, from
+    ``heislab.cli`` loaded, the estimate reads 1.21-1.75x at 9^3,
+    1.34-1.64x at 13^3, 1.18-1.59x at 17^3, 1.13-1.55x at 21^3 and, for a
+    grid run, 1.11x at 25^3.
     """
     size = count**3
     sector_set = (size + 3 * count + 4) ** 2
     t_blocks = 8 * ((count + 1) // 2) * count**4
-    return 10 * sector_set // 8 + 3 * t_blocks + 3 * _COLUMN_BYTES + 500_000
+    return 10 * sector_set // 8 + 3 * t_blocks // 2 + 3 * _COLUMN_BYTES + 500_000
+
+
+def _check_budget(what: str, estimate: int) -> None:
+    """Raise ``ValueError`` naming ``what`` when its byte ``estimate``
+    exceeds ``_BYTE_BUDGET``."""
+    if estimate > _BYTE_BUDGET:
+        raise ValueError(
+            f"{what} needs an estimated {estimate / 1e6:.0f} MB, "
+            f"over the budget of {_BYTE_BUDGET / 1e6:.0f} MB"
+        )
+
+
+def _check_model_budget(count: int) -> None:
+    """Raise ``ValueError`` when the model of the cube of ``count`` points
+    per axis is estimated over the byte budget (``_peak_bytes``)."""
+    _check_budget(f"grid {count}^3", _peak_bytes(count))
 
 
 class _GridModel:
@@ -472,12 +501,17 @@ class _GridModel:
     about M/2, never N.
 
     Powers of the sub-Laplacian vanish on its numerical kernel (the
-    pseudo-inverse policy).  The block eigendecomposition, the reflection
-    orbits, the inverse root as the columns of its t-blocks at the planar
-    representatives (``inverse_root_columns``) and the fields' sector
-    blocks as stencil rows of at most four entries (``field_rows``) are
-    built on first use and kept; the model keeps no sector set and no
-    N x N array.  The sector blocks of an operator that the t-blocks carry
+    pseudo-inverse policy).  The model makes one block eigensolve and
+    keeps of it only the eigenvalues with their live masks (``parity_eig``)
+    and the inverse root as the columns of its t-blocks at the planar
+    representatives (``inverse_root_columns``); the eigenvectors and the
+    dense planar operators the solve is built from are dropped after it.
+    Another power (which only the tests form) or the eigenvectors
+    themselves (``eig``) are solved anew and not kept.  The
+    reflection orbits and the fields' sector blocks as stencil rows of at
+    most four entries (``field_rows``) are built on first use and kept;
+    the model keeps no sector set, no M x M planar matrix and no N x N
+    array.  The sector blocks of an operator that the t-blocks carry
     are read straight off its t-block columns, one colour class at a time
     (``read_class``): the inverse root's blocks of a class
     (``inverse_root_blocks``) whenever a caller reaches that class, and
@@ -492,21 +526,10 @@ class _GridModel:
     """
 
     def __init__(self, spec: GridSpec):
-        estimate = _peak_bytes(spec.count)
-        if estimate > _BYTE_BUDGET:
-            raise ValueError(
-                f"grid {spec.count}^3 needs an estimated {estimate / 1e6:.0f} MB, "
-                f"over the budget of {_BYTE_BUDGET / 1e6:.0f} MB"
-            )
+        _check_model_budget(spec.count)
         self.spec = spec
-        n, h, axis = spec.count, spec.spacing, spec.axis
+        n, h = spec.count, spec.spacing
         self._stencils = {ell: _field_stencil(spec, ell) for ell in (1, 2)}
-        # X_ell on a t-block is base + i mu diag(coefficient) on the plane
-        d1 = _centered_difference(n, h)
-        self._planar = {
-            1: (np.kron(d1, np.eye(n)), -np.tile(axis, n)),
-            2: (np.kron(np.eye(n), d1), np.repeat(axis, n)),
-        }
         sine, self.mu = _vertical_basis(n, h)
         half = self.mu.size
         # a kept block stands for itself and its conjugate, except the
@@ -521,18 +544,8 @@ class _GridModel:
             "kj,lj->jkl", sine[:, :half], sine[:, :half]
         )
         self._t_outer = np.concatenate([steps.real * outer, -steps.imag * outer])
-        # the mu-independent parts of sublaplacian_block
-        self._block_parts = (
-            sum(d.T @ d for d, _ in self._planar.values()),
-            sum(d.T * c[None, :] - c[:, None] * d for d, c in self._planar.values()),
-            sum(c * c for _, c in self._planar.values()),
-        )
         self._parity = _parity_halves(n)
-        # the planar point pairs of opposite ix + iy parity
-        planar_colour = np.indices((n, n)).sum(axis=0).reshape(-1) % 2
-        self._odd_pairs = planar_colour[:, None] != planar_colour[None, :]
-        self._parity_eig: tuple[tuple[np.ndarray, ...], ...] | None = None
-        self._eig: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._parity_eig: tuple[tuple[np.ndarray, np.ndarray], ...] | None = None
         self._sectors: _Orbits | None = None
         self._inverse_root: np.ndarray | None = None
         self._field_rows: dict[int, tuple[_FieldRows, ...]] = {}
@@ -595,42 +608,60 @@ class _GridModel:
 
     def planar_field(self, ell: int, mu: float) -> np.ndarray:
         """Dense M x M block of ``X_ell`` where ``D_t`` acts as ``i mu``;
-        real when ``mu`` is 0."""
-        base, coefficient = self._planar[ell]
+        real when ``mu`` is 0.  Formed anew on each call."""
+        base, coefficient = _planar_parts(self.spec, ell)
         return base + np.diag(1j * mu * coefficient) if mu else base
 
-    def sublaplacian_block(self, mu: float) -> np.ndarray:
-        """``X^H X + Y^H Y`` of the blocks where ``D_t`` acts as ``i mu``:
-        with ``X = D + i mu diag(c)`` and D real, ``X^H X = D^T D + i mu
-        (D^T diag(c) - diag(c) D) + mu^2 diag(c^2)``; real when ``mu`` is
-        0."""
-        square, cross, diagonal = self._block_parts
-        real = square + np.diag(mu * mu * diagonal)
-        return real + 1j * mu * cross if mu else real
+    def sublaplacian_blocks(self, mus: Sequence[float]) -> Iterator[np.ndarray]:
+        """``X^H X + Y^H Y`` of the blocks where ``D_t`` acts as ``i mu``, for
+        each mu of ``mus`` in turn: with ``X = D + i mu diag(c)`` and D real,
+        ``X^H X = D^T D + i mu (D^T diag(c) - diag(c) D) + mu^2 diag(c^2)``;
+        real when ``mu`` is 0.  The mu-independent parts are formed once per
+        call and dropped with the iterator."""
+        planar = [_planar_parts(self.spec, ell) for ell in (1, 2)]
+        square = sum(d.T @ d for d, _ in planar)
+        cross = sum(d.T * c[None, :] - c[:, None] * d for d, c in planar)
+        diagonal = sum(c * c for _, c in planar)
+        del planar
+        for mu in mus:
+            real = square + np.diag(mu * mu * diagonal)
+            yield real + 1j * mu * cross if mu else real
 
-    def parity_eig(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    def _eigensolve(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
         """Per parity half (``_parity_halves``) of the kept blocks: the
         eigenvalues (h, d), the real orthonormal eigenvectors in the orbit
         vectors (h, d, d) and the live masks (h, d), from one real ``eigh``
         per half and block, each half checked for symmetry first
         (``_symmetric_eigh``).  A mode is live when its eigenvalue is above
-        ``KERNEL_THRESHOLD`` times the largest of all blocks.  Read-only.
+        ``KERNEL_THRESHOLD`` times the largest of all blocks.  Solved anew
+        on each call; the caller owns the arrays.
+        """
+        sizes = [half.points.shape[1] for half in self._parity]
+        values = [np.empty((self.mu.size, d)) for d in sizes]
+        vectors = [np.empty((self.mu.size, d, d)) for d in sizes]
+        for j, block in enumerate(self.sublaplacian_blocks(self.mu)):
+            for p, half in enumerate(self._parity):
+                values[p][j], vectors[p][j] = _symmetric_eigh(_parity_block(block, half))
+        scale = max(float(np.max(np.abs(w))) for w in values)
+        return tuple(
+            (w, u, np.abs(w) > KERNEL_THRESHOLD * scale) for w, u in zip(values, vectors)
+        )
+
+    def parity_eig(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Per parity half of the kept blocks: the eigenvalues (h, d) and
+        the live masks (h, d) of the model's one eigensolve
+        (``_eigensolve``), built on first use and kept read-only.  The same
+        solve forms the inverse root's t-block columns
+        (``inverse_root_columns``); its eigenvectors are then dropped.
         """
         if self._parity_eig is None:
-            pairs = [
-                [_symmetric_eigh(_parity_block(block, half)) for half in self._parity]
-                for block in map(self.sublaplacian_block, self.mu)
-            ]
-            values = [np.stack([pair[p][0] for pair in pairs]) for p in (0, 1)]
-            vectors = [np.stack([pair[p][1] for pair in pairs]) for p in (0, 1)]
-            scale = max(float(np.max(np.abs(w))) for w in values)
-            halves = []
-            for w, u in zip(values, vectors):
-                live = np.abs(w) > KERNEL_THRESHOLD * scale
-                for arr in (w, u, live):
-                    arr.flags.writeable = False
-                halves.append((w, u, live))
-            self._parity_eig = tuple(halves)
+            halves = self._eigensolve()
+            reps = self.planar_representatives()
+            self._inverse_root = _by_column(self._power(halves, -0.5, reps))
+            self._inverse_root.flags.writeable = False
+            for w, _, live in halves:
+                w.flags.writeable = live.flags.writeable = False
+            self._parity_eig = tuple((w, live) for w, _, live in halves)
         return self._parity_eig
 
     def eig(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -638,42 +669,46 @@ class _GridModel:
 
         Row j belongs to the block of ``mu[j]``: shapes (h, M), (h, M, M) and
         (h, M) with ``h = ceil(n/2)``, eigenvalues ascending.  They are the
-        two parity halves of ``parity_eig`` merged, with the eigenvectors
-        carried to the plane.  All three arrays are read-only.
+        two parity halves of a fresh eigensolve (``_eigensolve``) merged,
+        with the eigenvectors carried to the plane; the model keeps none of
+        them.
         """
-        if self._eig is None:
-            halves = self.parity_eig()
-            w = np.concatenate([half[0] for half in halves], axis=1)
-            live = np.concatenate([half[2] for half in halves], axis=1)
-            v = np.concatenate(
-                [_in_grid(half, u) for half, (_, u, _) in zip(self._parity, halves)],
-                axis=2,
-            )
-            order = np.argsort(w, axis=1, kind="stable")
-            w, live = (np.take_along_axis(arr, order, axis=1) for arr in (w, live))
-            v = np.take_along_axis(v, order[:, None, :], axis=2)
-            for arr in (w, v, live):
-                arr.flags.writeable = False
-            self._eig = (w, v, live)
-        return self._eig
+        halves = self._eigensolve()
+        w = np.concatenate([half[0] for half in halves], axis=1)
+        live = np.concatenate([half[2] for half in halves], axis=1)
+        v = np.concatenate(
+            [_in_grid(half, u) for half, (_, u, _) in zip(self._parity, halves)],
+            axis=2,
+        )
+        order = np.argsort(w, axis=1, kind="stable")
+        w, live = (np.take_along_axis(arr, order, axis=1) for arr in (w, live))
+        v = np.take_along_axis(v, order[:, None, :], axis=2)
+        return w, v, live
 
-    def planar_power(self, exponent: float, columns: np.ndarray) -> np.ndarray:
+    def _power(
+        self,
+        halves: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...],
+        exponent: float,
+        columns: np.ndarray,
+    ) -> np.ndarray:
         """The columns ``columns`` of the kept t-blocks ``B_j`` of
-        ``(-Delta)^exponent``, zero on the kernel: h x M x k.
+        ``(-Delta)^exponent``, zero on the kernel, from the eigensolve
+        ``halves`` (``_eigensolve``): h x M x k.
 
         Per parity half ``B = O K O^H`` with the real ``K = U w^exponent
-        U^T`` of ``parity_eig``.  Row m of O holds m's phase-1 and phase-i
-        values, so an entry of B is at most four entries of K times those
-        values, which the planar group maps onto themselves up to sign and
-        conjugation: B commutes with ``r_xy`` and ``r_y B r_y = conj(B)``
-        bit for bit.  With ``C = (-1)^(ix+iy)``, also ``C B C = conj(B)``:
-        B is real between planar points of equal ``ix+iy`` parity and
-        imaginary between the others, and the rounding parts are set to 0.
-        The grid power of these blocks thus commutes exactly with the
-        reflections and keeps colour exactly.
+        U^T``.  Row m of O holds m's phase-1 and phase-i values, so an entry
+        of B is at most four entries of K times those values, which the
+        planar group maps onto themselves up to sign and conjugation: B
+        commutes with ``r_xy`` and ``r_y B r_y = conj(B)`` bit for bit.
+        With ``C = (-1)^(ix+iy)``, also ``C B C = conj(B)``: B is real
+        between planar points of equal ``ix+iy`` parity and imaginary
+        between the others, and the rounding parts are set to 0.  The grid
+        power of these blocks thus commutes exactly with the reflections
+        and keeps colour exactly.
         """
-        halves = self.parity_eig()
-        shape = (halves[0][0].shape[0], self._odd_pairs.shape[0], columns.size)
+        n = self.spec.count
+        planar_colour = np.indices((n, n)).sum(axis=0).reshape(-1) % 2
+        shape = (self.mu.size, planar_colour.size, columns.size)
         out = np.zeros(shape, dtype=complex)
         real, imag = out.real, out.imag
         for half, (w, u, live) in zip(self._parity, halves):
@@ -694,7 +729,8 @@ class _GridModel:
                 row_imag * at_cr[:, half.imag_column] * vr
                 - row_real * at_ci[:, half.real_column] * vi
             )
-        odd = self._odd_pairs[:, columns]
+        # the planar point pairs of opposite ix + iy parity
+        odd = planar_colour[:, None] != planar_colour[columns]
         real[:, odd] = 0.0
         imag[:, ~odd] = 0.0
         return out
@@ -707,16 +743,15 @@ class _GridModel:
         return np.flatnonzero(np.bincount(table[0] // n, minlength=n * n))
 
     def read_blocks(
-        self, blocks: np.ndarray, character: int, flip: bool
+        self, by_column: np.ndarray, character: int, flip: bool
     ) -> tuple[tuple[np.ndarray, ...], ...]:
         """The sector blocks ``Q_{sigma chi}^T T Q_sigma`` of the real grid
-        operator T whose kept t-blocks ``B_j`` have the columns ``blocks``
-        (h x M x k) at ``planar_representatives``; T has the reflection
-        character chi = ``SECTORS[character]`` and flips colour when
-        ``flip``.  Entry ``[k][c]`` belongs to ``sigma = SECTORS[k]`` and
-        colour class c: ``read_class`` over both classes.
+        operator T whose kept t-blocks ``B_j`` have the columns ``by_column``
+        (in the layout of ``_by_column``) at ``planar_representatives``; T
+        has the reflection character chi = ``SECTORS[character]`` and flips
+        colour when ``flip``.  Entry ``[k][c]`` belongs to ``sigma =
+        SECTORS[k]`` and colour class c: ``read_class`` over both classes.
         """
-        by_column = _by_column(blocks)
         classes = range(len(self.sectors().classes))
         per_class = [self.read_class(by_column, c, character, flip) for c in classes]
         return tuple(zip(*per_class))
@@ -746,7 +781,7 @@ class _GridModel:
         orbits = self.sectors()
         table = orbits.table
         # position[n]: where planar point n sits among the representatives
-        position = np.zeros(self._odd_pairs.shape[0], dtype=int)
+        position = np.zeros(n * n, dtype=int)
         position[self.planar_representatives()] = np.arange(by_column.shape[0])
         by_step = self._t_outer.transpose(2, 0, 1)
         # the row sectors tau = sigma chi of the four column sectors sigma
@@ -784,7 +819,7 @@ class _GridModel:
         middle block's ``r_xy``-even half.
         """
         n = self.spec.count
-        (_, _, even), (_, _, odd) = self.parity_eig()
+        (_, even), (_, odd) = self.parity_eig()
         expected = np.zeros(even.shape, dtype=bool)
         expected[-1, 0] = n % 2
         if not (np.array_equal(~even, expected) and odd.all()):
@@ -798,7 +833,7 @@ class _GridModel:
         ``mu_j != 0``; the Schroedinger fibre at ``lambda`` starts at
         ``2|lambda|``."""
         lowest = np.min(
-            [np.where(live, w, np.inf).min(axis=1) for w, _, live in self.parity_eig()],
+            [np.where(live, w, np.inf).min(axis=1) for w, live in self.parity_eig()],
             axis=0,
         )
         return [
@@ -915,14 +950,10 @@ class _GridModel:
 
     def inverse_root_columns(self) -> np.ndarray:
         """The columns of the kept t-blocks of ``(-Delta)^{-1/2}`` at the
-        planar representatives (``planar_power``), in the layout of
-        ``_by_column``, built on first use and kept read-only: the one form
-        in which the model keeps the inverse root."""
-        if self._inverse_root is None:
-            columns = self.planar_power(-0.5, self.planar_representatives())
-            by_column = _by_column(columns)
-            by_column.flags.writeable = False
-            self._inverse_root = by_column
+        planar representatives (``_power``), in the layout of
+        ``_by_column``, read-only: the one form in which the model keeps the
+        inverse root, formed by its one eigensolve (``parity_eig``)."""
+        self.parity_eig()
         return self._inverse_root
 
     def inverse_root_blocks(self, c: int) -> tuple[np.ndarray, ...]:

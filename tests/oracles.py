@@ -1,9 +1,10 @@
 """Dense oracles shared by the test modules.
 
 The package reads every grid operator through its t-blocks and sector
-blocks; these build the dense N x N matrices the tests compare against (the
-powers and the ``product`` factors assembled from the t-blocks), the sector
-blocks of any power (``power_blocks``), the dense
+blocks; these build the t-block columns of any power from a fresh
+eigensolve (``planar_power``), the dense N x N matrices the tests compare
+against (the powers and the ``product`` factors assembled from the
+t-blocks), the sector blocks of any power (``power_blocks``), the dense
 sector blocks of the fields expanded from their stencil rows, the dense
 eigenvalues of the ``product`` table and the grid ``L_p`` norm.
 ``fiber_schatten_norm`` and ``loop_coercivity`` are the SVD loop the fiber
@@ -19,7 +20,7 @@ import numpy as np
 
 from heislab.doi import build_a_fiber
 from heislab.experiments import SeededDraws
-from heislab.grid import _ASYMMETRY_LIMIT, GridFunction, GridSpec, _model
+from heislab.grid import _ASYMMETRY_LIMIT, GridFunction, GridSpec, _by_column, _model
 from heislab.oscillator import (
     FiberOperator,
     MultiIndexBasis,
@@ -59,10 +60,18 @@ def expanded_field_rows(model, ell: int) -> tuple[tuple[np.ndarray, ...], ...]:
     return tuple(out)
 
 
+def planar_power(model, exponent: float, columns: np.ndarray) -> np.ndarray:
+    """The columns ``columns`` of the kept t-blocks of ``(-Delta)^exponent``,
+    zero on the kernel (h x M x k), from a fresh eigensolve of the model,
+    which keeps nothing of it: the model keeps only the inverse root's
+    columns at the planar representatives, formed the same way."""
+    return model._power(model._eigensolve(), exponent, columns)
+
+
 def assembled_power(model, exponent: float) -> np.ndarray:
     """Dense ``(-Delta)^exponent`` on the live modes, zero on the kernel."""
     every = np.arange(model.spec.count**2)
-    return assemble(model, model.planar_power(exponent, every))
+    return assemble(model, planar_power(model, exponent, every))
 
 
 def power_blocks(model, exponent: float) -> tuple[tuple[np.ndarray, ...], ...]:
@@ -70,8 +79,8 @@ def power_blocks(model, exponent: float) -> tuple[tuple[np.ndarray, ...], ...]:
     colour classes, read off the columns of the kept t-blocks at the planar
     representatives as the model reads its inverse root's blocks, one class
     at a time."""
-    columns = model.planar_power(exponent, model.planar_representatives())
-    return model.read_blocks(columns, 0, False)
+    columns = planar_power(model, exponent, model.planar_representatives())
+    return model.read_blocks(_by_column(columns), 0, False)
 
 
 def assembled_symbol_realization(spec: GridSpec, k: int) -> np.ndarray:

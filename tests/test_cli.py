@@ -283,16 +283,16 @@ def eigh_sizes(monkeypatch):
 
 @pytest.fixture
 def power_exponents(monkeypatch):
-    """Exponents of the ``_GridModel.planar_power`` calls, each the t-block
-    columns of one power, made after a cold model cache."""
-    planar_power = _GridModel.planar_power
+    """Exponents of the ``_GridModel._power`` calls, each the t-block
+    columns of one power, kept or not, made after a cold model cache."""
+    power = _GridModel._power
     exponents = []
 
-    def counting_planar_power(self, exponent, columns):
+    def counting_power(self, halves, exponent, columns):
         exponents.append(exponent)
-        return planar_power(self, exponent, columns)
+        return power(self, halves, exponent, columns)
 
-    monkeypatch.setattr(_GridModel, "planar_power", counting_planar_power)
+    monkeypatch.setattr(_GridModel, "_power", counting_power)
     _model.cache_clear()
     return exponents
 
@@ -495,6 +495,17 @@ class TestRunCommand:
         assert sorted(eigh_sizes) == [40] * 5 + [41] * 5
         assert max(eigh_sizes) < 9**2
 
+    @pytest.mark.parametrize("suite, solves", [("grid", 1), ("bound", 1), ("product", 2)])
+    def test_cold_run_counts_its_eigensolves(self, tmp_path, eigh_sizes, suite, solves):
+        # one eigensolve is 2 ceil(n/2) real eigh calls; a grid or bound run
+        # makes one, which leaves the inverse root behind (trace: see
+        # above), and product solves once more for the eigenvectors of its
+        # a:ell factor (plus one eigh of n x n for its vertical root)
+        run_suite(load_config(write_config(tmp_path), {"suite": suite}))
+        parity = [size for size in eigh_sizes if size != 9]
+        assert len(parity) == solves * 2 * 5
+        assert len(eigh_sizes) - len(parity) == (suite == "product")
+
     def test_no_suite_calls_a_dense_eigh(self, tmp_path, eigh_sizes):
         run_suite(load_config(write_config(tmp_path), {"suite": "all"}))
         assert eigh_sizes and 9**3 not in eigh_sizes
@@ -587,8 +598,14 @@ class TestRunCommand:
         peak = cold_run_peak(tmp_path, suite, 9)
         assert peak <= run_estimate(suite, 9) <= 2 * peak
 
+    def test_byte_estimate_covers_a_cold_17_grid_run(self, tmp_path):
+        # at 17^3 the t-block arrays are 6.0 MB each, where the sector term
+        # is 31 MB
+        peak = cold_run_peak(tmp_path, "grid", 17)
+        assert peak <= run_estimate("grid", 17) <= 2 * peak
+
     def test_over_budget_grid_exits_before_building_a_model(self, tmp_path, capsys):
-        # 41^3 estimates 25 GB: the run names the estimate and the budget
+        # 41^3 estimates 6.7 GB: the run names the estimate and the budget
         # and exits 2, having allocated far less than one N x N matrix
         _model.cache_clear()
         args = ["run", "--suite", "grid", "--grid", "41", "--out", str(tmp_path / "out")]
@@ -606,7 +623,7 @@ class TestRunCommand:
         assert peak < (41**3) ** 2 * 8 / 1000
 
     def test_over_budget_product_exits_before_building_a_model(self, tmp_path, capsys):
-        # the model alone admits 27^3 (669 MB), the product table's own
+        # the model alone admits 27^3 (580 MB), the product table's own
         # estimate does not: the run exits 2 before the model or a factor is
         # built
         count = 27
@@ -625,6 +642,31 @@ class TestRunCommand:
         assert "over the budget of 1500 MB" in err
         assert _model.cache_info().currsize == 0
         assert peak < (count**3) ** 2 * 8 / 1000
+
+    def test_all_checks_every_budget_before_the_first_suite(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # a budget that admits the 9^3 model but not the product table
+        # refuses all --grid 9 before grid, bound and trace run
+        budget = (_peak_bytes(9) + _product_peak_bytes(9)) // 2
+        monkeypatch.setattr(grid, "_BYTE_BUDGET", budget)
+        _model.cache_clear()
+        code = main(["run", "--suite", "all", "--grid", "9", "--out", str(tmp_path / "out")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "product table on grid 9^3 needs an estimated" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+        assert _model.cache_info().currsize == 0
+
+    def test_sweep_checks_every_budget_before_the_first_step(self, tmp_path, capsys):
+        # 41^3 is over the budget: the 9^3 step does not run first
+        _model.cache_clear()
+        args = ["sweep", "--suite", "bound", "--axis", "grid_size", "--values", "9,41"]
+        assert main(args + ["--out", str(tmp_path / "out")]) == 2
+        assert "grid 41^3 needs an estimated" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        assert _model.cache_info().currsize == 0
 
     def test_cold_product_run_peaks_below_two_dense_matrices(self, tmp_path):
         # every product factor is read off the t-blocks as sector blocks:
@@ -653,13 +695,32 @@ class TestRunCommand:
         sizes = [arr.size for arr in reachable_arrays(model)]
         assert max(sizes) < (9**3) ** 2
 
+    def test_cold_run_keeps_no_eigenvector_nor_planar_matrix(self, tmp_path):
+        # after its one eigensolve the model holds the eigenvalues and live
+        # masks, the inverse root's t-block columns, the orbits and the
+        # stencil rows: apart from those columns, no array of M^2 = n^4
+        # entries or more, as the parity eigenvectors and the dense planar
+        # operators would be
+        _model.cache_clear()
+        run_suite(load_config(write_config(tmp_path), {"suite": "bound"}))
+        model = _model(GridSpec.cube(9))
+        columns = model.inverse_root_columns()
+        sizes = [
+            arr.size for arr in reachable_arrays(model)
+            if arr is not columns and arr.base is not columns
+        ]
+        assert max(sizes) < 9**4 <= columns.size
+        _model.cache_clear()
+
     @pytest.mark.parametrize("suite", ["bound", "grid"])
     def test_cold_run_leaves_no_sector_set_on_the_model(self, tmp_path, suite):
         # the model keeps the inverse root only as its t-block columns at
-        # the planar representatives, and reads its sector blocks one
-        # colour class at a time: after a run it owns no more than three
-        # t-block arrays of ceil(n/2) n^4 floats, with no sector set, which
-        # alone would take (N + 3n + 4)^2 bytes
+        # the planar representatives (about half a t-block array of
+        # ceil(n/2) n^4 floats), and reads its sector blocks one colour
+        # class at a time: after a run it owns less than one t-block array
+        # (0.87 of one at 13^3, where the kept eigenvectors and planar
+        # matrices took it to 1.95), with no sector set, which alone would
+        # take (N + 3n + 4)^2 bytes
         count = 13
         _model.cache_clear()
         config = load_config(write_config(tmp_path, grid_size=count), {"suite": suite})
@@ -668,15 +729,16 @@ class TestRunCommand:
         assert _model.cache_info().currsize == 1
         owned = sum(arr.nbytes for arr in reachable_arrays(model) if arr.base is None)
         t_blocks = 8 * ((count + 1) // 2) * count**4
-        assert owned <= 3 * t_blocks
+        assert owned <= t_blocks
         _model.cache_clear()
 
     @pytest.mark.parametrize("suite", ["bound", "grid"])
     def test_cold_run_leaves_one_sector_set_on_the_model(self, tmp_path, suite):
         # after a run the model holds the inverse root's sector blocks and
         # the t-block arrays, bounded by the terms of _peak_bytes: one set of
-        # (N + 3n + 4)^2 bytes and three of ceil(n/2) n^4 floats.  A field
-        # set kept dense, or a Riesz set, would add about one more set
+        # (N + 3n + 4)^2 bytes and one and a half arrays of ceil(n/2) n^4
+        # floats.  A field set kept dense, or a Riesz set, would add about
+        # one more set
         count = 13
         _model.cache_clear()
         config = load_config(write_config(tmp_path, grid_size=count), {"suite": suite})
@@ -686,7 +748,7 @@ class TestRunCommand:
         owned = sum(arr.nbytes for arr in reachable_arrays(model) if arr.base is None)
         sector_set = (count**3 + 3 * count + 4) ** 2
         t_blocks = 8 * ((count + 1) // 2) * count**4
-        assert owned <= sector_set + 3 * t_blocks
+        assert owned <= sector_set + 3 * t_blocks // 2
         _model.cache_clear()
 
     def test_grid_artifact_reports_split_components(self, tmp_path):

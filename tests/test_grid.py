@@ -16,6 +16,7 @@ from heislab.grid import (
     SECTORS,
     GridFunction,
     GridSpec,
+    _by_column,
     _GridModel,
     _character_label,
     _model,
@@ -38,6 +39,7 @@ from oracles import (
     dense_riesz,
     dense_sublaplacian,
     norm_lp,
+    planar_power,
     power_blocks,
 )
 
@@ -436,7 +438,7 @@ class TestClosedFormKernel:
         # on (3, 1.0) the block of mu_1 has a kernel mode as well (its
         # eigenvalue reads about -5e-16), which the closed form does not have
         model = _GridModel(GridSpec(3, 1.0))
-        (_, _, even), (_, _, odd) = model.parity_eig()
+        (_, even), (_, odd) = model.parity_eig()
         assert np.count_nonzero(~even) + np.count_nonzero(~odd) > 1
         with pytest.raises(ValueError, match="not the closed-form mode"):
             model.kernel()
@@ -469,8 +471,8 @@ class TestTBlockCalculus:
             n = spec.count
             mirrored = math.cos(math.pi * (n - j) / (n + 1)) / spec.spacing
             assert mirrored == pytest.approx(-mu, abs=1e-15 * abs(model.mu).max())
-            block = model.sublaplacian_block(mu)
-            assert np.array_equal(model.sublaplacian_block(-mu), block.conj())
+            block, mirror = model.sublaplacian_blocks([mu, -mu])
+            assert np.array_equal(mirror, block.conj())
         # one eigh per conjugate pair, of size n * n
         w, v, live = model.eig()
         assert w.shape == live.shape == ((spec.count + 1) // 2, spec.count**2)
@@ -586,7 +588,7 @@ def extended_inverse_root_times(model, q):
     t-vectors as ``assemble`` sums them."""
     spec = model.spec
     size = spec.count**2
-    blocks = model.planar_power(-0.5, np.arange(size))
+    blocks = planar_power(model, -0.5, np.arange(size))
     half = blocks.shape[0]
     by_column = np.empty((size, size, 2 * half), dtype=np.longdouble)
     by_column[..., :half] = blocks.real.transpose(2, 1, 0)
@@ -856,8 +858,7 @@ class TestSectorPowerBlocks:
         model = oracle_model
         size = model.spec.count**2
         w, _, _ = model.eig()
-        for j, mu in enumerate(model.mu):
-            block = model.sublaplacian_block(mu)
+        for j, block in enumerate(model.sublaplacian_blocks(model.mu)):
             halves = [_parity_block(block, half) for half in model._parity]
             assert [h.shape[0] for h in halves] == [(size + 1) // 2, size // 2]
             assert all(h.dtype == float for h in halves)
@@ -870,7 +871,7 @@ class TestSectorPowerBlocks:
     def test_planar_power_commutes_exactly_with_the_planar_group(self, oracle_model):
         model = oracle_model
         n = model.spec.count
-        blocks = model.planar_power(0.5, np.arange(n * n))
+        blocks = planar_power(model, 0.5, np.arange(n * n))
         grid = blocks.reshape((blocks.shape[0],) + (n,) * 4)
         assert np.array_equal(grid[:, ::-1, ::-1, ::-1, ::-1], grid)
         assert np.array_equal(grid[:, :, ::-1, :, ::-1], grid.conj())
@@ -924,6 +925,47 @@ class TestProductFactorBlocks:
             for got, want in zip(got_per_class, want_per_class):
                 assert got.shape == want.shape
                 assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+class TestOneEigensolve:
+    """The model keeps of its one eigensolve the eigenvalues, the live masks
+    and the inverse root's t-block columns; a power of another exponent or
+    column set solves anew, bit for bit as the kept one was formed."""
+
+    @pytest.mark.parametrize("count", [9, 10])
+    def test_later_power_equals_a_first_one_bit_for_bit(self, count):
+        spec = GridSpec.cube(count)
+        every = np.arange(count**2)
+        # the oracle: a fresh model whose first eigensolve forms this power
+        oracle = planar_power(_GridModel(spec), 0.5, every)
+        model = _GridModel(spec)
+        model.inverse_root_columns()
+        assert np.array_equal(planar_power(model, 0.5, every), oracle)
+
+    @pytest.mark.parametrize("count", [9, 10])
+    def test_kept_state_equals_a_fresh_solve_bit_for_bit(self, count):
+        model = _GridModel(GridSpec.cube(count))
+        kept = model.inverse_root_columns()
+        reps = model.planar_representatives()
+        assert np.array_equal(kept, _by_column(planar_power(model, -0.5, reps)))
+        for (w, live), (w_new, _, live_new) in zip(model.parity_eig(), model._eigensolve()):
+            assert np.array_equal(w, w_new) and np.array_equal(live, live_new)
+            assert not (w.flags.writeable or live.flags.writeable)
+        assert not kept.flags.writeable
+
+    def test_flat_factor_reads_the_kept_columns_bit_for_bit(self):
+        # the flat factor scales the kept inverse root's t-block j by
+        # u_j^H V u_j; formed again from planar_power(-0.5), it has the same
+        # bits
+        model = _model(SPEC)
+        u = model._t_vectors
+        weights = np.einsum("kj,kl,lj->j", u.conj(), model.vertical_quarter_root(), u)
+        columns = planar_power(model, -0.5, model.planar_representatives())
+        expected = model.read_blocks(_by_column(columns * weights.real[:, None, None]), 0, False)
+        got, _ = product_factor(SPEC, enumerate_basis(1, 4), "flat_factor")
+        for got_per_class, want_per_class in zip(got, expected):
+            for got_block, want in zip(got_per_class, want_per_class):
+                assert np.array_equal(got_block, want)
 
 
 class TestMultiplicationAndCommutator:

@@ -591,7 +591,7 @@ def _run_grid(config: RunConfig) -> SuiteOutcome:
     diagnostics: dict[str, dict] = {}
     worst_split = 0.0
     splits = riesz_decomposition_residual(
-        spec, named_family("trace", spec), config.ell
+        spec, named_family(config.family or "trace", spec), config.ell
     )
     for label, split in splits.items():
         checks.append(

@@ -30,14 +30,15 @@ except ImportError:
 from .grid import (
     _COLUMN_BYTES,
     _FIELD_CHARACTER,
+    KERNEL_THRESHOLD,
     SECTORS,
     GridFunction,
     GridSpec,
-    _by_column,
     _check_budget,
     _join,
     _model,
     _reflection_components,
+    _symmetric_eigh,
     sobolev_seminorm,
 )
 from .schatten import (
@@ -474,53 +475,25 @@ def eigenvalue_trace_approximant(eigenvalues: np.ndarray) -> float:
     return float(np.sum(eigs[:usable]).real / math.log(usable + 2.0))
 
 
-def _grid_symbol_columns(model, k: int) -> np.ndarray:
-    """Grid counterpart of the k-th commutator symbol via the entrywise
-    kernel, as the columns of its kept t-blocks at the planar
-    representatives (``_GridModel.planar_representatives``), in the layout
-    of ``grid._by_column``.
-
-    ``X_k`` and ``-Delta`` share the t-block structure, so the double
-    operator integral is taken block by block, each block with its own table.
-    """
-    w, v, live = model.eig()
-    # kernel modes get a placeholder 1 so the table stays finite; their
-    # rows and columns are zeroed below
-    safe = np.where(live, w, 1.0)
-    quarter = np.where(live, safe**-0.25, 0.0)
-    fourth = safe**0.25
-    root = np.sqrt(safe)
-    table = 2.0 * fourth[:, :, None] * fourth[:, None, :]
-    table /= root[:, :, None] + root[:, None, :]
-    table *= live[:, :, None] & live[:, None, :]
-    v_adj = v.conj().transpose(0, 2, 1)
-    fields = np.stack([model.planar_field(k, mu) for mu in model.mu])
-    # this factor sets the peak of a product run, so the core is scaled in
-    # place and each operand is dropped after its last use
-    core = v_adj @ fields
-    del fields
-    core = core @ v
-    core *= quarter[:, :, None]
-    core *= quarter[:, None, :]
-    core *= table
-    del table
-    return _by_column(v @ core @ v_adj[:, :, model.planar_representatives()])
-
-
 def product_factor(
     spec: GridSpec, basis: MultiIndexBasis, name: str
 ) -> tuple[tuple[tuple[np.ndarray, ...], ...], FiberOperator]:
-    """Resolve a catalog name to the sector blocks of its grid operator (as
-    laid out by ``_GridModel.read_blocks``) and its fiber counterpart.
+    """Resolve a catalog name to the sector blocks of its grid operator and
+    its fiber counterpart.
 
-    ``riesz:ell`` is gathered anew by the model's ``riesz_blocks``; every
-    other factor hands the columns of its t-blocks at the planar
-    representatives to ``_GridModel.read_blocks``.  The vertical root V of
-    the flat factor acts on the t-index alone, so it scales t-block j of
-    ``(-Delta)^{-1/2}`` by ``u_j^H V u_j``: the flat factor is the model's
-    kept inverse root columns (``inverse_root_columns``) with the real and
-    the imaginary slot of block j scaled by that weight.  No N x N array is
-    formed.
+    Entry ``[k][c]`` is the block of column sector ``sigma = SECTORS[k]``
+    in colour class c: columns the orbits ``classes[c][1]``
+    (``_GridModel.sectors``), rows those orbits again for ``flat_factor``
+    and the orbits ``classes[c][0]`` in sector ``sigma s_ell`` for
+    ``riesz:ell`` and ``a:ell`` (``_factor_structure``).  No N x N array
+    is formed.  ``riesz:ell`` is ``Rt_sigma = Xt_sigma St_sigma``, gathered
+    from the stencil rows (``_GridModel.riesz_block``) one colour class of
+    the inverse root's blocks at a time.  The vertical root V of the flat
+    factor acts on the t-index alone, so it scales t-block j of
+    ``(-Delta)^{-1/2}`` by ``u_j^H V u_j``: the flat factor is read
+    (``_GridModel.read_class``) off the model's kept inverse root columns
+    with the real and the imaginary slot of block j scaled by that weight.
+    ``a:ell`` is the double operator integral of ``_symbol_blocks``.
     """
     from .doi import build_a_fiber
     from .oscillator import oscillator_matrix, riesz_symbol, tensor_scalar
@@ -530,20 +503,75 @@ def product_factor(
     if k is not None and k not in (1, 2):
         raise ValueError(f"{kind} index {k} outside 1..2")
     model = _model(spec)
+    classes = model.sectors().classes
     if kind == "riesz" and k:
-        return model.riesz_blocks(k), riesz_symbol(basis, k)
+        per_class = []
+        for c, (rows, _) in enumerate(classes):
+            inverse = model.inverse_root_blocks(c)
+            every = np.arange(rows.size)
+            per_class.append(
+                [model.riesz_block(k, j, c, inverse, every) for j in range(len(SECTORS))]
+            )
+            # dropped before the next class is read
+            del inverse
+        return tuple(zip(*per_class)), riesz_symbol(basis, k)
     if name == "flat_factor":
         u = model._t_vectors
         weights = np.einsum("kj,kl,lj->j", u.conj(), model.vertical_quarter_root(), u).real
         columns = model.inverse_root_columns() * np.concatenate([weights, weights])
+        blocks = tuple(zip(*(model.read_class(columns, c) for c in range(len(classes)))))
         energies = np.diag(oscillator_matrix(basis)).real
-        fiber = tensor_scalar(basis, np.diag(energies**-0.5), "one")
-    elif kind == "a" and k:
-        columns = _grid_symbol_columns(model, k)
-        fiber = build_a_fiber(basis, k)
-    else:
-        raise ValueError(f"no fiber counterpart for factor {name!r}")
-    return model.read_blocks(columns, *_factor_structure(name)), fiber
+        return blocks, tensor_scalar(basis, np.diag(energies**-0.5), "one")
+    if kind == "a" and k:
+        return _symbol_blocks(model, k), build_a_fiber(basis, k)
+    raise ValueError(f"no fiber counterpart for factor {name!r}")
+
+
+def _symbol_blocks(model, ell: int) -> tuple[tuple[np.ndarray, ...], ...]:
+    """The sector blocks of ``a:ell``, the double operator integral
+    ``A^{-1/4} T_psi(X_ell) A^{-1/4}`` with ``A = -Delta`` and ``psi(l, m)
+    = 2 l^{1/4} m^{1/4} / (sqrt(l) + sqrt(m))``, laid out as in
+    ``product_factor``.
+
+    In an eigenbasis of A with eigenvalues l its entries are ``2 X_ab /
+    (sqrt(l_a) + sqrt(l_b)) = 2 s_a s_b / (s_a + s_b) X_ab`` with ``s =
+    l^{-1/2}`` the eigenvalues of ``(-Delta)^{-1/2}``.  That root keeps
+    sector and colour, so one ``eigh`` of each of its eight blocks
+    ``St_sigma = U_sigma diag(s_sigma) U_sigma^T`` (``_symmetric_eigh``,
+    which checks the block's symmetry) gives such a basis, and the block
+    of column sector sigma in class c is ``U_rho (table * U_rho^T Xt_sigma
+    U_sigma) U_sigma^T`` with ``rho = sigma s_ell`` from class 1 - c,
+    whose column orbits are the rows of class c.  The pseudo-inverse
+    policy stays explicit: s at rounding level, ``KERNEL_THRESHOLD`` of
+    the largest or below, on the kernel and on the coordinates of orbits
+    where a sector vanishes, gets weight 0.
+    """
+    count = len(model.sectors().classes)
+    # pairs[c][k]: the eigenvalues and eigenvectors of St_SECTORS[k] in class c
+    pairs = [
+        [_symmetric_eigh(block) for block in model.inverse_root_blocks(c)]
+        for c in range(count)
+    ]
+    cut = KERNEL_THRESHOLD * max(float(np.max(s)) for per in pairs for s, _ in per)
+    per_class = []
+    for c in range(count):
+        blocks = []
+        for k in range(len(SECTORS)):
+            (s_sigma, u_sigma), (s_rho, u_rho) = (
+                pairs[c][k], pairs[1 - c][k ^ _FIELD_CHARACTER[ell]]
+            )
+            s_sigma, s_rho = (np.where(s > cut, s, 0.0) for s in (s_sigma, s_rho))
+            core = u_rho.T @ model.field_times(ell, k, c, np.arange(u_rho.shape[0]), u_sigma)
+            total = np.add.outer(s_rho, s_sigma)
+            core *= np.divide(
+                2.0 * np.multiply.outer(s_rho, s_sigma),
+                total,
+                out=np.zeros_like(total),
+                where=total > 0.0,
+            )
+            blocks.append(u_rho @ core @ u_sigma.T)
+        per_class.append(blocks)
+    return tuple(zip(*per_class))
 
 
 @dataclass(frozen=True)
@@ -573,21 +601,33 @@ def _product_peak_bytes(count: int) -> int:
     """Estimated peak bytes of a ``product`` run on the cube of ``count``
     points per axis, the counterpart of ``grid._peak_bytes``.
 
-    The run keeps the sector blocks of its three factors, at most ``(N + 3
-    count + 4)^2`` bytes a set, and peaks while ``_grid_symbol_columns``
-    forms the ``a:ell`` factor: the merged eigenvectors of ``eig``, the
-    field blocks and the products between them, complex t-block arrays of
-    two ``ceil(count/2)`` x M x M float64 arrays each, with the real table,
-    take about eight arrays, on top of the model's kept inverse root
-    columns, about half of one.  A class read's batch and 0.5 MB for the
-    rest of the run complete the estimate.  Against the ``tracemalloc``
-    peaks of runs in fresh interpreters, from ``heislab.cli`` loaded, it
-    reads 1.53x at 9^3 and 1.20x at 13^3 and 17^3; 26^3 estimates 1.37 GB
-    and fits, 27^3 estimates 1.71 GB and does not.
+    A sector set, the eight blocks of one factor, takes at most ``(N + 3
+    count + 4)^2`` bytes (see ``grid._peak_bytes``).  The run resolves its
+    ``a:`` factors first (``_symbol_blocks``), whose eigenvectors, one set,
+    are dropped before the other factors are read; it then keeps the
+    blocks of its three factors, three sets, and peaks while it forms the
+    eigenvalue problem of a piece: the terms cut from the factors' blocks
+    and scaled, and their products, about one set more.  Four t-block
+    arrays of ``ceil(count/2)`` x M x M float64 are the margin that holds
+    the model's kept inverse root columns, its build's transients and the
+    rest that grows with the grid; a class read's batch and 0.5 MB
+    complete the estimate.  Against the ``tracemalloc`` peaks of runs in
+    fresh interpreters, from ``heislab.cli`` loaded, it reads:
+
+    ======  =========  ========  =====
+    grid    peak (MB)  estimate  ratio
+    ======  =========  ========  =====
+    9^3          3.33      5.43  1.63x
+    13^3        21.02     28.54  1.36x
+    17^3       100.09    124.85  1.25x
+    19^3       192.70    235.32  1.22x
+    ======  =========  ========  =====
+
+    26^3 estimates 1.44 GB and fits; 27^3 estimates 1.80 GB and does not.
     """
     sector_set = (count**3 + 3 * count + 4) ** 2
     t_blocks = 8 * ((count + 1) // 2) * count**4
-    return 3 * sector_set + 9 * t_blocks + 3 * _COLUMN_BYTES + 500_000
+    return 4 * sector_set + 4 * t_blocks + 3 * _COLUMN_BYTES + 500_000
 
 
 def _check_product_budget(count: int) -> None:
@@ -642,11 +682,13 @@ def product_trace_check(
     colours = [cols for _, cols in orbits.classes]
     live = [[np.flatnonzero(orbits.live[k, cols]) for k in range(len(SECTORS))]
             for cols in colours]
-    # each distinct factor is realized once, straight as its sector blocks
+    # each distinct factor is realized once, straight as its sector blocks;
+    # the a: factors first, so the eigenvectors they are formed from are
+    # dropped before the other factors' blocks are read
     names = dict.fromkeys(name for case in cases for name in case.factors)
     structure = {name: _factor_structure(name) for name in names}
     fibers, blocks = {}, {}
-    for name in names:
+    for name in sorted(names, key=lambda name: not name.startswith("a:")):
         blocks[name], fibers[name] = product_factor(spec, basis, name)
 
     def image(cell: tuple[int, int], name: str) -> tuple[int, int]:

@@ -365,13 +365,6 @@ def _symmetric_eigh(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(block)
 
 
-def _in_grid(half: _ParityHalf, u: np.ndarray) -> np.ndarray:
-    """The vectors ``sum_a u[..., a, i] o_a`` of one parity half, over the
-    plane: row m is read off the rows of u at m's two orbit vectors."""
-    real = half.real_value[:, None] * u[..., half.real_column, :]
-    return real + 1j * (half.imag_value[:, None] * u[..., half.imag_column, :])
-
-
 def _by_column(blocks: np.ndarray) -> np.ndarray:
     """The t-block columns ``blocks`` (h x M x k) in the real layout that
     ``_GridModel.read_class`` reads: ``out[r, m, p] = parts[p][m, r]`` for
@@ -506,17 +499,16 @@ class _GridModel:
     and the inverse root as the columns of its t-blocks at the planar
     representatives (``inverse_root_columns``); the eigenvectors and the
     dense planar operators the solve is built from are dropped after it.
-    Another power (which only the tests form) or the eigenvectors
-    themselves (``eig``) are solved anew and not kept.  The
-    reflection orbits and the fields' sector blocks as stencil rows of at
-    most four entries (``field_rows``) are built on first use and kept;
-    the model keeps no sector set, no M x M planar matrix and no N x N
-    array.  The sector blocks of an operator that the t-blocks carry
-    are read straight off its t-block columns, one colour class at a time
-    (``read_class``): the inverse root's blocks of a class
-    (``inverse_root_blocks``) whenever a caller reaches that class, and
-    the ``product`` factors (``read_blocks``).  The Riesz blocks are
-    gathered from the inverse root's rows where they are read
+    Another power, which only the tests form, is solved anew and not
+    kept.  The reflection orbits and the fields' sector blocks as stencil
+    rows of at most four entries (``field_rows``) are built on first use
+    and kept; the model keeps no sector set, no M x M planar matrix and no
+    N x N array.  The sector blocks of a power are read straight off its
+    t-block columns, one colour class at a time (``read_class``): the
+    inverse root's blocks of a class (``inverse_root_blocks``) whenever a
+    caller reaches that class, and the ``product`` table's flat factor.
+    The Riesz blocks are gathered from the inverse root's rows where they
+    are read
     (``riesz_block``) and never kept, and so are the blocks of
     ``(-Delta)^{1/2}``, two stencil passes per field over the inverse
     root's block (``root_block``).  The model also splits each
@@ -606,12 +598,6 @@ class _GridModel:
         derivative = float(np.linalg.norm(self.apply_field(ell, values)))
         return math.sqrt(float(pairs @ pairs) + derivative**2) / max(derivative, 1e-30)
 
-    def planar_field(self, ell: int, mu: float) -> np.ndarray:
-        """Dense M x M block of ``X_ell`` where ``D_t`` acts as ``i mu``;
-        real when ``mu`` is 0.  Formed anew on each call."""
-        base, coefficient = _planar_parts(self.spec, ell)
-        return base + np.diag(1j * mu * coefficient) if mu else base
-
     def sublaplacian_blocks(self, mus: Sequence[float]) -> Iterator[np.ndarray]:
         """``X^H X + Y^H Y`` of the blocks where ``D_t`` acts as ``i mu``, for
         each mu of ``mus`` in turn: with ``X = D + i mu diag(c)`` and D real,
@@ -663,27 +649,6 @@ class _GridModel:
                 w.flags.writeable = live.flags.writeable = False
             self._parity_eig = tuple((w, live) for w, _, live in halves)
         return self._parity_eig
-
-    def eig(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Eigenvalues, eigenvectors and live masks of the kept blocks.
-
-        Row j belongs to the block of ``mu[j]``: shapes (h, M), (h, M, M) and
-        (h, M) with ``h = ceil(n/2)``, eigenvalues ascending.  They are the
-        two parity halves of a fresh eigensolve (``_eigensolve``) merged,
-        with the eigenvectors carried to the plane; the model keeps none of
-        them.
-        """
-        halves = self._eigensolve()
-        w = np.concatenate([half[0] for half in halves], axis=1)
-        live = np.concatenate([half[2] for half in halves], axis=1)
-        v = np.concatenate(
-            [_in_grid(half, u) for half, (_, u, _) in zip(self._parity, halves)],
-            axis=2,
-        )
-        order = np.argsort(w, axis=1, kind="stable")
-        w, live = (np.take_along_axis(arr, order, axis=1) for arr in (w, live))
-        v = np.take_along_axis(v, order[:, None, :], axis=2)
-        return w, v, live
 
     def _power(
         self,
@@ -737,45 +702,30 @@ class _GridModel:
 
     def planar_representatives(self) -> np.ndarray:
         """The planar points of the orbit representatives, ascending: the
-        t-block columns ``read_blocks`` takes."""
+        t-block columns ``read_class`` takes."""
         table = self.sectors().table
         n = self.spec.count
         return np.flatnonzero(np.bincount(table[0] // n, minlength=n * n))
 
-    def read_blocks(
-        self, by_column: np.ndarray, character: int, flip: bool
-    ) -> tuple[tuple[np.ndarray, ...], ...]:
-        """The sector blocks ``Q_{sigma chi}^T T Q_sigma`` of the real grid
-        operator T whose kept t-blocks ``B_j`` have the columns ``by_column``
-        (in the layout of ``_by_column``) at ``planar_representatives``; T
-        has the reflection character chi = ``SECTORS[character]`` and flips
-        colour when ``flip``.  Entry ``[k][c]`` belongs to ``sigma =
-        SECTORS[k]`` and colour class c: ``read_class`` over both classes.
-        """
-        classes = range(len(self.sectors().classes))
-        per_class = [self.read_class(by_column, c, character, flip) for c in classes]
-        return tuple(zip(*per_class))
+    def read_class(self, by_column: np.ndarray, c: int) -> tuple[np.ndarray, ...]:
+        """The four sector blocks ``Q_sigma^T T Q_sigma``, ``sigma =
+        SECTORS[k]`` for k = 0..3, of colour class c of a real grid operator
+        T that commutes with both reflections and keeps colour, from the
+        columns ``by_column`` of its kept t-blocks at
+        ``planar_representatives`` in the real layout of ``_by_column``.
+        Read-only.
 
-    def read_class(
-        self, by_column: np.ndarray, c: int, character: int, flip: bool
-    ) -> tuple[np.ndarray, ...]:
-        """The four sector blocks, ``sigma = SECTORS[k]`` for k = 0..3, of
-        colour class c of the operator T of ``read_blocks``, whose t-block
-        columns come in the real layout of ``_by_column``.  Read-only.
-
-        The columns of a block are the orbits ``classes[c][1]`` (see
-        ``_Orbits``) and its rows ``classes[c][0]`` when T flips colour or
-        the columns again when it keeps colour; the parts of T that the cut
-        leaves out are those its colour structure makes 0.  Its entry
-        (a, b) is ``sum_{g,h} tau(g) sigma(h) T[g a, h b] / (|q_{tau,a}|
-        |q_{sigma,b}|)`` with ``tau = sigma chi``, so rows and columns of
-        orbits where a sector vanishes are exactly 0.  ``P_g T P_g = chi(g)
-        T`` makes the four g-terms equal, and the sum is ``4 sum_g tau(g)
-        T[g a, b]`` at the representative b: only the columns of T at the
-        representatives are read.  Column ``(n, l)`` (planar point n,
-        t-index l) is ``sum_p parts[p][:, n] (x) _t_outer[p][:, l]``; a
-        batch of columns, at most ``_COLUMN_BYTES`` of them, is one batched
-        matmul, read by four row gathers.
+        The rows and the columns of a block are the orbits ``classes[c][1]``
+        (see ``_Orbits``); the parts of T that the cut leaves out are those
+        its colour structure makes 0.  Its entry (a, b) is ``sum_{g,h}
+        sigma(g) sigma(h) T[g a, h b] / (|q_{sigma,a}| |q_{sigma,b}|)``, so
+        rows and columns of orbits where sigma vanishes are exactly 0.
+        ``P_g T P_g = T`` makes the four g-terms equal, and the sum is ``4
+        sum_g sigma(g) T[g a, b]`` at the representative b: only the columns
+        of T at the representatives are read.  Column ``(n, l)`` (planar
+        point n, t-index l) is ``sum_p parts[p][:, n] (x) _t_outer[p][:,
+        l]``; a batch of columns, at most ``_COLUMN_BYTES`` of them, is one
+        batched matmul, read by four row gathers.
         """
         n = self.spec.count
         orbits = self.sectors()
@@ -784,13 +734,9 @@ class _GridModel:
         position = np.zeros(n * n, dtype=int)
         position[self.planar_representatives()] = np.arange(by_column.shape[0])
         by_step = self._t_outer.transpose(2, 0, 1)
-        # the row sectors tau = sigma chi of the four column sectors sigma
-        targets = np.arange(len(SECTORS)) ^ character
-        signs = 4.0 * _SIGNS[targets]
-        rows, cols = orbits.classes[c]
-        if not flip:
-            rows = cols
-        out = np.empty((len(SECTORS), rows.size, cols.size))
+        signs = 4.0 * _SIGNS
+        cols = orbits.classes[c][1]
+        out = np.empty((len(SECTORS), cols.size, cols.size))
         step = max(1, _COLUMN_BYTES // (self.spec.size * out.itemsize))
         for start in range(0, cols.size, step):
             batch = slice(start, start + step)
@@ -799,9 +745,9 @@ class _GridModel:
             columns = np.matmul(by_column[position[planar]], by_step[vertical])
             columns = columns.reshape(planar.size, -1)
             # picked[b, g, a] = T[g a, b]
-            picked = columns[:, table[:, rows]]
+            picked = columns[:, table[:, cols]]
             out[:, :, batch] = np.matmul(signs, picked).transpose(1, 2, 0)
-        out *= orbits.inverse[targets][:, rows, None]
+        out *= orbits.inverse[:, cols, None]
         out *= orbits.inverse[:, None, cols]
         out.flags.writeable = False
         return tuple(out)
@@ -875,13 +821,14 @@ class _GridModel:
     def field_rows(self, ell: int) -> tuple[_FieldRows, ...]:
         """The colour-flipping sector blocks ``Xt_sigma = Q_{sigma s_ell}^T
         X_ell Q_sigma`` as stencil rows, one ``_FieldRows`` per colour class
-        (rows and columns as in ``read_blocks``), built on first use and
-        kept read-only.
+        c, of rows ``classes[c][0]`` and columns ``classes[c][1]`` (see
+        ``_Orbits``), built on first use and kept read-only.
 
         Entry (a, b) is ``sum_{g,h} tau(g) sigma(h) X_ell[g a, h b]`` over
-        the norms, which ``P_g X_ell P_g = s_ell(g) X_ell`` turns, as in
-        ``read_blocks``, into ``4 sum_h sigma(h) X_ell[a, h b]`` at the
-        representative a: the row of X_ell at a alone.  So the columns of
+        the norms, with ``tau = sigma s_ell``, which ``P_g X_ell P_g =
+        s_ell(g) X_ell`` turns, as in ``read_class``, into ``4 sum_h
+        sigma(h) X_ell[a, h b]`` at the representative a: the row of X_ell
+        at a alone.  So the columns of
         row a are the orbits of a's at most four neighbours, for every
         sector, and each term of ``X_ell`` with value v from a to its
         neighbour p adds ``4 sigma(h) v`` to the slot of b in row a for
@@ -963,7 +910,7 @@ class _GridModel:
         (``inverse_root_columns``, ``read_class``); the power keeps sector
         and colour.  A caller reads one class at a time and drops it before
         the next, so no more than one class of them is alive."""
-        return self.read_class(self.inverse_root_columns(), c, 0, False)
+        return self.read_class(self.inverse_root_columns(), c)
 
     def root_block(self, k: int, c: int, inverse: tuple[np.ndarray, ...]) -> np.ndarray:
         """The sector block ``Q_sigma^T (-Delta)^{1/2} Q_sigma`` of
@@ -1006,21 +953,6 @@ class _GridModel:
         St_sigma``: a row of ``Rt_sigma`` is a sum of at most four rows of
         ``St_sigma`` (``field_times``)."""
         return self.field_times(ell, k, c, rows, inverse[k], cols)
-
-    def riesz_blocks(self, ell: int) -> tuple[tuple[np.ndarray, ...], ...]:
-        """Every block ``Rt_sigma`` of ``riesz_block``, laid out as in
-        ``read_blocks``; gathered anew on each call, never cached, one
-        colour class of the inverse root at a time."""
-        per_class = []
-        for c, (rows, _) in enumerate(self.sectors().classes):
-            inverse = self.inverse_root_blocks(c)
-            every = np.arange(rows.size)
-            per_class.append(
-                [self.riesz_block(ell, k, c, inverse, every) for k in range(len(SECTORS))]
-            )
-            # dropped before the next class is read
-            del inverse
-        return tuple(zip(*per_class))
 
     def commutator_blocks(
         self,
@@ -1334,8 +1266,8 @@ def riesz_decomposition_residual(
     Leibniz defect of centered differences) is reported separately,
     normalized by the derivative's own size.
 
-    Everything is computed in sector coordinates, laid out as
-    ``_GridModel.read_blocks`` lays them out.  For f of character eps every
+    Everything is computed in sector coordinates, in the colour classes of
+    ``_GridModel.sectors``.  For f of character eps every
     term maps (sigma, c) into (sigma eps s_ell, 1 - c), as ``[R, M_f]`` does
     (``_GridModel.commutator_blocks``), and the kernel projector, which
     commutes with both reflections and with colour, acts on each block by

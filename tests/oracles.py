@@ -2,11 +2,15 @@
 
 The package reads every grid operator through its t-blocks and sector
 blocks; these build the t-block columns of any power from a fresh
-eigensolve (``planar_power``), the dense N x N matrices the tests compare
-against (the powers and the ``product`` factors assembled from the
-t-blocks), the sector blocks of any power (``power_blocks``), the dense
-sector blocks of the fields expanded from their stencil rows, the dense
-eigenvalues of the ``product`` table and the grid ``L_p`` norm.
+eigensolve (``planar_power``), the t-block eigenpairs carried to the plane
+(``eig``), the dense planar blocks of the fields (``planar_field``), the
+dense N x N matrices the tests compare against (the powers and the
+``product`` factors assembled from the t-blocks, the ``a:ell`` factor as
+the per-t-block double operator integral of the planar eigenpairs, a
+route independent of the package's sector eigensolve), the
+sector blocks of any power (``power_blocks``), the dense sector blocks of
+the fields expanded from their stencil rows, the dense eigenvalues of the
+``product`` table and the grid ``L_p`` norm.
 ``fiber_schatten_norm`` and ``loop_coercivity`` are the SVD loop the fiber
 side's trace kernel replaced; ``fiber_identity`` is an input of the fiber
 algebra tests.
@@ -20,7 +24,14 @@ import numpy as np
 
 from heislab.doi import build_a_fiber
 from heislab.experiments import SeededDraws
-from heislab.grid import _ASYMMETRY_LIMIT, GridFunction, GridSpec, _by_column, _model
+from heislab.grid import (
+    _ASYMMETRY_LIMIT,
+    GridFunction,
+    GridSpec,
+    _by_column,
+    _model,
+    _planar_parts,
+)
 from heislab.oscillator import (
     FiberOperator,
     MultiIndexBasis,
@@ -45,9 +56,9 @@ def assemble(model, blocks: np.ndarray) -> np.ndarray:
 
 
 def expanded_field_rows(model, ell: int) -> tuple[tuple[np.ndarray, ...], ...]:
-    """The sector blocks of ``X_ell`` as dense arrays, in the layout of
-    ``_GridModel.read_blocks``: the stencil rows of ``_GridModel.field_rows``
-    scattered entry by entry."""
+    """The sector blocks of ``X_ell`` as dense arrays, entry ``[k][c]`` for
+    ``sigma = SECTORS[k]`` and colour class c: the stencil rows of
+    ``_GridModel.field_rows`` scattered entry by entry."""
     classes = model.sectors().classes
     out = []
     for k in range(4):
@@ -76,11 +87,47 @@ def assembled_power(model, exponent: float) -> np.ndarray:
 
 def power_blocks(model, exponent: float) -> tuple[tuple[np.ndarray, ...], ...]:
     """The sector blocks ``Q_sigma^T (-Delta)^exponent Q_sigma`` of both
-    colour classes, read off the columns of the kept t-blocks at the planar
-    representatives as the model reads its inverse root's blocks, one class
-    at a time."""
-    columns = planar_power(model, exponent, model.planar_representatives())
-    return model.read_blocks(_by_column(columns), 0, False)
+    colour classes, entry ``[k][c]`` for ``sigma = SECTORS[k]`` and class c,
+    read off the columns of the kept t-blocks at the planar representatives
+    as the model reads its inverse root's blocks, one class at a time."""
+    columns = _by_column(planar_power(model, exponent, model.planar_representatives()))
+    classes = range(len(model.sectors().classes))
+    return tuple(zip(*(model.read_class(columns, c) for c in classes)))
+
+
+def _in_grid(half, u: np.ndarray) -> np.ndarray:
+    """The vectors ``sum_a u[..., a, i] o_a`` of one parity half (see
+    ``grid._parity_halves``), over the plane: row m is read off the rows of
+    u at m's two orbit vectors."""
+    real = half.real_value[:, None] * u[..., half.real_column, :]
+    return real + 1j * (half.imag_value[:, None] * u[..., half.imag_column, :])
+
+
+def eig(model) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenvalues, eigenvectors and live masks of the model's kept blocks.
+
+    Row j belongs to the block of ``mu[j]``: shapes (h, M), (h, M, M) and
+    (h, M) with ``h = ceil(n/2)``, eigenvalues ascending.  They are the two
+    parity halves of a fresh eigensolve (``_GridModel._eigensolve``)
+    merged, with the eigenvectors carried to the plane.
+    """
+    halves = model._eigensolve()
+    w = np.concatenate([half[0] for half in halves], axis=1)
+    live = np.concatenate([half[2] for half in halves], axis=1)
+    v = np.concatenate(
+        [_in_grid(half, u) for half, (_, u, _) in zip(model._parity, halves)], axis=2
+    )
+    order = np.argsort(w, axis=1, kind="stable")
+    w, live = (np.take_along_axis(arr, order, axis=1) for arr in (w, live))
+    v = np.take_along_axis(v, order[:, None, :], axis=2)
+    return w, v, live
+
+
+def planar_field(model, ell: int, mu: float) -> np.ndarray:
+    """Dense M x M block of ``X_ell`` where ``D_t`` acts as ``i mu``; real
+    when ``mu`` is 0."""
+    base, coefficient = _planar_parts(model.spec, ell)
+    return base + np.diag(1j * mu * coefficient) if mu else base
 
 
 def assembled_symbol_realization(spec: GridSpec, k: int) -> np.ndarray:
@@ -90,7 +137,7 @@ def assembled_symbol_realization(spec: GridSpec, k: int) -> np.ndarray:
     operator integral is taken block by block, each block with its own table.
     """
     model = _model(spec)
-    w, v, live = model.eig()
+    w, v, live = eig(model)
     # kernel modes get a placeholder 1 so the table stays finite; their
     # rows and columns are zeroed below
     safe = np.where(live, w, 1.0)
@@ -101,7 +148,7 @@ def assembled_symbol_realization(spec: GridSpec, k: int) -> np.ndarray:
     table /= root[:, :, None] + root[:, None, :]
     table *= live[:, :, None] & live[:, None, :]
     v_adj = v.conj().transpose(0, 2, 1)
-    fields = np.stack([model.planar_field(k, mu) for mu in model.mu])
+    fields = np.stack([planar_field(model, k, mu) for mu in model.mu])
     core = quarter[:, :, None] * (v_adj @ fields @ v) * quarter[:, None, :]
     return assemble(model, v @ (table * core) @ v_adj)
 

@@ -305,9 +305,9 @@ def class_reads(monkeypatch):
     read_class = _GridModel.read_class
     classes = []
 
-    def counting_read_class(self, by_column, c, character, flip):
+    def counting_read_class(self, by_column, c):
         classes.append(c)
-        return read_class(self, by_column, c, character, flip)
+        return read_class(self, by_column, c)
 
     monkeypatch.setattr(_GridModel, "read_class", counting_read_class)
     _model.cache_clear()
@@ -497,14 +497,16 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("suite, solves", [("grid", 1), ("bound", 1), ("product", 2)])
     def test_cold_run_counts_its_eigensolves(self, tmp_path, eigh_sizes, suite, solves):
-        # one eigensolve is 2 ceil(n/2) real eigh calls; a grid or bound run
-        # makes one, which leaves the inverse root behind (trace: see
-        # above), and product solves once more for the eigenvectors of its
-        # a:ell factor (plus one eigh of n x n for its vertical root)
+        # the parity eigensolve is 2 ceil(n/2) real eigh calls of sizes 40
+        # and 41, which leaves the inverse root behind (trace: see above);
+        # a grid or bound run makes it alone.  Product makes a second
+        # eigensolve, of the inverse root in sector coordinates for its
+        # a:ell factor: one eigh per sector and colour class, eight of sizes
+        # 95 and 94, plus one eigh of n x n for its vertical root
         run_suite(load_config(write_config(tmp_path), {"suite": suite}))
-        parity = [size for size in eigh_sizes if size != 9]
-        assert len(parity) == solves * 2 * 5
-        assert len(eigh_sizes) - len(parity) == (suite == "product")
+        assert sorted(eigh_sizes) == sorted(
+            [40] * 5 + [41] * 5 + ([9] + [94] * 4 + [95] * 4) * (solves - 1)
+        )
 
     def test_no_suite_calls_a_dense_eigh(self, tmp_path, eigh_sizes):
         run_suite(load_config(write_config(tmp_path), {"suite": "all"}))
@@ -530,6 +532,26 @@ class TestRunCommand:
         # the spectra of both families are taken in one pass, class by class
         run_suite(load_config(write_config(tmp_path), {"suite": "bound"}))
         assert class_reads == [0, 1]
+
+    @pytest.mark.parametrize("count", [9, 13])
+    def test_grid_suite_splits_the_family_it_is_given(self, tmp_path, count):
+        # --family enters the grid digest, so it chooses what the grid suite
+        # splits: each of the five bumps gets a split check, the odd
+        # components of odd_x and vertical included, at rounding level
+        # (about 1e-14)
+        out = tmp_path / "out"
+        args = ["run", "--suite", "grid", "--grid", str(count), "--family", "bumps"]
+        assert main(args + ["--out", str(out)]) == 0
+        (path,) = out.glob("grid_*.json")
+        payload = json.loads(path.read_text())
+        assert payload["config"]["family"] == "bumps"
+        splits = {c["name"]: c["value"] for c in payload["checks"] if c["name"].startswith("split_")}
+        labels = ["gauss_wide", "gauss_mid", "gauss_narrow", "odd_x", "vertical"]
+        assert list(splits) == [f"split_{label}" for label in labels]
+        assert max(splits.values()) <= 1e-13
+        components = payload["extra"]["diagnostics"]
+        assert components["odd_x"]["components"] == ["+-"]
+        assert components["vertical"]["components"] == ["--"]
 
     def test_cancelling_product_row_is_excluded(self, tmp_path):
         # on bumps at 10^3 the riesz_mix case carries the odd function
@@ -624,10 +646,11 @@ class TestRunCommand:
 
     def test_over_budget_product_exits_before_building_a_model(self, tmp_path, capsys):
         # the model alone admits 27^3 (580 MB), the product table's own
-        # estimate does not: the run exits 2 before the model or a factor is
-        # built
+        # estimate does not (1.80 GB), while it still admits 26^3 (1.44
+        # GB): the run exits 2 before the model or a factor is built
         count = 27
         assert _peak_bytes(count) <= grid._BYTE_BUDGET < _product_peak_bytes(count)
+        assert _product_peak_bytes(count - 1) <= grid._BYTE_BUDGET
         _model.cache_clear()
         args = ["run", "--suite", "product", "--grid", str(count), "--out", str(tmp_path)]
         tracemalloc.start()

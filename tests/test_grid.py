@@ -46,6 +46,12 @@ from oracles import (
 SPEC = GridSpec.cube(9)
 
 
+def riesz_blocks(spec, ell):
+    """The sector blocks ``Rt_sigma`` of ``R_ell``, entry ``[k][c]``, as the
+    product table's ``riesz:ell`` factor gathers them anew on each call."""
+    return product_factor(spec, enumerate_basis(1, 4), f"riesz:{ell}")[0]
+
+
 def interior_mask(spec, margin=1):
     mask = np.zeros(spec.shape, dtype=bool)
     mask[margin:-margin, margin:-margin, margin:-margin] = True
@@ -360,7 +366,7 @@ class TestSpectralFunction:
 
     def test_pseudo_inverse_kernel_policy(self):
         model = _model(SPEC)
-        w, _, live = model.eig()
+        w, _, live = oracles.eig(model)
         assert np.array_equal(live, np.abs(w) > KERNEL_THRESHOLD * np.abs(w).max())
         assert not live.all()
         inv_sqrt = assembled_power(model, -0.5)
@@ -474,7 +480,7 @@ class TestTBlockCalculus:
             block, mirror = model.sublaplacian_blocks([mu, -mu])
             assert np.array_equal(mirror, block.conj())
         # one eigh per conjugate pair, of size n * n
-        w, v, live = model.eig()
+        w, v, live = oracles.eig(model)
         assert w.shape == live.shape == ((spec.count + 1) // 2, spec.count**2)
         assert v.shape == w.shape + (spec.count**2,)
 
@@ -615,7 +621,7 @@ def point_colours(spec):
 def gather(model, mat, character, flip):
     """Oracle: the sector blocks of a dense grid operator ``mat`` of
     reflection character ``character``, a sign pair, in the model's layout
-    (see ``_GridModel.read_blocks``), by the full sum over the 16 group
+    (see ``product_factor``), by the full sum over the 16 group
     pairs: ``sum_{g,h} tau(g) sigma(h) mat[g a, h b] / (|q_{tau,a}|
     |q_{sigma,b}|)`` with ``tau = sigma character``, multiplied sign by sign;
     the model reads the same blocks from four terms and the XOR of sector
@@ -750,7 +756,7 @@ class TestColourGrading:
                 full[live] = bases[target].T @ riesz @ bases[sigma]
                 scale = np.abs(full).max()
                 assert np.abs(full[same]).max() <= 1e-15 * scale
-                for (r, c), gathered in zip(orbits.classes, model.riesz_blocks(ell)[k]):
+                for (r, c), gathered in zip(orbits.classes, riesz_blocks(spec, ell)[k]):
                     assert np.abs(gathered - full[np.ix_(r, c)]).max() <= 1e-15 * scale
 
     @pytest.mark.parametrize("count", [9, 13])
@@ -782,7 +788,7 @@ class TestColourGrading:
                 full = np.zeros(extended.shape)
                 full[live] = bases[target].T @ riesz @ bases[sigma]
                 assert np.abs(full - extended).max() <= 1e-15 * scale
-                for (r, c), gathered in zip(orbits.classes, model.riesz_blocks(ell)[k]):
+                for (r, c), gathered in zip(orbits.classes, riesz_blocks(spec, ell)[k]):
                     assert np.abs(gathered - extended[np.ix_(r, c)]).max() <= 1e-15 * scale
 
     def test_gather_reads_a_sparse_field_as_its_dense_matrix(self):
@@ -832,9 +838,9 @@ class TestColourGrading:
                 assert columns.shape == (rows.size, 4)
                 assert values.shape == (len(SECTORS), rows.size, 4)
                 assert not columns.flags.writeable and not values.flags.writeable
-            blocks = model.riesz_blocks(ell)
+            blocks = riesz_blocks(SPEC, ell)
             assert len(blocks) == 4 and all(len(per_sector) == 2 for per_sector in blocks)
-            again = model.riesz_blocks(ell)
+            again = riesz_blocks(SPEC, ell)
             for k, (per_sector, per_again) in enumerate(zip(blocks, again)):
                 for c, (block, other) in enumerate(zip(per_sector, per_again)):
                     assert block is not other and np.array_equal(block, other)
@@ -857,7 +863,7 @@ class TestSectorPowerBlocks:
     def test_parity_spectra_match_complex_eigh(self, oracle_model):
         model = oracle_model
         size = model.spec.count**2
-        w, _, _ = model.eig()
+        w, _, _ = oracles.eig(model)
         for j, block in enumerate(model.sublaplacian_blocks(model.mu)):
             halves = [_parity_block(block, half) for half in model._parity]
             assert [h.shape[0] for h in halves] == [(size + 1) // 2, size // 2]
@@ -926,6 +932,35 @@ class TestProductFactorBlocks:
                 assert got.shape == want.shape
                 assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
+    @pytest.mark.parametrize("ell", [1, 2])
+    def test_symbol_blocks_annihilate_the_kernel(self, ell):
+        # a:ell gives its kernel modes weight 0 on both sides: the blocks
+        # take the closed-form kernel's sector coordinates (sector ++,
+        # colour 0) to rounding level, from the right in the column sector
+        # and from the left in the row sector sigma s_ell, where a generic
+        # vector of the same norm reads at the scale of the block
+        model = _model(SPEC)
+        orbits = model.sectors()
+        kernel = model.kernel()
+        coords = np.einsum("sg,gok->so", grid._SIGNS, kernel[orbits.table])
+        coords *= orbits.inverse
+        blocks, _ = product_factor(SPEC, enumerate_basis(1, 4), f"a:{ell}")
+        sides = []
+        for k, per_class in enumerate(blocks):
+            rho = k ^ _FIELD_CHARACTER[ell]
+            for c, ((rows, cols), block) in enumerate(zip(orbits.classes, per_class)):
+                scale = np.abs(block).max()
+                for side, mode in (("right", coords[k, cols]), ("left", coords[rho, rows])):
+                    if not np.any(mode):
+                        continue
+                    sides.append((side, k, c))
+                    image = block @ mode if side == "right" else mode @ block
+                    assert np.abs(image).max() <= 1e-14 * scale
+                    generic = np.ones_like(mode) / math.sqrt(mode.size)
+                    probe = block @ generic if side == "right" else generic @ block
+                    assert np.abs(probe).max() > 1e-3 * scale
+        assert sides == [("right", 0, 0), ("left", _FIELD_CHARACTER[ell], 1)]
+
 
 class TestOneEigensolve:
     """The model keeps of its one eigensolve the eigenvalues, the live masks
@@ -961,7 +996,8 @@ class TestOneEigensolve:
         u = model._t_vectors
         weights = np.einsum("kj,kl,lj->j", u.conj(), model.vertical_quarter_root(), u)
         columns = planar_power(model, -0.5, model.planar_representatives())
-        expected = model.read_blocks(_by_column(columns * weights.real[:, None, None]), 0, False)
+        scaled = _by_column(columns * weights.real[:, None, None])
+        expected = tuple(zip(*(model.read_class(scaled, c) for c in (0, 1))))
         got, _ = product_factor(SPEC, enumerate_basis(1, 4), "flat_factor")
         for got_per_class, want_per_class in zip(got, expected):
             for got_block, want in zip(got_per_class, want_per_class):
@@ -1255,7 +1291,7 @@ class TestSectorSplit:
         # off its kept t-block columns, in its Riesz blocks and in the
         # stencil S~+, the dense oracle in both of its powers' places
         model = _model(SPEC)
-        w, v, live = model.eig()
+        w, v, live = oracles.eig(model)
         assert model.weight[0] == 2
         mode = np.flatnonzero(live[0])[0]
         scale = 1e-6 / math.sqrt(w[0, mode])

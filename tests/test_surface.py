@@ -5,7 +5,10 @@ A name listed in a module's ``__all__`` must be used somewhere in
 non-dunder method of a public class must be read there, and every public
 method of the grid model ``grid._GridModel`` must be called there, or be
 allowlisted below with its reason; a name, member or model method kept
-alive only by its own unit tests fails here.
+alive only by its own unit tests fails here.  So does a module-level
+private function or class, or a private non-dunder method of the grid
+model, that nothing in ``src/heislab`` reaches outside its own definition:
+those have no allowlist.
 """
 
 import ast
@@ -207,3 +210,50 @@ def test_every_model_method_is_called():
     )
     # an allowlisted method that the package starts to call leaves the list
     assert set(MODEL_METHOD_ALLOWLIST) <= uncalled
+
+
+def _unreached_private():
+    """``file:name`` of every module-level private function or class, and
+    ``_GridModel.name`` of every private non-dunder model method, with no
+    use in the package outside its own definition.  A use is a name or an
+    attribute read of it (``_reads``); an import alone is none."""
+    trees = _trees()
+    reads = _reads(trees)
+    names: dict[str, list[tuple[str, int]]] = {}
+    for file, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.setdefault(node.id, []).append((file, node.lineno))
+    unreached = set()
+    for file, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            own = range(node.lineno, node.end_lineno + 1)
+            if node.name.startswith("_") and not node.name.startswith("__"):
+                uses = names.get(node.name, []) + [
+                    (where, at) for where, at, _ in reads.get(node.name, [])
+                ]
+                if all(where == file and at in own for where, at in uses):
+                    unreached.add(f"{file}:{node.name}")
+            if file == "grid.py" and node.name == "_GridModel":
+                for item in node.body:
+                    name = getattr(item, "name", "")
+                    if not (
+                        isinstance(item, ast.FunctionDef)
+                        and name.startswith("_")
+                        and not name.startswith("__")
+                    ):
+                        continue
+                    span = range(item.lineno, item.end_lineno + 1)
+                    if all(
+                        where == file and at in span
+                        for where, at, _ in reads.get(name, [])
+                    ):
+                        unreached.add(f"_GridModel.{name}")
+    return unreached
+
+
+def test_every_private_name_is_reached():
+    unreached = _unreached_private()
+    assert not unreached, f"private names the package never reaches: {sorted(unreached)}"

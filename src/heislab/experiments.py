@@ -79,6 +79,9 @@ __all__ = [
     "trace_formula_experiment",
 ]
 
+# the usage error of a family of which no function gives a check
+_DEGENERATE_FAMILY = "test family is degenerate: every function produced a zero row"
+
 #: a trace window smaller than this cannot support the log-averaged estimate
 MIN_TRACE_WINDOW = 50
 
@@ -195,9 +198,7 @@ def _build_report(
     rows = [row for row in results.values() if row is not None]
     excluded = [label for label, row in results.items() if row is None]
     if not rows:
-        raise ValueError(
-            "test family is degenerate: every function produced a zero row"
-        )
+        raise ValueError(_DEGENERATE_FAMILY)
     return ExperimentReport(
         digest, tuple(rows), ExperimentSummary.from_rows(rows), tuple(excluded)
     )

@@ -416,6 +416,10 @@ _FieldRows = namedtuple("_FieldRows", "columns values")
 # positions, in the row and column orbits of class ``colour``, of the live ones
 _Block = namedtuple("_Block", "eps rho sigma colour rows cols matrix")
 
+# some sector blocks of one colour class, indexed by the position k of the
+# sector: the tuple of all four, or a dict of those a caller holds
+_ClassBlocks = Mapping[int, np.ndarray] | Sequence[np.ndarray]
+
 
 def _join(blocks: Mapping[tuple[int, int], np.ndarray]) -> np.ndarray:
     """The matrix of blocks keyed (row key, column key), in sorted key
@@ -441,12 +445,15 @@ def _peak_bytes(count: int) -> int:
     the four group elements), so one sector block takes at most ``(N + 3
     count + 4)^2 / 8`` bytes and one colour class of four of them half of
     ``(N + 3 count + 4)^2``.  The model keeps the inverse root only as its
-    t-block columns and reads its blocks one class at a time
-    (``inverse_root_blocks``), and a run holds a few blocks besides: the
-    split's two buffers, a root block, the gap and, while a Riesz block is
-    gathered, the gather with its column cut or the commutator block with
-    its term ``f Rt_sigma``, six in all, while a block SVD holds fewer.  So
-    the sector term is 10/8 of ``(N + 3 count + 4)^2``.  The t-block arrays
+    t-block columns and reads its blocks when they are used
+    (``inverse_root_blocks``): a bound or trace run holds one class of
+    them, while a Riesz block is gathered the gather with its column cut or
+    the commutator block with its term ``f Rt_sigma``, and fewer while a
+    block SVD runs.  The split of a grid run holds two of them at a time
+    for the ``trace`` family (all four for ``bumps``), beside its two
+    buffers, its root blocks and a block's lhs with its term.  Ten blocks
+    cover the runs of the default families, so the sector term is 10/8 of
+    ``(N + 3 count + 4)^2``.  The t-block arrays
     of ``ceil(count/2)`` x M x M float64 take one and a half: the kept
     inverse root's columns, about half of one, and, while the model is
     built, the eigensolve's eigenvectors (about half of one) and the
@@ -454,9 +461,10 @@ def _peak_bytes(count: int) -> int:
     times ``_COLUMN_BYTES``, and 0.5 MB cover the rest of the run (the
     fiber side, the families, the artifacts and the modules a run loads).
     Against the ``tracemalloc`` peaks of runs in fresh interpreters, from
-    ``heislab.cli`` loaded, the estimate reads 1.21-1.75x at 9^3,
-    1.34-1.64x at 13^3, 1.18-1.59x at 17^3, 1.13-1.55x at 21^3 and, for a
-    grid run, 1.11x at 25^3.
+    ``heislab.cli`` loaded, the estimate reads 1.21-1.74x at 9^3,
+    1.55-1.75x at 13^3, 1.41-1.59x at 17^3, 1.38-1.55x at 21^3 and, for a
+    grid run, 1.54x at 25^3.  A grid run of ``bumps`` peaks higher: 1.08x
+    at 13^3 and 0.93x at 17^3.
     """
     size = count**3
     sector_set = (size + 3 * count + 4) ** 2
@@ -504,14 +512,14 @@ class _GridModel:
     rows of at most four entries (``field_rows``) are built on first use
     and kept; the model keeps no sector set, no M x M planar matrix and no
     N x N array.  The sector blocks of a power are read straight off its
-    t-block columns, one colour class at a time (``read_class``): the
-    inverse root's blocks of a class (``inverse_root_blocks``) whenever a
-    caller reaches that class, and the ``product`` table's flat factor.
-    The Riesz blocks are gathered from the inverse root's rows where they
-    are read
-    (``riesz_block``) and never kept, and so are the blocks of
-    ``(-Delta)^{1/2}``, two stencil passes per field over the inverse
-    root's block (``root_block``).  The model also splits each
+    t-block columns, some or all sectors of one colour class at a time
+    (``read_class``): the inverse root's blocks (``inverse_root_blocks``)
+    whenever a caller reaches them, a whole class for the commutator
+    spectra and two sectors for the split, and the ``product`` table's
+    flat factor.  The Riesz blocks are gathered from the inverse root's
+    rows where they are read (``riesz_block``) and never kept, and so are
+    the blocks of ``(-Delta)^{1/2}``, two stencil passes per field over the
+    inverse root's block (``root_block``).  The model also splits each
     commutator ``[R_ell, M_f]`` into its independent SVD pieces and keeps
     one spectrum per (ell, f) (``commutator_spectra``), which the bound
     and trace experiments and every sweep step on this grid share.
@@ -707,13 +715,16 @@ class _GridModel:
         n = self.spec.count
         return np.flatnonzero(np.bincount(table[0] // n, minlength=n * n))
 
-    def read_class(self, by_column: np.ndarray, c: int) -> tuple[np.ndarray, ...]:
-        """The four sector blocks ``Q_sigma^T T Q_sigma``, ``sigma =
-        SECTORS[k]`` for k = 0..3, of colour class c of a real grid operator
-        T that commutes with both reflections and keeps colour, from the
-        columns ``by_column`` of its kept t-blocks at
-        ``planar_representatives`` in the real layout of ``_by_column``.
-        Read-only.
+    def read_class(
+        self, by_column: np.ndarray, c: int, sectors: Sequence[int] = range(len(SECTORS))
+    ) -> tuple[np.ndarray, ...]:
+        """The sector blocks ``Q_sigma^T T Q_sigma``, ``sigma = SECTORS[k]``
+        for k in ``sectors`` (all four by default), in that order, of colour
+        class c of a real grid operator T that commutes with both
+        reflections and keeps colour, from the columns ``by_column`` of its
+        kept t-blocks at ``planar_representatives`` in the real layout of
+        ``_by_column``.  Read-only views of one array, which lives while any
+        of them does.
 
         The rows and the columns of a block are the orbits ``classes[c][1]``
         (see ``_Orbits``); the parts of T that the cut leaves out are those
@@ -725,7 +736,10 @@ class _GridModel:
         of T at the representatives are read.  Column ``(n, l)`` (planar
         point n, t-index l) is ``sum_p parts[p][:, n] (x) _t_outer[p][:,
         l]``; a batch of columns, at most ``_COLUMN_BYTES`` of them, is one
-        batched matmul, read by four row gathers.
+        batched matmul, read by four row gathers.  Each block is the same
+        ``_SIGNS`` row against the same gathers whatever else is read, so
+        its bits do not depend on ``sectors``; a read of some sectors costs
+        the class's columns all the same.
         """
         n = self.spec.count
         orbits = self.sectors()
@@ -734,9 +748,10 @@ class _GridModel:
         position = np.zeros(n * n, dtype=int)
         position[self.planar_representatives()] = np.arange(by_column.shape[0])
         by_step = self._t_outer.transpose(2, 0, 1)
-        signs = 4.0 * _SIGNS
+        sectors = list(sectors)
+        signs = 4.0 * _SIGNS[sectors]
         cols = orbits.classes[c][1]
-        out = np.empty((len(SECTORS), cols.size, cols.size))
+        out = np.empty((len(sectors), cols.size, cols.size))
         step = max(1, _COLUMN_BYTES // (self.spec.size * out.itemsize))
         for start in range(0, cols.size, step):
             batch = slice(start, start + step)
@@ -747,8 +762,9 @@ class _GridModel:
             # picked[b, g, a] = T[g a, b]
             picked = columns[:, table[:, cols]]
             out[:, :, batch] = np.matmul(signs, picked).transpose(1, 2, 0)
-        out *= orbits.inverse[:, cols, None]
-        out *= orbits.inverse[:, None, cols]
+        inverse = orbits.inverse[np.ix_(sectors, cols)]
+        out *= inverse[:, :, None]
+        out *= inverse[:, None, :]
         out.flags.writeable = False
         return tuple(out)
 
@@ -876,18 +892,22 @@ class _GridModel:
         rows: np.ndarray,
         right: np.ndarray,
         cols: np.ndarray | None = None,
+        out: np.ndarray | None = None,
     ) -> np.ndarray:
         """The rows ``rows`` (and the columns ``cols``, or all) of
         ``Xt_sigma @ right`` for ``sigma = SECTORS[k]`` in colour class c:
         each row is a sum of at most four rows of ``right``, read off
         ``field_rows``.  ``right`` is cut to ``cols`` once, unless they are
         all its columns; ``np.take`` keeps the cut row-major, so its rows
-        are read contiguously."""
+        are read contiguously.  The product is written into ``out`` when it
+        is given, an array of its shape that shares no memory with
+        ``right``, and into a new array otherwise."""
         columns, values = self.field_rows(ell)[c]
         columns, values = columns[rows], values[k, rows]
         if cols is not None and cols.size < right.shape[1]:
             right = np.take(right, cols, axis=1)
-        out = np.empty((columns.shape[0], right.shape[1]))
+        if out is None:
+            out = np.empty((columns.shape[0], right.shape[1]))
         row_bytes = columns.shape[1] * right.shape[1] * right.itemsize
         step = max(1, _GATHER_BYTES // row_bytes)
         for start in range(0, out.shape[0], step):
@@ -903,20 +923,33 @@ class _GridModel:
         self.parity_eig()
         return self._inverse_root
 
-    def inverse_root_blocks(self, c: int) -> tuple[np.ndarray, ...]:
+    def inverse_root_blocks(
+        self, c: int, sectors: Sequence[int] = range(len(SECTORS))
+    ) -> tuple[np.ndarray, ...]:
         """The sector blocks ``St_sigma = Q_sigma^T (-Delta)^{-1/2} Q_sigma``
-        of colour class c, indexed by the position of sigma in ``SECTORS``,
-        read anew on each call from the kept t-block columns
-        (``inverse_root_columns``, ``read_class``); the power keeps sector
-        and colour.  A caller reads one class at a time and drops it before
-        the next, so no more than one class of them is alive."""
-        return self.read_class(self.inverse_root_columns(), c)
+        of colour class c for the positions k of sigma in ``sectors`` (all
+        four by default, indexed by k), in that order, read anew on each
+        call from the kept t-block columns (``inverse_root_columns``,
+        ``read_class``); the power keeps sector and colour.  The commutator
+        spectra read a whole class at a time and drop it before the next;
+        the split (``riesz_decomposition_residual``) reads two sectors at a
+        time and drops each after its last use."""
+        return self.read_class(self.inverse_root_columns(), c, sectors)
 
-    def root_block(self, k: int, c: int, inverse: tuple[np.ndarray, ...]) -> np.ndarray:
+    def root_block(
+        self,
+        k: int,
+        c: int,
+        inverse: _ClassBlocks,
+        buffers: np.ndarray | None = None,
+    ) -> np.ndarray:
         """The sector block ``Q_sigma^T (-Delta)^{1/2} Q_sigma`` of
         ``sigma = SECTORS[k]`` in colour class c, formed anew from the
-        inverse root's blocks ``inverse`` of class c
-        (``inverse_root_blocks``) and the stencil rows.
+        inverse root's block ``inverse[k]`` of class c
+        (``inverse_root_blocks``) and the stencil rows.  The passes are
+        written into the two rows of ``buffers``, each of at least the
+        class's rows times its columns, when it is given, and into new
+        arrays otherwise; only the block itself is new.
 
         On the live modes ``(-Delta)^{1/2} = (-Delta)(-Delta)^{-1/2}``, and
         ``-Delta = X_1^T X_1 + X_2^T X_2 = -(X_1 X_1 + X_2 X_2)`` because the
@@ -927,12 +960,18 @@ class _GridModel:
         class c.
         """
         root = inverse[k]
-        classes = self.sectors().classes
+        rows = self.sectors().classes[c][0].size
+        inner_out = back_out = None
+        if buffers is not None:
+            inner_out = buffers[0, : rows * root.shape[1]].reshape(rows, root.shape[1])
+            back_out = buffers[1, : root.size].reshape(root.shape)
         out = np.zeros_like(root)
         for ell in (1, 2):
-            inner = self.field_times(ell, k, c, np.arange(classes[c][0].size), root)
+            inner = self.field_times(ell, k, c, np.arange(rows), root, out=inner_out)
             back = k ^ _FIELD_CHARACTER[ell]
-            out -= self.field_times(ell, back, 1 - c, np.arange(root.shape[0]), inner)
+            out -= self.field_times(
+                ell, back, 1 - c, np.arange(root.shape[0]), inner, out=back_out
+            )
         return out
 
     def riesz_block(
@@ -940,7 +979,7 @@ class _GridModel:
         ell: int,
         k: int,
         c: int,
-        inverse: tuple[np.ndarray, ...],
+        inverse: _ClassBlocks,
         rows: np.ndarray,
         cols: np.ndarray | None = None,
     ) -> np.ndarray:
@@ -959,7 +998,7 @@ class _GridModel:
         ell: int,
         components: Mapping[int, np.ndarray],
         c: int,
-        inverse: tuple[np.ndarray, ...],
+        inverse: _ClassBlocks,
     ) -> Iterator[_Block]:
         """The blocks of ``[R_ell, M_f]`` in sector coordinates in colour
         class c, from the inverse root's blocks ``inverse`` of that class.
@@ -1005,7 +1044,7 @@ class _GridModel:
         f_rep: np.ndarray,
         k: int,
         c: int,
-        inverse: tuple[np.ndarray, ...],
+        inverse: _ClassBlocks,
         r: np.ndarray,
         s: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -1276,25 +1315,32 @@ def riesz_decomposition_residual(
     squared block norms, summed in the order (eps, sigma, colour class).
 
     The loop runs over colour class and sector outside and over the
-    functions and their components inside.  Each class reads its four
-    blocks of the inverse root once (``_GridModel.inverse_root_blocks``)
-    and hands them to every block it forms, so one class of them is alive
-    at a time.  The blocks of ``(-Delta)^{1/2}`` are formed from them and
-    the stencil rows (``_GridModel.root_block``), never as a set: each is
-    formed once per call and dropped after the last sector that reads it.
-    A block of character eps at sector sigma reads the root blocks of sigma
-    and of sigma eps, so sigma itself is always formed; for functions whose
-    only component is ``++`` one root block is alive at a time.  The terms
-    with ``X_ell`` on the left are row gathers of the stencil rows
-    (``_GridModel.field_times``), for each block alone; the products and
-    the kernel projections of a block are written into two buffers,
-    allocated once per class.  A block's lhs and its term ``f Rt_sigma``
-    come from one gather of ``Rt_sigma`` (``_GridModel.commutator_terms``),
-    made after the products.  A block is projected off the closed-form
-    kernel (``_GridModel.kernel``) only on a side where the mode has a
-    coordinate on the orbits of its row sector (on the left) or of its
-    column sector (on the right): elsewhere the projection is exact zeros,
-    so leaving it out keeps the bits.  No N x N array is formed.
+    functions and their components inside.  A block of character eps at
+    sector sigma reads the inverse root's and the root's blocks of sigma
+    and of sigma eps, so sigma itself is always read.  The sectors go in
+    the pairs {0, 1} and {2, 3}: before each pair, the inverse root's
+    blocks (``_GridModel.inverse_root_blocks``) that its two steps read
+    and that are not held are read in one batch, and each is dropped after
+    the last step that reads it, so each is read once per class.  For
+    components of characters in {++, +-} (every ``trace`` function) a pair
+    reads its own two sectors, so no more than two are alive; ``bumps``,
+    whose components mix ++, +- and --, reads all four at the first pair.
+    The blocks of ``(-Delta)^{1/2}`` are formed from them and the stencil
+    rows (``_GridModel.root_block``), never as a set: each is formed once
+    per call and dropped after the last sector that reads it, so for
+    functions whose only component is ``++`` one root block is alive at a
+    time.  The terms with ``X_ell`` on the left are row gathers of the
+    stencil rows (``_GridModel.field_times``), for each block alone.  Two
+    buffers, allocated once per class, hold a block's products, its gap
+    and its kernel projections, and the two stencil passes of each root
+    block, each written where the other is free.  A block's lhs and its
+    term ``f Rt_sigma`` come from one gather of ``Rt_sigma``
+    (``_GridModel.commutator_terms``), made after the products.  A block is
+    projected off the closed-form kernel (``_GridModel.kernel``) only on a
+    side where the mode has a coordinate on the orbits of its row sector
+    (on the left) or of its column sector (on the right): elsewhere the
+    projection is exact zeros, so leaving it out keeps the bits.  No N x N
+    array is formed.
     """
     if any(f.spec != spec for f in functions.values()):
         raise ValueError("function lives on a different grid")
@@ -1318,7 +1364,7 @@ def riesz_decomposition_residual(
         k: int,
         c: int,
         roots: Mapping[int, np.ndarray],
-        inverse: tuple[np.ndarray, ...],
+        inverse: _ClassBlocks,
         buffers: np.ndarray,
     ):
         """The Frobenius norms off the kernel of the lhs and the gap of the
@@ -1341,12 +1387,16 @@ def riesz_decomposition_residual(
         # written over comm, which the first product has read
         right = np.matmul(inverse[shifted], product, out=comm)
         right -= np.multiply(f_cols[:, None], inverse[k], out=product)
-        gap = model.field_times(ell, shifted, c, r, right, s)
+        cut = (r.size, s.size)
+        # the gap goes over product, which right has read, and the
+        # projections over comm, free once the gap is formed
+        gap = buffers[1, : r.size * s.size].reshape(cut)
+        model.field_times(ell, shifted, c, r, right, s, out=gap)
         # formed after the products, so lhs is not alive across them
         lhs, scaled = model.commutator_terms(ell, eps, f_rep, k, c, inverse, r, s)
         gap += scaled
         gap += lhs
-        projection = buffers[1, : r.size * s.size].reshape(r.size, s.size)
+        projection = buffers[0, : r.size * s.size].reshape(cut)
         for side, basis in enumerate((kernel_coords[rho, rows[r]], kernel_coords[k, cols[s]])):
             if np.any(basis):
                 for mat in (lhs, gap):
@@ -1356,22 +1406,36 @@ def riesz_decomposition_residual(
     # per function, the norms of each block keyed (eps, sigma, c)
     by_block: dict[str, dict[tuple[int, int, int], tuple]] = {label: {} for label in parts}
     for c, (rows, cols) in enumerate(orbits.classes):
-        inverse = model.inverse_root_blocks(c)
-        buffers = np.empty((2, max(rows.size, cols.size) * cols.size))
-        # the root blocks of class c in use, keyed by sector
+        # the inverse root's and the root's blocks of class c in use, keyed
+        # by sector
+        inverse: dict[int, np.ndarray] = {}
         roots: dict[int, np.ndarray] = {}
-        for k in range(len(SECTORS)):
-            for j in (k ^ eps for eps in steps):
-                if j not in roots:
-                    roots[j] = model.root_block(j, c, inverse)
-            for label, components in parts.items():
-                for eps, f_rep in components.items():
-                    by_block[label][eps, k, c] = block_norms(
-                        eps, f_rep, k, c, roots, inverse, buffers
-                    )
-            roots = {j: root for j, root in roots.items() if any(j ^ e > k for e in steps)}
+        buffers = None
+        for first in range(0, len(SECTORS), 2):
+            # the sectors two steps read, less those held, in one read
+            wanted = {k ^ eps for k in (first, first + 1) for eps in steps}
+            missing = sorted(wanted - inverse.keys())
+            if missing:
+                inverse.update(zip(missing, model.inverse_root_blocks(c, missing)))
+            if buffers is None:
+                # after the class's first read, whose batch holds its own
+                # arrays of about three times _COLUMN_BYTES
+                buffers = np.empty((2, max(rows.size, cols.size) * cols.size))
+            for k in (first, first + 1):
+                for j in (k ^ eps for eps in steps):
+                    if j not in roots:
+                        roots[j] = model.root_block(j, c, inverse, buffers)
+                for label, components in parts.items():
+                    for eps, f_rep in components.items():
+                        by_block[label][eps, k, c] = block_norms(
+                            eps, f_rep, k, c, roots, inverse, buffers
+                        )
+                # each block is dropped after the last step that reads it
+                later = {m ^ e for m in range(k + 1, len(SECTORS)) for e in steps}
+                roots = {j: root for j, root in roots.items() if j in later}
+                inverse = {j: block for j, block in inverse.items() if j in later}
         # dropped before the next class is read
-        del inverse, buffers
+        del buffers
 
     def report(label: str) -> RieszSplitReport:
         blocks = [by_block[label][key] for key in sorted(by_block[label])]

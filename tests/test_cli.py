@@ -30,7 +30,7 @@ from heislab.cli import (
     sweep,
 )
 from heislab.experiments import _product_peak_bytes
-from heislab.grid import GridSpec, _GridModel, _model, _peak_bytes
+from heislab.grid import SECTORS, GridFunction, GridSpec, _GridModel, _model, _peak_bytes
 
 from oracles import recorded_eigenvalues, recorded_svd_shapes
 
@@ -299,15 +299,15 @@ def power_exponents(monkeypatch):
 
 @pytest.fixture
 def class_reads(monkeypatch):
-    """Colour classes of the ``_GridModel.read_class`` calls, each one class
-    of sector blocks read off t-block columns, made after a cold model
-    cache."""
+    """Colour classes of the ``_GridModel.read_class`` calls, each some
+    sector blocks of one class read off t-block columns, made after a cold
+    model cache."""
     read_class = _GridModel.read_class
     classes = []
 
-    def counting_read_class(self, by_column, c):
+    def counting_read_class(self, by_column, c, sectors=range(len(SECTORS))):
         classes.append(c)
-        return read_class(self, by_column, c)
+        return read_class(self, by_column, c, sectors)
 
     monkeypatch.setattr(_GridModel, "read_class", counting_read_class)
     _model.cache_clear()
@@ -552,6 +552,31 @@ class TestRunCommand:
         components = payload["extra"]["diagnostics"]
         assert components["odd_x"]["components"] == ["+-"]
         assert components["vertical"]["components"] == ["--"]
+
+    def test_grid_suite_rejects_a_degenerate_family(self, tmp_path, capsys):
+        # every commutator of the constants is exactly zero, so no split has
+        # a relative residual to check: a usage error, as for bound and trace
+        path = write_config(tmp_path)
+        args = ["run", "--suite", "grid", "--config", str(path), "--family", "constants"]
+        assert main(args) == 2
+        assert "degenerate" in capsys.readouterr().err
+
+    def test_grid_suite_leaves_out_zero_commutators(self, tmp_path, monkeypatch):
+        # a constant beside the trace family gets no split check and is
+        # named in the artifact; the default artifact names no exclusion
+        config = load_config(write_config(tmp_path), {"suite": "grid"})
+        assert "excluded" not in cli._run_grid(config).extra
+        named_family = cli.named_family
+
+        def with_a_constant(name, spec):
+            return {"one": GridFunction(spec, np.ones(spec.shape)), **named_family(name, spec)}
+
+        monkeypatch.setattr(cli, "named_family", with_a_constant)
+        outcome = cli._run_grid(config)
+        assert outcome.extra["excluded"] == ["one"]
+        assert "one" not in outcome.extra["diagnostics"]
+        names = [check["name"] for check in outcome.checks]
+        assert "split_one" not in names and "split_gauss_wide" in names
 
     def test_cancelling_product_row_is_excluded(self, tmp_path):
         # on bumps at 10^3 the riesz_mix case carries the odd function

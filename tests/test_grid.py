@@ -1,6 +1,7 @@
 import functools
 import math
 import tracemalloc
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -1357,6 +1358,37 @@ class TestSectorSplit:
             tracemalloc.stop()
         sector_set = (count**3 + 3 * count + 4) ** 2
         assert peak < 1.5 * sector_set
+
+    @pytest.mark.parametrize("count", [9, 13])
+    def test_split_holds_two_inverse_root_blocks_at_a_time(self, count, monkeypatch):
+        # the split of the trace family reads each sector block of each
+        # colour class of the inverse root once, as the pairs {0, 1} and
+        # {2, 3}, and drops each block after the last step that reads it:
+        # no more than two blocks are alive at once, where a read of the
+        # whole class holds four.  The blocks of one read are views of one
+        # array, alive while any of them is
+        spec = GridSpec.cube(count)
+        family = named_family("trace", spec)
+        reads, alive, most = Counter(), {}, []
+        read_class = _GridModel.read_class
+
+        def counting_read_class(self, by_column, c, *sectors):
+            blocks = read_class(self, by_column, c, *sectors)
+            for k in sectors[0] if sectors else range(len(SECTORS)):
+                reads[c, k] += 1
+            base = blocks[0].base
+            assert all(block.base is base for block in blocks)
+            alive[id(base)] = len(blocks)
+            weakref.finalize(base, alive.pop, id(base))
+            most.append(sum(alive.values()))
+            return blocks
+
+        monkeypatch.setattr(_GridModel, "read_class", counting_read_class)
+        riesz_decomposition_residual(spec, family, 1)
+        assert reads == Counter({(c, k): 1 for c in (0, 1) for k in range(len(SECTORS))})
+        assert max(most) <= 2
+        assert len(most) == 4
+        assert not alive
 
     @pytest.mark.parametrize("ell", [1, 2])
     def test_split_gathers_once_and_projects_where_the_kernel_lives(
